@@ -555,9 +555,7 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     """
     if not is_solvable(alg):
         return SolvabilityCertificate(SolvabilityVerdict.NOT_SOLVABLE, None)
-    chain: list[Subspace] = []
     cur = alg
-    lift_rows: list[Vector] = []  # rows spanning the part already quotiented out
     # keep track of coordinates: we rebuild members in the original algebra
     members: list[Subspace] = []
     carried = Subspace.zero(alg.dim)
@@ -572,12 +570,8 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         lifted = _lift_through_quotients(alg, carried, v)
         carried = carried.sum(Subspace(alg.dim, [lifted]))
         members.append(carried)
-        cur, _ = _quotient_of_original(alg, carried)
+        cur, _ = quotient(alg, carried)
     return SolvabilityCertificate(SolvabilityVerdict.COMPLETELY_SOLVABLE, tuple(members))
-
-
-def _quotient_of_original(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
-    return quotient(alg, ideal)
 
 
 def _lift_through_quotients(alg: LieAlgebra, carried: Subspace, v: Vector) -> Vector:

@@ -8,6 +8,7 @@ subspaces are equal exactly when their canonical echelon matrices are equal.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -180,18 +181,6 @@ def charpoly(m: Matrix) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = ZERO
     for c in reversed(coeffs):
@@ -199,8 +188,92 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+def _poly_rem(a: list, b: list, inv_lead, mod: int | None = None) -> list:
+    """Remainder of a by b (coefficients low to high, b nonzero).
+
+    inv_lead is the inverse of b's leading coefficient; with `mod` the
+    arithmetic is over the integers mod that prime, otherwise exact.
+    """
+    a = list(a)
+    db = len(b) - 1
+    while len(a) > db:
+        q = a[-1] * inv_lead
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+            if mod is not None:
+                a[shift + i] %= mod
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _poly_quo(a: list, b: list[Fraction]) -> list[Fraction]:
+    """Exact quotient a / b over Q when b divides a."""
+    a = list(a)
+    inv_lead = ONE / b[-1]
+    out = [ZERO] * (len(a) - len(b) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q = a[k + len(b) - 1] * inv_lead
+        out[k] = q
+        for i, c in enumerate(b):
+            a[k + i] -= q * c
+    return out
+
+
+def _primitive(coeffs: Sequence) -> list[int]:
+    """The integer multiple of the polynomial with coprime coefficients."""
+    coeffs = [frac(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _derivative(a: Sequence) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _squarefree_mod(g: list[int], p: int) -> bool:
+    """Is the monic integer polynomial g square-free modulo the prime p?"""
+    a = [c % p for c in g]
+    b = [c % p for c in _derivative(g)]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _poly_rem(a, b, pow(b[-1], -1, p), p)
+    return len(a) == 1
+
+
+def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of the polynomial, sorted, without multiplicity."""
+    """All rational roots of the polynomial, sorted, without multiplicity.
+
+    coeffs are [c0, c1, ..., cd], lowest degree first.  After powers of t
+    are stripped, f is replaced by its primitive square-free part
+    f / gcd(f, f') (Euclid over Q), with leading coefficient L.  Every
+    rational root a/b of f has b | L, so y = L*t maps the roots to the
+    integer roots of the monic g(y) = L^(d-1) f(y/L), all of absolute
+    value below the Cauchy bound B = 1 + max |g_i|.  For the smallest prime
+    p modulo which g stays square-free, the roots of g mod p are found by
+    trying every residue and lifted by Newton/Hensel iteration, doubling
+    the p-adic precision each step, until p^k > 2B; each lift, read in the
+    symmetric range and divided by L, is kept only if it is exactly a
+    root (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 14-15).
+
+    Cost: polynomial in the degree d and the bit size of the coefficients.
+    g is square-free mod p exactly when p does not divide its discriminant,
+    whose bit size is polynomial in both, so p and the O(p*d) root search
+    are too; the lift takes O(log log B) steps of O(d) big-integer
+    products, and the exact checks are at most d evaluations.
+    """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -211,25 +284,37 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     while coeffs[0] == 0:
         roots.add(ZERO)
         coeffs.pop(0)
-        if not coeffs:
-            return sorted(roots)
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    lead, const = ints[-1], ints[0]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and poly_eval(coeffs, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    if len(coeffs) == 1:
+        return sorted(roots)
 
-
-def _gcd(a: int, b: int) -> int:
+    f = _primitive(coeffs)
+    a, b = f, _derivative(f)
     while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
+        a, b = b, _poly_rem(a, b, ONE / b[-1])
+    if len(a) > 1:
+        f = _primitive(_poly_quo(f, a))
+    d = len(f) - 1
+    lead = f[-1]
+    g = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    bound = 1 + max(abs(c) for c in g)
+
+    p = 2
+    while not _squarefree_mod(g, p):
+        p += 1
+        while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            p += 1
+    dg = _derivative(g)
+    for r in range(p):
+        if _eval_mod(g, r, p):
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+        cand = Fraction(r if 2 * r <= m else r - m, lead)
+        if poly_eval(coeffs, cand) == 0:
+            roots.add(cand)
+    return sorted(roots)
 
 
 def rational_eigenvalues(m: Matrix) -> list[Fraction]:

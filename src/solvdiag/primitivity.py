@@ -39,6 +39,13 @@ class NotSolvableError(SolvdiagError):
     code = "NOT_SOLVABLE"
 
 
+class UndecidedSpectrumError(SolvdiagError):
+    """The algebra is solvable, but its spectrum leaves Q, so complete
+    solvability is undecided and the test cannot run."""
+
+    code = "UNDECIDED_IRRATIONAL_SPECTRUM"
+
+
 @dataclass(frozen=True)
 class PairPresentation:
     algebra: LieAlgebra
@@ -226,6 +233,11 @@ def quasi_primitive_test(
     """
     alg, h = pair.algebra, pair.isotropy
     cert = complete_solvability_certificate(alg)
+    if cert.verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
+        raise UndecidedSpectrumError(
+            "the test needs a completely solvable algebra, and the certificate "
+            "needs an eigenvalue outside Q"
+        )
     if cert.verdict is not SolvabilityVerdict.COMPLETELY_SOLVABLE:
         raise NotSolvableError(
             f"the test needs a completely solvable algebra ({cert.verdict.value})"

@@ -6,6 +6,7 @@ that agreement between the two is evidence rather than tautology.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def _frac_rows(rows):
@@ -179,3 +180,49 @@ def oracle_curvature_is_zero(alg, table) -> bool:
                 if any(a - b - c != 0 for a, b, c in zip(lhs, mid, rhs)):
                     return False
     return True
+
+
+def trial_division_rational_roots(coeffs):
+    """Reference for linalg.rational_roots, not library code.
+
+    The rational root theorem read literally: every root p/q in lowest
+    terms has p | c0 and q | cd, so try each signed quotient of divisors
+    found by trial division.  Exponential in the bit size of c0 and cd;
+    use only on small coefficients.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return []
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs.pop(0)
+    scale = 1
+    for c in coeffs:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in coeffs]
+
+    def divisors(n):
+        n = abs(n)
+        out = set()
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.update((d, n // d))
+            d += 1
+        return sorted(out)
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if value(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)

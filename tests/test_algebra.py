@@ -1,5 +1,6 @@
 """Structure-constant algebras, canonical subspaces, solvability."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,17 @@ class TestSolvability:
             assert member.contains(prev)
             assert is_ideal_in(a, member, full)
             prev = member
+
+    def test_certificate_with_a_huge_weight(self):
+        # ad x has eigenvalue N; finding it must not factor N
+        n = 10**30 + 57
+        a = LieAlgebra.from_brackets(("x", "y"), {("x", "y"): {"y": n}})
+        t0 = time.perf_counter()
+        cert = complete_solvability_certificate(a)
+        elapsed = time.perf_counter() - t0
+        assert cert.verdict is SolvabilityVerdict.COMPLETELY_SOLVABLE
+        assert cert.witness == (Subspace.span([(0, 1)], 2), Subspace.full(2))
+        assert elapsed < 1.0
 
 
 class TestQuotient:

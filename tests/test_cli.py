@@ -8,9 +8,11 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import solvdiag
 from dot_parser import parse_dot
 from solvdiag import (
     Flag,
@@ -121,6 +123,22 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error[NOT_SOLVABLE]:")
+
+    def test_irrational_spectrum_is_exit_3(self, capsys, tmp_path):
+        obj = {
+            "name": "sqrt2",
+            "dim": 3,
+            "basis": ["t", "x", "y"],
+            "brackets": [["t", "x", {"y": 1}], ["t", "y", {"x": 2}]],
+            "two_forms": {"omega": [["x", "y", 1]]},
+            "flags": {},
+            "subspaces": {},
+            "metadata": {"source": "test"},
+        }
+        code, out, err = run(capsys, "primitivity", write_doc(tmp_path, obj), "--form", "omega")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error[UNDECIDED_IRRATIONAL_SPECTRUM]:")
 
     def test_audit_failure_is_exit_3(self, capsys, tmp_path):
         obj = json.loads(corpus_text("E1"))
@@ -483,3 +501,10 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout == expected
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert solvdiag.__version__ == project["version"]

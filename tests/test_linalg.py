@@ -1,12 +1,19 @@
 """Exact linear algebra over Fractions."""
 
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvdiag import linalg
-from oracles import bareiss_rank, oracle_nullspace, spans_equal
+from oracles import (
+    bareiss_rank,
+    oracle_nullspace,
+    spans_equal,
+    trial_division_rational_roots,
+)
 
 small_frac = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -118,3 +125,92 @@ def test_charpoly_is_monic_of_degree_n(rows):
     assert cp[-1] == 1
     for lam in linalg.rational_eigenvalues(linalg.mat(rows)):
         assert linalg.poly_eval(cp, lam) == 0
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# quadratics c0 + c1 t + c2 t^2 with no rational root
+IRREDUCIBLE_QUADRATICS = ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (-3, 0, 2), (3, -1, 5))
+
+
+@st.composite
+def polys_with_known_roots(draw):
+    """Scaled products of (t - r) over small rational roots r (repeats and
+    0 allowed), times t^k and an optional irreducible quadratic; degree <= 8.
+    """
+    quad = draw(st.none() | st.sampled_from(IRREDUCIBLE_QUADRATICS))
+    zeros = draw(st.integers(min_value=0, max_value=2))
+    room = 8 - zeros - (2 if quad else 0)
+    roots = draw(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=room)
+    )
+    scale = draw(
+        st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+    )
+    poly = [scale]
+    for r in roots:
+        poly = poly_mul(poly, [-r, Fraction(1)])
+    if quad:
+        poly = poly_mul(poly, [Fraction(c) for c in quad])
+    poly = [Fraction(0)] * zeros + poly
+    return poly, sorted(set(roots) | ({Fraction(0)} if zeros else set()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_known_roots())
+def test_rational_roots_match_trial_division(case):
+    poly, roots = case
+    assert linalg.rational_roots(poly) == roots
+    assert trial_division_rational_roots(poly) == roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_with_known_roots())
+def test_rational_roots_match_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    poly, _ = case
+    t = sympy.Symbol("t")
+    spoly = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)],
+        t,
+        domain=sympy.QQ,
+    )
+    expected = sorted(Fraction(int(r.p), int(r.q)) for r in spoly.ground_roots())
+    assert linalg.rational_roots(poly) == expected
+
+
+def test_rational_roots_of_zero_and_constants():
+    assert linalg.rational_roots([]) == []
+    assert linalg.rational_roots([Fraction(0), Fraction(0)]) == []
+    assert linalg.rational_roots([Fraction(7)]) == []
+    assert linalg.rational_roots([Fraction(0), Fraction(0), Fraction(3)]) == [0]
+
+
+BIG = 10**30 + 57
+
+
+@pytest.mark.parametrize(
+    "coeffs, roots",
+    [
+        ([-BIG, 1], [BIG]),
+        ([0, -BIG, 1], [0, BIG]),
+        ([BIG * BIG, -2 * BIG, 1], [BIG]),
+        (
+            poly_mul([Fraction(-3), Fraction(2)], [Fraction(BIG), Fraction(1)]),
+            [-BIG, Fraction(3, 2)],
+        ),
+    ],
+    ids=["t-N", "t^2-Nt", "(t-N)^2", "(2t-3)(t+N)"],
+)
+def test_rational_roots_large_coefficients(coeffs, roots):
+    t0 = time.perf_counter()
+    found = linalg.rational_roots([Fraction(c) for c in coeffs])
+    elapsed = time.perf_counter() - t0
+    assert found == roots
+    assert elapsed < 1.0

@@ -1,6 +1,8 @@
 """Transitive-subalgebra tests, degree bounds, consistency audits."""
 
+import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -11,12 +13,18 @@ from solvdiag import (
     PairPresentation,
     PrimitivityStatus,
     Subspace,
+    TwoForm,
+    UndecidedSpectrumError,
+    change_basis,
     classify_vertices,
     degrees,
     ideal_closure_audit,
+    kernel,
     kernel_chain,
     primitive_test,
     quasi_primitive_test,
+    random_closed_form,
+    random_completely_solvable,
     rank_ratio,
     singular_count_audit,
     transitive_test,
@@ -124,12 +132,59 @@ class TestQuasiPrimitive:
         )
 
     def test_needs_completely_solvable(self):
+        # solvable, but ad r has eigenvalues +-i: the certificate is undecided
         rot = LieAlgebra.from_brackets(
             ("r", "x", "y"), {("r", "x"): {"y": 1}, ("r", "y"): {"x": -1}}
         )
         pair = PairPresentation(rot, Subspace.span([(0, 1, 0), (0, 0, 1)], 3))
-        with pytest.raises(NotSolvableError):
+        with pytest.raises(UndecidedSpectrumError):
             quasi_primitive_test(pair)
+
+    def test_irrational_real_spectrum_is_undecided_not_unsolvable(self):
+        # [t,x]=y, [t,y]=2x is solvable; ad t has eigenvalues +-sqrt(2)
+        alg = LieAlgebra.from_brackets(
+            ("t", "x", "y"), {("t", "x"): {"y": 1}, ("t", "y"): {"x": 2}}
+        )
+        pair = PairPresentation(alg, Subspace.span([(0, 1, 0)], 3))
+        with pytest.raises(UndecidedSpectrumError) as info:
+            quasi_primitive_test(pair)
+        assert info.value.code == "UNDECIDED_IRRATIONAL_SPECTRUM"
+        assert not isinstance(info.value, NotSolvableError)
+
+    def test_not_solvable_keeps_its_code(self):
+        sl2 = LieAlgebra.from_brackets(
+            ("e", "f", "h"),
+            {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
+        )
+        pair = PairPresentation(sl2, Subspace.span([(1, 0, 0)], 3))
+        with pytest.raises(NotSolvableError) as info:
+            quasi_primitive_test(pair)
+        assert info.value.code == "NOT_SOLVABLE"
+
+    def test_pencils_on_a_rescaled_basis(self):
+        # seed 133 reaches the pencil search; rescaling its last basis vector
+        # by N puts N^2 and N^3 into the charpolys and N into the pencil
+        # quadratics, which trial division could not factor in a day
+        rng = Random(133)
+        alg = random_completely_solvable(rng, 4)
+        form = random_closed_form(rng, alg)
+        small = quasi_primitive_test(PairPresentation(alg, kernel(form)))
+        assert small.searched == ("ideal-hyperplanes", "hyperplane-pencils")
+
+        scale = (1, 1, 1, 2**60 + 33)
+        basis = [[Fraction(s if i == j else 0) for j in range(4)] for i, s in enumerate(scale)]
+        big = change_basis(alg, basis)
+        big_form = TwoForm(
+            [[form.entries[i][j] * scale[i] * scale[j] for j in range(4)] for i in range(4)]
+        )
+        big_pair = PairPresentation(big, kernel(big_form))
+        t0 = time.perf_counter()
+        verdict = quasi_primitive_test(big_pair)
+        elapsed = time.perf_counter() - t0
+        assert verdict.status is small.status
+        assert verdict.searched == small.searched
+        assert transitive_test(big_pair, verdict.witness)
+        assert elapsed < 2.0
 
 
 class TestDegrees:
