@@ -154,8 +154,10 @@ class NormalFlagResult:
 def find_normal_flag(alg: LieAlgebra) -> NormalFlagResult:
     """A full chain all of whose members are ideals of the algebra.
 
-    Construction: rational common-eigenvector descent on successive
-    quotients.  NONE when the algebra is not solvable (no such chain can
+    Construction: the members of `complete_solvability_certificate`, found
+    by rational common-eigenvector descent on g/I for each member I so far,
+    with the structure constants of g/I read from the table of g reduced
+    modulo I.  NONE when the algebra is not solvable (no such chain can
     exist); UNDECIDED when the descent hits an irrational spectrum.
     """
     cert = complete_solvability_certificate(alg)

@@ -76,11 +76,6 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a)
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leading 1s; returns (rref, pivot columns).
 
@@ -164,21 +159,50 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
 def charpoly(m: Matrix) -> list[Fraction]:
     """Coefficients [c0, c1, ..., c_{n-1}, 1] of det(tI - m), exact.
 
-    Faddeev-LeVerrier; monic by construction.
+    Reduce m to upper Hessenberg form h by elementary similarities (for
+    each column, swap a nonzero entry below the subdiagonal into place and
+    clear the entries under it).  The charpolys p_k of its leading k x k
+    blocks then satisfy, by expansion along the last column (1-based),
+    p_0 = 1 and p_k = (t - h_kk) p_(k-1)
+    - sum over i < k of h_ik * h_(i+1),i * ... * h_k,(k-1) * p_(i-1)
+    (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
+    algorithms 2.2.9-2.2.10); a zero subdiagonal entry ends the sum early.
+    Both stages take O(n^3) field operations.
     """
     n = len(m)
-    coeffs = [ZERO] * n + [ONE]
-    mk = identity(n)
-    for k in range(1, n + 1):
-        mk = matmul(m, mk)
-        ck = -sum((mk[i][i] for i in range(n)), ZERO) / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = tuple(
-                tuple(mk[i][j] + (ck if i == j else ZERO) for j in range(n))
-                for i in range(n)
-            )
-    return coeffs
+    h = [list(row) for row in m]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1] != 0), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv = ONE / h[k][k - 1]
+        for i in range(k + 1, n):
+            u = h[i][k - 1] * inv
+            if u == 0:
+                continue
+            # row_i -= u row_k, then col_k += u col_i: a similarity
+            h[i] = [x - u * y for x, y in zip(h[i], h[k])]
+            for row in h:
+                row[k] += u * row[i]
+    polys = [[ONE]]
+    for k in range(n):
+        p = [ZERO] + polys[k]  # t * p_k
+        for d, c in enumerate(polys[k]):
+            p[d] -= h[k][k] * c
+        prod = ONE
+        for i in range(k - 1, -1, -1):
+            prod *= h[i + 1][i]
+            if prod == 0:
+                break
+            f = prod * h[i][k]
+            for d, c in enumerate(polys[i]):
+                p[d] -= f * c
+        polys.append(p)
+    return polys[n]
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -226,3 +226,23 @@ def trial_division_rational_roots(coeffs):
                 if value(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
+
+
+def faddeev_leverrier_charpoly(m):
+    """Reference for linalg.charpoly, not library code.
+
+    Faddeev-LeVerrier: M_1 = m, c_{n-k} = -tr(M_k)/k and
+    M_{k+1} = m (M_k + c_{n-k} I); n matrix products, so O(n^4).
+    Coefficients lowest degree first, monic.
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            mk[i][i] += ck
+    return coeffs

@@ -1,9 +1,13 @@
 """Structure-constant algebras, canonical subspaces, solvability."""
 
+import hashlib
 import time
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvdiag import (
     LieAlgebra,
@@ -23,7 +27,14 @@ from solvdiag import (
     subalgebra_closure,
     validate_algebra,
 )
+from solvdiag import algebra, linalg
 from solvdiag.algebra import is_nilpotent_subalgebra, normalizer_of_in
+from solvdiag.generators import (
+    change_basis,
+    random_completely_solvable,
+    random_nilpotent,
+    random_unimodular,
+)
 
 
 def heisenberg():
@@ -122,6 +133,25 @@ class TestLieAlgebra:
         assert all(ad_p[i][0] == 0 for i in range(3))
 
 
+small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def algebra_and_two_vectors(draw):
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=1, max_value=6))
+    alg = make(Random(draw(st.integers(min_value=0, max_value=10**6))), dim)
+    vector = st.lists(small_frac, min_size=dim, max_size=dim).map(linalg.vec)
+    return alg, draw(vector), draw(vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_two_vectors())
+def test_ad_matrix_agrees_with_bracket(case):
+    alg, x, y = case
+    assert linalg.matvec(alg.ad_matrix(x), y) == alg.bracket(x, y)
+
+
 class TestClosures:
     def test_subalgebra_closure_grows_to_bracket(self):
         h = heisenberg()
@@ -189,6 +219,61 @@ class TestSolvability:
         assert cert.verdict is SolvabilityVerdict.COMPLETELY_SOLVABLE
         assert cert.witness == (Subspace.span([(0, 1)], 2), Subspace.full(2))
         assert elapsed < 1.0
+
+
+def _witness_records():
+    """One line per certificate: the verdict and every member's echelon rows.
+
+    Each generated algebra appears twice: in its triangular basis, where
+    the ideals are spanned by leading basis vectors, and in a random
+    unimodular basis, where they are not.
+    """
+    algs = [
+        sl2(),
+        LieAlgebra.from_brackets(
+            ("t", "x", "y"), {("t", "x"): {"y": 1}, ("t", "y"): {"x": 2}}
+        ),
+    ]
+    for make in (random_completely_solvable, random_nilpotent):
+        for dim, seeds in ((3, 7), (4, 7), (5, 7), (6, 7), (7, 1), (8, 1)):
+            for seed in range(seeds):
+                rng = Random(1000 * dim + seed)
+                alg = make(rng, dim)
+                algs += [alg, change_basis(alg, random_unimodular(rng, dim))]
+    lines = []
+    for alg in algs:
+        cert = complete_solvability_certificate(alg)
+        members = [
+            "; ".join(" ".join(map(str, row)) for row in m.rows)
+            for m in cert.witness or ()
+        ]
+        lines.append(f"{cert.verdict.value}: " + " | ".join(members))
+    return lines
+
+
+# SHA-256 of _witness_records() as computed by the certificate that built
+# each quotient algebra afresh; reducing the table in place must not move a
+# verdict or a witness
+GOLDEN_WITNESS_DIGEST = "8433f417b5523432e12e1d22e3a854fd87338fa64fb0a505c396b59509ab6742"
+
+
+def test_certificate_witnesses_unchanged():
+    records = _witness_records()
+    assert len(records) == 122
+    assert records[0] == "NOT_SOLVABLE: "
+    assert records[1] == "UNDECIDED_IRRATIONAL_SPECTRUM: "
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_WITNESS_DIGEST
+
+
+def test_certificate_checks_each_member_is_an_ideal(monkeypatch):
+    # a descent that returned a non-eigenvector would make a non-ideal
+    # member; the certificate must refuse rather than report it
+    monkeypatch.setattr(
+        algebra, "common_eigenvector", lambda alg, rep, dim: linalg.unit_vec(dim, 0)
+    )
+    with pytest.raises(NotAnIdealError):
+        complete_solvability_certificate(heisenberg())  # [q, p] = -z
 
 
 class TestQuotient:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from solvdiag import linalg
 from oracles import (
     bareiss_rank,
+    faddeev_leverrier_charpoly,
     oracle_nullspace,
     spans_equal,
     trial_division_rational_roots,
@@ -125,6 +126,38 @@ def test_charpoly_is_monic_of_degree_n(rows):
     assert cp[-1] == 1
     for lam in linalg.rational_eigenvalues(linalg.mat(rows)):
         assert linalg.poly_eval(cp, lam) == 0
+
+
+sparse_frac = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_frac)
+
+
+def sparse_square_matrices(max_n=8):
+    """Mostly-zero matrices: zero subdiagonal entries and pivot swaps are common."""
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(sparse_frac, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_square_matrices())
+def test_charpoly_matches_faddeev_leverrier(rows):
+    assert linalg.charpoly(linalg.mat(rows)) == faddeev_leverrier_charpoly(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_square_matrices())
+def test_charpoly_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    smat = sympy.Matrix(
+        len(rows), len(rows), [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+    )
+    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(smat.charpoly(t).all_coeffs())]
+    assert linalg.charpoly(linalg.mat(rows)) == expected
 
 
 def poly_mul(a, b):
