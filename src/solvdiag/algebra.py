@@ -309,33 +309,6 @@ def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
     return all(s.contains_vector(alg.bracket(x, y)) for x in t.rows for y in s.rows)
 
 
-def normalizer_of_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> Subspace:
-    """{x in t : [x, s] within s}, computed exactly."""
-    if s.is_zero():
-        return t
-    ann = s.annihilator().rows  # functionals cutting out s
-    # parameterize x = sum u_i t_i over t's echelon basis; linear conditions:
-    # for each s basis vector w and each annihilator functional f:
-    #   f([x, w]) = sum_i u_i f([t_i, w]) = 0
-    rows = []
-    for w in s.rows:
-        for f in ann:
-            rows.append(
-                tuple(
-                    sum((fk * bk for fk, bk in zip(f, alg.bracket(ti, w))), ZERO)
-                    for ti in t.rows
-                )
-            )
-    sols = linalg.nullspace(rows, len(t.rows))
-    vecs = []
-    for sol in sols:
-        v = linalg.zero_vec(alg.dim)
-        for c, ti in zip(sol, t.rows):
-            v = linalg.vadd(v, linalg.vscale(c, ti))
-        vecs.append(v)
-    return Subspace(alg.dim, vecs)
-
-
 class SeriesKind(Enum):
     DERIVED = "derived"
     LOWER_CENTRAL = "lower_central"
@@ -540,10 +513,7 @@ def common_eigenvector(
                 for i in range(k)
             ]
             for sol in linalg.nullspace(rows_mu, k):
-                v = linalg.zero_vec(space_dim)
-                for c, r in zip(sol, wsub.rows):
-                    v = linalg.vadd(v, linalg.vscale(c, r))
-                v = normalize_vector(v)
+                v = normalize_vector(linalg.lincomb(sol, wsub.rows))
                 if best is None or vector_sort_key(v) < vector_sort_key(best):
                     best = v
         return best

@@ -131,14 +131,12 @@ class ConnectionTable:
 
 def _split_against(pair: BilagrangianPair, v) -> tuple[Vector, Vector]:
     l, r = pair.left, pair.right
-    n = l.ambient_dim
     basis = list(l.rows) + list(r.rows)
     coords = linalg.solve(linalg.transpose(basis), linalg.vec(v))
     if coords is None:  # pragma: no cover - transversality checked upstream
         raise NotTransverseError("vector does not decompose against the pair")
-    vl = linalg.zero_vec(n)
-    for c, row in zip(coords[: l.dim], l.rows):
-        vl = linalg.vadd(vl, linalg.vscale(c, row))
+    # the first l.dim rows of basis span the left member
+    vl = linalg.lincomb(coords[: l.dim], basis)
     return vl, linalg.vsub(linalg.vec(v), vl)
 
 

@@ -184,6 +184,7 @@ def equivariant_descent(
         d = t.dim
         forced_t = Subspace(d, [t.coordinates_of(r) for r in forced.rows])
         keep = [i for i in range(d) if i not in forced_t.pivots]
+        keep_units = [linalg.unit_vec(d, ki) for ki in keep]
         vdim = len(keep)
 
         induced = []
@@ -202,20 +203,11 @@ def equivariant_descent(
         for _, covectors in _simultaneous_eigencovector_families(induced, vdim):
             core = Subspace(vdim, linalg.nullspace(covectors.rows, vdim))
             hyper_v = _hyperplane_in(Subspace.full(vdim), core)
-            lifted = []
-            for row in hyper_v.rows:
-                vt = linalg.zero_vec(d)
-                for c, ki in zip(row, keep):
-                    vt = linalg.vadd(vt, linalg.vscale(c, linalg.unit_vec(d, ki)))
-                lifted.append(vt)
+            lifted = [linalg.lincomb(row, keep_units) for row in hyper_v.rows]
             hyper_t = forced_t.sum(Subspace(d, lifted))
-            ambient_rows = []
-            for row in hyper_t.rows:
-                v = linalg.zero_vec(n)
-                for c, r in zip(row, t.rows):
-                    v = linalg.vadd(v, linalg.vscale(c, r))
-                ambient_rows.append(v)
-            candidates.append(Subspace(n, ambient_rows))
+            candidates.append(
+                Subspace(n, [linalg.lincomb(row, t.rows) for row in hyper_t.rows])
+            )
         if not candidates:
             raise IrrationalSpectrumError(
                 f"no rational joint eigencovector at stage {j}"
@@ -238,16 +230,6 @@ def equivariant_descent(
     return DescentChain(members=tuple(reversed(members_desc)), kernels=tuple(kernels))
 
 
-def _lift_rows(ambient_dim: int, carrier: Subspace, rows) -> list:
-    out = []
-    for row in rows:
-        v = linalg.zero_vec(ambient_dim)
-        for c, r in zip(row, carrier.rows):
-            v = linalg.vadd(v, linalg.vscale(c, r))
-        out.append(v)
-    return out
-
-
 def _assemble_flag(
     alg: LieAlgebra, split: SemidirectSplit, descent: DescentChain
 ) -> Flag:
@@ -263,7 +245,7 @@ def _assemble_flag(
         if res.status is NormalFlagStatus.NONE:
             raise SolvdiagError("isotropic part is not solvable")
         for mem in res.flag.nonzero_members:
-            members.append(Subspace(n, _lift_rows(n, a, mem.rows)))
+            members.append(Subspace(n, [linalg.lincomb(r, a.rows) for r in mem.rows]))
 
     for h_j in descent.kernels:
         members.append(h_j.sum(a))
@@ -276,7 +258,7 @@ def _assemble_flag(
     comp_flag = complete_flag_through(subc, [a_in_c])
     for mem in comp_flag.members:
         if mem.dim > a.dim:
-            lifted = Subspace(n, _lift_rows(n, comp, mem.rows))
+            lifted = Subspace(n, [linalg.lincomb(r, comp.rows) for r in mem.rows])
             members.append(split.nil_ideal.sum(lifted))
 
     out = [Subspace.zero(n)]

@@ -25,7 +25,7 @@ from .algebra import (
     is_subalgebra,
     subalgebra_as_algebra,
 )
-from .forms import Covector, ce_differential_covector, wedge_with_covector
+from .forms import closed_covectors
 
 
 class ChainNotNestedError(SolvdiagError):
@@ -174,10 +174,9 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
 
     Preference: hyperplanes containing low + [high, high] (these are ideals
     of high, canonical choice by greedy echelon extension).  Fallback: kernels
-    of covectors vanishing on low, where closure is the wedge condition
-    d(phi) ^ phi = 0, searched over single annihilator basis covectors and
-    one-parameter rational pencils of pairs (the parameter satisfies
-    quadratics, solved exactly).
+    of the covectors that `forms.closed_covectors` finds among the
+    annihilator basis of low in high and its rational pencils; the smallest
+    kernel by sort key wins.
     """
     derived = alg.bracket_spans(high, high).intersect(high)
     w = low.sum(derived)
@@ -185,74 +184,21 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
         return _hyperplane_in(high, w)
 
     # fallback: covector search inside `high` as a standalone algebra
-    sub, rows = subalgebra_as_algebra(alg, high)
-    k = high.dim
+    sub, _ = subalgebra_as_algebra(alg, high)
     low_rows = []
     for r in low.rows:
         coords = high.coordinates_of(r)
         if coords is None:  # pragma: no cover - nesting checked by caller
             raise ChainNotNestedError("lower member escapes the upper one")
         low_rows.append(coords)
-    low_in = Subspace(k, low_rows)
-    ann = low_in.annihilator()
-
-    def obstruction_is_zero(phi_vec) -> bool:
-        phi = Covector(phi_vec)
-        return wedge_with_covector(ce_differential_covector(sub, phi), phi).is_zero()
-
-    def kernel_subspace(phi_vec) -> Subspace:
-        sols = linalg.nullspace([tuple(phi_vec)], k)
-        ambient_rows = []
-        for sol in sols:
-            v = linalg.zero_vec(high.ambient_dim)
-            for c, r in zip(sol, high.rows):
-                v = linalg.vadd(v, linalg.vscale(c, r))
-            ambient_rows.append(v)
-        return Subspace(high.ambient_dim, ambient_rows)
-
-    candidates = []
-    for phi_vec in ann.rows:
-        if obstruction_is_zero(phi_vec):
-            candidates.append(kernel_subspace(phi_vec))
-    for a in range(len(ann.rows)):
-        for b in range(a + 1, len(ann.rows)):
-            pa, pb = ann.rows[a], ann.rows[b]
-            # obstruction coefficients of pa + s*pb are quadratics in s
-            da = ce_differential_covector(sub, Covector(pa))
-            db = ce_differential_covector(sub, Covector(pb))
-            polys = []
-            for i in range(k):
-                for j in range(i + 1, k):
-                    for m in range(j + 1, k):
-                        # sum over cyclic assignments of (dphi entry, phi entry)
-                        c0 = (
-                            da.entries[i][j] * pa[m]
-                            - da.entries[i][m] * pa[j]
-                            + da.entries[j][m] * pa[i]
-                        )
-                        c1 = (
-                            da.entries[i][j] * pb[m]
-                            - da.entries[i][m] * pb[j]
-                            + da.entries[j][m] * pb[i]
-                            + db.entries[i][j] * pa[m]
-                            - db.entries[i][m] * pa[j]
-                            + db.entries[j][m] * pa[i]
-                        )
-                        c2 = (
-                            db.entries[i][j] * pb[m]
-                            - db.entries[i][m] * pb[j]
-                            + db.entries[j][m] * pb[i]
-                        )
-                        if c0 != 0 or c1 != 0 or c2 != 0:
-                            polys.append((c0, c1, c2))
-            if not polys:
-                continue  # pencil identically closed; endpoints already tried
-            c0, c1, c2 = polys[0]
-            roots = linalg.rational_roots([c0, c1, c2])
-            for s in roots:
-                if all(p0 + p1 * s + p2 * s * s == 0 for p0, p1, p2 in polys):
-                    phi_vec = tuple(x + s * y for x, y in zip(pa, pb))
-                    candidates.append(kernel_subspace(phi_vec))
+    covectors, _ = closed_covectors(sub, Subspace(high.dim, low_rows).annihilator().rows)
+    candidates = [
+        Subspace(
+            high.ambient_dim,
+            [linalg.lincomb(sol, high.rows) for sol in linalg.nullspace([phi], high.dim)],
+        )
+        for phi in covectors
+    ]
     if not candidates:
         return None
     return min(candidates, key=lambda s: s.sort_key())

@@ -11,6 +11,7 @@ omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -225,6 +226,60 @@ def wedge_with_covector(dphi: TwoForm, phi: Covector) -> ThreeForm:
     return ThreeForm(n, entries)
 
 
+def wedge_polys(alg: LieAlgebra, parts: Sequence[Vector]) -> list[dict]:
+    """Coefficients of d(phi) ^ phi for phi = parts[0] + sum a_i parts[i+1].
+
+    One polynomial per basis triple, in triple order, as {monomial:
+    coefficient} with monomials () / (i,) / (i, j) over the parameters a_i.
+    Identically zero triples are dropped.
+    """
+    diffs = [ce_differential_covector(alg, Covector(v)) for v in parts]
+    polys: dict = {}
+    for a, da in enumerate(diffs):
+        for b, vb in enumerate(parts):
+            mono = tuple(sorted(x - 1 for x in (a, b) if x > 0))
+            for triple, c in wedge_with_covector(da, Covector(vb)).entries.items():
+                poly = polys.setdefault(triple, {})
+                poly[mono] = poly.get(mono, ZERO) + c
+    out = []
+    for triple in sorted(polys):
+        poly = {m: c for m, c in polys[triple].items() if c != 0}
+        if poly:
+            out.append(poly)
+    return out
+
+
+def closed_covectors(
+    alg: LieAlgebra, covectors: Sequence[Vector], budget: int | None = None
+) -> tuple[list[Vector], bool]:
+    """Covectors phi with d(phi) ^ phi = 0: their kernels are the hyperplane
+    subalgebras.
+
+    Searched: each given covector, then the pencils pa + s pb over pairs of
+    them (in combinations order, the first `budget` pairs only).  The wedge
+    coefficients of a pencil are quadratics in s, solved exactly; each
+    common rational root s != 0 gives pa + s pb, and a pencil closed for
+    every s gives pa + pb.  Returns (covectors, truncated).
+    """
+    found = [tuple(phi) for phi in covectors if not wedge_polys(alg, [phi])]
+    pairs = list(itertools.combinations(covectors, 2))
+    truncated = budget is not None and len(pairs) > budget
+    if truncated:
+        pairs = pairs[:budget]
+    for pa, pb in pairs:
+        quads = [
+            (p.get((), ZERO), p.get((0,), ZERO), p.get((0, 0), ZERO))
+            for p in wedge_polys(alg, [pa, pb])
+        ]
+        if not quads:
+            found.append(linalg.vadd(pa, pb))
+            continue
+        for s in linalg.rational_roots(list(quads[0])):
+            if s != 0 and all(q0 + q1 * s + q2 * s * s == 0 for q0, q1, q2 in quads):
+                found.append(linalg.lincomb((ONE, s), (pa, pb)))
+    return found, truncated
+
+
 def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
     """Matrix of omega on s, in the echelon basis of s."""
     k = s.dim
@@ -244,13 +299,7 @@ def radical(omega: TwoForm, s: Subspace) -> Subspace:
         return s
     restr = restrict(omega, s)
     sols = linalg.nullspace(restr.entries, k)
-    vecs = []
-    for sol in sols:
-        v = linalg.zero_vec(s.ambient_dim)
-        for c, r in zip(sol, s.rows):
-            v = linalg.vadd(v, linalg.vscale(c, r))
-        vecs.append(v)
-    return Subspace(s.ambient_dim, vecs)
+    return Subspace(s.ambient_dim, [linalg.lincomb(sol, s.rows) for sol in sols])
 
 
 def kernel(omega: TwoForm) -> Subspace:

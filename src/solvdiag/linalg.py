@@ -54,6 +54,20 @@ def vscale(c: Fraction, a: Vector) -> Vector:
     return tuple(c * x for x in a)
 
 
+def lincomb(coeffs: Sequence, rows: Sequence[Vector]) -> Vector:
+    """sum of coeffs[i] * rows[i] over the first len(coeffs) rows.
+
+    Lifts coordinates back to ambient vectors; rows must be nonempty.
+    """
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += c * x
+    return tuple(out)
+
+
 def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
 

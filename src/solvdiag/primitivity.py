@@ -4,9 +4,10 @@ All reductions go through hyperplanes: in a solvable algebra a proper
 transitive subalgebra is always contained in one of codimension 1, so the
 searches enumerate hyperplane subalgebras.  Ideal hyperplanes (those
 containing the derived subalgebra) are decided exactly; the remaining
-hyperplane subalgebras are kernels of covectors phi with d(phi) ^ phi = 0
-and are searched over duals and rational pencils, with an exact emptiness
-certificate where a wedge coefficient is a nonzero constant.
+hyperplane subalgebras are kernels of covectors phi with d(phi) ^ phi = 0,
+found by `forms.closed_covectors` over the dual basis and its rational
+pencils, with an exact emptiness certificate where a wedge coefficient is
+a nonzero constant.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .algebra import (
     subalgebra_as_algebra,
 )
 from .diagram import ensure_classified, weight_zero_singulars
-from .forms import Covector, TwoForm, ce_differential_covector, radical
+from .forms import TwoForm, closed_covectors, radical, wedge_polys
 
 
 class NotSolvableError(SolvdiagError):
@@ -73,12 +74,6 @@ class PrimitivityVerdict:
     searched: tuple[str, ...] = ()
 
 
-def rank_ratio(pair: PairPresentation) -> Fraction:
-    n = pair.algebra.dim
-    k = pair.isotropy.dim
-    return Fraction(k, n - k + 1)
-
-
 def transitive_test(pair: PairPresentation, s: Subspace) -> bool:
     """Does s, together with the isotropy, span the whole algebra?"""
     if not is_subalgebra(pair.algebra, s):
@@ -116,43 +111,6 @@ def primitive_test(pair: PairPresentation) -> PrimitivityVerdict:
     )
 
 
-def _wedge_polys(alg: LieAlgebra, parts) -> list[dict]:
-    """Coefficients of d(phi) ^ phi for phi = parts[0] + sum a_i parts[i+1].
-
-    One polynomial per basis triple, as {monomial: coefficient} with
-    monomials () / (i,) / (i, j) over the parameters a_i.  Identically zero
-    triples are dropped.
-    """
-    n = alg.dim
-    diffs = [ce_differential_covector(alg, Covector(v)) for v in parts]
-
-    def key(a: int, b: int):
-        idx = sorted(x - 1 for x in (a, b) if x > 0)
-        return tuple(idx)
-
-    polys = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            for r in range(p + 1, n):
-                if r <= q:
-                    continue
-                poly: dict = {}
-                for a, da in enumerate(diffs):
-                    for b, vb in enumerate(parts):
-                        c = (
-                            da.entries[p][q] * vb[r]
-                            - da.entries[p][r] * vb[q]
-                            + da.entries[q][r] * vb[p]
-                        )
-                        if c != 0:
-                            k = key(a, b)
-                            poly[k] = poly.get(k, linalg.ZERO) + c
-                poly = {k: v for k, v in poly.items() if v != 0}
-                if poly:
-                    polys.append(poly)
-    return polys
-
-
 def _family_provably_empty(alg: LieAlgebra, w) -> bool:
     """Is {phi : phi(w) = 1, d(phi) ^ phi = 0} provably empty?
 
@@ -165,58 +123,25 @@ def _family_provably_empty(alg: LieAlgebra, w) -> bool:
     # takes the value 1 on w
     phi0 = linalg.vscale(1 / linalg.frac(w[pivot]), linalg.unit_vec(n, pivot))
     psis = Subspace(n, [w]).annihilator().rows
-    for poly in _wedge_polys(alg, [phi0, *psis]):
+    for poly in wedge_polys(alg, [phi0, *psis]):
         if set(poly) == {()}:
             return True
     return False
 
 
 def _pencil_witnesses(alg: LieAlgebra, h: Subspace, budget: int | None):
-    """Hyperplane subalgebras transitive over h: dual covectors and pencils.
+    """Hyperplane subalgebras transitive over h: the kernels of the closed
+    covectors among the dual basis and its pencils that do not vanish on h.
 
-    Returns (witnesses, truncated).  A pencil e_i* + s e_j* is closed when
-    all wedge coefficients vanish; they are quadratics in s, solved exactly.
+    Returns (witnesses, truncated).
     """
     n = alg.dim
-    witnesses: list[Subspace] = []
-    truncated = False
-
-    def consider(phi) -> None:
-        if not any(sum(c * x for c, x in zip(phi, row)) != 0 for row in h.rows):
-            return
-        polys = _wedge_polys(alg, [phi])
-        if any(poly.get((), 0) != 0 for poly in polys):
-            return
-        witnesses.append(Subspace(n, linalg.nullspace([tuple(phi)], n)))
-
-    for i in range(n):
-        consider(linalg.unit_vec(n, i))
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if budget is not None and len(pairs) > budget:
-        pairs = pairs[:budget]
-        truncated = True
-    for i, j in pairs:
-        pa = linalg.unit_vec(n, i)
-        pb = linalg.unit_vec(n, j)
-        polys = _wedge_polys(alg, [pa, pb])
-        # collect per-triple quadratics c0 + c1 s + c2 s^2
-        quads = []
-        for poly in polys:
-            c0 = poly.get((), linalg.ZERO)
-            c1 = poly.get((0,), linalg.ZERO)
-            c2 = poly.get((0, 0), linalg.ZERO)
-            if c0 != 0 or c1 != 0 or c2 != 0:
-                quads.append((c0, c1, c2))
-        if not quads:
-            consider(linalg.vadd(pa, pb))
-            continue
-        c0, c1, c2 = quads[0]
-        for s in linalg.rational_roots([c0, c1, c2]):
-            if s == 0:
-                continue
-            if all(q0 + q1 * s + q2 * s * s == 0 for q0, q1, q2 in quads):
-                consider(linalg.vadd(pa, linalg.vscale(s, pb)))
+    covectors, truncated = closed_covectors(alg, linalg.identity(n), budget)
+    witnesses = [
+        Subspace(n, linalg.nullspace([phi], n))
+        for phi in covectors
+        if any(sum(c * x for c, x in zip(phi, row)) != 0 for row in h.rows)
+    ]
     return witnesses, truncated
 
 
@@ -304,12 +229,7 @@ def degrees(pair: PairPresentation, pencil_budget: int | None = None) -> Degrees
             break
         # carrier_rows lift wit's echelon basis to the original coordinates,
         # in basis order (not re-echelonized), so deeper coordinates compose
-        lifted = []
-        for row in wit.rows:
-            v = linalg.zero_vec(n)
-            for c, cr in zip(row, carrier_rows):
-                v = linalg.vadd(v, linalg.vscale(c, cr))
-            lifted.append(v)
+        lifted = [linalg.lincomb(row, carrier_rows) for row in wit.rows]
         chain.append(Subspace(n, lifted))
         depth += 1
         sub, _ = subalgebra_as_algebra(cur_alg, wit)

@@ -28,7 +28,7 @@ from solvdiag import (
     validate_algebra,
 )
 from solvdiag import algebra, linalg
-from solvdiag.algebra import is_nilpotent_subalgebra, normalizer_of_in
+from solvdiag.algebra import is_nilpotent_subalgebra
 from solvdiag.generators import (
     change_basis,
     random_completely_solvable,
@@ -173,11 +173,6 @@ class TestClosures:
         t = Subspace.span([(0, 1, 0)], 3)
         with pytest.raises(SubspaceNotNestedError):
             is_ideal_in(h, s, t)
-
-    def test_normalizer(self):
-        h = heisenberg()
-        z = Subspace.span([(0, 0, 1)], 3)
-        assert normalizer_of_in(h, z, Subspace.full(3)) == Subspace.full(3)
 
 
 class TestSolvability:

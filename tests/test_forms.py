@@ -1,24 +1,42 @@
 """Invariant forms, the differential, radicals and orthogonals."""
 
+import hashlib
 from fractions import Fraction
+from math import comb
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvdiag import (
     Covector,
     LieAlgebra,
+    PairPresentation,
+    SolvdiagError,
     Subspace,
     TwoForm,
     ce_differential,
     ce_differential_covector,
+    change_basis,
     closed_two_form_basis,
+    complete_flag_through,
+    degrees,
     is_closed,
+    is_subalgebra,
     kernel,
+    quasi_primitive_test,
     radical,
+    random_completely_solvable,
+    random_nilpotent,
+    random_unimodular,
     restrict,
+    subalgebra_closure,
     symplectic_orthogonal,
     wedge_with_covector,
 )
+from solvdiag import linalg
+from solvdiag.forms import closed_covectors, wedge_polys
 from oracles import oracle_d_two_form, oracle_is_closed, oracle_radical_rows, spans_equal
 
 
@@ -188,3 +206,112 @@ class TestClosedBasis:
         abelian = LieAlgebra.from_brackets(("x", "y", "z"), {})
         basis = closed_two_form_basis(abelian)
         assert len(basis) == 3
+
+
+@st.composite
+def algebra_and_covectors(draw):
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=2, max_value=6))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    alg = change_basis(make(rng, dim), random_unimodular(rng, dim))
+    entry = st.integers(min_value=-2, max_value=2)
+    covector = st.lists(entry, min_size=dim, max_size=dim).map(linalg.vec)
+    covectors = draw(st.lists(covector, max_size=5))
+    budget = draw(st.none() | st.integers(min_value=0, max_value=12))
+    return alg, covectors, budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_and_covectors(), st.lists(st.fractions(-3, 3, max_denominator=3), max_size=4))
+def test_wedge_polys_evaluate_to_the_wedge(case, params):
+    alg, parts, _ = case
+    if not parts:
+        return
+    params = (params + [Fraction(0)] * len(parts))[: len(parts) - 1]
+    phi = Covector(linalg.lincomb([Fraction(1), *params], parts))
+    values = []
+    for poly in wedge_polys(alg, parts):
+        value = Fraction(0)
+        for mono, c in poly.items():
+            for i in mono:
+                c *= params[i]
+            value += c
+        values.append(value)
+    wedge = wedge_with_covector(ce_differential_covector(alg, phi), phi)
+    assert [v for v in values if v != 0] == [wedge.entries[t] for t in sorted(wedge.entries)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_covectors())
+def test_closed_covectors_cut_out_subalgebras(case):
+    alg, covectors, budget = case
+    n = alg.dim
+
+    def kernel_of(phi):
+        return Subspace(n, linalg.nullspace([phi], n))
+
+    found, truncated = closed_covectors(alg, covectors, budget)
+    assert truncated == (budget is not None and comb(len(covectors), 2) > budget)
+    for phi in found:
+        assert is_subalgebra(alg, kernel_of(phi))
+    # the converse for the given covectors: a subalgebra kernel is found
+    for phi in covectors:
+        if is_subalgebra(alg, kernel_of(phi)):
+            assert phi in found
+
+
+def _rows(s: Subspace) -> str:
+    return "; ".join(" ".join(map(str, row)) for row in s.rows)
+
+
+def _hyperplane_records():
+    """One line per use of a hyperplane-subalgebra search.
+
+    Each algebra is completely solvable, of dimension 3 to 5, and given in
+    a random unimodular basis.  It is paired with the subalgebras generated
+    by one and by two random vectors.  For each pair, the lines record the
+    flag completed through the subalgebra, then the quasi-primitivity
+    verdict and the degree bounds at pencil budgets None and 2, with every
+    witness.
+    """
+    lines = []
+    for dim in (3, 4, 5):
+        for seed in range(12):
+            rng = Random(7000 + 100 * dim + seed)
+            alg = random_completely_solvable(rng, dim)
+            alg = change_basis(alg, random_unimodular(rng, dim))
+            subs = []
+            for k in (1, 2):
+                vs = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(dim)] for _ in range(k)]
+                s = subalgebra_closure(alg, vs)
+                if 0 < s.dim < dim and s not in subs:
+                    subs.append(s)
+            for s in subs:
+                try:
+                    flag = complete_flag_through(alg, [s])
+                    lines.append("flag: " + " | ".join(_rows(m) for m in flag.members))
+                except SolvdiagError as exc:
+                    lines.append(f"flag: {exc.code}")
+                pair = PairPresentation(alg, s)
+                for budget in (None, 2):
+                    v = quasi_primitive_test(pair, budget)
+                    wit = _rows(v.witness) if v.witness is not None else "-"
+                    lines.append(f"quasi {budget}: {v.status.value} {','.join(v.searched)} {wit}")
+                    d = degrees(pair, budget)
+                    chain = " | ".join(_rows(m) for m in d.witness_chain)
+                    lines.append(
+                        f"degrees {budget}: {d.ratio} {d.d_lower} {d.d_within_search} {chain}"
+                    )
+    return lines
+
+
+# SHA-256 of _hyperplane_records() as computed when flags and primitivity
+# each had their own pencil search; the shared closed-covector search must
+# not move a flag, verdict or witness
+GOLDEN_HYPERPLANE_DIGEST = "dd8bd06bc97a9d92666071c8ffc14ee4ca8ec8a010c94da5070994e7d7bac54c"
+
+
+def test_hyperplane_witnesses_unchanged():
+    records = _hyperplane_records()
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_HYPERPLANE_DIGEST

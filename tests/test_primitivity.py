@@ -25,7 +25,6 @@ from solvdiag import (
     quasi_primitive_test,
     random_closed_form,
     random_completely_solvable,
-    rank_ratio,
     singular_count_audit,
     transitive_test,
 )
@@ -55,8 +54,8 @@ class TestPresentation:
             PairPresentation(e1.algebra, Subspace.zero(3))
 
     def test_rank_ratio(self, e1, e2):
-        assert rank_ratio(kernel_pair(e1, "c")) == Fraction(1, 5)
-        assert rank_ratio(kernel_pair(e2, "a", "u")) == Fraction(2, 3)
+        assert degrees(kernel_pair(e1, "c")).ratio == Fraction(1, 5)
+        assert degrees(kernel_pair(e2, "a", "u")).ratio == Fraction(2, 3)
 
 
 class TestPrimitive:
