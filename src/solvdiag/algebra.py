@@ -42,10 +42,10 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable]) -> None:
-        red, pivots = linalg.rref([linalg.vec(r) for r in rows])
-        for r in red:
-            if len(r) != ambient_dim:
-                raise ValueError("row length does not match ambient dimension")
+        rows = [linalg.vec(r) for r in rows]
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("row length does not match ambient dimension")
+        red, pivots = linalg.rref(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", red)
         object.__setattr__(self, "pivots", pivots)
@@ -232,6 +232,20 @@ class LieAlgebra:
         vecs = [self.bracket(a, b) for a in s.rows for b in t.rows]
         return Subspace(self.dim, vecs)
 
+    def derived_span(self, s: Subspace) -> Subspace:
+        """[s, s], from the brackets of the pairs a < b of s's echelon rows.
+
+        Equal to `bracket_spans(s, s)` when the table is antisymmetric with
+        zero diagonal, as every table `from_brackets`, `change_basis`,
+        `quotient`, `subalgebra_as_algebra`, the generators and the
+        certificate's reduction build is: [a, a] = 0 and [b, a] = -[a, b]
+        add nothing to the span.
+        """
+        rows = s.rows
+        return Subspace(
+            self.dim, [self.bracket(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+        )
+
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, names={self.names!r})"
 
@@ -277,7 +291,7 @@ def subalgebra_closure(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subspace
     """Smallest bracket-closed subspace containing the given vectors."""
     cur = Subspace(alg.dim, vectors)
     while True:
-        nxt = cur.sum(alg.bracket_spans(cur, cur))
+        nxt = cur.sum(alg.derived_span(cur))
         if nxt.dim == cur.dim:
             return cur
         cur = nxt
@@ -320,7 +334,7 @@ def series(alg: LieAlgebra, kind: SeriesKind) -> list[Subspace]:
     while True:
         cur = out[-1]
         if kind is SeriesKind.DERIVED:
-            nxt = alg.bracket_spans(cur, cur)
+            nxt = alg.derived_span(cur)
         else:
             nxt = alg.bracket_spans(Subspace.full(alg.dim), cur)
         if nxt == cur:
@@ -332,7 +346,7 @@ def series(alg: LieAlgebra, kind: SeriesKind) -> list[Subspace]:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    return alg.bracket_spans(Subspace.full(alg.dim), Subspace.full(alg.dim))
+    return alg.derived_span(Subspace.full(alg.dim))
 
 
 def is_solvable(alg: LieAlgebra) -> bool:
@@ -405,19 +419,28 @@ def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
     """Greedy canonical hyperplane of `inside` containing `containing`.
 
     Extends by the earliest echelon rows of `inside`; the result has the
-    lexicographically least pivot set among such hyperplanes.
+    lexicographically least pivot set among such hyperplanes.  Each row is
+    tested with `contains_vector`, and a new Subspace is built only for a
+    row outside the current span.
     """
     target = inside.dim - 1
     cur = containing
     for row in inside.rows:
         if cur.dim == target:
             break
-        cand = cur.sum(Subspace(inside.ambient_dim, [row]))
-        if cand.dim > cur.dim:
-            cur = cand
+        if not cur.contains_vector(row):
+            cur = Subspace(inside.ambient_dim, cur.rows + (row,))
     if cur.dim != target:  # pragma: no cover - containing must fit
         raise ValueError("cannot extend to a hyperplane")
     return cur
+
+
+def _shifted(m: Matrix, c: Fraction) -> list[list[Fraction]]:
+    """The rows of m - c*I: c is subtracted on the diagonal only."""
+    rows = [list(row) for row in m]
+    for i, row in enumerate(rows):
+        row[i] -= c
+    return rows
 
 
 def common_eigenvector(
@@ -429,6 +452,17 @@ def common_eigenvector(
     Returns the canonical least normalized eigenvector, or None when the
     descent needs an eigenvalue that is not rational (or the algebra turns
     out non-solvable along the way).
+
+    The descent walks a chain of subalgebras sub, each a canonical
+    hyperplane of the one before, down to one acting trivially; it stops
+    at the first nonzero action matrix when testing that.  Each stage
+    builds [sub, sub] with `LieAlgebra.derived_span`, from the pairs a < b
+    of sub's echelon rows only, so alg.table must be antisymmetric with
+    zero diagonal ([a, a] = 0, [b, a] = -[a, b]).  Per stage of an
+    m-dimensional sub this costs m(m-1)/2 brackets, one nullspace of the
+    weight-space rows, one charpoly of the restricted complement and one
+    nullspace per rational eigenvalue of it, with zero entries skipped in
+    every product.
     """
 
     acts: dict[Vector, Matrix] = {}
@@ -450,10 +484,9 @@ def common_eigenvector(
         return acts[elem]
 
     def recurse(sub: Subspace) -> Vector | None:
-        ops = [act(r) for r in sub.rows]
-        if all(all(x == 0 for row in m for x in row) for m in ops):
+        if not any(x for r in sub.rows for row in act(r) for x in row):
             return linalg.unit_vec(space_dim, 0)
-        derived = alg.bracket_spans(sub, sub)
+        derived = alg.derived_span(sub)
         if derived.dim >= sub.dim:
             return None  # not solvable
         hyper = _hyperplane_in(sub, derived)
@@ -478,11 +511,7 @@ def common_eigenvector(
         # common eigenspace of the hyperplane for that weight
         rows = []
         for r, l in zip(hyper.rows, lam):
-            m = act(r)
-            for i in range(space_dim):
-                rows.append(
-                    tuple(m[i][j] - (l if i == j else ZERO) for j in range(space_dim))
-                )
+            rows += _shifted(act(r), l)
         wspace = linalg.nullspace(rows, space_dim)
         if not wspace:  # pragma: no cover - w is in there
             raise SolvdiagError("empty common eigenspace")
@@ -500,19 +529,14 @@ def common_eigenvector(
         k = wsub.dim
         restr = []
         for r in wsub.rows:
-            img = linalg.matvec(mz, r)
-            coords = wsub.coordinates_of(img)
+            coords = wsub.coordinates_of(linalg.matvec(mz, r))
             if coords is None:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
             restr.append(coords)
         restr_m = linalg.transpose(tuple(restr))  # act on coordinate columns
         best: Vector | None = None
         for mu in linalg.rational_eigenvalues(restr_m):
-            rows_mu = [
-                tuple(restr_m[i][j] - (mu if i == j else ZERO) for j in range(k))
-                for i in range(k)
-            ]
-            for sol in linalg.nullspace(rows_mu, k):
+            for sol in linalg.nullspace(_shifted(restr_m, mu), k):
                 v = normalize_vector(linalg.lincomb(sol, wsub.rows))
                 if best is None or vector_sort_key(v) < vector_sort_key(best):
                     best = v
@@ -581,6 +605,6 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
                     red_i[j] = tuple(x - r[p] * y for x, y in zip(r, row_p))
             # [e_i, v] reduced modulo the new carried must vanish
             for k in keep:
-                if sum((c * red_i[j][k] for j, c in support), ZERO) != 0:
+                if sum((c * x for j, c in support if (x := red_i[j][k])), ZERO) != 0:
                     raise NotAnIdealError("certificate member is not an ideal")
     return SolvabilityCertificate(SolvabilityVerdict.COMPLETELY_SOLVABLE, tuple(members))

@@ -176,7 +176,7 @@ def equivariant_descent(
     members_desc = [nil]
     kernels: list[Subspace] = []
     for j in range(1, m + 1):
-        forced = h.sum(alg.bracket_spans(t, t))
+        forced = h.sum(alg.derived_span(t))
         if not t.contains(forced):
             raise DescentStuckError("derived part escapes the member")
         if forced.dim >= t.dim:

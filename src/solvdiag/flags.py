@@ -178,7 +178,7 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
     annihilator basis of low in high and its rational pencils; the smallest
     kernel by sort key wins.
     """
-    derived = alg.bracket_spans(high, high).intersect(high)
+    derived = alg.derived_span(high).intersect(high)
     w = low.sum(derived)
     if w.dim < high.dim:
         return _hyperplane_in(high, w)

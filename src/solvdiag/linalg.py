@@ -87,19 +87,24 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
+    """m @ v, multiplying only where both the entry of m and of v are nonzero."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum((row[j] * x for j, x in support if row[j]), ZERO) for row in m)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leading 1s; returns (rref, pivot columns).
 
     Zero rows are dropped, so the result is the canonical representative of
-    the row space: equal row spaces give identical outputs.
+    the row space: equal row spaces give identical outputs.  Rows of unequal
+    length are a ValueError.
     """
     work = [list(vec(r)) for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
+    if any(len(row) != ncols for row in work):
+        raise ValueError("rows of unequal length")
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

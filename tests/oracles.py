@@ -246,3 +246,53 @@ def faddeev_leverrier_charpoly(m):
         for i in range(n):
             mk[i][i] += ck
     return coeffs
+
+
+def oracle_bracket(alg, x, y):
+    """[x, y] straight from the structure constants: the e_k coefficient is
+    the sum over every i, j of x_i y_j c[i][j][k]."""
+    n = alg.dim
+    return tuple(
+        sum(
+            (Fraction(x[i]) * y[j] * alg.table[i][j][k] for i in range(n) for j in range(n)),
+            Fraction(0),
+        )
+        for k in range(n)
+    )
+
+
+def oracle_derived_rows(alg, rows):
+    """Reference for LieAlgebra.derived_span: [a, b] for every ordered pair of
+    the rows, a = b included, so no antisymmetry is assumed."""
+    return [oracle_bracket(alg, a, b) for a in rows for b in rows]
+
+
+def rank_test_hyperplane(inside_rows, containing_rows):
+    """Reference for algebra._hyperplane_in: the rule it replaced.
+
+    Walk the echelon rows of `inside` in order and keep each one that raises
+    the Bareiss rank of the rows kept so far (starting from `containing`),
+    until the rank is dim(inside) - 1.  One rank test per candidate row.
+    """
+    target = len(inside_rows) - 1
+    kept = [tuple(r) for r in containing_rows]
+    rank = bareiss_rank(kept)
+    for row in inside_rows:
+        if rank == target:
+            break
+        if bareiss_rank(kept + [tuple(row)]) > rank:
+            kept.append(tuple(row))
+            rank += 1
+    return kept
+
+
+def is_common_eigenvector(v, matrices) -> bool:
+    """v is nonzero and M v is a multiple of v for every M: rank [v, Mv] <= 1."""
+    v = [Fraction(x) for x in v]
+    if not any(v):
+        return False
+    for m in matrices:
+        mv = [sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in m]
+        if bareiss_rank([v, mv]) > 1:
+            return False
+    return True

@@ -35,6 +35,12 @@ from solvdiag.generators import (
     random_nilpotent,
     random_unimodular,
 )
+from oracles import (
+    is_common_eigenvector,
+    oracle_derived_rows,
+    rank_test_hyperplane,
+    spans_equal,
+)
 
 
 def heisenberg():
@@ -85,6 +91,13 @@ class TestSubspace:
         coords = s.coordinates_of(v)
         assert coords == (3, -2)
         assert s.coordinates_of((0, 1, 0)) is None
+
+    def test_ragged_rows_are_rejected(self):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            Subspace(3, [[1, 0, 0], [1, 0]])
+        # a zero row of the wrong length is refused too, though rref drops it
+        with pytest.raises(ValueError, match="ambient dimension"):
+            Subspace(3, [[0, 0, 0, 0]])
 
     def test_sort_key_prefers_early_pivots(self):
         a = Subspace.span([(1, 0, 0)], 3)
@@ -150,6 +163,59 @@ def algebra_and_two_vectors(draw):
 def test_ad_matrix_agrees_with_bracket(case):
     alg, x, y = case
     assert linalg.matvec(alg.ad_matrix(x), y) == alg.bracket(x, y)
+
+
+@st.composite
+def rebased_algebra_and_subspace(draw):
+    """A generated algebra of dimension 2-7 in a random unimodular basis,
+    plus the span of a few random vectors in it."""
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=2, max_value=7))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    alg = change_basis(make(rng, dim), random_unimodular(rng, dim))
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+    rows = draw(st.lists(vector, min_size=1, max_size=dim))
+    return alg, Subspace(dim, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_algebra_and_subspace())
+def test_common_eigenvector_is_an_eigenvector_of_every_ad(case):
+    alg, _ = case
+    ad = [alg.ad_matrix(linalg.unit_vec(alg.dim, i)) for i in range(alg.dim)]
+    v = algebra.common_eigenvector(alg, ad, alg.dim)
+    assert v is not None  # the spectrum of a generated algebra is rational
+    assert is_common_eigenvector(v, ad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_algebra_and_subspace())
+def test_derived_span_equals_all_ordered_pairs(case):
+    alg, s = case
+    for space in (s, Subspace.full(alg.dim)):
+        derived = alg.derived_span(space)
+        assert spans_equal(derived.rows, oracle_derived_rows(alg, space.rows), alg.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_algebra_and_subspace())
+def test_hyperplane_in_matches_rank_test(case):
+    # along the descent's own chain, each stage's hyperplane must contain
+    # [sub, sub], and again [sub, sub] plus the drawn subspace's part in sub
+    alg, s = case
+    sub = Subspace.full(alg.dim)
+    while not sub.is_zero():
+        derived = alg.derived_span(sub)
+        assert derived.dim < sub.dim  # generated algebras are solvable
+        extra = derived.sum(s.intersect(sub))
+        for containing in (derived, extra):
+            if containing.dim >= sub.dim:
+                continue
+            hyper = algebra._hyperplane_in(sub, containing)
+            expected = rank_test_hyperplane(sub.rows, containing.rows)
+            assert hyper.dim == sub.dim - 1
+            assert spans_equal(hyper.rows, expected, alg.dim)
+        sub = algebra._hyperplane_in(sub, derived)
 
 
 class TestClosures:

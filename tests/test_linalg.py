@@ -57,6 +57,21 @@ def test_rref_known_matrix():
     assert reduced[1] == (0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rref([[1, 2, 3], [1, 2]]),
+        lambda: linalg.nullspace([[1, 2, 3], [1, 2]]),
+        lambda: linalg.nullspace([[1, 2], [1, 2, 3]], 3),
+        lambda: linalg.solve([[1, 2, 3], [1, 2]], (1, 1)),
+    ],
+    ids=["rref", "nullspace", "nullspace-short-first", "solve"],
+)
+def test_ragged_rows_are_a_value_error(call):
+    with pytest.raises(ValueError, match="unequal length"):
+        call()
+
+
 def test_solve_unique():
     a = [[1, 2], [3, 5]]
     x = linalg.solve(a, (5, 13))
