@@ -10,7 +10,6 @@ from .algebra import (
     LieAlgebra,
     NotAnIdealError,
     NotSubalgebraError,
-    SeriesKind,
     SolvabilityVerdict,
     SolvdiagError,
     Subspace,
@@ -23,7 +22,6 @@ from .algebra import (
     is_solvable,
     is_subalgebra,
     quotient,
-    series,
     subalgebra_as_algebra,
     subalgebra_closure,
     validate_algebra,
@@ -32,15 +30,12 @@ from .bilagrangian import (
     BilagrangianPair,
     ConnectionAudit,
     ConnectionTable,
-    KernelNotIdealError,
     NotTransverseError,
-    ReducedPresentation,
     audit_connection,
     connection,
     curvature,
     curvature_flatness,
     d_zero,
-    reduce_to_nondegenerate,
 )
 from .corpus import (
     ExpectedResult,
@@ -81,7 +76,6 @@ from .diagram import (
     kernel_chain,
     match_template,
     predicates,
-    uncontract,
     weight_zero_singulars,
 )
 from .document import (
@@ -135,12 +129,10 @@ from .lagrangian import (
     LagrangianCandidate,
     NotLagrangianError,
     NotSimpleError,
-    PipelineResult,
     SearchCompleteness,
     SearchVerdict,
     diagram_to_lagrangian,
     find_lagrangians,
-    kahler_premise_pipeline,
     lagrangian_to_flag,
     vergne_candidate,
     verify_lagrangian,

@@ -323,26 +323,15 @@ def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
     return all(s.contains_vector(alg.bracket(x, y)) for x in t.rows for y in s.rows)
 
 
-class SeriesKind(Enum):
-    DERIVED = "derived"
-    LOWER_CENTRAL = "lower_central"
-
-
-def series(alg: LieAlgebra, kind: SeriesKind) -> list[Subspace]:
-    """Derived or lower central series, from g down to stabilization."""
-    out = [Subspace.full(alg.dim)]
-    while True:
-        cur = out[-1]
-        if kind is SeriesKind.DERIVED:
-            nxt = alg.derived_span(cur)
-        else:
-            nxt = alg.bracket_spans(Subspace.full(alg.dim), cur)
+def _series_reaches_zero(alg: LieAlgebra, step) -> bool:
+    """Whether the series g, step(g), step(step(g)), ... ends at zero."""
+    cur = Subspace.full(alg.dim)
+    while not cur.is_zero():
+        nxt = step(cur)
         if nxt == cur:
-            break
-        out.append(nxt)
-        if nxt.is_zero():
-            break
-    return out
+            return False
+        cur = nxt
+    return True
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
@@ -350,11 +339,12 @@ def derived_subalgebra(alg: LieAlgebra) -> Subspace:
 
 
 def is_solvable(alg: LieAlgebra) -> bool:
-    return series(alg, SeriesKind.DERIVED)[-1].is_zero()
+    return _series_reaches_zero(alg, alg.derived_span)
 
 
 def is_nilpotent(alg: LieAlgebra) -> bool:
-    return series(alg, SeriesKind.LOWER_CENTRAL)[-1].is_zero()
+    full = Subspace.full(alg.dim)
+    return _series_reaches_zero(alg, lambda cur: alg.bracket_spans(full, cur))
 
 
 def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:

@@ -1,8 +1,6 @@
 """Transverse Lagrangian pairs and their canonical flat-leaf connection.
 
-Scope: nondegenerate closed 2-forms.  A degenerate form must first be
-pushed to the quotient by its kernel (only possible when the kernel is an
-ideal); the helper here does exactly that and nothing more.
+Scope: nondegenerate closed 2-forms.
 """
 
 from __future__ import annotations
@@ -15,20 +13,14 @@ from .algebra import (
     NotSubalgebraError,
     SolvdiagError,
     Subspace,
-    is_ideal_in,
     is_subalgebra,
-    quotient,
 )
 from .forms import DegenerateFormError, TwoForm, kernel
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 
 class NotTransverseError(SolvdiagError):
     code = "NOT_TRANSVERSE"
-
-
-class KernelNotIdealError(SolvdiagError):
-    code = "KERNEL_NOT_IDEAL"
 
 
 @dataclass(frozen=True)
@@ -39,37 +31,6 @@ class BilagrangianPair:
     def __post_init__(self) -> None:
         if self.left.ambient_dim != self.right.ambient_dim:
             raise ValueError("pair members live in different ambient spaces")
-
-
-@dataclass(frozen=True)
-class ReducedPresentation:
-    algebra: LieAlgebra
-    form: TwoForm
-    projection: Matrix | None  # None when nothing was reduced
-
-
-def reduce_to_nondegenerate(alg: LieAlgebra, omega: TwoForm) -> ReducedPresentation:
-    """Push a degenerate form to the quotient by its kernel.
-
-    Identity when the form is already nondegenerate.  The kernel must be an
-    ideal for the quotient to exist; otherwise the scope restriction is
-    reported instead of silently changing the algebra.
-    """
-    rad = kernel(omega)
-    if rad.is_zero():
-        return ReducedPresentation(alg, omega, None)
-    if not is_ideal_in(alg, rad, Subspace.full(alg.dim)):
-        raise KernelNotIdealError("kernel of the form is not an ideal")
-    q, proj = quotient(alg, rad)
-    keep = [i for i in range(alg.dim) if i not in rad.pivots]
-    entries = [
-        [
-            omega.apply(linalg.unit_vec(alg.dim, keep[a]), linalg.unit_vec(alg.dim, keep[b]))
-            for b in range(q.dim)
-        ]
-        for a in range(q.dim)
-    ]
-    return ReducedPresentation(q, TwoForm(entries), proj)
 
 
 def d_zero(alg: LieAlgebra, omega: TwoForm, x, y) -> Vector:

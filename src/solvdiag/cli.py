@@ -3,8 +3,13 @@
 Exit codes: 0 = computed, 2 = invalid input (malformed file, unknown
 name, precondition failure of the requested operation), 3 = a structural
 hypothesis failed while computing (non-nesting radicals, stuck descent,
-and the like).  All output is deterministic byte-for-byte for a given
-input; --json switches the verdict commands to machine-readable output.
+and the like, or a failed audit check).  All output is deterministic
+byte-for-byte for a given input; --json switches the verdict commands to
+machine-readable output.
+
+Each cmd_* takes the loaded document and the parsed arguments and returns
+the human lines and the JSON object; main loads the document, prints one
+of the two, and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .algebra import (
-    LieAlgebra,
     SolvdiagError,
     Subspace,
     complete_solvability_certificate,
@@ -33,12 +38,11 @@ from .diagram import (
     weight_zero_singulars,
 )
 from .document import Document, parse_document, rational_repr, serialize_document, subspace_obj
-from .flags import Flag, validate_flag
-from .forms import TwoForm, is_closed, kernel
+from .flags import validate_flag
+from .forms import is_closed, kernel
 from .lagrangian import find_lagrangians
 from .primitivity import (
     PairPresentation,
-    PrimitivityStatus,
     degrees,
     ideal_closure_audit,
     primitive_test,
@@ -68,15 +72,9 @@ INPUT_ERROR_CODES = frozenset(
         "DEGENERATE_FORM",
         "NOT_LAGRANGIAN",
         "NOT_TRANSVERSE",
-        "KERNEL_NOT_IDEAL",
         "NOT_SOLVABLE",
     }
 )
-
-
-def _load(path: str) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
 
 
 def _get(table: dict, name: str, what: str):
@@ -112,17 +110,17 @@ def _space_str(names, s: Subspace) -> str:
     return ", ".join(_vec_str(names, r) for r in s.rows)
 
 
-def _emit(args, human_lines, json_obj) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
-    else:
-        print("\n".join(human_lines))
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _diagram_of(doc: Document, form_name: str, flag_name: str):
-    form = _get(doc.two_forms, form_name, "form")
-    flag = _get(doc.flags, flag_name, "flag")
-    return classify_vertices(kernel_chain(doc.algebra, form, flag))
+def _asked(doc: Document, args) -> tuple[str, dict]:
+    """The human header line and the JSON keys: the document and each name asked for."""
+    obj = {"document": doc.name}
+    for key in ("form", "flag", "mode", "left", "right"):
+        if getattr(args, key, None) is not None:
+            obj[key] = getattr(args, key)
+    return "  ".join(f"{key}: {value}" for key, value in obj.items()), obj
 
 
 def _vertex_obj(names, v) -> dict:
@@ -137,112 +135,89 @@ def _vertex_obj(names, v) -> dict:
     }
 
 
-def cmd_validate(args) -> int:
-    doc = _load(args.file)
-    names = doc.algebra.names
-    report = validate_algebra(doc.algebra)
-    cert = complete_solvability_certificate(doc.algebra)
+def cmd_validate(doc: Document, args):
+    alg = doc.algebra
+    names = alg.names
+    report = validate_algebra(alg)
+    cert = complete_solvability_certificate(alg)
+    head, obj = _asked(doc, args)
     lines = [
-        f"document: {doc.name}",
-        f"dim: {doc.algebra.dim}",
-        f"algebra: ok={str(report.ok).lower()} solvability={cert.verdict.value}",
+        head,
+        f"dim: {alg.dim}",
+        f"algebra: ok={_bool(report.ok)} solvability={cert.verdict.value}",
     ]
-    forms_obj = {}
+    obj.update(
+        dim=alg.dim,
+        algebra_ok=report.ok,
+        solvability=cert.verdict.value,
+        forms={},
+        flags={},
+        subspaces={},
+    )
     for fname in sorted(doc.two_forms):
         form = doc.two_forms[fname]
-        closed = is_closed(doc.algebra, form)
+        closed = is_closed(alg, form)
         ker = kernel(form)
-        lines.append(f"form {fname}: closed={str(closed).lower()} kernel_dim={ker.dim}")
-        forms_obj[fname] = {
+        lines.append(f"form {fname}: closed={_bool(closed)} kernel_dim={ker.dim}")
+        obj["forms"][fname] = {
             "closed": closed,
             "kernel_dim": ker.dim,
             "kernel": subspace_obj(names, ker),
         }
-    flags_obj = {}
     for gname in sorted(doc.flags):
-        rep = validate_flag(doc.algebra, doc.flags[gname])
+        rep = validate_flag(alg, doc.flags[gname])
         lines.append(
-            f"flag {gname}: dims={list(rep.dims)} chain_ok={str(rep.chain_ok).lower()}"
-            f" subalgebras={str(rep.subalgebras_ok).lower()}"
-            f" composition={str(rep.composition_ok).lower()}"
+            f"flag {gname}: dims={list(rep.dims)} chain_ok={_bool(rep.chain_ok)}"
+            f" subalgebras={_bool(rep.subalgebras_ok)}"
+            f" composition={_bool(rep.composition_ok)}"
         )
-        flags_obj[gname] = {
+        obj["flags"][gname] = {
             "dims": list(rep.dims),
             "chain_ok": rep.chain_ok,
             "subalgebras_ok": rep.subalgebras_ok,
             "composition_ok": rep.composition_ok,
             "normal_in_algebra": list(rep.normal_in_algebra),
         }
-    subs_obj = {}
     for sname in sorted(doc.subspaces):
         s = doc.subspaces[sname]
         lines.append(f"subspace {sname}: dim={s.dim}")
-        subs_obj[sname] = subspace_obj(names, s)
-    obj = {
-        "document": doc.name,
-        "dim": doc.algebra.dim,
-        "algebra_ok": report.ok,
-        "solvability": cert.verdict.value,
-        "forms": forms_obj,
-        "flags": flags_obj,
-        "subspaces": subs_obj,
-    }
-    _emit(args, lines, obj)
-    return 0
+        obj["subspaces"][sname] = subspace_obj(names, s)
+    return lines, obj
 
 
-def cmd_diagram(args) -> int:
-    doc = _load(args.file)
-    names = doc.algebra.names
-    d = _diagram_of(doc, args.form, args.flag)
-    preds = predicates(doc.algebra, d)
-    template = match_template(d)
-    lines = [f"document: {doc.name}  form: {args.form}  flag: {args.flag}", "vertices:"]
-    for v in d.vertices:
-        lines.append(
-            f"  k={v.index} member_dim={v.member.dim} kernel_dim={v.kernel.dim}"
-            f" class={v.vclass.value} weight={rational_repr(v.weight)}"
-        )
-    lines.append("steps: " + " ".join(s.value for s in d.steps))
-    lines.append(f"template: {template.value}")
-    lines.append(
-        "predicates:"
-        f" connected={str(preds.connected).lower()}"
-        f" simple={str(preds.simple).lower()}"
-        f" semi_normal={str(preds.semi_normal).lower()}"
-        f" semi_nilpotent={str(preds.semi_nilpotent).lower()}"
-        f" semi_simple={str(preds.semi_simple).lower()}"
+def cmd_diagram(doc: Document, args):
+    form = _get(doc.two_forms, args.form, "form")
+    flag = _get(doc.flags, args.flag, "flag")
+    d = classify_vertices(kernel_chain(doc.algebra, form, flag))
+    preds = asdict(predicates(doc.algebra, d))
+    head, obj = _asked(doc, args)
+    obj.update(
+        vertices=[_vertex_obj(doc.algebra.names, v) for v in d.vertices],
+        steps=[s.value for s in d.steps],
+        template=match_template(d).value,
+        predicates=preds,
     )
-    obj = {
-        "document": doc.name,
-        "form": args.form,
-        "flag": args.flag,
-        "vertices": [_vertex_obj(names, v) for v in d.vertices],
-        "steps": [s.value for s in d.steps],
-        "template": template.value,
-        "predicates": {
-            "connected": preds.connected,
-            "simple": preds.simple,
-            "semi_normal": preds.semi_normal,
-            "semi_nilpotent": preds.semi_nilpotent,
-            "semi_simple": preds.semi_simple,
-        },
-    }
+    lines = [head, "vertices:"]
+    for v in obj["vertices"]:
+        lines.append(
+            "  k={index} member_dim={member_dim} kernel_dim={kernel_dim}"
+            " class={class} weight={weight}".format(**v)
+        )
+    lines.append("steps: " + " ".join(obj["steps"]))
+    lines.append(f"template: {obj['template']}")
+    lines.append("predicates:" + "".join(f" {k}={_bool(v)}" for k, v in preds.items()))
     if args.contract:
         lines.append(f"contracted: {contracted_text(d)}")
         obj["contracted"] = [[s.value, n] for s, n in contract(d)]
     if args.dot:
-        text = render_dot(d, style=args.dot_style)
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(render_dot(d, style=args.dot_style))
         lines.append(f"dot: written to {args.dot}")
         obj["dot"] = args.dot
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
-def cmd_deform(args) -> int:
-    doc = _load(args.file)
+def cmd_deform(doc: Document, args):
     names = doc.algebra.names
     form = _get(doc.two_forms, args.form, "form")
     flag = _get(doc.flags, args.flag, "flag")
@@ -251,123 +226,91 @@ def cmd_deform(args) -> int:
     for m in out.members:
         lines.append(f"  dim {m.dim}: {_space_str(names, m)}")
     lines.append("simple: true")
-    obj = {
-        "document": doc.name,
-        "form": args.form,
-        "flag": args.flag,
-        "members": [subspace_obj(names, m) for m in out.members],
-        "member_dims": list(out.dims),
-        "simple": True,
-    }
-    _emit(args, lines, obj)
-    return 0
+    _, obj = _asked(doc, args)
+    obj.update(
+        members=[subspace_obj(names, m) for m in out.members],
+        member_dims=list(out.dims),
+        simple=True,
+    )
+    return lines, obj
 
 
-def cmd_lagrangians(args) -> int:
-    doc = _load(args.file)
+def cmd_lagrangians(doc: Document, args):
     names = doc.algebra.names
     form = _get(doc.two_forms, args.form, "form")
-    mode = args.mode.replace("-", "_")
-    verdict = find_lagrangians(doc.algebra, form, mode=mode)
+    verdict = find_lagrangians(doc.algebra, form, mode=args.mode.replace("-", "_"))
+    head, obj = _asked(doc, args)
     lines = [
-        f"document: {doc.name}  form: {args.form}  mode: {args.mode}",
+        head,
         f"completeness: {verdict.completeness.value}",
         f"found: {len(verdict.found)}",
     ]
     for i, s in enumerate(verdict.found):
         lines.append(f"  L{i}: dim {s.dim}: {_space_str(names, s)}")
-    obj = {
-        "document": doc.name,
-        "form": args.form,
-        "mode": args.mode,
-        "completeness": verdict.completeness.value,
-        "found": [subspace_obj(names, s) for s in verdict.found],
-    }
-    _emit(args, lines, obj)
-    return 0
+    obj.update(
+        completeness=verdict.completeness.value,
+        found=[subspace_obj(names, s) for s in verdict.found],
+    )
+    return lines, obj
 
 
-def cmd_bilagrangian(args) -> int:
-    doc = _load(args.file)
+def cmd_bilagrangian(doc: Document, args):
     names = doc.algebra.names
     form = _get(doc.two_forms, args.form, "form")
     left = _get(doc.subspaces, args.left, "subspace")
     right = _get(doc.subspaces, args.right, "subspace")
     pair = BilagrangianPair(left=left, right=right)
     table = connection(doc.algebra, form, pair)
-    audit = audit_connection(doc.algebra, form, pair, table)
-    flat = curvature_flatness(doc.algebra, table)
-    lines = [
-        f"document: {doc.name}  form: {args.form}  left: {args.left}  right: {args.right}",
-        "connection (nonzero basis entries):",
-    ]
-    entries_obj = []
+    verdicts = {
+        **asdict(audit_connection(doc.algebra, form, pair, table)),
+        "flat": curvature_flatness(doc.algebra, table),
+    }
+    head, obj = _asked(doc, args)
+    lines = [head, "connection (nonzero basis entries):"]
+    entries = []
     for i, ni in enumerate(names):
         for j, nj in enumerate(names):
             v = table.entries[i][j]
             if any(c != 0 for c in v):
                 lines.append(f"  D[{ni}, {nj}] = {_vec_str(names, v)}")
-                entries_obj.append(
+                entries.append(
                     {"x": ni, "y": nj, "value": {n: rational_repr(c) for n, c in zip(names, v) if c != 0}}
                 )
-    lines.append(f"torsion_free: {str(audit.torsion_free).lower()}")
-    lines.append(f"parallel_form: {str(audit.parallel_form).lower()}")
-    lines.append(f"preserves_left: {str(audit.preserves_left).lower()}")
-    lines.append(f"preserves_right: {str(audit.preserves_right).lower()}")
-    lines.append(f"flat: {str(flat).lower()}")
-    obj = {
-        "document": doc.name,
-        "form": args.form,
-        "left": args.left,
-        "right": args.right,
-        "connection": entries_obj,
-        "torsion_free": audit.torsion_free,
-        "parallel_form": audit.parallel_form,
-        "preserves_left": audit.preserves_left,
-        "preserves_right": audit.preserves_right,
-        "flat": flat,
-    }
-    _emit(args, lines, obj)
-    return 0
+    lines += [f"{key}: {_bool(value)}" for key, value in verdicts.items()]
+    obj.update(connection=entries, **verdicts)
+    return lines, obj
 
 
-def cmd_primitivity(args) -> int:
-    doc = _load(args.file)
+def cmd_primitivity(doc: Document, args):
     names = doc.algebra.names
     form = _get(doc.two_forms, args.form, "form")
     pair = PairPresentation(algebra=doc.algebra, isotropy=kernel(form))
     prim = primitive_test(pair)
     quasi = quasi_primitive_test(pair)
     degs = degrees(pair)
-    lines = [
-        f"document: {doc.name}  form: {args.form}",
-        f"isotropy: kernel of the form, dim {pair.isotropy.dim}",
-        f"primitive: {prim.status.value}",
-    ]
-    if prim.witness is not None:
-        lines.append(f"  witness: {_space_str(names, prim.witness)}")
-    lines.append(f"quasi_primitive: {quasi.status.value}")
-    if quasi.witness is not None:
-        lines.append(f"  witness: {_space_str(names, quasi.witness)}")
+    head, obj = _asked(doc, args)
+    lines = [head, f"isotropy: kernel of the form, dim {pair.isotropy.dim}"]
+    obj["isotropy_dim"] = pair.isotropy.dim
+    for key, witness_key, verdict in (
+        ("primitive", "primitive_witness", prim),
+        ("quasi_primitive", "quasi_witness", quasi),
+    ):
+        lines.append(f"{key}: {verdict.status.value}")
+        obj[key] = verdict.status.value
+        obj[witness_key] = None
+        if verdict.witness is not None:
+            lines.append(f"  witness: {_space_str(names, verdict.witness)}")
+            obj[witness_key] = subspace_obj(names, verdict.witness)
     lines.append(f"searched: {', '.join(quasi.searched)}")
-    lines.append(f"ratio: {rational_repr(degs.ratio)}")
-    lines.append(f"degree_lower: {rational_repr(degs.d_lower)}")
-    lines.append(f"degree_within_search: {rational_repr(degs.d_within_search)}")
-    obj = {
-        "document": doc.name,
-        "form": args.form,
-        "isotropy_dim": pair.isotropy.dim,
-        "primitive": prim.status.value,
-        "primitive_witness": None if prim.witness is None else subspace_obj(names, prim.witness),
-        "quasi_primitive": quasi.status.value,
-        "quasi_witness": None if quasi.witness is None else subspace_obj(names, quasi.witness),
-        "searched": list(quasi.searched),
-        "ratio": rational_repr(degs.ratio),
-        "degree_lower": rational_repr(degs.d_lower),
-        "degree_within_search": rational_repr(degs.d_within_search),
-    }
-    _emit(args, lines, obj)
-    return 0
+    obj["searched"] = list(quasi.searched)
+    for key, q in (
+        ("ratio", degs.ratio),
+        ("degree_lower", degs.d_lower),
+        ("degree_within_search", degs.d_within_search),
+    ):
+        obj[key] = rational_repr(q)
+        lines.append(f"{key}: {obj[key]}")
+    return lines, obj
 
 
 def _audit_checks(doc: Document):
@@ -389,7 +332,7 @@ def _audit_checks(doc: Document):
     for fname in sorted(doc.two_forms):
         form = doc.two_forms[fname]
         closed = is_closed(alg, form)
-        yield (f"form {fname} closedness recorded", True, f"closed={str(closed).lower()}")
+        yield (f"form {fname} closedness recorded", True, f"closed={_bool(closed)}")
         if not closed:
             continue
         closed_forms[fname] = form
@@ -407,7 +350,7 @@ def _audit_checks(doc: Document):
         yield (
             f"flag {gname} validated",
             True,
-            f"chain_ok={str(rep.chain_ok).lower()} subalgebras={str(rep.subalgebras_ok).lower()}",
+            f"chain_ok={_bool(rep.chain_ok)} subalgebras={_bool(rep.subalgebras_ok)}",
         )
         if not rep.chain_ok:
             continue
@@ -473,9 +416,9 @@ def _audit_checks(doc: Document):
     yield (f"recorded expectations ({len(results)} entries)", not bad, detail)
 
 
-def cmd_audit(args) -> int:
-    doc = _load(args.file)
-    lines = [f"document: {doc.name}"]
+def cmd_audit(doc: Document, args):
+    head, obj = _asked(doc, args)
+    lines = [head]
     checks = []
     ok = True
     for name, passed, detail in _audit_checks(doc):
@@ -484,9 +427,8 @@ def cmd_audit(args) -> int:
         lines.append(f"{'ok  ' if passed else 'FAIL'} {name}{suffix}")
         ok = ok and passed
     lines.append(f"audit result: {'ok' if ok else 'FAIL'} ({len(checks)} checks)")
-    obj = {"document": doc.name, "checks": checks, "ok": ok}
-    _emit(args, lines, obj)
-    return 0 if ok else 3
+    obj.update(checks=checks, ok=ok)
+    return lines, obj
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,7 +480,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            doc = parse_document(fh.read())
+        lines, obj = args.handler(doc, args)
+        print(json.dumps(obj, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+        return 3 if args.command == "audit" and not obj["ok"] else 0
     except SolvdiagError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2 if exc.code in INPUT_ERROR_CODES else 3

@@ -9,12 +9,13 @@ is known to differ, and must keep differing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Any
 
 from .algebra import validate_algebra
 from .diagram import (
+    DiagramPredicates,
     WeightedDiagram,
     classify_vertices,
     kernel_chain,
@@ -24,8 +25,6 @@ from .diagram import (
 from .document import Document, ExpectedEntry, parse_document, rational_repr, subspace_obj
 from .flags import validate_flag
 from .forms import is_closed, kernel
-
-_PREDICATE_NAMES = ("connected", "simple", "semi_normal", "semi_nilpotent", "semi_simple")
 
 
 def list_corpus() -> tuple[str, ...]:
@@ -93,10 +92,9 @@ def compute_check(doc: Document, check: str, args) -> Any:
         return match_template(_diagram_for(doc, args)).value
     if check == "predicate":
         name = _arg(args, "name")
-        if name not in _PREDICATE_NAMES:
+        if name not in {f.name for f in fields(DiagramPredicates)}:
             raise ValueError(f"unknown predicate {name!r}")
-        d = _diagram_for(doc, args)
-        return getattr(predicates(doc.algebra, d), name)
+        return getattr(predicates(alg, _diagram_for(doc, args)), name)
     if check == "singular_member_dims":
         return [v.member.dim for v in _diagram_for(doc, args).singular_vertices()]
     if check == "singular_weights":

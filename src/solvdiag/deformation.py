@@ -18,6 +18,7 @@ from .algebra import (
     SolvdiagError,
     Subspace,
     _hyperplane_in,
+    _shifted,
     is_ideal_in,
     is_nilpotent_subalgebra,
     is_subalgebra,
@@ -137,14 +138,13 @@ def _simultaneous_eigencovector_families(mats, dim: int):
     families = [((), Subspace.full(dim))]
     for m in mats:
         mt = linalg.transpose(m)
+        eigenspaces = [
+            (lam, Subspace(dim, linalg.nullspace(_shifted(mt, lam), dim)))
+            for lam in linalg.rational_eigenvalues(mt)
+        ]
         nxt = []
         for weights, space in families:
-            for lam in linalg.rational_eigenvalues(mt):
-                shifted = [
-                    tuple(mt[i][j] - (lam if i == j else 0) for j in range(dim))
-                    for i in range(dim)
-                ]
-                eig = Subspace(dim, linalg.nullspace(shifted, dim))
+            for lam, eig in eigenspaces:
                 inter = space.intersect(eig)
                 if not inter.is_zero():
                     nxt.append((weights + (lam,), inter))

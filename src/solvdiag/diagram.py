@@ -11,7 +11,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import LieAlgebra, SolvdiagError, Subspace, is_ideal_in, is_nilpotent, is_subalgebra, subalgebra_as_algebra
+from .algebra import (
+    LieAlgebra,
+    SolvdiagError,
+    Subspace,
+    is_ideal_in,
+    is_nilpotent_subalgebra,
+    is_subalgebra,
+)
 from .flags import ChainNotNestedError, Flag
 from .forms import NotClosedError, TwoForm, is_closed, radical
 
@@ -155,15 +162,6 @@ def contract(diagram: WeightedDiagram) -> tuple[tuple[StepDirection, int], ...]:
     return tuple(runs)
 
 
-def uncontract(runs) -> tuple[StepDirection, ...]:
-    out: list[StepDirection] = []
-    for direction, count in runs:
-        if count < 1:
-            raise ValueError("run lengths must be positive")
-        out.extend([direction] * count)
-    return tuple(out)
-
-
 def weight_zero_singulars(diagram: WeightedDiagram) -> tuple[int, ...]:
     """Positions (into vertices) of singular vertices with zero kernel."""
     d = ensure_classified(diagram)
@@ -213,15 +211,9 @@ def predicates(alg: LieAlgebra, diagram: WeightedDiagram) -> DiagramPredicates:
     cut_members = [d.vertices[i].member for i in cuts]
     full = Subspace.full(alg.dim)
     semi_normal = all(is_ideal_in(alg, m, full) for m in cut_members)
-    semi_nilpotent = True
-    for m in cut_members:
-        if not is_subalgebra(alg, m):
-            semi_nilpotent = False
-            break
-        sub, _ = subalgebra_as_algebra(alg, m)
-        if not is_nilpotent(sub):
-            semi_nilpotent = False
-            break
+    semi_nilpotent = all(
+        is_subalgebra(alg, m) and is_nilpotent_subalgebra(alg, m) for m in cut_members
+    )
 
     semi_simple = semi_normal
     for start, end in components(d):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .algebra import LieAlgebra, SolvdiagError, Subspace
-from .linalg import Matrix, Vector, ZERO, ONE, frac
+from .linalg import Vector, ZERO, ONE, frac
 
 
 class NotClosedError(SolvdiagError):

@@ -20,7 +20,6 @@ from .algebra import (
     subalgebra_closure,
     vector_sort_key,
 )
-from .deformation import NotSemisimpleError, deform_to_simple
 from .diagram import (
     WeightedDiagram,
     classify_vertices,
@@ -194,34 +193,3 @@ def diagram_to_lagrangian(
     if not predicates(alg, d).simple:
         raise NotSimpleError("the diagram does not have exactly one attractive vertex")
     return verify_lagrangian(alg, omega, d.singular_vertices()[0].member)
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    premise: bool
-    flag: Flag | None
-    notes: tuple[str, ...] = ()
-
-
-def kahler_premise_pipeline(alg: LieAlgebra, omega: TwoForm) -> PipelineResult:
-    """Nondegeneracy on the derived subalgebra, then a simple chain through it.
-
-    The premise asks for a nonzero derived subalgebra on which the form
-    restricts nondegenerately (an abelian algebra never qualifies, by
-    convention).  When it holds, a chain through the derived subalgebra is
-    completed and deformed to a simple one if possible.
-    """
-    derived = derived_subalgebra(alg)
-    if derived.is_zero():
-        return PipelineResult(False, None, ("derived subalgebra is zero",))
-    if not radical(omega, derived).is_zero():
-        return PipelineResult(
-            False, None, ("form restricted to the derived subalgebra is degenerate",)
-        )
-    flag = complete_flag_through(alg, [derived])
-    try:
-        return PipelineResult(True, deform_to_simple(alg, omega, flag), ())
-    except NotSemisimpleError:
-        return PipelineResult(
-            True, None, ("chain through the derived subalgebra is not deformable",)
-        )

@@ -138,7 +138,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
     """Canonical basis of {x : rows @ x = 0}.
 
     ncols is required when rows is empty (the ambient dimension cannot be
-    inferred from nothing).
+    inferred from nothing); otherwise it must equal the row length.
     """
     rows = [vec(r) for r in rows]
     if not rows:
@@ -147,6 +147,8 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
         return [unit_vec(ncols, i) for i in range(ncols)]
     n = len(rows[0])
     red, pivots = rref(rows)
+    if ncols is not None and ncols != n:
+        raise ValueError(f"rows have {n} columns, not ncols={ncols}")
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:

@@ -10,22 +10,17 @@ edges per descending step.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .diagram import StepDirection, WeightedDiagram, ensure_classified
+from .diagram import StepDirection, WeightedDiagram, contract, ensure_classified
+from .document import rational_repr
 
 STYLES = ("graph", "diagram")
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _vertex_label(prefix: str, v) -> str:
     return (
         f"{prefix}{v.index}\\n"
         f"dim {v.member.dim}, ker {v.kernel.dim}\\n"
-        f"{v.vclass.value}, w={_fmt(v.weight)}"
+        f"{v.vclass.value}, w={rational_repr(v.weight)}"
     )
 
 
@@ -36,51 +31,37 @@ def render_dot(diagram: WeightedDiagram, style: str = "graph") -> str:
     vs = d.vertices
     lines = ["digraph kernel_chain {", "  rankdir=LR;", '  node [shape=box, fontsize=10];']
 
-    if len(vs) == 1:
-        lines.append(f'  S{vs[0].index} [label="{_vertex_label("S", vs[0])}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    if style == "diagram":
+    if style == "diagram" or len(vs) == 1:
         for v in vs:
             lines.append(f'  S{v.index} [label="{_vertex_label("S", v)}"];')
         for i, s in enumerate(d.steps):
             a, b = vs[i].index, vs[i + 1].index
-            if s is StepDirection.UP:
-                lines.append(f"  S{a} -> S{b};")
-            else:
-                lines.append(f"  S{a} -> S{b};")
+            lines.append(f"  S{a} -> S{b};")
+            if s is StepDirection.DOWN:
                 lines.append(f"  S{b} -> S{a};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    for v in vs:
-        lines.append(f'  H{v.index} [label="H{v.index}\\ndim {v.kernel.dim}"];')
-    for v in vs:
-        lines.append(f'  G{v.index} [label="{_vertex_label("G", v)}"];')
-    for v in vs:
-        quot = v.member.dim - v.kernel.dim
-        lines.append(f'  M{v.index} [label="M{v.index}\\ndim {quot}"];')
-
-    ids = " ".join(f"H{v.index};" for v in vs)
-    lines.append(f"  {{ rank=same; {ids} }}")
-    ids = " ".join(f"G{v.index};" for v in vs)
-    lines.append(f"  {{ rank=same; {ids} }}")
-    ids = " ".join(f"M{v.index};" for v in vs)
-    lines.append(f"  {{ rank=same; {ids} }}")
-
-    for v in vs:
-        lines.append(f"  H{v.index} -> G{v.index};")
-        lines.append(f"  G{v.index} -> M{v.index};")
-    for i, s in enumerate(d.steps):
-        a, b = vs[i].index, vs[i + 1].index
-        lines.append(f"  G{a} -> G{b};")
-        if s is StepDirection.UP:
-            lines.append(f"  H{a} -> H{b};")
-            lines.append(f"  M{a} -> M{b};")
-        else:
-            lines.append(f"  H{b} -> H{a};")
-            lines.append(f'  M{b} -> M{a} [label="mw"];')
+    else:
+        for v in vs:
+            lines.append(f'  H{v.index} [label="H{v.index}\\ndim {v.kernel.dim}"];')
+        for v in vs:
+            lines.append(f'  G{v.index} [label="{_vertex_label("G", v)}"];')
+        for v in vs:
+            quot = v.member.dim - v.kernel.dim
+            lines.append(f'  M{v.index} [label="M{v.index}\\ndim {quot}"];')
+        for row in "HGM":
+            ids = " ".join(f"{row}{v.index};" for v in vs)
+            lines.append(f"  {{ rank=same; {ids} }}")
+        for v in vs:
+            lines.append(f"  H{v.index} -> G{v.index};")
+            lines.append(f"  G{v.index} -> M{v.index};")
+        for i, s in enumerate(d.steps):
+            a, b = vs[i].index, vs[i + 1].index
+            lines.append(f"  G{a} -> G{b};")
+            if s is StepDirection.UP:
+                lines.append(f"  H{a} -> H{b};")
+                lines.append(f"  M{a} -> M{b};")
+            else:
+                lines.append(f"  H{b} -> H{a};")
+                lines.append(f'  M{b} -> M{a} [label="mw"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -91,21 +72,11 @@ def contracted_text(diagram: WeightedDiagram) -> str:
     Ascending runs print as ->, descending runs as <=>; the nodes are the
     run boundaries, annotated with their member dimensions.
     """
-    d = ensure_classified(diagram)
-    vs = d.vertices
-    if len(vs) == 1:
-        return f"O[{vs[0].index}]"
+    vs = ensure_classified(diagram).vertices
     parts = [f"O[{vs[0].index}]"]
     pos = 0
-    run_dir: StepDirection | None = None
-    for i, s in enumerate(d.steps):
-        if run_dir is None:
-            run_dir = s
-        elif s is not run_dir:
-            parts.append(" -> " if run_dir is StepDirection.UP else " <=> ")
-            parts.append(f"O[{vs[i].index}]")
-            run_dir = s
-        pos = i + 1
-    parts.append(" -> " if run_dir is StepDirection.UP else " <=> ")
-    parts.append(f"O[{vs[pos].index}]")
+    for direction, n in contract(diagram):
+        pos += n
+        parts.append(" -> " if direction is StepDirection.UP else " <=> ")
+        parts.append(f"O[{vs[pos].index}]")
     return "".join(parts)

@@ -1,4 +1,4 @@
-"""Transverse pairs, the adapted connection, curvature, reduction."""
+"""Transverse pairs, the adapted connection, curvature."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from solvdiag import (
     BilagrangianPair,
     ConnectionTable,
     DegenerateFormError,
-    KernelNotIdealError,
     LieAlgebra,
     NotSubalgebraError,
     NotTransverseError,
@@ -17,7 +16,6 @@ from solvdiag import (
     curvature,
     curvature_flatness,
     d_zero,
-    reduce_to_nondegenerate,
 )
 from oracles import oracle_curvature_is_zero
 
@@ -150,30 +148,3 @@ class TestCurvature:
     def test_table_shape_enforced(self):
         with pytest.raises(ValueError):
             ConnectionTable([[(0, 0)], [(0, 0)]])
-
-
-class TestReduction:
-    def test_nondegenerate_is_identity(self, d1):
-        red = reduce_to_nondegenerate(d1.algebra, d1.two_forms["omega"])
-        assert red.algebra is d1.algebra
-        assert red.form is d1.two_forms["omega"]
-        assert red.projection is None
-
-    def test_e1_quotient(self, e1):
-        red = reduce_to_nondegenerate(e1.algebra, e1.two_forms["omega"])
-        assert red.algebra.dim == 4
-        assert red.algebra.names == ("b", "a", "v", "u")
-        assert red.form.rank() == 4
-        assert red.projection is not None
-        # the induced form is the original one on representatives
-        w = e1.two_forms["omega"]
-        a_idx = e1.algebra.index_of("a")
-        v_idx = e1.algebra.index_of("v")
-        assert red.form.entries[red.algebra.index_of("a")][
-            red.algebra.index_of("v")
-        ] == w.entries[a_idx][v_idx]
-
-    def test_x3_kernel_not_ideal(self, x3):
-        with pytest.raises(KernelNotIdealError) as err:
-            reduce_to_nondegenerate(x3.algebra, x3.two_forms["omega"])
-        assert err.value.code == "KERNEL_NOT_IDEAL"

@@ -4,6 +4,8 @@ Runs main() in-process for speed; one test shells out to the installed
 console script to confirm the packaging entry point works.
 """
 
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from solvdiag import (
     corpus_text,
     kernel_chain,
     list_corpus,
+    load_corpus,
     render_dot,
 )
 from solvdiag.cli import main
@@ -501,6 +504,89 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout == expected
+
+
+def _golden_argvs():
+    """Every subcommand over every name each corpus document holds, plus errors.
+
+    Paths other than the bundled corpus are relative, so that no output
+    depends on where the test runs.
+    """
+    argvs = []
+    for name in list_corpus():
+        doc = load_corpus(name)
+        path = corpus_path(name)
+        argvs += [["validate", path], ["audit", path]]
+        for form in sorted(doc.two_forms):
+            f = ["--form", form]
+            for flag in sorted(doc.flags):
+                ff = [*f, "--flag", flag]
+                argvs.append(["diagram", path, *ff])
+                for style in ("graph", "diagram"):
+                    argvs.append(
+                        ["diagram", path, *ff, "--contract", "--dot", "out.dot", "--dot-style", style]
+                    )
+                argvs.append(["deform", path, *ff])
+            for mode in ("vergne", "flag-adapted", "both"):
+                argvs.append(["lagrangians", path, *f, "--mode", mode])
+            argvs.append(["primitivity", path, *f])
+            for left, right in itertools.permutations(sorted(doc.subspaces), 2):
+                argvs.append(["bilagrangian", path, *f, "--left", left, "--right", right])
+    e1, d1 = corpus_path("E1"), corpus_path("D1")
+    argvs += [
+        ["diagram", e1, "--form", "nope", "--flag", "F"],
+        ["deform", e1, "--form", "omega", "--flag", "nope"],
+        ["bilagrangian", d1, "--form", "omega", "--left", "L9", "--right", "L2"],
+        ["bilagrangian", d1, "--form", "omega", "--left", "L1", "--right", "L3"],
+        ["primitivity", "sl2.json", "--form", "omega"],
+        ["audit", "bad_template.json"],
+        ["validate", "missing.json"],
+    ]
+    return argvs + [[*argv, "--json"] for argv in argvs]
+
+
+# SHA-256 of (exit, stdout, stderr, DOT text) over every run of a
+# subcommand, human and --json output apart.
+GOLDEN_CLI_DIGESTS = {
+    "audit": "8ec7c89ba0ecbab5de19775846f07fd5a859d132411ba050cc4fc1640c39df65",
+    "audit --json": "1ffa00ab55c18fa5a4fe24ce7b1907bf98261bd5b7d55523e76dbe23ee3423b8",
+    "bilagrangian": "d156e18d307489ce85e694e583f274484d42e4dc996a37f1d3d822f954c2b468",
+    "bilagrangian --json": "b9593f1c2e5f7ef00a5510c3392d3e097800fd7a3f25e792f0249d84bd381fc0",
+    "deform": "6f29cdac676dbffb4e81e340abb68dce4dc4f45d6ef46c1d18e80e6b381c25e6",
+    "deform --json": "18b687029f1b8fce1fa3bf02bb8a098b21a1e6870097dd8ea7b569c6cc124b50",
+    "diagram": "7efd1ec72855a467da27f9067788384e17313c1adb5ff8abbd9b7beb57a4a1b4",
+    "diagram --json": "cd7605a13b5a0a18fbe1178b44120eb7a611273b91a68c276276403ea7373d25",
+    "lagrangians": "c6076e367129a1effb19a653b6779429d49db5e28a4461226f165722febe16e8",
+    "lagrangians --json": "576013a67c31350c20fb59564f8a2e8541c0b0d9af12400380129853a5a4ad51",
+    "primitivity": "c7d30924778a798dc37ddeb86b69990294f9f6a0842128d372939373c0a8cb74",
+    "primitivity --json": "8b8283847a60601b492509a115dfe51a090cacddcda5484c4f34ce1270adb771",
+    "validate": "e02628f164623057254448641a0402c30a404fe963636ca3d1209813fe53298f",
+    "validate --json": "1a02217f49d0430813935ee011943697500d70aed6c4d80e2ceeb9f024b38d11",
+}
+
+
+def test_every_command_output_unchanged(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("sl2.json").write_text(json.dumps(SL2_DOC), encoding="utf-8")
+    bad = json.loads(corpus_text("E1"))
+    for ent in bad["metadata"]["expected"]:
+        if ent["check"] == "template":
+            ent["value"] = "alpha"
+    Path("bad_template.json").write_text(json.dumps(bad), encoding="utf-8")
+    records = {}
+    for argv in _golden_argvs():
+        dot = Path("out.dot")
+        dot.unlink(missing_ok=True)
+        code, out, err = run(capsys, *argv)
+        text = dot.read_text(encoding="utf-8") if dot.exists() else None
+        group = argv[0] + (" --json" if "--json" in argv else "")
+        records.setdefault(group, []).append(json.dumps([code, out, err, text]))
+    digests = {
+        group: hashlib.sha256("\n".join(runs).encode()).hexdigest()
+        for group, runs in records.items()
+    }
+    assert sum(len(runs) for runs in records.values()) == 182
+    assert digests == GOLDEN_CLI_DIGESTS
 
 
 def test_version_matches_pyproject():

@@ -22,7 +22,6 @@ from solvdiag import (
     kernel_chain,
     match_template,
     predicates,
-    uncontract,
     weight_zero_singulars,
 )
 
@@ -129,15 +128,6 @@ class TestContraction:
     def test_contract_runs(self, e1):
         d = diagram_of(e1)
         assert contract(d) == ((U, 2), (D, 2))
-
-    def test_uncontract_roundtrip(self, e1, e2, x2, x3):
-        for doc, name in ((e1, "F"), (e2, "F"), (x2, "F"), (x3, "F3")):
-            d = diagram_of(doc, name)
-            assert uncontract(contract(d)) == d.steps
-
-    def test_uncontract_rejects_bad_run(self):
-        with pytest.raises(ValueError):
-            uncontract([(U, 0)])
 
 
 class TestComponents:

@@ -13,7 +13,6 @@ from solvdiag import (
     classify_vertices,
     diagram_to_lagrangian,
     find_lagrangians,
-    kahler_premise_pipeline,
     kernel_chain,
     lagrangian_to_flag,
     predicates,
@@ -198,27 +197,3 @@ class TestChains:
         )
         with pytest.raises(NotSimpleError):
             diagram_to_lagrangian(e2.algebra, e2.two_forms["omega"], d)
-
-
-class TestPipeline:
-    def test_d1_premise_holds(self, d1):
-        res = kahler_premise_pipeline(d1.algebra, d1.two_forms["omega"])
-        assert res.premise
-        assert res.flag is not None
-        d = classify_vertices(
-            kernel_chain(d1.algebra, d1.two_forms["omega"], res.flag)
-        )
-        assert predicates(d1.algebra, d).simple
-
-    def test_abelian_premise_fails(self):
-        alg = LieAlgebra.from_brackets(("x", "y"), {})
-        w = TwoForm.from_pairs(2, [(0, 1, 1)])
-        res = kahler_premise_pipeline(alg, w)
-        assert not res.premise
-        assert res.flag is None
-        assert res.notes == ("derived subalgebra is zero",)
-
-    def test_degenerate_restriction_fails(self, e2):
-        res = kahler_premise_pipeline(e2.algebra, e2.two_forms["omega"])
-        assert not res.premise
-        assert "degenerate" in res.notes[0]

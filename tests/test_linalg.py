@@ -72,6 +72,12 @@ def test_ragged_rows_are_a_value_error(call):
         call()
 
 
+def test_nullspace_rejects_a_wrong_ncols():
+    with pytest.raises(ValueError, match="ncols"):
+        linalg.nullspace([[1, 2]], 3)
+    assert linalg.nullspace([[1, 2]], 2) == [(-2, 1)]
+
+
 def test_solve_unique():
     a = [[1, 2], [3, 5]]
     x = linalg.solve(a, (5, 13))
