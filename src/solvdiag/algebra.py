@@ -42,10 +42,10 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable]) -> None:
-        rows = [linalg.vec(r) for r in rows]
+        rows = [tuple(r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row length does not match ambient dimension")
-        red, pivots = linalg.rref(rows)
+        red, pivots = linalg.rref(rows)  # coerces each entry once
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", red)
         object.__setattr__(self, "pivots", pivots)
@@ -73,12 +73,19 @@ class Subspace:
         return not self.rows
 
     def reduce_vector(self, v: Sequence) -> Vector:
-        """Remainder of v after eliminating along the echelon rows."""
+        """Remainder of v after eliminating along the echelon rows.
+
+        An echelon row is zero before its pivot column, so each step starts
+        there and skips the row's zero entries.
+        """
         v = list(linalg.vec(v))
         for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                c = v[p]
-                v = [x - c * y for x, y in zip(v, row)]
+            c = v[p]
+            if c:
+                for j in range(p, len(row)):
+                    y = row[j]
+                    if y:
+                        v[j] -= c * y
         return tuple(v)
 
     def contains_vector(self, v: Sequence) -> bool:

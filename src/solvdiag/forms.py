@@ -44,7 +44,7 @@ class Covector:
         return len(self.coeffs)
 
     def apply(self, v: Sequence) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, linalg.vec(v))), ZERO)
+        return sum((c * x for c, x in zip(self.coeffs, linalg.vec(v), strict=True)), ZERO)
 
 
 class TwoForm:
@@ -90,6 +90,8 @@ class TwoForm:
     def apply(self, x: Sequence, y: Sequence) -> Fraction:
         x = linalg.vec(x)
         y = linalg.vec(y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
         total = ZERO
         for i, xi in enumerate(x):
             if xi == 0:

@@ -1,8 +1,9 @@
 """Independent reference computations for cross-checking test expectations.
 
-Deliberately written against the definitions, with a different elimination
-scheme (fraction-free Bareiss) than the library's reduced-echelon code, so
-that agreement between the two is evidence rather than tautology.
+Deliberately written against the definitions, with elimination schemes
+other than the library's fraction-free Gauss-Jordan `rref` (Bareiss rank,
+and Gauss-Jordan over Fraction), so that agreement between the two is
+evidence rather than tautology.
 """
 
 from fractions import Fraction
@@ -41,6 +42,43 @@ def bareiss_rank(rows) -> int:
         if row == nr:
             break
     return rank
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form and pivot columns, by Gauss-Jordan over Fraction.
+
+    The library's elimination before it became fraction-free: every multiply
+    and subtract is a Fraction operation.
+    """
+    work = _frac_rows(rows)
+    if not work:
+        return (), ()
+    ncols = len(work[0])
+    if any(len(row) != ncols for row in work):
+        raise ValueError("rows of unequal length")
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = Fraction(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    echelon = tuple(tuple(row) for row in work[:r])
+    return echelon, tuple(pivots)
 
 
 def oracle_nullspace(rows, ncols):

@@ -62,6 +62,21 @@ class TestTwoForm:
         assert w.apply((1, 0, 0), (0, 1, 0)) == 2
         assert w.apply((0, 1, 0), (1, 0, 0)) == -2
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ((1, 0, 0), (0, 1)),
+            ((1, 0), (0, 1, 0)),
+            ((1, 0, 0), (0, 1, 0, 0)),
+            ((1, 0, 0, 0), (0, 1, 0)),
+        ],
+        ids=["short-y", "short-x", "long-y", "long-x"],
+    )
+    def test_apply_rejects_a_wrong_length(self, x, y):
+        w = TwoForm.from_pairs(3, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="lengths"):
+            w.apply(x, y)
+
     def test_from_pairs_rejects_contradiction(self):
         with pytest.raises(ValueError):
             TwoForm.from_pairs(3, [(0, 1, 1), (1, 0, 1)])
@@ -83,6 +98,14 @@ class TestTwoForm:
         w = TwoForm.from_pairs(2, [(0, 1, 1)])
         assert w.scaled(3).entries[0][1] == 3
         assert w.plus(w.scaled(-1)).is_zero()
+
+
+@pytest.mark.parametrize("v", [(1, 1), (1, 1, 1, 5)], ids=["short", "long"])
+def test_covector_apply_rejects_a_wrong_length(v):
+    phi = Covector.from_entries((1, 2, 3))
+    assert phi.apply((1, 1, 1)) == 6
+    with pytest.raises(ValueError):
+        phi.apply(v)
 
 
 class TestDifferential:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvdiag import linalg
+from solvdiag import Subspace, linalg
 from oracles import (
     bareiss_rank,
     faddeev_leverrier_charpoly,
+    fraction_rref,
     oracle_nullspace,
     spans_equal,
     trial_division_rational_roots,
@@ -61,11 +62,12 @@ def test_rref_known_matrix():
     "call",
     [
         lambda: linalg.rref([[1, 2, 3], [1, 2]]),
+        lambda: linalg.rref([[0, 0, 0], ["1/2", 0], [Fraction(1, 3), 0, 1]]),
         lambda: linalg.nullspace([[1, 2, 3], [1, 2]]),
         lambda: linalg.nullspace([[1, 2], [1, 2, 3]], 3),
         lambda: linalg.solve([[1, 2, 3], [1, 2]], (1, 1)),
     ],
-    ids=["rref", "nullspace", "nullspace-short-first", "solve"],
+    ids=["rref", "rref-after-a-zero-row", "nullspace", "nullspace-short-first", "solve"],
 )
 def test_ragged_rows_are_a_value_error(call):
     with pytest.raises(ValueError, match="unequal length"):
@@ -106,6 +108,107 @@ def test_rational_roots_with_fractional_root():
 def test_rational_eigenvalues_triangular():
     m = linalg.mat([[2, 1, 0], [0, 2, 5], [0, 0, -1]])
     assert sorted(linalg.rational_eigenvalues(m)) == [-1, 2]
+
+
+BIG = 2**60 + 33
+
+
+@st.composite
+def rational_entries(draw):
+    """An exact rational given as an int, a Fraction or a 'p/q' string;
+    small, or with numerator and denominator near BIG."""
+    x = draw(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.integers(min_value=-6, max_value=6).map(Fraction),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+            st.builds(
+                lambda sign, a, b, den: Fraction(sign * (BIG + a), BIG + b if den else 1),
+                st.sampled_from((1, -1)),
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=-3, max_value=3),
+                st.booleans(),
+            ),
+        )
+    )
+    form = draw(st.sampled_from(("int", "fraction", "string")))
+    if form == "string":
+        return f"{x.numerator}/{x.denominator}"
+    if form == "int" and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+@st.composite
+def echelon_inputs(draw, min_rows=0):
+    """0-8 columns, with zero, duplicate, negated and dependent rows mixed in."""
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    row = st.lists(rational_entries(), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=min_rows, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(("zero", "dup", "neg", "sum")), max_size=3)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif rows:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            if kind == "dup":
+                rows.append(list(a))
+            elif kind == "neg":
+                rows.append([-Fraction(x) for x in a])
+            else:
+                rows.append([Fraction(x) + Fraction(y) for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_inputs())
+def test_rref_matches_the_fraction_oracle(rows):
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == fraction_rref(rows)
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+def test_rref_of_nothing():
+    assert linalg.rref([]) == ((), ())
+    assert linalg.rref([[], []]) == ((), ())
+    assert linalg.rref([[0, 0], [0, 0]]) == ((), ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(echelon_inputs())
+def test_nullspace_and_subspace_match_the_fraction_oracle(rows):
+    ncols = len(rows[0]) if rows else 3
+    assert linalg.nullspace(rows, ncols) == oracle_nullspace(rows, ncols)
+    sub = Subspace(ncols, rows)
+    assert (sub.rows, sub.pivots) == fraction_rref(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(echelon_inputs(min_rows=1), st.data())
+def test_solve_matches_the_fraction_oracle(rows, data):
+    n = len(rows[0])
+    if data.draw(st.booleans(), label="consistent"):
+        x = data.draw(st.lists(rational_entries(), min_size=n, max_size=n))
+        b = linalg.matvec(linalg.mat(rows), linalg.vec(x))
+    else:
+        b = data.draw(st.lists(rational_entries(), min_size=len(rows), max_size=len(rows)))
+    red, pivots = fraction_rref([list(row) + [bi] for row, bi in zip(rows, b)])
+    if n in pivots:
+        expected = None
+    else:
+        expected = [Fraction(0)] * n
+        for r, p in enumerate(pivots):
+            expected[p] = red[r][n]
+        expected = tuple(expected)
+    assert linalg.solve(rows, b) == expected
+
+
+@pytest.mark.parametrize("bad", [0.5, None, 1j, b"1/2"], ids=["float", "none", "complex", "bytes"])
+def test_rref_rejects_a_non_rational_entry(bad):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linalg.rref([[1, 2], [Fraction(1, 3), bad]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Subspace(2, [[bad, 1]])
 
 
 @settings(max_examples=60, deadline=None)
