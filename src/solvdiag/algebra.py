@@ -79,6 +79,8 @@ class Subspace:
         there and skips the row's zero entries.
         """
         v = list(linalg.vec(v))
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(v)} in Q^{self.ambient_dim}")
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:

@@ -6,7 +6,9 @@ Sign convention, used consistently everywhere:
     d(omega)(x,y,z) = -omega([x,y], z) + omega([x,z], y) - omega([y,z], x)
 
 so closedness of a 2-form is the cocycle identity
-omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.
+omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.  d on 2-forms is one
+sparse matrix, built once per call by `_d_rows`: `ce_differential` evaluates
+it and `closed_two_form_basis` is its nullspace.
 """
 
 from __future__ import annotations
@@ -87,28 +89,16 @@ class TwoForm:
             m[j][i] = -v
         return cls(m)
 
-    def apply(self, x: Sequence, y: Sequence) -> Fraction:
-        x = linalg.vec(x)
-        y = linalg.vec(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
-        total = ZERO
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.entries[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    total += xi * row[j] * yj
-        return total
-
     def pairing_with(self, x: Sequence) -> Vector:
         """The covector omega(x, .)."""
-        x = linalg.vec(x)
-        return tuple(
-            sum((x[i] * self.entries[i][j] for i in range(self.dim)), ZERO)
-            for j in range(self.dim)
-        )
+        if len(x) != self.dim:
+            raise ValueError(f"vector of length {len(x)} for a form on Q^{self.dim}")
+        return linalg.lincomb(x, self.entries)
+
+    def apply(self, x: Sequence, y: Sequence) -> Fraction:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
+        return sum((c * b for c, b in zip(self.pairing_with(x), y) if c), ZERO)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
@@ -187,24 +177,36 @@ def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
     return TwoForm(m)
 
 
+def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int], Fraction]]:
+    """The matrix of d on 2-forms: for each triple i < j < k with a nonempty
+    row {(a, b): c} (a < b), d(omega)(e_i, e_j, e_k) = sum of c * omega[a][b].
+    Read off the nonzero structure constants of [e_i,e_j], [e_i,e_k], [e_j,e_k].
+    """
+    n = alg.dim
+    brackets = {
+        (i, j): [(a, c) for a, c in enumerate(alg.table[i][j]) if c]
+        for i, j in itertools.combinations(range(n), 2)
+    }
+    rows = {}
+    for i, j, k in itertools.combinations(range(n), 3):
+        row: dict[tuple[int, int], Fraction] = {}
+        for pair, z, sign in (((i, j), k, -1), ((i, k), j, 1), ((j, k), i, -1)):
+            for a, c in brackets[pair]:
+                if a != z:
+                    key, s = ((a, z), sign) if a < z else ((z, a), -sign)
+                    row[key] = row.get(key, ZERO) + s * c
+        if row:
+            rows[(i, j, k)] = row
+    return rows
+
+
 def ce_differential(alg: LieAlgebra, omega: TwoForm) -> ThreeForm:
     """d(omega) on basis triples, with the fixed sign convention."""
     if omega.dim != alg.dim:
         raise ValueError("form dimension does not match the algebra")
-    n = alg.dim
-    basis = [linalg.unit_vec(n, i) for i in range(n)]
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = (
-                    -omega.apply(alg.table[i][j], basis[k])
-                    + omega.apply(alg.table[i][k], basis[j])
-                    - omega.apply(alg.table[j][k], basis[i])
-                )
-                if v != 0:
-                    entries[(i, j, k)] = v
-    return ThreeForm(n, entries)
+    e = omega.entries
+    rows = _d_rows(alg).items()
+    return ThreeForm(alg.dim, {t: sum(c * e[a][b] for (a, b), c in row.items()) for t, row in rows})
 
 
 def is_closed(alg: LieAlgebra, omega: TwoForm) -> bool:
@@ -283,14 +285,14 @@ def closed_covectors(
 
 
 def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
-    """Matrix of omega on s, in the echelon basis of s."""
-    k = s.dim
+    """Matrix of omega on s, in its echelon basis: one pairing per row."""
+    rows = s.rows
+    k = len(rows)
     m = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = omega.apply(s.rows[i], s.rows[j])
-            m[i][j] = v
-            m[j][i] = -v
+    for i in range(k - 1):
+        after = linalg.matvec(rows[i + 1 :], omega.pairing_with(rows[i]))
+        for j, v in enumerate(after, i + 1):
+            m[i][j], m[j][i] = v, -v
     return TwoForm(m)
 
 
@@ -316,42 +318,12 @@ def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:
 
 
 def closed_two_form_basis(alg: LieAlgebra) -> list[TwoForm]:
-    """Canonical basis of the space of closed 2-forms (cocycle condition
-    solved exactly as a rational linear system)."""
+    """Canonical basis of the space of closed 2-forms: the nullspace of the
+    matrix of d on 2-forms, solved exactly."""
     n = alg.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_index = {p: t for t, p in enumerate(pairs)}
-    basis_v = [linalg.unit_vec(n, i) for i in range(n)]
-
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = [ZERO] * len(pairs)
-
-                def add_pairing(x: Vector, y: Vector, sign: Fraction, row=row):
-                    for a, xa in enumerate(x):
-                        if xa == 0:
-                            continue
-                        for b, yb in enumerate(y):
-                            if yb == 0:
-                                continue
-                            if a == b:
-                                continue
-                            t = pair_index[(a, b)] if a < b else pair_index[(b, a)]
-                            s = ONE if a < b else -ONE
-                            row[t] += sign * xa * yb * s
-
-                add_pairing(alg.table[i][j], basis_v[k], -ONE)
-                add_pairing(alg.table[i][k], basis_v[j], ONE)
-                add_pairing(alg.table[j][k], basis_v[i], -ONE)
-                rows.append(tuple(row))
-    sols = linalg.nullspace(rows, len(pairs))
-    out = []
-    for sol in sols:
-        m = [[ZERO] * n for _ in range(n)]
-        for t, (i, j) in enumerate(pairs):
-            m[i][j] = sol[t]
-            m[j][i] = -sol[t]
-        out.append(TwoForm(m))
-    return out
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [[row.get(p, ZERO) for p in pairs] for row in _d_rows(alg).values()]
+    return [
+        TwoForm.from_pairs(n, ((a, b, x) for (a, b), x in zip(pairs, sol)))
+        for sol in linalg.nullspace(rows, len(pairs))
+    ]

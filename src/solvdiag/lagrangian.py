@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import linalg
 from .algebra import (
     LieAlgebra,
     SolvdiagError,
@@ -123,8 +124,14 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                 if row not in gens:
                     gens.append(row)
         gens.sort(key=vector_sort_key)
+        # least start index explored per subspace: generators i onward reach
+        # everything that generators j >= i reach from the same subspace
+        explored: dict[Subspace, int] = {}
 
         def extend(cur: Subspace, start: int) -> None:
+            if explored.get(cur, start + 1) <= start:
+                return
+            explored[cur] = start
             if cur.dim == target:
                 cand = verify_lagrangian(alg, omega, cur)
                 if cand.verified:
@@ -134,7 +141,7 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                 v = gens[i]
                 if cur.contains_vector(v):
                     continue
-                if any(omega.apply(v, r) != 0 for r in cur.rows):
+                if any(linalg.matvec(cur.rows, omega.pairing_with(v))):
                     continue
                 grown = subalgebra_closure(alg, list(cur.rows) + [v])
                 if grown.dim > target:

@@ -29,7 +29,6 @@ from .algebra import (
     is_nilpotent,
     is_solvable,
     is_subalgebra,
-    quotient,
     subalgebra_as_algebra,
 )
 from .diagram import ensure_classified, weight_zero_singulars
@@ -85,17 +84,19 @@ def _ideal_hyperplane_witness(alg: LieAlgebra, h: Subspace) -> Subspace | None:
     """A codimension-1 ideal transitive over h, or None (exact).
 
     Every codimension-1 ideal contains the derived subalgebra, so such a
-    witness exists iff h is not inside the derived subalgebra; the witness
-    is read off the quotient canonically.
+    witness exists iff h is not inside the derived subalgebra.  With c the
+    first pivot of h reduced modulo the derived subalgebra, the witness is
+    the kernel of x -> (x reduced the same way)[c] = x[c] - sum of
+    row[c] x[p] over the derived echelon rows, p each row's pivot.
     """
     derived = derived_subalgebra(alg)
     if derived.contains(h):
         return None
-    _, proj = quotient(alg, derived)
-    img_rows = [linalg.matvec(proj, r) for r in h.rows]
-    img = Subspace(len(proj), img_rows)
-    p = img.pivots[0]
-    return Subspace(alg.dim, linalg.nullspace([proj[p]], alg.dim))
+    c = Subspace(alg.dim, [derived.reduce_vector(r) for r in h.rows]).pivots[0]
+    phi = list(linalg.unit_vec(alg.dim, c))
+    for row, p in zip(derived.rows, derived.pivots):
+        phi[p] -= row[c]
+    return Subspace(alg.dim, linalg.nullspace([phi], alg.dim))
 
 
 def primitive_test(pair: PairPresentation) -> PrimitivityVerdict:

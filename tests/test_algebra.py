@@ -92,6 +92,15 @@ class TestSubspace:
         assert coords == (3, -2)
         assert s.coordinates_of((0, 1, 0)) is None
 
+    @pytest.mark.parametrize(
+        "v", [(1, 0), (1, 0, 0, 0), (1, 0, 0, 7)], ids=["short", "long", "long-tail"]
+    )
+    @pytest.mark.parametrize("method", ["reduce_vector", "contains_vector", "coordinates_of"])
+    def test_a_vector_of_the_wrong_length_is_rejected(self, method, v):
+        s = Subspace(3, [[1, 0, 0]])
+        with pytest.raises(ValueError, match="length"):
+            getattr(s, method)(v)
+
     def test_ragged_rows_are_rejected(self):
         with pytest.raises(ValueError, match="ambient dimension"):
             Subspace(3, [[1, 0, 0], [1, 0]])

@@ -27,6 +27,7 @@ from solvdiag import (
     kernel,
     quasi_primitive_test,
     radical,
+    random_closed_form,
     random_completely_solvable,
     random_nilpotent,
     random_unimodular,
@@ -93,6 +94,13 @@ class TestTwoForm:
         w = TwoForm.from_pairs(4, [(0, 1, 1), (2, 3, 1)])
         assert w.rank() == 4
         assert w.pairing_with((1, 0, 0, 0)) == (0, 1, 0, 0)
+
+    @pytest.mark.parametrize("x", [(1, 0), (1, 0, 0, 5)], ids=["short", "long"])
+    def test_pairing_rejects_a_wrong_length(self, x):
+        w = TwoForm.from_pairs(3, [(0, 1, 1)])
+        assert w.pairing_with((1, 0, 0)) == (0, 1, 0)
+        with pytest.raises(ValueError, match="length"):
+            w.pairing_with(x)
 
     def test_algebraic_ops(self):
         w = TwoForm.from_pairs(2, [(0, 1, 1)])
@@ -338,3 +346,80 @@ def test_hyperplane_witnesses_unchanged():
     records = _hyperplane_records()
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == GOLDEN_HYPERPLANE_DIGEST
+
+
+@st.composite
+def algebra_and_form(draw):
+    """A generated algebra of dimension 1 to 7 in a random unimodular basis,
+    with an arbitrary antisymmetric integer form (closed or not)."""
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=1, max_value=7))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    alg = change_basis(make(rng, dim), random_unimodular(rng, dim))
+    upper = draw(st.lists(st.integers(-3, 3), min_size=comb(dim, 2), max_size=comb(dim, 2)))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    return alg, TwoForm.from_pairs(dim, [(i, j, c) for (i, j), c in zip(pairs, upper)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_form())
+def test_differential_matches_the_definition(case):
+    alg, w = case
+    ref = oracle_d_two_form(alg, w)
+    assert ce_differential(alg, w).entries == {t: v for t, v in ref.items() if v != 0}
+    assert is_closed(alg, w) == oracle_is_closed(alg, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_and_form(), st.data())
+def test_restrict_matches_the_pairwise_definition(case, data):
+    alg, w = case
+    n = alg.dim
+    entry = st.integers(min_value=-2, max_value=2)
+    vs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    s = Subspace(n, vs)
+    r = restrict(w, s)
+    assert r.dim == s.dim
+    for i, x in enumerate(s.rows):
+        for j, y in enumerate(s.rows):
+            pairwise = sum(
+                x[a] * w.entries[a][b] * y[b] for a in range(n) for b in range(n)
+            )
+            assert r.entries[i][j] == pairwise
+
+
+def _closed_form_records():
+    """Closed 2-form bases and random closed forms of generated algebras.
+
+    Completely solvable and nilpotent algebras of dimension 1 to 7, every
+    other one in a random unimodular basis: the entries of each basis form,
+    then of one random_closed_form drawn after it.
+    """
+
+    def flat(w):
+        return " ".join(str(x) for row in w.entries for x in row)
+
+    lines = []
+    for make in (random_completely_solvable, random_nilpotent):
+        for dim in range(1, 8):
+            for seed in range(6):
+                rng = Random(11000 + 100 * dim + seed)
+                alg = make(rng, dim)
+                if seed % 2:
+                    alg = change_basis(alg, random_unimodular(rng, dim))
+                lines.append("basis: " + " | ".join(flat(w) for w in closed_two_form_basis(alg)))
+                lines.append("form: " + flat(random_closed_form(rng, alg)))
+    return lines
+
+
+# SHA-256 of _closed_form_records() as computed when closed_two_form_basis
+# built its own copy of the matrix of d; sharing one matrix with
+# ce_differential must not move a basis form or a generated form
+GOLDEN_CLOSED_FORM_DIGEST = "8fdbc915c6db22d52c0bdef44e80dbbf84f03f3064b1716696f55ef0212c5db8"
+
+
+def test_closed_forms_unchanged():
+    records = _closed_form_records()
+    assert len(records) == 168
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_CLOSED_FORM_DIGEST

@@ -1,6 +1,8 @@
-"""Every name a solvdiag module imports is used in that module."""
+"""Every name a solvdiag module imports is used in that module, and every
+module it imports is in the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,16 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    outside = sorted(modules - sys.stdlib_module_names)
+    assert outside == [], f"{path.name} imports modules outside the standard library: {outside}"

@@ -1,5 +1,8 @@
 """Isotropic middle-dimension subalgebras: verification, search, chains."""
 
+import hashlib
+from random import Random
+
 import pytest
 
 from solvdiag import (
@@ -10,12 +13,16 @@ from solvdiag import (
     SearchCompleteness,
     Subspace,
     TwoForm,
+    change_basis,
     classify_vertices,
     diagram_to_lagrangian,
     find_lagrangians,
     kernel_chain,
     lagrangian_to_flag,
     predicates,
+    random_closed_form,
+    random_completely_solvable,
+    random_unimodular,
     vergne_candidate,
     verify_lagrangian,
 )
@@ -197,3 +204,33 @@ class TestChains:
         )
         with pytest.raises(NotSimpleError):
             diagram_to_lagrangian(e2.algebra, e2.two_forms["omega"], d)
+
+
+def _search_records():
+    """find_lagrangians on generated instances: completely solvable algebras
+    of dimension 4 to 8, every other one in a random unimodular basis, each
+    with a random closed form; one line per instance with the completeness
+    and every subspace found."""
+    lines = []
+    for dim in (4, 5, 6, 7, 8):
+        for seed in range(5):
+            rng = Random(9000 + 100 * dim + seed)
+            alg = random_completely_solvable(rng, dim)
+            if seed % 2:
+                alg = change_basis(alg, random_unimodular(rng, dim))
+            v = find_lagrangians(alg, random_closed_form(rng, alg))
+            found = " | ".join("; ".join(" ".join(map(str, r)) for r in s.rows) for s in v.found)
+            lines.append(f"{v.completeness.value}: {found}")
+    return lines
+
+
+# SHA-256 of _search_records() as computed by the flag-adapted search before
+# it kept a visited set; skipping revisits must not move a found subspace
+GOLDEN_SEARCH_DIGEST = "2491d0a7ffbb10b766f71e704b8f79c9817c8b9ee3cbf9bca62984ae105ca09a"
+
+
+def test_search_results_unchanged():
+    records = _search_records()
+    assert len(records) == 25
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_SEARCH_DIGEST
