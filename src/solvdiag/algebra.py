@@ -3,8 +3,11 @@
 A Subspace is stored as its reduced row echelon basis, which is the unique
 canonical representative of a rational subspace: equality of subspaces is
 literal equality of matrices.  A LieAlgebra is a dense table of bracket
-vectors c[i][j] = [e_i, e_j] over a named basis.  All predicates (subalgebra,
-ideal, nilpotent, ...) are decided exactly.
+vectors c[i][j] = [e_i, e_j] over a named basis, plus the nonzero entries of
+each bracket, read once when the algebra is built; values are coerced to
+Fraction once, at that boundary.  Brackets, ad matrices and the Jacobi check
+walk the nonzero entries only.  All predicates (subalgebra, ideal,
+nilpotent, ...) are decided exactly.
 """
 
 from __future__ import annotations
@@ -146,9 +149,14 @@ def normalize_vector(v: Vector) -> Vector:
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q given by structure constants."""
+    """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    __slots__ = ("dim", "names", "table")
+    `table[i][j]` is the dense vector [e_i, e_j]; `nonzero[i][j]` lists its
+    nonzero constants as ((k, c), ...) in increasing k, the same Fraction
+    objects as the table.
+    """
+
+    __slots__ = ("dim", "names", "table", "nonzero")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
         names = tuple(names)
@@ -163,6 +171,11 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", tab)
+        object.__setattr__(
+            self,
+            "nonzero",
+            tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in tab),
+        )
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("LieAlgebra is immutable")
@@ -206,35 +219,30 @@ class LieAlgebra:
         return linalg.unit_vec(self.dim, self.index_of(name))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        x = linalg.vec(x)
-        y = linalg.vec(y)
+        """[x, y]: the sum of x_i y_j c over the nonzero coordinates of x and y
+        and the nonzero constants (k, c) of [e_i, e_j]."""
+        ys = linalg.support(y)
         out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cij = self.table[i][j]
-                if any(c != 0 for c in cij):
+        for i, xi in linalg.support(x):
+            row = self.nonzero[i]
+            for j, yj in ys:
+                if cs := row[j]:
                     f = xi * yj
-                    out = [o + f * c for o, c in zip(out, cij)]
+                    for k, c in cs:
+                        out[k] += f * c
         return tuple(out)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad_x = [x, .] acting on coordinate columns (row-major).
 
         Entry (k, j) is the e_k coefficient of [x, e_j], the sum of
-        x_i c[i][j][k], read straight from the table.
+        x_i c[i][j][k] over the nonzero constants.
         """
         out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for xi, row in zip(linalg.vec(x), self.table):
-            if xi == 0:
-                continue
-            for j, cij in enumerate(row):
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        out[k][j] += xi * c
+        for i, xi in linalg.support(x):
+            for j, cs in enumerate(self.nonzero[i]):
+                for k, c in cs:
+                    out[k][j] += xi * c
         return tuple(tuple(r) for r in out)
 
     def bracket_spans(self, s: Subspace, t: Subspace) -> Subspace:
@@ -270,28 +278,32 @@ class AlgebraValidationReport:
 
 
 def validate_algebra(alg: LieAlgebra) -> AlgebraValidationReport:
-    """Check antisymmetry of the table and the Jacobi identity on all triples."""
-    anti = []
+    """Check antisymmetry of the table and the Jacobi identity on all triples.
+
+    The Jacobi sum of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
+    [[e_k,e_i],e_j], each bracket read from the table as given (so a table
+    that is not antisymmetric is checked as it stands): the sum over the
+    nonzero c[a][b][m] and c[m][z][l] of their product, into coordinate l.
+    """
+    nz = alg.nonzero
     n = alg.dim
+    anti = []
     for i in range(n):
-        if any(c != 0 for c in alg.table[i][i]):
+        if nz[i][i]:
             anti.append((i, i))
         for j in range(i + 1, n):
-            if alg.table[i][j] != linalg.vscale(-ONE, alg.table[j][i]):
+            if nz[i][j] != tuple((k, -c) for k, c in nz[j][i]):
                 anti.append((i, j))
     jac = []
-    basis = [linalg.unit_vec(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = linalg.vadd(
-                    linalg.vadd(
-                        alg.bracket(alg.bracket(basis[i], basis[j]), basis[k]),
-                        alg.bracket(alg.bracket(basis[j], basis[k]), basis[i]),
-                    ),
-                    alg.bracket(alg.bracket(basis[k], basis[i]), basis[j]),
-                )
-                if not linalg.is_zero_vec(total):
+                total: dict[int, Fraction] = {}
+                for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in nz[a][b]:
+                        for l, y in nz[m][z]:
+                            total[l] = total.get(l, ZERO) + x * y
+                if any(total.values()):
                     jac.append((i, j, k))
     return AlgebraValidationReport(tuple(anti), tuple(jac))
 
@@ -464,6 +476,8 @@ def common_eigenvector(
     every product.
     """
 
+    # the nonzero entries (i, j, x) of each action matrix, read once
+    entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
     acts: dict[Vector, Matrix] = {}
 
     def act(elem: Vector) -> Matrix:
@@ -471,14 +485,10 @@ def common_eigenvector(
         if elem in acts:
             return acts[elem]
         out = [[ZERO] * space_dim for _ in range(space_dim)]
-        for c, m in zip(elem, rep):
-            if c == 0:
-                continue
-            for i in range(space_dim):
-                row = m[i]
-                for j in range(space_dim):
-                    if row[j] != 0:
-                        out[i][j] += c * row[j]
+        for c, nz in zip(elem, entries):
+            if c:
+                for i, j, x in nz:
+                    out[i][j] += c * x
         acts[elem] = tuple(tuple(r) for r in out)
         return acts[elem]
 

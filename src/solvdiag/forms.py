@@ -7,8 +7,10 @@ Sign convention, used consistently everywhere:
 
 so closedness of a 2-form is the cocycle identity
 omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.  d on 2-forms is one
-sparse matrix, built once per call by `_d_rows`: `ce_differential` evaluates
-it and `closed_two_form_basis` is its nullspace.
+sparse matrix, built once per call by `_d_rows` from the algebra's nonzero
+structure constants `alg.nonzero`: `ce_differential` evaluates it and
+`closed_two_form_basis` is its nullspace.  `ce_differential_covector` reads
+`alg.nonzero` too.
 """
 
 from __future__ import annotations
@@ -90,15 +92,21 @@ class TwoForm:
         return cls(m)
 
     def pairing_with(self, x: Sequence) -> Vector:
-        """The covector omega(x, .)."""
+        """The covector omega(x, .); x's entries are checked by `linalg.support`."""
         if len(x) != self.dim:
             raise ValueError(f"vector of length {len(x)} for a form on Q^{self.dim}")
-        return linalg.lincomb(x, self.entries)
+        out = [ZERO] * self.dim
+        for i, c in linalg.support(x):
+            for j, e in enumerate(self.entries[i]):
+                if e:
+                    out[j] += c * e
+        return tuple(out)
 
     def apply(self, x: Sequence, y: Sequence) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
-        return sum((c * b for c, b in zip(self.pairing_with(x), y) if c), ZERO)
+        p = self.pairing_with(x)
+        return sum((p[j] * b for j, b in linalg.support(y)), ZERO)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
@@ -166,12 +174,11 @@ class ThreeForm:
 def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
     """d(phi)(x, y) = -phi([x, y]) on basis pairs."""
     n = alg.dim
+    coeffs = phi.coeffs
     m = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
+    for i, row in enumerate(alg.nonzero):
         for j in range(i + 1, n):
-            val = -sum(
-                (c * b for c, b in zip(phi.coeffs, alg.table[i][j])), ZERO
-            )
+            val = -sum((coeffs[k] * c for k, c in row[j]), ZERO)
             m[i][j] = val
             m[j][i] = -val
     return TwoForm(m)
@@ -180,18 +187,15 @@ def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
 def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int], Fraction]]:
     """The matrix of d on 2-forms: for each triple i < j < k with a nonempty
     row {(a, b): c} (a < b), d(omega)(e_i, e_j, e_k) = sum of c * omega[a][b].
-    Read off the nonzero structure constants of [e_i,e_j], [e_i,e_k], [e_j,e_k].
+    Read off the nonzero structure constants of [e_i,e_j], [e_i,e_k], [e_j,e_k]
+    in `alg.nonzero`.
     """
-    n = alg.dim
-    brackets = {
-        (i, j): [(a, c) for a, c in enumerate(alg.table[i][j]) if c]
-        for i, j in itertools.combinations(range(n), 2)
-    }
+    nz = alg.nonzero
     rows = {}
-    for i, j, k in itertools.combinations(range(n), 3):
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
         row: dict[tuple[int, int], Fraction] = {}
-        for pair, z, sign in (((i, j), k, -1), ((i, k), j, 1), ((j, k), i, -1)):
-            for a, c in brackets[pair]:
+        for (p, q), z, sign in (((i, j), k, -1), ((i, k), j, 1), ((j, k), i, -1)):
+            for a, c in nz[p][q]:
                 if a != z:
                     key, s = ((a, z), sign) if a < z else ((z, a), -sign)
                     row[key] = row.get(key, ZERO) + s * c

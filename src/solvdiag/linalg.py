@@ -31,7 +31,22 @@ def frac(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(frac(e) for e in entries)
+    return tuple(e if isinstance(e, Fraction) else frac(e) for e in entries)
+
+
+def support(entries: Iterable) -> list[tuple[int, Fraction]]:
+    """(index, value) of the nonzero entries.
+
+    An entry that is not a Fraction goes through `frac`, zero or not, so a
+    float is a TypeError; a Fraction is taken as it is.
+    """
+    out = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, Fraction):
+            e = frac(e)
+        if e:
+            out.append((i, e))
+    return out
 
 
 def zero_vec(n: int) -> Vector:
@@ -169,9 +184,9 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
     """Canonical basis of {x : rows @ x = 0}.
 
     ncols is required when rows is empty (the ambient dimension cannot be
-    inferred from nothing); otherwise it must equal the row length.
+    inferred from nothing); otherwise it must equal the row length.  The
+    entries are coerced once, by `rref`.
     """
-    rows = [vec(r) for r in rows]
     if not rows:
         if ncols is None:
             raise ValueError("nullspace of empty matrix needs ncols")
@@ -192,11 +207,12 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
-    """One exact solution x of a @ x = b, or None if inconsistent."""
-    a = [vec(r) for r in a]
-    b = vec(b)
+    """One exact solution x of a @ x = b, or None if inconsistent.
+
+    The entries of a and b are coerced once, by `rref`.
+    """
     if not a:
-        return () if all(x == 0 for x in b) else None
+        return () if not support(b) else None
     n = len(a[0])
     aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
     red, pivots = rref(aug)

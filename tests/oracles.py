@@ -299,6 +299,35 @@ def oracle_bracket(alg, x, y):
     )
 
 
+def oracle_validation(alg):
+    """Reference for validate_algebra: (antisymmetry failures, Jacobi failures).
+
+    (i, i) fails when [e_i, e_i] != 0 and (i, j), i < j, when [e_i, e_j] !=
+    -[e_j, e_i]; (i, j, k), i < j < k, fails when [[e_i,e_j],e_k] +
+    [[e_j,e_k],e_i] + [[e_k,e_i],e_j] != 0, each bracket taken from the
+    table as given, so a table that is not antisymmetric is read as is."""
+    n = alg.dim
+    e = [tuple(Fraction(int(a == b)) for b in range(n)) for a in range(n)]
+    anti = []
+    for i in range(n):
+        if any(oracle_bracket(alg, e[i], e[i])):
+            anti.append((i, i))
+        for j in range(i + 1, n):
+            if any(a + b for a, b in zip(oracle_bracket(alg, e[i], e[j]), oracle_bracket(alg, e[j], e[i]))):
+                anti.append((i, j))
+    jac = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = [
+                    oracle_bracket(alg, oracle_bracket(alg, e[a], e[b]), e[c])
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                ]
+                if any(sum(col) for col in zip(*terms)):
+                    jac.append((i, j, k))
+    return tuple(anti), tuple(jac)
+
+
 def oracle_derived_rows(alg, rows):
     """Reference for LieAlgebra.derived_span: [a, b] for every ordered pair of
     the rows, a = b included, so no antisymmetry is assumed."""

@@ -36,8 +36,11 @@ from solvdiag.generators import (
     random_unimodular,
 )
 from oracles import (
+    fraction_rref,
     is_common_eigenvector,
+    oracle_bracket,
     oracle_derived_rows,
+    oracle_validation,
     rank_test_hyperplane,
     spans_equal,
 )
@@ -175,6 +178,101 @@ def test_ad_matrix_agrees_with_bracket(case):
 
 
 @st.composite
+def exact_entry(draw):
+    """A small rational as a Fraction, a 'p/q' string or, when whole, an int."""
+    x = draw(small_frac)
+    kind = draw(st.sampled_from(("fraction", "string", "int")))
+    if kind == "string":
+        return f"{x.numerator}/{x.denominator}"
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    return x
+
+
+@st.composite
+def rebased_algebra(draw):
+    """A generated algebra of dimension 1-7 in a random unimodular basis."""
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=1, max_value=7))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    return change_basis(make(rng, dim), random_unimodular(rng, dim))
+
+
+@st.composite
+def rebased_algebra_and_mixed_vectors(draw):
+    alg = draw(rebased_algebra())
+    zero = st.just([0] * alg.dim)
+    vector = st.one_of(zero, st.lists(exact_entry(), min_size=alg.dim, max_size=alg.dim))
+    return alg, draw(vector), draw(vector)
+
+
+@st.composite
+def perturbed_algebra(draw):
+    """A rebased algebra, or one with a single structure constant moved,
+    which breaks antisymmetry when it is off the diagonal pairs' mirror."""
+    alg = draw(rebased_algebra())
+    if not draw(st.booleans()):
+        return alg
+    n = alg.dim
+    i, j, k = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(3))
+    table = [[list(v) for v in row] for row in alg.table]
+    table[i][j][k] += draw(small_frac.filter(bool))
+    return LieAlgebra(alg.names, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rebased_algebra_and_mixed_vectors())
+def test_bracket_and_ad_matrix_match_the_oracle(case):
+    alg, x, y = case
+    expected = oracle_bracket(alg, [Fraction(a) for a in x], [Fraction(b) for b in y])
+    assert alg.bracket(x, y) == expected
+    assert linalg.matvec(alg.ad_matrix(x), linalg.vec(y)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_algebra())
+def test_validate_algebra_matches_the_oracle(alg):
+    report = validate_algebra(alg)
+    assert (report.antisymmetry_failures, report.jacobi_failures) == oracle_validation(alg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_algebra())
+def test_nonzero_lists_the_nonzero_table_entries(alg):
+    assert len(alg.nonzero) == alg.dim
+    for row, nz_row in zip(alg.table, alg.nonzero, strict=True):
+        for v, nz in zip(row, nz_row, strict=True):
+            assert nz == tuple((k, c) for k, c in enumerate(v) if c != 0)
+            assert all(type(c) is Fraction for _, c in nz)
+
+
+def test_nonzero_coerces_int_and_string_constants_once():
+    alg = LieAlgebra(("a", "b"), [[[0, 0], ["1/2", 0]], [[Fraction(-1, 2), 0], [0, 0]]])
+    assert alg.nonzero == (((), ((0, Fraction(1, 2)),)), (((0, Fraction(-1, 2)),), ()))
+    assert alg.nonzero[1][0][0][1] is alg.table[1][0][0]
+
+
+def test_bracket_takes_int_fraction_and_string_entries():
+    h = heisenberg()
+    assert h.bracket(("2", 0, 0), (0, Fraction(1, 2), 0)) == (0, 0, 1)
+    assert h.bracket((1, 0, 0), (0, "3/2", 0)) == (0, 0, Fraction(3, 2))
+    assert h.bracket((0, 0, 0), (0, 1, 0)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [((1.0, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0.5, 0)), ((0.0, 0, 0), (0, 1, 0))],
+    ids=["x", "y", "zero"],
+)
+def test_bracket_and_ad_matrix_refuse_a_float(x, y):
+    h = heisenberg()
+    with pytest.raises(TypeError, match="not an exact rational"):
+        h.bracket(x, y)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        h.ad_matrix(x if isinstance(x[0], float) else y)
+
+
+@st.composite
 def rebased_algebra_and_subspace(draw):
     """A generated algebra of dimension 2-7 in a random unimodular basis,
     plus the span of a few random vectors in it."""
@@ -195,6 +293,27 @@ def test_common_eigenvector_is_an_eigenvector_of_every_ad(case):
     v = algebra.common_eigenvector(alg, ad, alg.dim)
     assert v is not None  # the spectrum of a generated algebra is rational
     assert is_common_eigenvector(v, ad)
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_algebra_and_subspace(), st.integers(min_value=0, max_value=10**6))
+def test_common_eigenvector_of_a_conjugated_adjoint(case, seed):
+    # rep[i] = P ad(e_i) P^-1 is a representation that is not the adjoint
+    # one, with dense rows and the same rational spectrum
+    alg, _ = case
+    n = alg.dim
+    p = random_unimodular(Random(seed), n)
+    red, _ = fraction_rref([list(row) + list(linalg.unit_vec(n, i)) for i, row in enumerate(p)])
+    p_inv = [row[n:] for row in red]
+    ad = [alg.ad_matrix(linalg.unit_vec(n, i)) for i in range(n)]
+    rep = [tuple(map(tuple, _matmul(_matmul(p, m), p_inv))) for m in ad]
+    v = algebra.common_eigenvector(alg, rep, n)
+    assert v is not None
+    assert is_common_eigenvector(v, rep)
 
 
 @settings(max_examples=40, deadline=None)

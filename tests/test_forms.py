@@ -102,6 +102,23 @@ class TestTwoForm:
         with pytest.raises(ValueError, match="length"):
             w.pairing_with(x)
 
+    def test_pairing_and_apply_take_int_fraction_and_string_entries(self):
+        w = TwoForm.from_pairs(3, [(0, 1, 2)])
+        assert w.pairing_with(("1/2", 0, Fraction(3))) == (0, 1, 0)
+        assert w.apply((Fraction(1, 2), 0, 0), (0, "3/2", 7)) == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [((1.0, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0.5, 0)), ((1, 0.0, 0), (0, 1, 0))],
+        ids=["x", "y", "zero"],
+    )
+    def test_pairing_and_apply_refuse_a_float(self, x, y):
+        w = TwoForm.from_pairs(3, [(0, 1, 1)])
+        with pytest.raises(TypeError, match="not an exact rational"):
+            w.apply(x, y)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            w.pairing_with(x if any(isinstance(a, float) for a in x) else y)
+
     def test_algebraic_ops(self):
         w = TwoForm.from_pairs(2, [(0, 1, 1)])
         assert w.scaled(3).entries[0][1] == 3

@@ -209,6 +209,12 @@ def test_rref_rejects_a_non_rational_entry(bad):
         linalg.rref([[1, 2], [Fraction(1, 3), bad]])
     with pytest.raises(TypeError, match="not an exact rational"):
         Subspace(2, [[bad, 1]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linalg.nullspace([[1, 2], [Fraction(1, 3), bad]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linalg.solve([[1, 2], [Fraction(1, 3), bad]], [1, 2])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linalg.solve([[1, 2], [Fraction(1, 3), 1]], [1, bad])
 
 
 @settings(max_examples=60, deadline=None)
