@@ -221,9 +221,9 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y]: the sum of x_i y_j c over the nonzero coordinates of x and y
         and the nonzero constants (k, c) of [e_i, e_j]."""
-        ys = linalg.support(y)
+        ys = linalg.support(y, self.dim)
         out = [ZERO] * self.dim
-        for i, xi in linalg.support(x):
+        for i, xi in linalg.support(x, self.dim):
             row = self.nonzero[i]
             for j, yj in ys:
                 if cs := row[j]:
@@ -239,7 +239,7 @@ class LieAlgebra:
         x_i c[i][j][k] over the nonzero constants.
         """
         out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, xi in linalg.support(x):
+        for i, xi in linalg.support(x, self.dim):
             for j, cs in enumerate(self.nonzero[i]):
                 for k, c in cs:
                     out[k][j] += xi * c

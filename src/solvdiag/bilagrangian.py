@@ -1,4 +1,8 @@
-"""Transverse Lagrangian pairs and their canonical flat-leaf connection.
+"""Transverse Lagrangian pairs and their canonical (Hess) connection.
+
+The connection is bilinear and fixed by two linear maps, each built once
+per call with n solves: the split of each basis vector against left +
+right, and omega^-1, from which the leafwise derivative is read.
 
 Scope: nondegenerate closed 2-forms.
 """
@@ -16,7 +20,7 @@ from .algebra import (
     is_subalgebra,
 )
 from .forms import DegenerateFormError, TwoForm, kernel
-from .linalg import Vector
+from .linalg import Vector, ZERO
 
 
 class NotTransverseError(SolvdiagError):
@@ -33,21 +37,25 @@ class BilagrangianPair:
             raise ValueError("pair members live in different ambient spaces")
 
 
+def _leafwise(alg: LieAlgebra, omega: TwoForm):
+    """(ad_x^T, y) -> omega^-1 ad_x^T omega(y, .): the D with omega(D, z) =
+    -omega(y, [x, z]) for all z, as omega^T = -omega.  Row k of omega^-1
+    solves omega^T r = e_k; the n solves run once."""
+    wt = linalg.transpose(omega.entries)
+    inv = [linalg.solve(wt, e) for e in linalg.identity(alg.dim)]
+    if None in inv:
+        raise DegenerateFormError("the form does not determine the derivative")
+    return lambda ad_t, y: linalg.matvec(inv, linalg.matvec(ad_t, omega.pairing_with(y)))
+
+
 def d_zero(alg: LieAlgebra, omega: TwoForm, x, y) -> Vector:
     """The vector D with  omega(D, z) = -omega(y, [x, z])  for all z.
 
-    Defined whenever the form is nondegenerate; on vectors of one member
-    of a transverse Lagrangian pair this is the leafwise derivative and
-    stays inside that member.
+    Defined whenever the form is nondegenerate, and a DegenerateFormError
+    otherwise; on vectors of one member of a transverse Lagrangian pair
+    this is the leafwise derivative and stays inside that member.
     """
-    n = alg.dim
-    rhs = tuple(
-        -omega.apply(y, alg.bracket(x, linalg.unit_vec(n, j))) for j in range(n)
-    )
-    sol = linalg.solve(linalg.transpose(omega.entries), rhs)
-    if sol is None:
-        raise DegenerateFormError("the form does not determine the derivative")
-    return sol
+    return _leafwise(alg, omega)(linalg.transpose(alg.ad_matrix(x)), y)
 
 
 class ConnectionTable:
@@ -71,17 +79,18 @@ class ConnectionTable:
         return len(self.entries)
 
     def apply(self, x, y) -> Vector:
-        x = linalg.vec(x)
-        y = linalg.vec(y)
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = linalg.vadd(out, linalg.vscale(xi * yj, self.entries[i][j]))
-        return out
+        """D_x y: the sum of x_i y_j D_{e_i} e_j over the nonzero coordinates
+        of x and y and the nonzero entries of D_{e_i} e_j."""
+        ys = linalg.support(y, self.dim)
+        out = [ZERO] * self.dim
+        for i, xi in linalg.support(x, self.dim):
+            row = self.entries[i]
+            for j, yj in ys:
+                f = xi * yj
+                for k, c in enumerate(row[j]):
+                    if c:
+                        out[k] += f * c
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConnectionTable) and self.entries == other.entries
@@ -90,24 +99,14 @@ class ConnectionTable:
         return hash(self.entries)
 
 
-def _split_against(pair: BilagrangianPair, v) -> tuple[Vector, Vector]:
-    l, r = pair.left, pair.right
-    basis = list(l.rows) + list(r.rows)
-    coords = linalg.solve(linalg.transpose(basis), linalg.vec(v))
-    if coords is None:  # pragma: no cover - transversality checked upstream
-        raise NotTransverseError("vector does not decompose against the pair")
-    # the first l.dim rows of basis span the left member
-    vl = linalg.lincomb(coords[: l.dim], basis)
-    return vl, linalg.vsub(linalg.vec(v), vl)
-
-
 def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> ConnectionTable:
     """The invariant connection adapted to a transverse pair of subalgebras.
 
-    Built from the leafwise derivative on each member plus the bracket
-    projected back to the member, mixed by the decomposition against
-    left + right.  Requires a nondegenerate form and a transverse pair of
-    bracket-closed members.
+    With x = x_L + x_R split against left + right and likewise y,
+    D_x y = D(x_L, y_L) + D(x_R, y_R) + left part of [x_R, y_L] + right
+    part of [x_L, y_R], where D is the leafwise derivative.  The split and
+    D are built once, with 2n solves in all.  Requires a nondegenerate form
+    and a transverse pair of bracket-closed members.
     """
     n = alg.dim
     if pair.left.ambient_dim != n:
@@ -122,20 +121,23 @@ def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> Conne
     if not kernel(omega).is_zero():
         raise DegenerateFormError("the form must be nondegenerate")
 
-    splits = [_split_against(pair, linalg.unit_vec(n, i)) for i in range(n)]
+    derivative = _leafwise(alg, omega)
+    basis = pair.left.rows + pair.right.rows
+    bt = linalg.transpose(basis)
+    units = linalg.identity(n)
+    # lefts[k] is the left part of e_k: the first left.dim rows of basis span left
+    lefts = [linalg.lincomb(linalg.solve(bt, e)[: pair.left.dim], basis) for e in units]
     entries = []
-    for i in range(n):
-        xl, xr = splits[i]
+    for xl, e in zip(lefts, units):
+        # row j of the transposed ad matrix of v is [v, e_j]
+        ad_l, ad_r = (linalg.transpose(alg.ad_matrix(v)) for v in (xl, linalg.vsub(e, xl)))
         row = []
-        for j in range(n):
-            yl, yr = splits[j]
-            left_part = d_zero(alg, omega, xl, yl)
-            bl, _ = _split_against(pair, alg.bracket(xr, yl))
-            left_part = linalg.vadd(left_part, bl)
-            right_part = d_zero(alg, omega, xr, yr)
-            _, br = _split_against(pair, alg.bracket(xl, yr))
-            right_part = linalg.vadd(right_part, br)
-            row.append(linalg.vadd(left_part, right_part))
+        for yl, f in zip(lefts, units):
+            yr = linalg.vsub(f, yl)
+            b_rl = linalg.lincomb(yl, ad_r)  # [x_R, y_L], whose left part counts
+            b_lr = linalg.lincomb(yr, ad_l)  # [x_L, y_R], whose right part counts
+            mixed = linalg.vadd(b_lr, linalg.lincomb(linalg.vsub(b_rl, b_lr), lefts))
+            row.append(linalg.vadd(linalg.vadd(derivative(ad_l, yl), derivative(ad_r, yr)), mixed))
         entries.append(row)
     return ConnectionTable(entries)
 
@@ -160,37 +162,34 @@ class ConnectionAudit:
 def audit_connection(
     alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair, table: ConnectionTable
 ) -> ConnectionAudit:
+    """Check the defining properties on basis vectors, reading D_{e_i} e_j
+    as the table entry (i, j) and D_{e_i} v as row i combined by v."""
     n = alg.dim
-    units = [linalg.unit_vec(n, i) for i in range(n)]
+    ent = table.entries
     torsion = all(
-        linalg.vsub(table.apply(units[i], units[j]), table.apply(units[j], units[i]))
-        == alg.bracket(units[i], units[j])
+        linalg.vsub(ent[i][j], ent[j][i]) == alg.table[i][j]
         for i in range(n)
         for j in range(i + 1, n)
     )
+    # omega(D_i e_j, e_k) + omega(e_j, D_i e_k) = 0, with omega(a, b) = -omega(b, a)
+    paired = [[omega.pairing_with(v) for v in row] for row in ent]
     parallel = all(
-        omega.apply(table.apply(units[i], units[j]), units[k])
-        + omega.apply(units[j], table.apply(units[i], units[k]))
-        == 0
+        paired[i][j][k] == paired[i][k][j]
         for i in range(n)
         for j in range(n)
         for k in range(j + 1, n)
     )
-    pres_left = all(
-        pair.left.contains_vector(table.apply(u, row))
-        for u in units
-        for row in pair.left.rows
-    )
-    pres_right = all(
-        pair.right.contains_vector(table.apply(u, row))
-        for u in units
-        for row in pair.right.rows
-    )
+
+    def preserves(member: Subspace) -> bool:
+        return all(
+            member.contains_vector(linalg.lincomb(v, ent[i])) for i in range(n) for v in member.rows
+        )
+
     return ConnectionAudit(
         torsion_free=torsion,
         parallel_form=parallel,
-        preserves_left=pres_left,
-        preserves_right=pres_right,
+        preserves_left=preserves(pair.left),
+        preserves_right=preserves(pair.right),
     )
 
 

@@ -30,7 +30,6 @@ from .bilagrangian import BilagrangianPair, audit_connection, connection, curvat
 from .corpus import evaluate_expected
 from .deformation import deform_to_simple, step_audit
 from .diagram import (
-    classify_vertices,
     contract,
     kernel_chain,
     match_template,
@@ -188,7 +187,7 @@ def cmd_validate(doc: Document, args):
 def cmd_diagram(doc: Document, args):
     form = _get(doc.two_forms, args.form, "form")
     flag = _get(doc.flags, args.flag, "flag")
-    d = classify_vertices(kernel_chain(doc.algebra, form, flag))
+    d = kernel_chain(doc.algebra, form, flag)
     preds = asdict(predicates(doc.algebra, d))
     head, obj = _asked(doc, args)
     obj.update(
@@ -355,7 +354,7 @@ def _audit_checks(doc: Document):
         if not rep.chain_ok:
             continue
         for fname, form in closed_forms.items():
-            d = classify_vertices(kernel_chain(alg, form, flag))
+            d = kernel_chain(alg, form, flag)
             diagrams.append(d)
             wz = weight_zero_singulars(d)
             ok_rep = all(

@@ -17,7 +17,6 @@ from .algebra import validate_algebra
 from .diagram import (
     DiagramPredicates,
     WeightedDiagram,
-    classify_vertices,
     kernel_chain,
     match_template,
     predicates,
@@ -55,7 +54,7 @@ class ExpectedResult:
 def _diagram_for(doc: Document, args) -> WeightedDiagram:
     omega = doc.two_forms[_arg(args, "form")]
     flag = doc.flags[_arg(args, "flag")]
-    return classify_vertices(kernel_chain(doc.algebra, omega, flag))
+    return kernel_chain(doc.algebra, omega, flag)
 
 
 def _arg(args, key: str):

@@ -28,8 +28,6 @@ from .diagram import (
     StepDirection,
     VertexClass,
     WeightedDiagram,
-    classify_vertices,
-    ensure_classified,
     kernel_chain,
     predicates,
 )
@@ -81,15 +79,14 @@ def split_at_repulsive(
     attractive and cut the complement in an isotropic part containing the
     form's kernel.
     """
-    d = ensure_classified(diagram)
     pivot = None
-    for i, v in enumerate(d.vertices):
+    for i, v in enumerate(diagram.vertices):
         if v.vclass is VertexClass.SINGULAR_REPULSIVE and v.kernel.is_zero():
             pivot = i
             break
     if pivot is None:
         raise NoRepulsiveVertexError("no zero-kernel repulsive vertex")
-    nil = d.vertices[pivot].member
+    nil = diagram.vertices[pivot].member
 
     if not (is_subalgebra(alg, nil) and is_nilpotent_subalgebra(alg, nil)):
         raise SplitInvariantFailedError("nilpotent")
@@ -104,7 +101,7 @@ def split_at_repulsive(
         raise SplitInvariantFailedError("direct sum")
 
     attractive = None
-    for v in d.vertices[pivot + 1 :]:
+    for v in diagram.vertices[pivot + 1 :]:
         if v.is_singular:
             attractive = v
             break
@@ -282,7 +279,7 @@ def deform_to_simple(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> Flag:
     """
     current = flag
     for _ in range(alg.dim + 1):
-        d = classify_vertices(kernel_chain(alg, omega, current))
+        d = kernel_chain(alg, omega, current)
         preds = predicates(alg, d)
         if preds.simple:
             return current

@@ -3,6 +3,8 @@
 Each chain member carries the radical of the restricted form.  Adjacent
 radicals always differ by exactly one dimension and one contains the
 other; the direction of that step is the whole combinatorial content.
+`kernel_chain` returns the diagram classified: every vertex carries its
+weight and class.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ class WeightedDiagram:
     steps: tuple[StepDirection, ...]
 
     @property
-    def classified(self) -> bool:
-        return all(v.vclass is not None for v in self.vertices)
-
-    @property
     def kernel_dims(self) -> tuple[int, ...]:
         return tuple(v.kernel.dim for v in self.vertices)
 
@@ -85,6 +83,7 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
     full algebra; members need not be bracket-closed (the radicals are
     still well defined).  Adjacent radicals must nest one way or the other;
     anything else is reported as NESTING_VIOLATION rather than guessed.
+    The diagram comes back classified, by `classify_vertices`.
     """
     if not is_closed(alg, omega):
         raise NotClosedError("the 2-form is not closed")
@@ -112,7 +111,7 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
             raise NestingViolationError(
                 f"radicals at dims {a.index} and {b.index} do not nest by one"
             )
-    return WeightedDiagram(vertices=tuple(vertices), steps=tuple(steps))
+    return classify_vertices(WeightedDiagram(vertices=tuple(vertices), steps=tuple(steps)))
 
 
 def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
@@ -121,7 +120,7 @@ def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
     weight = dim kernel / (dim member - dim kernel + 1).  Interior classes
     by adjacent step pair: (U,D) attractive, (D,U) repulsive, (U,U)
     reducible regular, (D,D) non-reducible regular.  Endpoints are a class
-    of their own and never singular.
+    of their own and never singular.  A classified diagram comes back equal.
     """
     vs = diagram.vertices
     steps = diagram.steps
@@ -147,10 +146,6 @@ def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
     return WeightedDiagram(vertices=tuple(out), steps=steps)
 
 
-def ensure_classified(diagram: WeightedDiagram) -> WeightedDiagram:
-    return diagram if diagram.classified else classify_vertices(diagram)
-
-
 def contract(diagram: WeightedDiagram) -> tuple[tuple[StepDirection, int], ...]:
     """Run-length encoding of the step sequence."""
     runs: list[tuple[StepDirection, int]] = []
@@ -164,9 +159,8 @@ def contract(diagram: WeightedDiagram) -> tuple[tuple[StepDirection, int], ...]:
 
 def weight_zero_singulars(diagram: WeightedDiagram) -> tuple[int, ...]:
     """Positions (into vertices) of singular vertices with zero kernel."""
-    d = ensure_classified(diagram)
     return tuple(
-        i for i, v in enumerate(d.vertices) if v.is_singular and v.kernel.is_zero()
+        i for i, v in enumerate(diagram.vertices) if v.is_singular and v.kernel.is_zero()
     )
 
 
@@ -176,15 +170,14 @@ def components(diagram: WeightedDiagram) -> tuple[tuple[int, int], ...]:
     Returned as (start, end) vertex positions, inclusive; the cutting
     vertices belong to both neighbors.
     """
-    d = ensure_classified(diagram)
-    cuts = weight_zero_singulars(d)
-    bounds = [0, *cuts, len(d.vertices) - 1]
+    cuts = weight_zero_singulars(diagram)
+    bounds = [0, *cuts, len(diagram.vertices) - 1]
     out = []
     for a, b in zip(bounds, bounds[1:]):
         if b > a:
             out.append((a, b))
     if not out:
-        out.append((0, len(d.vertices) - 1))
+        out.append((0, len(diagram.vertices) - 1))
     return tuple(out)
 
 
@@ -198,17 +191,16 @@ class DiagramPredicates:
 
 
 def predicates(alg: LieAlgebra, diagram: WeightedDiagram) -> DiagramPredicates:
-    d = ensure_classified(diagram)
-    cuts = weight_zero_singulars(d)
+    cuts = weight_zero_singulars(diagram)
     connected = not cuts
-    singulars = d.singular_vertices()
+    singulars = diagram.singular_vertices()
     simple = (
         connected
         and len(singulars) == 1
         and singulars[0].vclass is VertexClass.SINGULAR_ATTRACTIVE
     )
 
-    cut_members = [d.vertices[i].member for i in cuts]
+    cut_members = [diagram.vertices[i].member for i in cuts]
     full = Subspace.full(alg.dim)
     semi_normal = all(is_ideal_in(alg, m, full) for m in cut_members)
     semi_nilpotent = all(
@@ -216,10 +208,10 @@ def predicates(alg: LieAlgebra, diagram: WeightedDiagram) -> DiagramPredicates:
     )
 
     semi_simple = semi_normal
-    for start, end in components(d):
+    for start, end in components(diagram):
         inner = [
             v
-            for v in d.vertices[start + 1 : end]
+            for v in diagram.vertices[start + 1 : end]
             if v.is_singular and not v.kernel.is_zero()
         ]
         if len(inner) != 1 or inner[0].vclass is not VertexClass.SINGULAR_ATTRACTIVE:
@@ -236,11 +228,10 @@ def predicates(alg: LieAlgebra, diagram: WeightedDiagram) -> DiagramPredicates:
 
 def equivalence_key(diagram: WeightedDiagram):
     """Multiset of (member, kernel) pairs at singular vertices."""
-    d = ensure_classified(diagram)
     return tuple(
         sorted(
             (v.member.sort_key(), v.kernel.sort_key())
-            for v in d.singular_vertices()
+            for v in diagram.singular_vertices()
         )
     )
 
@@ -268,8 +259,7 @@ _TEMPLATES = {
 
 def match_template(diagram: WeightedDiagram) -> Template:
     """Classify the contracted shape of the step sequence."""
-    d = ensure_classified(diagram)
-    if weight_zero_singulars(d):
+    if weight_zero_singulars(diagram):
         return Template.DISCONNECTED
-    pattern = tuple(direction.value for direction, _ in contract(d))
+    pattern = tuple(direction.value for direction, _ in contract(diagram))
     return _TEMPLATES.get(pattern, Template.OTHER)

@@ -92,11 +92,9 @@ class TwoForm:
         return cls(m)
 
     def pairing_with(self, x: Sequence) -> Vector:
-        """The covector omega(x, .); x's entries are checked by `linalg.support`."""
-        if len(x) != self.dim:
-            raise ValueError(f"vector of length {len(x)} for a form on Q^{self.dim}")
+        """The covector omega(x, .); x is checked by `linalg.support`."""
         out = [ZERO] * self.dim
-        for i, c in linalg.support(x):
+        for i, c in linalg.support(x, self.dim):
             for j, e in enumerate(self.entries[i]):
                 if e:
                     out[j] += c * e
@@ -106,7 +104,7 @@ class TwoForm:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
         p = self.pairing_with(x)
-        return sum((p[j] * b for j, b in linalg.support(y)), ZERO)
+        return sum((p[j] * b for j, b in linalg.support(y, self.dim)), ZERO)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)

@@ -23,8 +23,6 @@ from .algebra import (
 )
 from .diagram import (
     WeightedDiagram,
-    classify_vertices,
-    ensure_classified,
     kernel_chain,
     predicates,
 )
@@ -96,9 +94,11 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
 
     vergne: radical summation along a normal chain.  flag_adapted:
     backtracking over the echelon generators of the normal chain's members,
-    growing bracket-closed isotropic subspaces from the form's kernel.  The
-    search is exhaustive for the generator family it draws from only when
-    the algebra is abelian; otherwise the verdict is marked heuristic.
+    growing bracket-closed isotropic subspaces from the form's kernel.  Each
+    closed set is visited once, by prefix-preserving closure extension (Uno,
+    Kiyomi & Arimura, "LCM ver. 2", FIMI 2004).  The search is exhaustive
+    for the generator family it draws from only when the algebra is
+    abelian; otherwise the verdict is marked heuristic.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -124,14 +124,8 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                 if row not in gens:
                     gens.append(row)
         gens.sort(key=vector_sort_key)
-        # least start index explored per subspace: generators i onward reach
-        # everything that generators j >= i reach from the same subspace
-        explored: dict[Subspace, int] = {}
 
         def extend(cur: Subspace, start: int) -> None:
-            if explored.get(cur, start + 1) <= start:
-                return
-            explored[cur] = start
             if cur.dim == target:
                 cand = verify_lagrangian(alg, omega, cur)
                 if cand.verified:
@@ -145,6 +139,11 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                     continue
                 grown = subalgebra_closure(alg, list(cur.rows) + [v])
                 if grown.dim > target:
+                    continue
+                # prefix-preserving: keep grown only when it gains no generator
+                # before i, so each closed set is extended once, from its
+                # canonical parent, and no visited set is needed
+                if any(grown.contains_vector(g) and not cur.contains_vector(g) for g in gens[:i]):
                     continue
                 if not restrict(omega, grown).is_zero():
                     continue
@@ -179,7 +178,7 @@ def lagrangian_to_flag(alg: LieAlgebra, omega: TwoForm, lagr: Subspace) -> Flag:
     ker = radical(omega, Subspace.full(alg.dim))
     chain = [s for s in (ker, lagr) if not s.is_zero()]
     flag = complete_flag_through(alg, chain)
-    d = classify_vertices(kernel_chain(alg, omega, flag))
+    d = kernel_chain(alg, omega, flag)
     singulars = d.singular_vertices()
     if not predicates(alg, d).simple or singulars[0].member != lagr or singulars[0].kernel != lagr:
         raise SolvdiagError(
@@ -196,7 +195,6 @@ def diagram_to_lagrangian(
     The member is handed to verification, so a chain of subspaces that are
     not actually bracket-closed yields an honest rejection.
     """
-    d = ensure_classified(diagram)
-    if not predicates(alg, d).simple:
+    if not predicates(alg, diagram).simple:
         raise NotSimpleError("the diagram does not have exactly one attractive vertex")
-    return verify_lagrangian(alg, omega, d.singular_vertices()[0].member)
+    return verify_lagrangian(alg, omega, diagram.singular_vertices()[0].member)

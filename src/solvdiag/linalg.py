@@ -34,12 +34,15 @@ def vec(entries: Iterable) -> Vector:
     return tuple(e if isinstance(e, Fraction) else frac(e) for e in entries)
 
 
-def support(entries: Iterable) -> list[tuple[int, Fraction]]:
-    """(index, value) of the nonzero entries.
+def support(entries: Sequence, n: int) -> list[tuple[int, Fraction]]:
+    """(index, value) of the nonzero entries of a vector in Q^n.
 
-    An entry that is not a Fraction goes through `frac`, zero or not, so a
-    float is a TypeError; a Fraction is taken as it is.
+    A vector of another length is a ValueError.  An entry that is not a
+    Fraction goes through `frac`, zero or not, so a float is a TypeError; a
+    Fraction is taken as it is.
     """
+    if len(entries) != n:
+        raise ValueError(f"vector of length {len(entries)} in Q^{n}")
     out = []
     for i, e in enumerate(entries):
         if not isinstance(e, Fraction):
@@ -47,10 +50,6 @@ def support(entries: Iterable) -> list[tuple[int, Fraction]]:
         if e:
             out.append((i, e))
     return out
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vector:
@@ -212,7 +211,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     The entries of a and b are coerced once, by `rref`.
     """
     if not a:
-        return () if not support(b) else None
+        return () if is_zero_vec(vec(b)) else None
     n = len(a[0])
     aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
     red, pivots = rref(aug)

@@ -31,7 +31,7 @@ from .algebra import (
     is_subalgebra,
     subalgebra_as_algebra,
 )
-from .diagram import ensure_classified, weight_zero_singulars
+from .diagram import weight_zero_singulars
 from .forms import TwoForm, closed_covectors, radical, wedge_polys
 
 
@@ -298,9 +298,8 @@ def singular_count_audit(
     quasi = quasi_verdict.status is PrimitivityStatus.QUASI_PRIMITIVE
     out = []
     for d in diagrams:
-        dc = ensure_classified(d)
-        connected = not weight_zero_singulars(dc)
-        count = len(dc.singular_vertices())
+        connected = not weight_zero_singulars(d)
+        count = len(d.singular_vertices())
         if not connected:
             out.append(SingularCountEntry(False, count, None, None))
             continue

@@ -10,7 +10,7 @@ edges per descending step.
 
 from __future__ import annotations
 
-from .diagram import StepDirection, WeightedDiagram, contract, ensure_classified
+from .diagram import StepDirection, WeightedDiagram, contract
 from .document import rational_repr
 
 STYLES = ("graph", "diagram")
@@ -27,14 +27,13 @@ def _vertex_label(prefix: str, v) -> str:
 def render_dot(diagram: WeightedDiagram, style: str = "graph") -> str:
     if style not in STYLES:
         raise ValueError(f"style must be one of {STYLES}")
-    d = ensure_classified(diagram)
-    vs = d.vertices
+    vs = diagram.vertices
     lines = ["digraph kernel_chain {", "  rankdir=LR;", '  node [shape=box, fontsize=10];']
 
     if style == "diagram" or len(vs) == 1:
         for v in vs:
             lines.append(f'  S{v.index} [label="{_vertex_label("S", v)}"];')
-        for i, s in enumerate(d.steps):
+        for i, s in enumerate(diagram.steps):
             a, b = vs[i].index, vs[i + 1].index
             lines.append(f"  S{a} -> S{b};")
             if s is StepDirection.DOWN:
@@ -53,7 +52,7 @@ def render_dot(diagram: WeightedDiagram, style: str = "graph") -> str:
         for v in vs:
             lines.append(f"  H{v.index} -> G{v.index};")
             lines.append(f"  G{v.index} -> M{v.index};")
-        for i, s in enumerate(d.steps):
+        for i, s in enumerate(diagram.steps):
             a, b = vs[i].index, vs[i + 1].index
             lines.append(f"  G{a} -> G{b};")
             if s is StepDirection.UP:
@@ -72,7 +71,7 @@ def contracted_text(diagram: WeightedDiagram) -> str:
     Ascending runs print as ->, descending runs as <=>; the nodes are the
     run boundaries, annotated with their member dimensions.
     """
-    vs = ensure_classified(diagram).vertices
+    vs = diagram.vertices
     parts = [f"O[{vs[0].index}]"]
     pos = 0
     for direction, n in contract(diagram):

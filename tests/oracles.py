@@ -363,3 +363,129 @@ def is_common_eigenvector(v, matrices) -> bool:
         if bareiss_rank([v, mv]) > 1:
             return False
     return True
+
+
+def oracle_connection(alg, omega, pair):
+    """Reference for bilagrangian.connection: the per-entry construction it
+    replaced, which splits and solves again for every table entry (4n^2 + n
+    calls to linalg.solve).  Input checks are left to the caller."""
+    from solvdiag import linalg
+    from solvdiag.bilagrangian import ConnectionTable
+
+    def d_zero(x, y):
+        n = alg.dim
+        rhs = tuple(
+            -omega.apply(y, alg.bracket(x, linalg.unit_vec(n, j))) for j in range(n)
+        )
+        return linalg.solve(linalg.transpose(omega.entries), rhs)
+
+    def split_against(v):
+        l, r = pair.left, pair.right
+        basis = list(l.rows) + list(r.rows)
+        coords = linalg.solve(linalg.transpose(basis), linalg.vec(v))
+        # the first l.dim rows of basis span the left member
+        vl = linalg.lincomb(coords[: l.dim], basis)
+        return vl, linalg.vsub(linalg.vec(v), vl)
+
+    n = alg.dim
+    splits = [split_against(linalg.unit_vec(n, i)) for i in range(n)]
+    entries = []
+    for i in range(n):
+        xl, xr = splits[i]
+        row = []
+        for j in range(n):
+            yl, yr = splits[j]
+            left_part = d_zero(xl, yl)
+            bl, _ = split_against(alg.bracket(xr, yl))
+            left_part = linalg.vadd(left_part, bl)
+            right_part = d_zero(xr, yr)
+            _, br = split_against(alg.bracket(xl, yr))
+            right_part = linalg.vadd(right_part, br)
+            row.append(linalg.vadd(left_part, right_part))
+        entries.append(row)
+    return ConnectionTable(entries)
+
+
+def oracle_find_lagrangians(alg, omega, mode="both"):
+    """Reference for lagrangian.find_lagrangians: the search as it was when
+    it kept, per visited subspace, the least generator index it was
+    extended from, and re-extended a subspace reached again from an earlier
+    index."""
+    from solvdiag import linalg
+    from solvdiag.algebra import (
+        Subspace,
+        derived_subalgebra,
+        is_subalgebra,
+        subalgebra_closure,
+        vector_sort_key,
+    )
+    from solvdiag.flags import NormalFlagStatus, find_normal_flag
+    from solvdiag.forms import NotClosedError, is_closed, radical, restrict
+    from solvdiag.lagrangian import (
+        SearchCompleteness,
+        SearchVerdict,
+        vergne_candidate,
+        verify_lagrangian,
+    )
+
+    if not is_closed(alg, omega):
+        raise NotClosedError("the 2-form is not closed")
+    n = alg.dim
+    found = set()
+    normal = find_normal_flag(alg)
+
+    if mode in ("vergne", "both") and normal.status is NormalFlagStatus.FOUND:
+        cand = vergne_candidate(alg, omega, normal.flag)
+        if cand.verified:
+            found.add(cand.subspace)
+
+    ran_adapted = False
+    if mode in ("flag_adapted", "both") and normal.status is NormalFlagStatus.FOUND:
+        ran_adapted = True
+        ker = radical(omega, Subspace.full(n))
+        target = omega.rank() // 2 + ker.dim
+        gens = []
+        for member in normal.flag.members:
+            for row in member.rows:
+                if row not in gens:
+                    gens.append(row)
+        gens.sort(key=vector_sort_key)
+        # least start index explored per subspace: generators i onward reach
+        # everything that generators j >= i reach from the same subspace
+        explored = {}
+
+        def extend(cur, start):
+            if explored.get(cur, start + 1) <= start:
+                return
+            explored[cur] = start
+            if cur.dim == target:
+                cand = verify_lagrangian(alg, omega, cur)
+                if cand.verified:
+                    found.add(cur)
+                return
+            for i in range(start, len(gens)):
+                v = gens[i]
+                if cur.contains_vector(v):
+                    continue
+                if any(linalg.matvec(cur.rows, omega.pairing_with(v))):
+                    continue
+                grown = subalgebra_closure(alg, list(cur.rows) + [v])
+                if grown.dim > target:
+                    continue
+                if not restrict(omega, grown).is_zero():
+                    continue
+                extend(grown, i + 1)
+
+        start = ker
+        if is_subalgebra(alg, start) and restrict(omega, start).is_zero():
+            extend(start, 0)
+
+    exhaustive = ran_adapted and derived_subalgebra(alg).is_zero()
+    return SearchVerdict(
+        found=tuple(sorted(found, key=lambda s: s.sort_key())),
+        completeness=(
+            SearchCompleteness.EXHAUSTIVE_WITHIN_MODE
+            if exhaustive
+            else SearchCompleteness.HEURISTIC
+        ),
+    )

@@ -517,3 +517,19 @@ def test_corpus_x3_is_subalgebra_facts(x3):
     # the dim-3 member of the first chain is not bracket-closed
     assert not is_subalgebra(alg, f1.members[2])
     assert is_subalgebra(alg, f1.members[3])
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [((1, 0), (0, 1, 0)), ((1, 0, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1)), ((1, 0, 0), (0, 1, 0, 1))],
+    ids=["short-x", "long-x", "short-y", "long-y"],
+)
+def test_bracket_refuses_a_vector_of_the_wrong_length(x, y):
+    with pytest.raises(ValueError, match="length"):
+        heisenberg().bracket(x, y)
+
+
+@pytest.mark.parametrize("x", [(1, 0), (1, 0, 0, 1)], ids=["short", "long"])
+def test_ad_matrix_refuses_a_vector_of_the_wrong_length(x):
+    with pytest.raises(ValueError, match="length"):
+        heisenberg().ad_matrix(x)

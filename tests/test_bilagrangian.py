@@ -1,5 +1,7 @@
 """Transverse pairs, the adapted connection, curvature."""
 
+from random import Random
+
 import pytest
 
 from solvdiag import (
@@ -16,8 +18,10 @@ from solvdiag import (
     curvature,
     curvature_flatness,
     d_zero,
+    linalg,
 )
-from oracles import oracle_curvature_is_zero
+from solvdiag.generators import change_basis, random_unimodular
+from oracles import oracle_connection, oracle_curvature_is_zero
 
 
 def d1_pair(d1, a="L1", b="L2"):
@@ -111,6 +115,60 @@ class TestConnection:
             connection(alg, e2.two_forms["omega"], pair)
 
 
+def rebased(alg, omega, members, p):
+    """The algebra, form and members presented on the basis given by the
+    rows of p: the form becomes p omega p^T and a member row l becomes
+    l p^-1."""
+    pt = linalg.transpose(p)
+    w = [[omega.apply(a, b) for b in p] for a in p]
+    return (
+        change_basis(alg, p),
+        TwoForm(w),
+        [Subspace(alg.dim, [linalg.solve(pt, row) for row in m.rows]) for m in members],
+    )
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("names", [("L1", "L2"), ("L2", "L1"), ("L3", "L4")])
+    def test_d1_pairs_in_a_random_basis(self, d1, names, seed):
+        p = random_unimodular(Random(seed), 4)
+        members = [d1.subspaces[nm] for nm in names]
+        alg, w, (left, right) = rebased(d1.algebra, d1.two_forms["omega"], members, p)
+        pair = BilagrangianPair(left, right)
+        table = connection(alg, w, pair)
+        assert table == oracle_connection(alg, w, pair)
+        assert audit_connection(alg, w, pair, table).ok
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_abelian_standard_form(self, m, seed):
+        n = 2 * m
+        alg = LieAlgebra.from_brackets(tuple(f"e{i}" for i in range(n)), {})
+        w = TwoForm.from_pairs(n, [(i, m + i, 1) for i in range(m)])
+        members = [
+            Subspace(n, [linalg.unit_vec(n, i) for i in range(m)]),
+            Subspace(n, [linalg.unit_vec(n, m + i) for i in range(m)]),
+        ]
+        if seed is not None:
+            alg, w, members = rebased(alg, w, members, random_unimodular(Random(seed), n))
+        pair = BilagrangianPair(*members)
+        assert connection(alg, w, pair) == oracle_connection(alg, w, pair)
+
+
+def test_connection_solves_twice_per_dimension(d1, monkeypatch):
+    calls = []
+    solve = linalg.solve
+
+    def counting(a, b):
+        calls.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    connection(d1.algebra, d1.two_forms["omega"], d1_pair(d1))
+    assert len(calls) <= 2 * d1.algebra.dim
+
+
 class TestDZero:
     def test_leafwise_derivative_stays_in_member(self, d1):
         alg = d1.algebra
@@ -128,6 +186,14 @@ class TestDZero:
         for k in range(4):
             z = tuple(1 if i == k else 0 for i in range(4))
             assert w.apply(out, z) == -w.apply(y, alg.bracket(t, z))
+
+    def test_degenerate_form_raises_on_every_basis_pair(self, e2):
+        alg, w = e2.algebra, e2.two_forms["omega"]
+        units = [linalg.unit_vec(alg.dim, i) for i in range(alg.dim)]
+        for x in units:
+            for y in units:
+                with pytest.raises(DegenerateFormError):
+                    d_zero(alg, w, x, y)
 
 
 class TestCurvature:

@@ -4,6 +4,8 @@ import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvdiag import (
     LieAlgebra,
@@ -26,6 +28,7 @@ from solvdiag import (
     vergne_candidate,
     verify_lagrangian,
 )
+from oracles import oracle_find_lagrangians
 
 
 def named_span(alg, *names):
@@ -234,3 +237,18 @@ def test_search_results_unchanged():
     assert len(records) == 25
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == GOLDEN_SEARCH_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+    rebased=st.booleans(),
+)
+def test_search_matches_the_visited_set_search(dim, seed, rebased):
+    rng = Random(seed)
+    alg = random_completely_solvable(rng, dim)
+    if rebased:
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    omega = random_closed_form(rng, alg)
+    assert find_lagrangians(alg, omega) == oracle_find_lagrangians(alg, omega)
