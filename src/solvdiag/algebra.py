@@ -12,9 +12,11 @@ nilpotent, ...) are decided exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -62,7 +64,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, linalg.identity(n))
+        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)])  # int rows: fast rref
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
@@ -144,8 +146,20 @@ def vector_sort_key(v: Vector):
 def normalize_vector(v: Vector) -> Vector:
     for x in v:
         if x != 0:
-            return linalg.vscale(ONE / x, v)
+            return tuple(y / x if y else ZERO for y in v)
     return v
+
+
+def _bracket_into(out: list, nonzero, xs, ys) -> list:
+    """Add [x, y] to out and return it; xs, ys: the (index, value) of x's, y's nonzeros."""
+    for i, x in xs:
+        row = nonzero[i]
+        for j, y in ys:
+            if cs := row[j]:
+                f = x * y
+                for k, c in cs:
+                    out[k] += f * c
+    return out
 
 
 class LieAlgebra:
@@ -221,16 +235,8 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y]: the sum of x_i y_j c over the nonzero coordinates of x and y
         and the nonzero constants (k, c) of [e_i, e_j]."""
-        ys = linalg.support(y, self.dim)
-        out = [ZERO] * self.dim
-        for i, xi in linalg.support(x, self.dim):
-            row = self.nonzero[i]
-            for j, yj in ys:
-                if cs := row[j]:
-                    f = xi * yj
-                    for k, c in cs:
-                        out[k] += f * c
-        return tuple(out)
+        xs, ys = linalg.support(x, self.dim), linalg.support(y, self.dim)
+        return tuple(_bracket_into([ZERO] * self.dim, self.nonzero, xs, ys))
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad_x = [x, .] acting on coordinate columns (row-major).
@@ -446,112 +452,103 @@ def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
     return cur
 
 
-def _shifted(m: Matrix, c: Fraction) -> list[list[Fraction]]:
-    """The rows of m - c*I: c is subtracted on the diagonal only."""
-    rows = [list(row) for row in m]
+def _shifted(m: Matrix, c, den=1) -> list[list]:
+    """The rows of den*m - c*I: c is subtracted on the diagonal only."""
+    rows = [[den * x for x in row] for row in m] if den != 1 else [list(row) for row in m]
     for i, row in enumerate(rows):
         row[i] -= c
     return rows
 
 
-def common_eigenvector(
-    alg: LieAlgebra, rep: Sequence[Matrix], space_dim: int
-) -> Vector | None:
+def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | None:
     """A rational common eigenvector of the solvable action, or None.
 
-    rep[i] is the matrix of the action of basis vector e_i on Q^space_dim.
-    Returns the canonical least normalized eigenvector, or None when the
-    descent needs an eigenvalue that is not rational (or the algebra turns
-    out non-solvable along the way).
+    rep[i] is the matrix of the action of basis vector e_i on Q^space_dim;
+    the algebra is read through `alg.dim` and `alg.nonzero` only.  Returns
+    the canonical least normalized eigenvector, or None when the descent
+    needs an eigenvalue that is not rational (or the algebra turns out
+    non-solvable along the way).
 
     The descent walks a chain of subalgebras sub, each a canonical
-    hyperplane of the one before, down to one acting trivially; it stops
-    at the first nonzero action matrix when testing that.  Each stage
-    builds [sub, sub] with `LieAlgebra.derived_span`, from the pairs a < b
-    of sub's echelon rows only, so alg.table must be antisymmetric with
-    zero diagonal ([a, a] = 0, [b, a] = -[a, b]).  Per stage of an
-    m-dimensional sub this costs m(m-1)/2 brackets, one nullspace of the
-    weight-space rows, one charpoly of the restricted complement and one
-    nullspace per rational eigenvalue of it, with zero entries skipped in
-    every product.
+    hyperplane of the one before, down to one acting trivially.  [sub, sub]
+    comes from the pairs a < b of sub's echelon rows, so the constants must
+    be antisymmetric with zero diagonal.  A stage costs m(m-1)/2 brackets
+    (m = dim sub), a nullspace for the weight space, and a charpoly and a
+    nullspace per rational eigenvalue for the complement.  All of it runs
+    on ints: constants and matrices are scaled to integers by one positive
+    factor each, and an element acts through its primitive integer
+    multiple, so each action matrix A is a positive multiple of the true
+    one.  That scales weights and moves no span, eigenspace or normalized
+    eigenvector.  A weight is a pair num/den, den > 0, compared by
+    cross-multiplying; den*A - num*I stands for A - (num/den)*I.
     """
-
-    # the nonzero entries (i, j, x) of each action matrix, read once
+    n = alg.dim
+    flat = iter(linalg._integer_row(c for row in alg.nonzero for cs in row for _, c in cs))
+    consts = [[[(k, next(flat)) for k, _ in cs] for cs in row] for row in alg.nonzero]
+    # the nonzero entries (i, j, x) of each action matrix, read once, as ints
+    flat = iter(linalg._integer_row(x for m in rep for row in m for x in row))
+    rep = [[[next(flat) for _ in row] for row in m] for m in rep]
     entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
-    acts: dict[Vector, Matrix] = {}
 
-    def act(elem: Vector) -> Matrix:
-        """The action of elem, computed once per call of common_eigenvector."""
-        if elem in acts:
-            return acts[elem]
-        out = [[ZERO] * space_dim for _ in range(space_dim)]
-        for c, nz in zip(elem, entries):
+    def lift(elem: Vector) -> tuple[list[int], list[list[int]]]:
+        """The primitive integer multiple of elem and its action."""
+        p = linalg._primitive(elem)
+        out = [[0] * space_dim for _ in range(space_dim)]
+        for c, nz in zip(p, entries):
             if c:
                 for i, j, x in nz:
                     out[i][j] += c * x
-        acts[elem] = tuple(tuple(r) for r in out)
-        return acts[elem]
+        return p, out
 
-    def recurse(sub: Subspace) -> Vector | None:
-        if not any(x for r in sub.rows for row in act(r) for x in row):
+    def recurse(sub: Subspace, lifts) -> Vector | None:
+        """The descent below sub, given the lifts of sub's echelon rows."""
+        if not any(x for _, a in lifts for row in a for x in row):
             return linalg.unit_vec(space_dim, 0)
-        derived = alg.derived_span(sub)
+        sup = [[(i, x) for i, x in enumerate(p) if x] for p, _ in lifts]
+        pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
+        derived = Subspace(n, [_bracket_into([0] * n, consts, x, y) for x, y in pairs])
         if derived.dim >= sub.dim:
             return None  # not solvable
         hyper = _hyperplane_in(sub, derived)
-        w = recurse(hyper)
+        hyper_lifts = [lift(r) for r in hyper.rows]
+        w = recurse(hyper, hyper_lifts)
         if w is None:
             return None
-        # the weight of the hyperplane on w
-        lam = []
-        for r in hyper.rows:
-            img = linalg.matvec(act(r), w)
-            # img must be collinear with w
-            coef = None
-            for a, b in zip(img, w):
-                if b != 0:
-                    coef = a / b
-                    break
-            if coef is None:
-                coef = ZERO
-            if img != linalg.vscale(coef, w):  # pragma: no cover - theory guard
-                raise SolvdiagError("descent produced a non-eigenvector")
-            lam.append(coef)
-        # common eigenspace of the hyperplane for that weight
+        # the weight num/den of each row of hyper on w; their common eigenspace
+        w = linalg._primitive(w)
+        ws = [(j, y) for j, y in enumerate(w) if y]
+        t, den = ws[0]  # den > 0: w was normalized
         rows = []
-        for r, l in zip(hyper.rows, lam):
-            rows += _shifted(act(r), l)
-        wspace = linalg.nullspace(rows, space_dim)
-        if not wspace:  # pragma: no cover - w is in there
-            raise SolvdiagError("empty common eigenspace")
-        wsub = Subspace(space_dim, wspace)
-        # complement direction of the hyperplane inside sub
-        z = None
-        for r in sub.rows:
-            if not hyper.contains_vector(r):
-                z = r
-                break
-        if z is None:  # pragma: no cover
-            raise SolvdiagError("no complement direction")
-        mz = act(z)
-        # invariance of the weight space (char 0); restrict mz to it
-        k = wsub.dim
-        restr = []
-        for r in wsub.rows:
-            coords = wsub.coordinates_of(linalg.matvec(mz, r))
-            if coords is None:  # pragma: no cover - invariance lemma
+        for _, a in hyper_lifts:
+            img = [sum(row[j] * y for j, y in ws) for row in a]
+            num = img[t]
+            if any(x * den != num * y for x, y in zip(img, w)):  # pragma: no cover - theory guard
+                raise SolvdiagError("descent produced a non-eigenvector")
+            rows += _shifted(a, num, den)
+        wsub = Subspace(space_dim, linalg.nullspace(rows, space_dim))
+        # the action of a complement direction of hyper in sub, restricted to
+        # the weight space (invariant in char 0) on the basis lcm * wsub.rows
+        mz = next(a for r, (_, a) in zip(sub.rows, lifts) if not hyper.contains_vector(r))
+        lcm = math.lcm(*(x.denominator for r in wsub.rows for x in r))
+        basis = [[x.numerator * lcm // x.denominator for x in r] for r in wsub.rows]
+        restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
+        for b in basis:
+            img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
+            restr.append([img[p] for p in wsub.pivots])
+            back = [sum(c * v[j] for c, v in zip(restr[-1], basis)) for j in range(space_dim)]
+            if back != [lcm * x for x in img]:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
-            restr.append(coords)
-        restr_m = linalg.transpose(tuple(restr))  # act on coordinate columns
+        restr_m = linalg.transpose(restr)  # act on coordinate columns
         best: Vector | None = None
         for mu in linalg.rational_eigenvalues(restr_m):
-            for sol in linalg.nullspace(_shifted(restr_m, mu), k):
+            for sol in linalg.nullspace(_shifted(restr_m, mu.numerator, mu.denominator), wsub.dim):
                 v = normalize_vector(linalg.lincomb(sol, wsub.rows))
                 if best is None or vector_sort_key(v) < vector_sort_key(best):
                     best = v
         return best
 
-    return recurse(Subspace.full(alg.dim))
+    full = Subspace.full(n)
+    return recurse(full, [lift(r) for r in full.rows])
 
 
 class SolvabilityVerdict(Enum):
@@ -573,28 +570,30 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     g/I_(k-1) (`common_eigenvector`) and sets I_k = I_(k-1) + <v>.  The
     structure constants of g/I_(k-1) are the table of g reduced modulo
     I_(k-1), which vanishes on the pivot columns of I_(k-1) and so is
-    already in quotient coordinates; each level reduces that table by the
-    one new echelon row and reads the ad matrices from it.  Each member is
-    checked as it is made: [e_i, v] must reduce to zero modulo I_k for
-    every basis vector e_i, which, I_(k-1) being an ideal, proves that I_k
-    is one (NotAnIdealError otherwise).  Besides the descent, a level
-    costs O(n^3) field operations.  If the spectrum leaves Q the verdict is
-    UNDECIDED_IRRATIONAL_SPECTRUM (never approximated).
+    already in quotient coordinates.  The table is kept as ints, D > 0
+    times the true one; the descent sees only ratios, so D never shows.
+    Each level hands the table and the ad matrices read from it to the
+    descent, then reduces it by the new member's primitive row q, with
+    pivot d > 0 (each bracket r becomes d*r - r[p]*q), and divides it by
+    its content.  Each member is checked as it is made: [e_i, v] must
+    reduce to zero modulo I_k for every basis vector e_i, which, I_(k-1)
+    being an ideal, proves that I_k is one (NotAnIdealError otherwise).
+    Besides the descent, a level costs O(n^3) integer operations.  If the
+    spectrum leaves Q the verdict is UNDECIDED_IRRATIONAL_SPECTRUM.
     """
     if not is_solvable(alg):
         return SolvabilityCertificate(SolvabilityVerdict.NOT_SOLVABLE, None)
     n = alg.dim
-    red = [list(row) for row in alg.table]  # [e_i, e_j] modulo carried
+    flat = iter(linalg._integer_row(c for row in alg.table for v in row for c in v))
+    red = [[[next(flat) for _ in v] for v in row] for row in alg.table]  # D [e_i, e_j] mod carried
     members: list[Subspace] = []
     carried = Subspace.zero(n)
     keep = list(range(n))  # quotient coordinates: non-pivot columns of carried
     while keep:
-        cur = LieAlgebra(
-            tuple(alg.names[i] for i in keep),
-            [[tuple(red[a][b][k] for k in keep) for b in keep] for a in keep],
-        )
-        rep = [linalg.transpose(row) for row in cur.table]
-        v = common_eigenvector(cur, rep, cur.dim)
+        table = [[[red[a][b][k] for k in keep] for b in keep] for a in keep]
+        nonzero = [[tuple((k, x) for k, x in enumerate(v) if x) for v in row] for row in table]
+        rep = [linalg.transpose(row) for row in table]
+        v = common_eigenvector(SimpleNamespace(dim=len(keep), nonzero=nonzero), rep, len(keep))
         if v is None:
             return SolvabilityCertificate(
                 SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM, None
@@ -606,14 +605,16 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         members.append(carried)
         p = next(c for c in carried.pivots if c in keep)  # the new pivot
         keep.remove(p)
-        row_p = carried.rows[carried.pivots.index(p)]
-        support = [(j, c) for j, c in enumerate(lifted) if c != 0]
+        q = linalg._primitive(carried.rows[carried.pivots.index(p)])
+        d = q[p]
         for red_i in red:
             for j, r in enumerate(red_i):
-                if r[p] != 0:
-                    red_i[j] = tuple(x - r[p] * y for x, y in zip(r, row_p))
-            # [e_i, v] reduced modulo the new carried must vanish
-            for k in keep:
-                if sum((c * x for j, c in support if (x := red_i[j][k])), ZERO) != 0:
-                    raise NotAnIdealError("certificate member is not an ideal")
+                if r[p] or d != 1:
+                    red_i[j] = [d * x - r[p] * y for x, y in zip(r, q)]
+        if d != 1 and (g := math.gcd(*(x for red_i in red for r in red_i for x in r))) > 1:
+            red = [[[x // g for x in r] for r in red_i] for red_i in red]
+        # [e_i, v] reduced modulo the new carried must vanish
+        support = [(j, c) for j, c in enumerate(linalg._primitive(lifted)) if c]
+        if any(sum(c * red_i[j][k] for j, c in support) for red_i in red for k in keep):
+            raise NotAnIdealError("certificate member is not an ideal")
     return SolvabilityCertificate(SolvabilityVerdict.COMPLETELY_SOLVABLE, tuple(members))

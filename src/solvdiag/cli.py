@@ -15,6 +15,7 @@ of the two, and maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -430,6 +431,7 @@ def cmd_audit(doc: Document, args):
     return lines, obj
 
 
+@functools.cache  # built on first use; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="solvdiag",

@@ -107,7 +107,10 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 
 
 def _integer_row(row: Iterable) -> list[int]:
-    """The row times the lcm of its denominators, as ints."""
+    """The row times the lcm of its denominators, as ints; a row of ints as it is."""
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row
     pairs = [(x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio() for x in row]
     scale = math.lcm(*[d for _, d in pairs])
     if scale == 1:
@@ -124,16 +127,17 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     string is a TypeError.
 
     Fraction-free Gauss-Jordan: each row is scaled once to integers by the
-    lcm of its denominators.  To clear column c of row i against the pivot
-    p of row r, row i becomes (p/g) row_i - (f/g) row_r, with f = row_i[c]
-    and g = gcd(p, f), and is then divided by its content (the gcd of its
-    entries).  These are invertible row operations, so the row space never
-    changes.  Every row stays primitive, and a primitive row is fixed up to
-    sign by the input and the columns cleared so far, so its entries are
-    bounded by minors of the scaled input, as in Bareiss (*Math. Comp.* 22,
-    1968).  Only at the end is each pivot row divided by its pivot.  The
-    reduced row echelon form of a row space is unique, so the output is
-    exactly that of elimination over Fraction.
+    lcm of its denominators (a row of ints is taken as it is).  To clear
+    column c of row i against the pivot p of row r, row i becomes
+    (p/g) row_i - (f/g) row_r, with f = row_i[c] and g = gcd(p, f), and is
+    then divided by its content (the gcd of its entries).  These are
+    invertible row operations, so the row space never changes.  Every row
+    stays primitive, and a primitive row is fixed up to sign by the input
+    and the columns cleared so far, so its entries are bounded by minors of
+    the scaled input, as in Bareiss (*Math. Comp.* 22, 1968).  Only at the
+    end is each pivot row divided by its pivot.  The reduced row echelon
+    form of a row space is unique, so the output is exactly that of
+    elimination over Fraction.
     Cost: O(r n min(r, n)) integer multiply-adds and gcds on an r x n
     input, where elimination over Fraction pays a gcd on every multiply
     and subtract; the only Fractions built are the output entries.
@@ -314,12 +318,10 @@ def _poly_quo(a: list, b: list[Fraction]) -> list[Fraction]:
 
 
 def _primitive(coeffs: Sequence) -> list[int]:
-    """The integer multiple of the polynomial with coprime coefficients."""
-    coeffs = [frac(c) for c in coeffs]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    """The positive integer multiple with coprime entries; zero stays zero."""
+    ints = _integer_row(coeffs)
     content = math.gcd(*ints)
-    return [c // content for c in ints]
+    return [c // content for c in ints] if content > 1 else ints
 
 
 def _derivative(a: Sequence) -> list:

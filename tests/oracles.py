@@ -489,3 +489,97 @@ def oracle_find_lagrangians(alg, omega, mode="both"):
             else SearchCompleteness.HEURISTIC
         ),
     )
+
+
+def oracle_common_eigenvector(alg, rep, space_dim):
+    """Reference for algebra.common_eigenvector: the descent as it was on
+    Fraction matrices, with a LieAlgebra acting (its `derived_span` gives
+    [sub, sub]), weights as Fractions and an action matrix per element of
+    the chain built from the element itself."""
+    from solvdiag import linalg
+    from solvdiag.algebra import (
+        SolvdiagError,
+        Subspace,
+        _hyperplane_in,
+        _shifted,
+        normalize_vector,
+        vector_sort_key,
+    )
+
+    ZERO = Fraction(0)
+    # the nonzero entries (i, j, x) of each action matrix, read once
+    entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
+    acts = {}
+
+    def act(elem):
+        """The action of elem, computed once per call."""
+        if elem in acts:
+            return acts[elem]
+        out = [[ZERO] * space_dim for _ in range(space_dim)]
+        for c, nz in zip(elem, entries):
+            if c:
+                for i, j, x in nz:
+                    out[i][j] += c * x
+        acts[elem] = tuple(tuple(r) for r in out)
+        return acts[elem]
+
+    def recurse(sub):
+        if not any(x for r in sub.rows for row in act(r) for x in row):
+            return linalg.unit_vec(space_dim, 0)
+        derived = alg.derived_span(sub)
+        if derived.dim >= sub.dim:
+            return None  # not solvable
+        hyper = _hyperplane_in(sub, derived)
+        w = recurse(hyper)
+        if w is None:
+            return None
+        # the weight of the hyperplane on w
+        lam = []
+        for r in hyper.rows:
+            img = linalg.matvec(act(r), w)
+            # img must be collinear with w
+            coef = None
+            for a, b in zip(img, w):
+                if b != 0:
+                    coef = a / b
+                    break
+            if coef is None:
+                coef = ZERO
+            if img != linalg.vscale(coef, w):  # pragma: no cover - theory guard
+                raise SolvdiagError("descent produced a non-eigenvector")
+            lam.append(coef)
+        # common eigenspace of the hyperplane for that weight
+        rows = []
+        for r, l in zip(hyper.rows, lam):
+            rows += _shifted(act(r), l)
+        wspace = linalg.nullspace(rows, space_dim)
+        if not wspace:  # pragma: no cover - w is in there
+            raise SolvdiagError("empty common eigenspace")
+        wsub = Subspace(space_dim, wspace)
+        # complement direction of the hyperplane inside sub
+        z = None
+        for r in sub.rows:
+            if not hyper.contains_vector(r):
+                z = r
+                break
+        if z is None:  # pragma: no cover
+            raise SolvdiagError("no complement direction")
+        mz = act(z)
+        # invariance of the weight space (char 0); restrict mz to it
+        k = wsub.dim
+        restr = []
+        for r in wsub.rows:
+            coords = wsub.coordinates_of(linalg.matvec(mz, r))
+            if coords is None:  # pragma: no cover - invariance lemma
+                raise SolvdiagError("weight space not invariant")
+            restr.append(coords)
+        restr_m = linalg.transpose(tuple(restr))  # act on coordinate columns
+        best = None
+        for mu in linalg.rational_eigenvalues(restr_m):
+            for sol in linalg.nullspace(_shifted(restr_m, mu), k):
+                v = normalize_vector(linalg.lincomb(sol, wsub.rows))
+                if best is None or vector_sort_key(v) < vector_sort_key(best):
+                    best = v
+        return best
+
+    return recurse(Subspace.full(alg.dim))

@@ -39,6 +39,7 @@ from oracles import (
     fraction_rref,
     is_common_eigenvector,
     oracle_bracket,
+    oracle_common_eigenvector,
     oracle_derived_rows,
     oracle_validation,
     rank_test_hyperplane,
@@ -316,6 +317,57 @@ def test_common_eigenvector_of_a_conjugated_adjoint(case, seed):
     assert is_common_eigenvector(v, rep)
 
 
+def _rational_diagonal(rng, dim):
+    """A diagonal basis change with fractional entries of both signs."""
+    diag = [
+        Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3, 7))) * rng.choice((1, -1))
+        for _ in range(dim)
+    ]
+    return [[diag[i] if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
+
+
+@st.composite
+def acting_algebra_and_rep(draw):
+    """A generated algebra of dimension 1-7, rescaled by a rational diagonal
+    matrix and rebased by a unimodular one or not, with its adjoint
+    representation, conjugated by a unimodular P or not."""
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=1, max_value=7))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    alg = make(rng, dim)
+    if draw(st.booleans()):
+        alg = change_basis(alg, _rational_diagonal(rng, dim))
+    if draw(st.booleans()):
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    rep = [alg.ad_matrix(linalg.unit_vec(dim, i)) for i in range(dim)]
+    if draw(st.booleans()):
+        p = random_unimodular(rng, dim)
+        red, _ = fraction_rref([list(row) + list(linalg.unit_vec(dim, i)) for i, row in enumerate(p)])
+        p_inv = [row[dim:] for row in red]
+        rep = [tuple(map(tuple, _matmul(_matmul(p, m), p_inv))) for m in rep]
+    return alg, rep
+
+
+@settings(max_examples=80, deadline=None)
+@given(acting_algebra_and_rep())
+def test_common_eigenvector_matches_the_fraction_descent(case):
+    alg, rep = case
+    v = algebra.common_eigenvector(alg, rep, alg.dim)
+    assert v is not None
+    assert v == oracle_common_eigenvector(alg, rep, alg.dim)
+    assert all(type(x) is Fraction for x in v)
+    assert is_common_eigenvector(v, rep)
+
+
+@pytest.mark.parametrize("make", [sl2, rot2d])
+def test_common_eigenvector_is_none_without_a_rational_descent(make):
+    # sl2 is not solvable; rot2d has the spectrum +-i
+    alg = make()
+    ad = [alg.ad_matrix(linalg.unit_vec(alg.dim, i)) for i in range(alg.dim)]
+    assert algebra.common_eigenvector(alg, ad, alg.dim) is None
+    assert oracle_common_eigenvector(alg, ad, alg.dim) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(rebased_algebra_and_subspace())
 def test_derived_span_equals_all_ordered_pairs(case):
@@ -453,6 +505,39 @@ def test_certificate_witnesses_unchanged():
     assert records[1] == "UNDECIDED_IRRATIONAL_SPECTRUM: "
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == GOLDEN_WITNESS_DIGEST
+
+
+def _large_witness_records():
+    """As _witness_records, on one completely solvable algebra per dimension
+    9-12: in its triangular basis, and rescaled by a rational diagonal
+    matrix (not unimodular), so that its constants are fractional."""
+    algs = []
+    for dim in (9, 10, 11, 12):
+        rng = Random(2000 * dim)
+        alg = random_completely_solvable(rng, dim)
+        algs += [alg, change_basis(alg, _rational_diagonal(rng, dim))]
+    lines = []
+    for alg in algs:
+        cert = complete_solvability_certificate(alg)
+        members = [
+            "; ".join(" ".join(map(str, row)) for row in m.rows)
+            for m in cert.witness or ()
+        ]
+        lines.append(f"{cert.verdict.value}: " + " | ".join(members))
+    return lines
+
+
+# SHA-256 of _large_witness_records() as computed by the certificate that
+# built a Fraction quotient algebra per level
+GOLDEN_LARGE_WITNESS_DIGEST = "0d35531300219596301b1de09af98abbb35f57a7beca47cf90a7b1720e3e85a8"
+
+
+def test_large_certificate_witnesses_unchanged():
+    records = _large_witness_records()
+    assert len(records) == 8
+    assert all(r.startswith("COMPLETELY_SOLVABLE: ") for r in records)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_LARGE_WITNESS_DIGEST
 
 
 def test_certificate_checks_each_member_is_an_ideal(monkeypatch):

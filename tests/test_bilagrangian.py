@@ -1,8 +1,11 @@
 """Transverse pairs, the adapted connection, curvature."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvdiag import (
     BilagrangianPair,
@@ -20,7 +23,12 @@ from solvdiag import (
     d_zero,
     linalg,
 )
-from solvdiag.generators import change_basis, random_unimodular
+from solvdiag.generators import (
+    change_basis,
+    random_completely_solvable,
+    random_nilpotent,
+    random_unimodular,
+)
 from oracles import oracle_connection, oracle_curvature_is_zero
 
 
@@ -214,3 +222,36 @@ class TestCurvature:
     def test_table_shape_enforced(self):
         with pytest.raises(ValueError):
             ConnectionTable([[(0, 0)], [(0, 0)]])
+
+
+@st.composite
+def algebra_and_random_table(draw):
+    """An abelian or generated algebra of dimension 1-5 and a connection
+    table of small rationals, zero with a drawn density (so flat tables,
+    the zero table among them, turn up as well as curved ones)."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    make = draw(st.sampled_from(("abelian", random_completely_solvable, random_nilpotent)))
+    names = tuple(f"e{i}" for i in range(dim))
+    alg = LieAlgebra.from_brackets(names, {}) if make == "abelian" else make(rng, dim)
+    density = draw(st.sampled_from((0, 0.05, 0.2, 1)))
+    values = (-1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+    entries = [
+        [[rng.choice(values) if rng.random() < density else 0 for _ in range(dim)] for _ in range(dim)]
+        for _ in range(dim)
+    ]
+    return alg, ConnectionTable(entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_and_random_table())
+def test_flatness_matches_the_oracle_on_random_tables(case):
+    alg, table = case
+    assert curvature_flatness(alg, table) is oracle_curvature_is_zero(alg, table)
+
+
+def test_flatness_matches_the_oracle_on_the_hand_built_table():
+    alg = LieAlgebra.from_brackets(("x", "y", "z"), {})
+    zero, z = (0, 0, 0), (0, 0, 1)
+    table = ConnectionTable([[zero, z, (1, 0, 0)], [z, zero, zero], [zero, zero, zero]])
+    assert curvature_flatness(alg, table) is oracle_curvature_is_zero(alg, table) is False
