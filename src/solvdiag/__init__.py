@@ -111,6 +111,7 @@ from .forms import (
     ce_differential_covector,
     closed_two_form_basis,
     is_closed,
+    is_isotropic,
     kernel,
     radical,
     restrict,

@@ -1,13 +1,17 @@
 """Lie algebras by exact rational structure constants, and canonical subspaces.
 
-A Subspace is stored as its reduced row echelon basis, which is the unique
-canonical representative of a rational subspace: equality of subspaces is
-literal equality of matrices.  A LieAlgebra is a dense table of bracket
-vectors c[i][j] = [e_i, e_j] over a named basis, plus the nonzero entries of
-each bracket, read once when the algebra is built; values are coerced to
-Fraction once, at that boundary.  Brackets, ad matrices and the Jacobi check
-walk the nonzero entries only.  All predicates (subalgebra, ideal,
-nilpotent, ...) are decided exactly.
+Both are stored once, on Python ints.  A Subspace is stored as its
+primitive integer echelon rows (each reduced echelon row times the lcm of
+its denominators), as canonical as the reduced row echelon form, so
+equality of subspaces is literal equality of integer matrices.  A
+LieAlgebra stores the nonzero entries of each bracket [e_i, e_j] as ints
+over one positive denominator, read once when the algebra is built; values
+are coerced at that boundary.  Brackets of integer rows are integer rows, a
+positive multiple of the true bracket, and spans, closures, membership and
+the Lie-theorem descent never see the factor; the public `bracket` and
+`ad_matrix` divide once.  The Fraction views `Subspace.rows` and
+`LieAlgebra.table` are built on first read.  All predicates (subalgebra,
+ideal, nilpotent, ...) are decided exactly.
 """
 
 from __future__ import annotations
@@ -41,19 +45,32 @@ class NotAnIdealError(SolvdiagError):
     code = "NOT_AN_IDEAL"
 
 
-class Subspace:
-    """A subspace of Q^n in canonical reduced-row-echelon form (immutable)."""
+def _init(obj, **attrs):
+    """Set the attributes of an immutable object; returns it."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+
+class Subspace:
+    """A subspace of Q^n in canonical echelon form (immutable).
+
+    Stored as its primitive integer echelon rows `int_rows` (`linalg.echelon`:
+    coprime entries, positive pivot), as canonical as the reduced row
+    echelon form, so equality and hashing compare them.  Membership, sums
+    and intersections eliminate on them fraction-free.  `rows`, the reduced
+    row echelon form over Fraction, is a view built on first read.
+    """
+
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_rows")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable]) -> None:
         rows = [tuple(r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row length does not match ambient dimension")
-        red, pivots = linalg.rref(rows)  # coerces each entry once
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", red)
-        object.__setattr__(self, "pivots", pivots)
+        ech, pivots = linalg.echelon(rows)  # coerces each entry once
+        ech = tuple(map(tuple, ech))
+        _init(self, ambient_dim=ambient_dim, int_rows=ech, pivots=tuple(pivots), _rows=None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("Subspace is immutable")
@@ -64,42 +81,59 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)])  # int rows: fast rref
+        units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))  # already echelon
+        full = object.__new__(cls)
+        return _init(full, ambient_dim=n, int_rows=units, pivots=tuple(range(n)), _rows=None)
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, vectors)
 
     @property
+    def rows(self) -> Matrix:
+        if self._rows is None:
+            _init(self, _rows=linalg.reduced(self.int_rows, self.pivots))
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
+
+    def _remainder(self, w: list[int]) -> tuple[list[int], int]:
+        """(r, m) with r/m the remainder of w after eliminating along the
+        echelon rows, m > 0: fraction-free, each step a*w - b*row with
+        a/b the pivot over w's entry there, reduced by their gcd."""
+        m = 1
+        for row, p in zip(self.int_rows, self.pivots):
+            c = w[p]
+            if c:
+                q = row[p]
+                g = math.gcd(q, c)
+                a, b = q // g, c // g
+                w = [a * x - b * y for x, y in zip(w, row)]
+                m *= a
+        return w, m
 
     def reduce_vector(self, v: Sequence) -> Vector:
-        """Remainder of v after eliminating along the echelon rows.
+        """Remainder of v after eliminating along the echelon rows."""
+        w, scale = linalg.scaled_ints(v, self.ambient_dim)
+        r, m = self._remainder(w)
+        return tuple(Fraction(x, m * scale) if x else ZERO for x in r)
 
-        An echelon row is zero before its pivot column, so each step starts
-        there and skips the row's zero entries.
-        """
-        v = list(linalg.vec(v))
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"vector of length {len(v)} in Q^{self.ambient_dim}")
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, len(row)):
-                    y = row[j]
-                    if y:
-                        v[j] -= c * y
-        return tuple(v)
+    def _has(self, w: Sequence[int]) -> bool:
+        """Whether the integer vector w lies in the span."""
+        return not any(self._remainder(w)[0])
 
     def contains_vector(self, v: Sequence) -> bool:
-        return linalg.is_zero_vec(self.reduce_vector(v))
+        return self._has(linalg.scaled_ints(v, self.ambient_dim)[0])
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("subspaces of different ambient spaces")
+        return other.dim <= self.dim and all(self._has(r) for r in other.int_rows)
 
     def coordinates_of(self, v: Sequence) -> Vector | None:
         """Coefficients of v in the echelon row basis, or None if v is outside."""
@@ -109,15 +143,15 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient_dim, list(self.rows) + list(other.rows))
+        return Subspace(self.ambient_dim, self.int_rows + other.int_rows)
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on this subspace (coordinates in the dual basis)."""
-        return Subspace(self.ambient_dim, linalg.nullspace(self.rows, self.ambient_dim))
+        return Subspace(self.ambient_dim, linalg.int_nullspace(self.int_rows, self.ambient_dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        ann = list(self.annihilator().rows) + list(other.annihilator().rows)
-        return Subspace(self.ambient_dim, linalg.nullspace(ann, self.ambient_dim))
+        ann = self.annihilator().int_rows + other.annihilator().int_rows
+        return Subspace(self.ambient_dim, linalg.int_nullspace(ann, self.ambient_dim))
 
     def sort_key(self):
         """Total order used for every canonical tie-break: earliest pivots win."""
@@ -127,11 +161,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self.int_rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}/{self.ambient_dim}, rows={self.rows!r})"
@@ -143,17 +177,13 @@ def vector_sort_key(v: Vector):
     return (pivot, v)
 
 
-def normalize_vector(v: Vector) -> Vector:
-    for x in v:
-        if x != 0:
-            return tuple(y / x if y else ZERO for y in v)
-    return v
-
-
-def _bracket_into(out: list, nonzero, xs, ys) -> list:
-    """Add [x, y] to out and return it; xs, ys: the (index, value) of x's, y's nonzeros."""
+def _ibracket(alg, xs, ys) -> list[int]:
+    """denom * [x, y] on ints, x and y given by their nonzero entries
+    (index, value): the sum of x_i y_j c over the constants (k, c) of
+    [e_i, e_j] in `alg.consts`."""
+    out = [0] * alg.dim
     for i, x in xs:
-        row = nonzero[i]
+        row = alg.consts[i]
         for j, y in ys:
             if cs := row[j]:
                 f = x * y
@@ -162,37 +192,50 @@ def _bracket_into(out: list, nonzero, xs, ys) -> list:
     return out
 
 
+def _sparse(rows) -> list[list[tuple[int, int]]]:
+    """(index, value) of the nonzero entries of each row."""
+    return [[(i, x) for i, x in enumerate(r) if x] for r in rows]
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    `table[i][j]` is the dense vector [e_i, e_j]; `nonzero[i][j]` lists its
-    nonzero constants as ((k, c), ...) in increasing k, the same Fraction
-    objects as the table.
+    Stored once, as integers over one positive denominator `denom` (the lcm
+    of the constants' denominators): `consts[i][j]` lists the nonzero
+    entries of denom * [e_i, e_j] as ((k, c), ...) in increasing k, with int
+    c.  `table[i][j]`, the dense Fraction vector [e_i, e_j], is a view built
+    on first read.
     """
 
-    __slots__ = ("dim", "names", "table", "nonzero")
+    __slots__ = ("dim", "names", "consts", "denom", "_table")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
         names = tuple(names)
         n = len(names)
         if len(set(names)) != n:
             raise ValueError("basis names must be distinct")
-        tab = tuple(tuple(linalg.vec(table[i][j]) for j in range(n)) for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                if len(tab[i][j]) != n:
-                    raise ValueError("bracket vector of wrong length")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(
-            self,
-            "nonzero",
-            tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in tab),
-        )
+        vecs = [table[i][j] for i in range(n) for j in range(n)]
+        if any(len(v) != n for v in vecs):
+            raise ValueError("bracket vector of wrong length")
+        ints, denom = linalg.scaled_ints(x for v in vecs for x in v)
+        rows = iter(_sparse(ints[t : t + n] for t in range(0, n * n * n, n)))
+        consts = tuple(tuple(tuple(next(rows)) for _ in range(n)) for _ in range(n))
+        _init(self, dim=n, names=names, consts=consts, denom=denom, _table=None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("LieAlgebra is immutable")
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        if self._table is None:
+            n, d = self.dim, self.denom
+            rows = [[dict(cs) for cs in row] for row in self.consts]
+            table = tuple(
+                tuple(tuple(Fraction(v[k], d) if k in v else ZERO for k in range(n)) for v in row)
+                for row in rows
+            )
+            _init(self, _table=table)
+        return self._table
 
     @classmethod
     def from_brackets(cls, names: Sequence[str], entries) -> "LieAlgebra":
@@ -234,26 +277,31 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y]: the sum of x_i y_j c over the nonzero coordinates of x and y
-        and the nonzero constants (k, c) of [e_i, e_j]."""
-        xs, ys = linalg.support(x, self.dim), linalg.support(y, self.dim)
-        return tuple(_bracket_into([ZERO] * self.dim, self.nonzero, xs, ys))
+        and the nonzero constants (k, c) of [e_i, e_j], on ints, divided once."""
+        (x, sx), (y, sy) = linalg.scaled_ints(x, self.dim), linalg.scaled_ints(y, self.dim)
+        out = _ibracket(self, *_sparse((x, y)))
+        scale = sx * sy * self.denom
+        return tuple(Fraction(v, scale) if v else ZERO for v in out)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad_x = [x, .] acting on coordinate columns (row-major).
 
         Entry (k, j) is the e_k coefficient of [x, e_j], the sum of
-        x_i c[i][j][k] over the nonzero constants.
+        x_i c[i][j][k] over the nonzero constants, on ints, divided once.
         """
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, xi in linalg.support(x, self.dim):
-            for j, cs in enumerate(self.nonzero[i]):
-                for k, c in cs:
-                    out[k][j] += xi * c
-        return tuple(tuple(r) for r in out)
+        x, sx = linalg.scaled_ints(x, self.dim)
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for xi, row in zip(x, self.consts):
+            if xi:
+                for j, cs in enumerate(row):
+                    for k, c in cs:
+                        out[k][j] += xi * c
+        scale = sx * self.denom
+        return tuple(tuple(Fraction(v, scale) if v else ZERO for v in r) for r in out)
 
     def bracket_spans(self, s: Subspace, t: Subspace) -> Subspace:
-        vecs = [self.bracket(a, b) for a in s.rows for b in t.rows]
-        return Subspace(self.dim, vecs)
+        ts = _sparse(t.int_rows)
+        return Subspace(self.dim, [_ibracket(self, a, b) for a in _sparse(s.int_rows) for b in ts])
 
     def derived_span(self, s: Subspace) -> Subspace:
         """[s, s], from the brackets of the pairs a < b of s's echelon rows.
@@ -264,10 +312,9 @@ class LieAlgebra:
         certificate's reduction build is: [a, a] = 0 and [b, a] = -[a, b]
         add nothing to the span.
         """
-        rows = s.rows
-        return Subspace(
-            self.dim, [self.bracket(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]]
-        )
+        sup = _sparse(s.int_rows)
+        pairs = [(a, b) for i, a in enumerate(sup) for b in sup[i + 1 :]]
+        return Subspace(self.dim, [_ibracket(self, a, b) for a, b in pairs])
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, names={self.names!r})"
@@ -291,7 +338,7 @@ def validate_algebra(alg: LieAlgebra) -> AlgebraValidationReport:
     that is not antisymmetric is checked as it stands): the sum over the
     nonzero c[a][b][m] and c[m][z][l] of their product, into coordinate l.
     """
-    nz = alg.nonzero
+    nz = alg.consts
     n = alg.dim
     anti = []
     for i in range(n):
@@ -304,50 +351,73 @@ def validate_algebra(alg: LieAlgebra) -> AlgebraValidationReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total: dict[int, Fraction] = {}
+                total: dict[int, int] = {}
                 for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, x in nz[a][b]:
                         for l, y in nz[m][z]:
-                            total[l] = total.get(l, ZERO) + x * y
+                            total[l] = total.get(l, 0) + x * y
                 if any(total.values()):
                     jac.append((i, j, k))
     return AlgebraValidationReport(tuple(anti), tuple(jac))
 
 
-def subalgebra_closure(alg: LieAlgebra, vectors: Sequence[Sequence]) -> Subspace:
-    """Smallest bracket-closed subspace containing the given vectors."""
-    cur = Subspace(alg.dim, vectors)
-    while True:
-        nxt = cur.sum(alg.derived_span(cur))
-        if nxt.dim == cur.dim:
-            return cur
-        cur = nxt
+def _grow(cur: Subspace, vectors) -> tuple[Subspace, list]:
+    """cur + span(vectors), and a basis of it modulo cur: the echelon rows of
+    the sum at the pivots cur lacks.  Each vector is first reduced along
+    cur, and cur is returned as it is when nothing is left."""
+    rest = [r for r in (cur._remainder(v)[0] for v in vectors) if any(r)]
+    if not rest:
+        return cur, []
+    nxt = Subspace(cur.ambient_dim, cur.int_rows + tuple(rest))
+    old = set(cur.pivots)
+    return nxt, [r for r, p in zip(nxt.int_rows, nxt.pivots) if p not in old]
+
+
+def subalgebra_closure(
+    alg: LieAlgebra, vectors: Sequence[Sequence], closed: Subspace | None = None
+) -> Subspace:
+    """Smallest bracket-closed subspace containing the given vectors and
+    `closed`, which must be bracket-closed itself (zero when omitted).
+
+    Semi-naive: each round brackets only the directions new in the last
+    round, with each other and with the span before them; the brackets
+    within that span are in the current one already.  A closed part costs
+    no bracket of its own.
+    """
+    old = closed if closed is not None else Subspace.zero(alg.dim)
+    cur, new = _grow(old, Subspace(alg.dim, vectors).int_rows)
+    while new:
+        new, base = _sparse(new), _sparse(old.int_rows)
+        old = cur
+        pairs = [(a, b) for i, a in enumerate(new) for b in new[i + 1 :] + base]
+        cur, new = _grow(cur, [_ibracket(alg, a, b) for a, b in pairs])
+    return cur
 
 
 def ideal_closure(alg: LieAlgebra, s: Subspace) -> Subspace:
-    """Smallest ideal of the algebra containing s."""
-    cur = s
-    full = Subspace.full(alg.dim)
-    while True:
-        nxt = cur.sum(alg.bracket_spans(full, cur))
-        if nxt.dim == cur.dim:
-            return cur
-        cur = nxt
+    """Smallest ideal of the algebra containing s.
+
+    Semi-naive: each round brackets the basis only with the directions
+    added in the last round.
+    """
+    cur, new = s, list(s.int_rows)
+    while new:
+        units = [[(i, 1)] for i in range(alg.dim)]
+        cur, new = _grow(cur, [_ibracket(alg, e, y) for y in _sparse(new) for e in units])
+    return cur
 
 
 def is_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
-    return all(
-        s.contains_vector(alg.bracket(a, b))
-        for i, a in enumerate(s.rows)
-        for b in s.rows[i + 1 :]
-    )
+    sup = _sparse(s.int_rows)
+    return all(s._has(_ibracket(alg, a, b)) for i, a in enumerate(sup) for b in sup[i + 1 :])
 
 
 def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
     """Whether [t, s] is contained in s.  Requires s within t."""
     if not t.contains(s):
         raise SubspaceNotNestedError("s is not contained in t")
-    return all(s.contains_vector(alg.bracket(x, y)) for x in t.rows for y in s.rows)
+    ss = _sparse(s.int_rows)
+    return all(s._has(_ibracket(alg, x, y)) for x in _sparse(t.int_rows) for y in ss)
 
 
 def _series_reaches_zero(alg: LieAlgebra, step) -> bool:
@@ -403,21 +473,26 @@ def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
 def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, Matrix]:
     """The subalgebra as a standalone algebra, plus its inclusion rows.
 
-    Basis of the result = the echelon rows of s (names b0, b1, ...); the
-    returned matrix has those rows, so coordinates lift via row combinations.
+    Basis of the result = the reduced echelon rows of s (names b0, b1, ...);
+    the returned matrix has those rows, so coordinates lift via row
+    combinations.  As s is bracket-closed, the coordinates of a bracket are
+    its entries at s's pivots.
     """
     if not is_subalgebra(alg, s):
         raise NotSubalgebraError("subspace is not bracket-closed")
     k = s.dim
     names = tuple(f"b{i}" for i in range(k))
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            br = alg.bracket(s.rows[i], s.rows[j])
-            coords = s.coordinates_of(br)
-            if coords is None:  # pragma: no cover - guarded by is_subalgebra
-                raise NotSubalgebraError("bracket escapes the subspace")
-            table[i][j] = coords
+    sup = _sparse(s.int_rows)
+    piv = [r[p] for r, p in zip(s.int_rows, s.pivots)]
+    # the reduced row i is int row i over its pivot, so [row_i, row_j] is the
+    # integer bracket over denom * piv_i * piv_j, read at the pivots
+    table = [
+        [
+            [Fraction(br[p], alg.denom * piv[i] * piv[j]) for p in s.pivots]
+            for j, br in enumerate(_ibracket(alg, a, b) for b in sup)
+        ]
+        for i, a in enumerate(sup)
+    ]
     return LieAlgebra(names, table), s.rows
 
 
@@ -436,17 +511,17 @@ def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
     """Greedy canonical hyperplane of `inside` containing `containing`.
 
     Extends by the earliest echelon rows of `inside`; the result has the
-    lexicographically least pivot set among such hyperplanes.  Each row is
-    tested with `contains_vector`, and a new Subspace is built only for a
+    lexicographically least pivot set among such hyperplanes.  Each integer
+    row is tested for membership, and a new Subspace is built only for a
     row outside the current span.
     """
     target = inside.dim - 1
     cur = containing
-    for row in inside.rows:
+    for row in inside.int_rows:
         if cur.dim == target:
             break
-        if not cur.contains_vector(row):
-            cur = Subspace(inside.ambient_dim, cur.rows + (row,))
+        if not cur._has(row):
+            cur = Subspace(inside.ambient_dim, cur.int_rows + (row,))
     if cur.dim != target:  # pragma: no cover - containing must fit
         raise ValueError("cannot extend to a hyperplane")
     return cur
@@ -464,7 +539,7 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     """A rational common eigenvector of the solvable action, or None.
 
     rep[i] is the matrix of the action of basis vector e_i on Q^space_dim;
-    the algebra is read through `alg.dim` and `alg.nonzero` only.  Returns
+    the algebra is read through `alg.dim` and `alg.consts` only.  Returns
     the canonical least normalized eigenvector, or None when the descent
     needs an eigenvalue that is not rational (or the algebra turns out
     non-solvable along the way).
@@ -483,14 +558,12 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     cross-multiplying; den*A - num*I stands for A - (num/den)*I.
     """
     n = alg.dim
-    flat = iter(linalg._integer_row(c for row in alg.nonzero for cs in row for _, c in cs))
-    consts = [[[(k, next(flat)) for k, _ in cs] for cs in row] for row in alg.nonzero]
     # the nonzero entries (i, j, x) of each action matrix, read once, as ints
-    flat = iter(linalg._integer_row(x for m in rep for row in m for x in row))
+    flat = iter(linalg.scaled_ints(x for m in rep for row in m for x in row)[0])
     rep = [[[next(flat) for _ in row] for row in m] for m in rep]
     entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
 
-    def lift(elem: Vector) -> tuple[list[int], list[list[int]]]:
+    def lift(elem: Sequence[int]) -> tuple[list[int], list[list[int]]]:
         """The primitive integer multiple of elem and its action."""
         p = linalg._primitive(elem)
         out = [[0] * space_dim for _ in range(space_dim)]
@@ -504,13 +577,13 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         """The descent below sub, given the lifts of sub's echelon rows."""
         if not any(x for _, a in lifts for row in a for x in row):
             return linalg.unit_vec(space_dim, 0)
-        sup = [[(i, x) for i, x in enumerate(p) if x] for p, _ in lifts]
+        sup = _sparse(p for p, _ in lifts)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
-        derived = Subspace(n, [_bracket_into([0] * n, consts, x, y) for x, y in pairs])
+        derived = Subspace(n, [_ibracket(alg, x, y) for x, y in pairs])
         if derived.dim >= sub.dim:
             return None  # not solvable
         hyper = _hyperplane_in(sub, derived)
-        hyper_lifts = [lift(r) for r in hyper.rows]
+        hyper_lifts = [lift(r) for r in hyper.int_rows]
         w = recurse(hyper, hyper_lifts)
         if w is None:
             return None
@@ -525,12 +598,14 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
             if any(x * den != num * y for x, y in zip(img, w)):  # pragma: no cover - theory guard
                 raise SolvdiagError("descent produced a non-eigenvector")
             rows += _shifted(a, num, den)
-        wsub = Subspace(space_dim, linalg.nullspace(rows, space_dim))
+        wsub = Subspace(space_dim, linalg.int_nullspace(rows, space_dim))
         # the action of a complement direction of hyper in sub, restricted to
-        # the weight space (invariant in char 0) on the basis lcm * wsub.rows
-        mz = next(a for r, (_, a) in zip(sub.rows, lifts) if not hyper.contains_vector(r))
-        lcm = math.lcm(*(x.denominator for r in wsub.rows for x in r))
-        basis = [[x.numerator * lcm // x.denominator for x in r] for r in wsub.rows]
+        # the weight space (invariant in char 0), on the basis of wsub's
+        # reduced rows times the lcm of their pivots: each integer row scaled
+        # to that common pivot
+        mz = next(a for r, (_, a) in zip(sub.int_rows, lifts) if not hyper._has(r))
+        lcm = math.lcm(*(r[p] for r, p in zip(wsub.int_rows, wsub.pivots)))
+        basis = [[x * (lcm // r[p]) for x in r] for r, p in zip(wsub.int_rows, wsub.pivots)]
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
             img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
@@ -541,14 +616,17 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         restr_m = linalg.transpose(restr)  # act on coordinate columns
         best: Vector | None = None
         for mu in linalg.rational_eigenvalues(restr_m):
-            for sol in linalg.nullspace(_shifted(restr_m, mu.numerator, mu.denominator), wsub.dim):
-                v = normalize_vector(linalg.lincomb(sol, wsub.rows))
+            shifted = _shifted(restr_m, mu.numerator, mu.denominator)
+            for sol in linalg.int_nullspace(shifted, wsub.dim):
+                v = [sum(c * b[j] for c, b in zip(sol, basis) if c) for j in range(space_dim)]
+                lead = next(x for x in v if x)
+                v = tuple(Fraction(x, lead) if x else ZERO for x in v)
                 if best is None or vector_sort_key(v) < vector_sort_key(best):
                     best = v
         return best
 
     full = Subspace.full(n)
-    return recurse(full, [lift(r) for r in full.rows])
+    return recurse(full, [lift(r) for r in full.int_rows])
 
 
 class SolvabilityVerdict(Enum):
@@ -584,16 +662,16 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     if not is_solvable(alg):
         return SolvabilityCertificate(SolvabilityVerdict.NOT_SOLVABLE, None)
     n = alg.dim
-    flat = iter(linalg._integer_row(c for row in alg.table for v in row for c in v))
-    red = [[[next(flat) for _ in v] for v in row] for row in alg.table]  # D [e_i, e_j] mod carried
+    # D [e_i, e_j] mod carried
+    red = [[[dict(cs).get(k, 0) for k in range(n)] for cs in row] for row in alg.consts]
     members: list[Subspace] = []
     carried = Subspace.zero(n)
     keep = list(range(n))  # quotient coordinates: non-pivot columns of carried
     while keep:
         table = [[[red[a][b][k] for k in keep] for b in keep] for a in keep]
-        nonzero = [[tuple((k, x) for k, x in enumerate(v) if x) for v in row] for row in table]
+        consts = [_sparse(row) for row in table]
         rep = [linalg.transpose(row) for row in table]
-        v = common_eigenvector(SimpleNamespace(dim=len(keep), nonzero=nonzero), rep, len(keep))
+        v = common_eigenvector(SimpleNamespace(dim=len(keep), consts=consts), rep, len(keep))
         if v is None:
             return SolvabilityCertificate(
                 SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM, None
@@ -605,7 +683,7 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         members.append(carried)
         p = next(c for c in carried.pivots if c in keep)  # the new pivot
         keep.remove(p)
-        q = linalg._primitive(carried.rows[carried.pivots.index(p)])
+        q = carried.int_rows[carried.pivots.index(p)]
         d = q[p]
         for red_i in red:
             for j, r in enumerate(red_i):

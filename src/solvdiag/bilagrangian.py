@@ -206,13 +206,14 @@ def curvature(alg: LieAlgebra, table: ConnectionTable, x, y, z) -> Vector:
 def curvature_flatness(alg: LieAlgebra, table: ConnectionTable) -> bool:
     """Does the curvature tensor vanish on all basis triples?  With ent[i][j]
     = D_{e_i} e_j read from the table, R(e_i, e_j)e_k is the sum over m of
-    ent[j][k]_m ent[i][m] - ent[i][k]_m ent[j][m] - [e_i, e_j]_m ent[m][k]."""
-    n = alg.dim
+    ent[j][k]_m ent[i][m] - ent[i][k]_m ent[j][m] - [e_i, e_j]_m ent[m][k],
+    summed here times the algebra's `denom`, so the constants stay ints."""
+    n, d = alg.dim, alg.denom
     nz = [[linalg.support(v, n) for v in row] for row in table.entries]  # ValueError unless n
     for i, j, k in ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)):
-        terms = [(c, nz[i][m]) for m, c in nz[j][k]] + [(-c, nz[j][m]) for m, c in nz[i][k]]
+        terms = [(d * c, nz[i][m]) for m, c in nz[j][k]] + [(-d * c, nz[j][m]) for m, c in nz[i][k]]
         out = {}
-        for c, v in terms + [(-c, nz[m][k]) for m, c in alg.nonzero[i][j]]:
+        for c, v in terms + [(-c, nz[m][k]) for m, c in alg.consts[i][j]]:
             for l, x in v:
                 out[l] = out.get(l, ZERO) + c * x
         if any(out.values()):

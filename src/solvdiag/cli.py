@@ -37,7 +37,14 @@ from .diagram import (
     predicates,
     weight_zero_singulars,
 )
-from .document import Document, parse_document, rational_repr, serialize_document, subspace_obj
+from .document import (
+    Document,
+    named,
+    parse_document,
+    rational_repr,
+    serialize_document,
+    subspace_obj,
+)
 from .flags import validate_flag
 from .forms import is_closed, kernel
 from .lagrangian import find_lagrangians
@@ -50,10 +57,6 @@ from .primitivity import (
     singular_count_audit,
 )
 from .render import STYLES, contracted_text, render_dot
-
-
-class UnknownNameError(SolvdiagError):
-    code = "UNKNOWN_NAME"
 
 
 # Codes that indicate a problem with what the user handed in, as opposed
@@ -75,13 +78,6 @@ INPUT_ERROR_CODES = frozenset(
         "NOT_SOLVABLE",
     }
 )
-
-
-def _get(table: dict, name: str, what: str):
-    if name not in table:
-        known = ", ".join(sorted(table)) or "none"
-        raise UnknownNameError(f"no {what} named {name!r} (known: {known})")
-    return table[name]
 
 
 def _vec_str(names, v) -> str:
@@ -186,8 +182,8 @@ def cmd_validate(doc: Document, args):
 
 
 def cmd_diagram(doc: Document, args):
-    form = _get(doc.two_forms, args.form, "form")
-    flag = _get(doc.flags, args.flag, "flag")
+    form = named(doc.two_forms, args.form, "form")
+    flag = named(doc.flags, args.flag, "flag")
     d = kernel_chain(doc.algebra, form, flag)
     preds = asdict(predicates(doc.algebra, d))
     head, obj = _asked(doc, args)
@@ -219,8 +215,8 @@ def cmd_diagram(doc: Document, args):
 
 def cmd_deform(doc: Document, args):
     names = doc.algebra.names
-    form = _get(doc.two_forms, args.form, "form")
-    flag = _get(doc.flags, args.flag, "flag")
+    form = named(doc.two_forms, args.form, "form")
+    flag = named(doc.flags, args.flag, "flag")
     out = deform_to_simple(doc.algebra, form, flag)
     lines = ["deformed chain:"]
     for m in out.members:
@@ -237,7 +233,7 @@ def cmd_deform(doc: Document, args):
 
 def cmd_lagrangians(doc: Document, args):
     names = doc.algebra.names
-    form = _get(doc.two_forms, args.form, "form")
+    form = named(doc.two_forms, args.form, "form")
     verdict = find_lagrangians(doc.algebra, form, mode=args.mode.replace("-", "_"))
     head, obj = _asked(doc, args)
     lines = [
@@ -256,9 +252,9 @@ def cmd_lagrangians(doc: Document, args):
 
 def cmd_bilagrangian(doc: Document, args):
     names = doc.algebra.names
-    form = _get(doc.two_forms, args.form, "form")
-    left = _get(doc.subspaces, args.left, "subspace")
-    right = _get(doc.subspaces, args.right, "subspace")
+    form = named(doc.two_forms, args.form, "form")
+    left = named(doc.subspaces, args.left, "subspace")
+    right = named(doc.subspaces, args.right, "subspace")
     pair = BilagrangianPair(left=left, right=right)
     table = connection(doc.algebra, form, pair)
     verdicts = {
@@ -283,7 +279,7 @@ def cmd_bilagrangian(doc: Document, args):
 
 def cmd_primitivity(doc: Document, args):
     names = doc.algebra.names
-    form = _get(doc.two_forms, args.form, "form")
+    form = named(doc.two_forms, args.form, "form")
     pair = PairPresentation(algebra=doc.algebra, isotropy=kernel(form))
     prim = primitive_test(pair)
     quasi = quasi_primitive_test(pair)

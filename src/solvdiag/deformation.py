@@ -32,7 +32,7 @@ from .diagram import (
     predicates,
 )
 from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_flag
-from .forms import TwoForm, radical, restrict, symplectic_orthogonal
+from .forms import TwoForm, is_isotropic, radical, symplectic_orthogonal
 
 
 class NoRepulsiveVertexError(SolvdiagError):
@@ -110,7 +110,7 @@ def split_at_repulsive(
     iso = attractive.member.intersect(comp)
     if not iso.contains(radical(omega, Subspace.full(alg.dim))):
         raise SplitInvariantFailedError("kernel inside isotropic part")
-    if not restrict(omega, iso).is_zero():
+    if not is_isotropic(omega, iso):
         raise SplitInvariantFailedError("isotropic part")
     return SemidirectSplit(
         nil_ideal=nil, complement=comp, iso_part=iso, attractive_member=attractive.member
@@ -217,7 +217,7 @@ def equivariant_descent(
             raise DescentStuckError("kernel is not invariant under the complement")
         if not t.contains(alg.bracket_spans(split.complement, t)):
             raise DescentStuckError("member is not invariant under the complement")
-        if not restrict(omega, h_new.sum(split.iso_part)).is_zero():
+        if not is_isotropic(omega, h_new.sum(split.iso_part)):
             raise DescentStuckError("kernel is not isotropic against the complement part")
         h = h_new
         members_desc.append(t)

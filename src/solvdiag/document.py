@@ -32,6 +32,18 @@ class RationalFormatError(SolvdiagError):
     code = "RATIONAL_FORMAT_ERROR"
 
 
+class UnknownNameError(SolvdiagError):
+    code = "UNKNOWN_NAME"
+
+
+def named(table: Mapping, name: str, what: str):
+    """table[name], or an UnknownNameError that lists the known names."""
+    if name not in table:
+        known = ", ".join(sorted(table)) or "none"
+        raise UnknownNameError(f"no {what} named {name!r} (known: {known})")
+    return table[name]
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
 _TOP_KEYS = {"name", "dim", "basis", "brackets", "two_forms", "flags", "subspaces", "metadata"}
@@ -224,7 +236,7 @@ def parse_document(text: str) -> Document:
     for sname, vecs_raw in _expect(raw.get("subspaces", {}), dict, "subspaces").items():
         subspaces[sname] = _parse_member_list(vecs_raw, names, f"subspaces[{sname!r}]")
 
-    metadata = _parse_metadata(raw.get("metadata", {}))
+    metadata = _parse_metadata(raw.get("metadata", {}), two_forms, flags)
 
     return Document(
         name=name,
@@ -236,7 +248,7 @@ def parse_document(text: str) -> Document:
     )
 
 
-def _parse_metadata(raw: object) -> Metadata:
+def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata:
     _expect(raw, dict, "metadata")
     for key in raw:
         if key not in _META_KEYS:
@@ -261,6 +273,14 @@ def _parse_metadata(raw: object) -> Metadata:
         args = _expect(item.get("args", {}), dict, f"{where}.args")
         for k in args:
             _expect(k, str, f"{where}.args key")
+        # the names an entry refers to: strings, and the form and flag defined
+        for key in ("form", "flag", "name"):
+            if key in args:
+                _expect(args[key], str, f"{where}.args.{key}")
+        if "form" in args:
+            named(two_forms, args["form"], "form")
+        if "flag" in args:
+            named(flags, args["flag"], "flag")
         tag = _expect(item["tag"], str, f"{where}.tag")
         if tag not in _TAGS:
             raise SchemaError(f"{where}.tag: expected one of {_TAGS}, got {tag!r}")

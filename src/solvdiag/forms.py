@@ -6,22 +6,26 @@ Sign convention, used consistently everywhere:
     d(omega)(x,y,z) = -omega([x,y], z) + omega([x,z], y) - omega([y,z], x)
 
 so closedness of a 2-form is the cocycle identity
-omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.  d on 2-forms is one
-sparse matrix, built once per call by `_d_rows` from the algebra's nonzero
-structure constants `alg.nonzero`: `ce_differential` evaluates it and
-`closed_two_form_basis` is its nullspace.  `ce_differential_covector` reads
-`alg.nonzero` too.
+omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.  A TwoForm is stored
+once, as an integer matrix over one positive denominator; `entries`, its
+Fraction matrix, is a view built on first read.  d on 2-forms is one sparse
+integer matrix, built once per call by `_d_rows` from the algebra's integer
+constants `alg.consts`: `ce_differential` evaluates it on the form's integer
+matrix and divides once, and `closed_two_form_basis` is its nullspace.
+Pairings, restrictions, radicals, isotropy tests and symplectic orthogonals
+run on the integer rows of a Subspace and the form's integer matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import LieAlgebra, SolvdiagError, Subspace
+from .algebra import LieAlgebra, SolvdiagError, Subspace, _init
 from .linalg import Vector, ZERO, ONE, frac
 
 
@@ -52,30 +56,50 @@ class Covector:
 
 
 class TwoForm:
-    """A skew bilinear form as an exact matrix (rows/cols in basis order)."""
+    """A skew bilinear form (rows/cols in basis order), stored once as an
+    integer matrix `numer` over one positive denominator `denom`, in lowest
+    terms (the gcd of `denom` and all of `numer` is 1), so equal forms
+    store equal numbers.  `entries`, the Fraction matrix, is a view built on
+    first read."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "numer", "denom", "_entries")
 
     def __init__(self, entries: Sequence[Sequence]) -> None:
-        m = linalg.mat(entries)
-        n = len(m)
+        rows = [tuple(r) for r in entries]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("two-form matrix must be square")
+        ints, denom = linalg.scaled_ints(x for r in rows for x in r)  # in lowest terms
+        m = tuple(tuple(ints[i : i + n]) for i in range(0, n * n, n))
         for i in range(n):
-            if len(m[i]) != n:
-                raise ValueError("two-form matrix must be square")
             if m[i][i] != 0:
                 raise ValueError("two-form matrix must have zero diagonal")
             for j in range(i + 1, n):
                 if m[i][j] != -m[j][i]:
                     raise ValueError("two-form matrix must be antisymmetric")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", m)
+        _init(self, dim=n, numer=m, denom=denom, _entries=None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("TwoForm is immutable")
 
     @classmethod
+    def _of(cls, numer: Sequence[Sequence[int]], denom: int) -> "TwoForm":
+        """The form numer / denom (denom > 0, numer skew), put in lowest terms."""
+        g = math.gcd(denom, *(x for r in numer for x in r))
+        m = tuple(tuple(x // g for x in r) for r in numer)
+        return _init(object.__new__(cls), dim=len(m), numer=m, denom=denom // g, _entries=None)
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        if self._entries is None:
+            d = self.denom
+            m = tuple(tuple(Fraction(x, d) if x else ZERO for x in r) for r in self.numer)
+            _init(self, _entries=m)
+        return self._entries
+
+    @classmethod
     def zero(cls, n: int) -> "TwoForm":
-        return cls([[ZERO] * n for _ in range(n)])
+        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, object]]) -> "TwoForm":
@@ -91,44 +115,51 @@ class TwoForm:
             m[j][i] = -v
         return cls(m)
 
+    def pair_ints(self, x: Sequence[int]) -> list[int]:
+        """denom * omega(x, .) for an integer vector x."""
+        out = [0] * self.dim
+        for c, row in zip(x, self.numer):
+            if c:
+                for j, e in enumerate(row):
+                    if e:
+                        out[j] += c * e
+        return out
+
     def pairing_with(self, x: Sequence) -> Vector:
-        """The covector omega(x, .); x is checked by `linalg.support`."""
-        out = [ZERO] * self.dim
-        for i, c in linalg.support(x, self.dim):
-            for j, e in enumerate(self.entries[i]):
-                if e:
-                    out[j] += c * e
-        return tuple(out)
+        """The covector omega(x, .); x is checked by `linalg.scaled_ints`."""
+        ints, scale = linalg.scaled_ints(x, self.dim)
+        scale *= self.denom
+        return tuple(Fraction(v, scale) if v else ZERO for v in self.pair_ints(ints))
 
     def apply(self, x: Sequence, y: Sequence) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
-        p = self.pairing_with(x)
-        return sum((p[j] * b for j, b in linalg.support(y, self.dim)), ZERO)
+        (x, sx), (y, sy) = linalg.scaled_ints(x), linalg.scaled_ints(y)
+        value = sum(a * b for a, b in zip(self.pair_ints(x), y) if b)
+        return Fraction(value, sx * sy * self.denom)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(any(r) for r in self.numer)
 
     def rank(self) -> int:
-        return linalg.rank(self.entries)
+        return linalg.rank(self.numer)
 
     def scaled(self, c) -> "TwoForm":
-        c = frac(c)
-        return TwoForm([[c * v for v in row] for row in self.entries])
+        num, den = frac(c).as_integer_ratio()
+        return TwoForm._of([[num * v for v in r] for r in self.numer], den * self.denom)
 
     def plus(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        d = math.lcm(self.denom, other.denom)
+        a, b = d // self.denom, d // other.denom
+        return TwoForm._of(
+            [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self.numer, other.numer)], d
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwoForm) and self.entries == other.entries
+        return isinstance(other, TwoForm) and (self.numer, self.denom) == (other.numer, other.denom)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.numer, self.denom))
 
     def __repr__(self) -> str:
         return f"TwoForm(dim={self.dim})"
@@ -146,8 +177,7 @@ class ThreeForm:
                 raise ValueError("three-form keys must be strictly ordered")
             if v != 0:
                 clean[(i, j, k)] = frac(v)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", clean)
+        _init(self, dim=dim, entries=clean)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("ThreeForm is immutable")
@@ -172,43 +202,46 @@ class ThreeForm:
 def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
     """d(phi)(x, y) = -phi([x, y]) on basis pairs."""
     n = alg.dim
-    coeffs = phi.coeffs
-    m = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(alg.nonzero):
+    coeffs, scale = linalg.scaled_ints(phi.coeffs)
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(alg.consts):
         for j in range(i + 1, n):
-            val = -sum((coeffs[k] * c for k, c in row[j]), ZERO)
+            val = -sum(coeffs[k] * c for k, c in row[j])
             m[i][j] = val
             m[j][i] = -val
-    return TwoForm(m)
+    return TwoForm._of(m, scale * alg.denom)
 
 
-def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int], Fraction]]:
-    """The matrix of d on 2-forms: for each triple i < j < k with a nonempty
-    row {(a, b): c} (a < b), d(omega)(e_i, e_j, e_k) = sum of c * omega[a][b].
-    Read off the nonzero structure constants of [e_i,e_j], [e_i,e_k], [e_j,e_k]
-    in `alg.nonzero`.
+def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int], int]]:
+    """The matrix of d on 2-forms, times the algebra's `denom`: for each
+    triple i < j < k with a nonempty row {(a, b): c} (a < b),
+    denom * d(omega)(e_i, e_j, e_k) = sum of c * omega[a][b].  Read off the
+    integer structure constants of [e_i,e_j], [e_i,e_k], [e_j,e_k] in
+    `alg.consts`.
     """
-    nz = alg.nonzero
+    nz = alg.consts
     rows = {}
     for i, j, k in itertools.combinations(range(alg.dim), 3):
-        row: dict[tuple[int, int], Fraction] = {}
+        row: dict[tuple[int, int], int] = {}
         for (p, q), z, sign in (((i, j), k, -1), ((i, k), j, 1), ((j, k), i, -1)):
             for a, c in nz[p][q]:
                 if a != z:
                     key, s = ((a, z), sign) if a < z else ((z, a), -sign)
-                    row[key] = row.get(key, ZERO) + s * c
+                    row[key] = row.get(key, 0) + s * c
         if row:
             rows[(i, j, k)] = row
     return rows
 
 
 def ce_differential(alg: LieAlgebra, omega: TwoForm) -> ThreeForm:
-    """d(omega) on basis triples, with the fixed sign convention."""
+    """d(omega) on basis triples, with the fixed sign convention: the
+    integer matrix of d applied to omega's integer matrix, divided once."""
     if omega.dim != alg.dim:
         raise ValueError("form dimension does not match the algebra")
-    e = omega.entries
-    rows = _d_rows(alg).items()
-    return ThreeForm(alg.dim, {t: sum(c * e[a][b] for (a, b), c in row.items()) for t, row in rows})
+    e = omega.numer
+    den = alg.denom * omega.denom
+    values = {t: sum(c * e[a][b] for (a, b), c in row.items()) for t, row in _d_rows(alg).items()}
+    return ThreeForm(alg.dim, {t: Fraction(v, den) for t, v in values.items() if v})
 
 
 def is_closed(alg: LieAlgebra, omega: TwoForm) -> bool:
@@ -216,19 +249,19 @@ def is_closed(alg: LieAlgebra, omega: TwoForm) -> bool:
 
 
 def wedge_with_covector(dphi: TwoForm, phi: Covector) -> ThreeForm:
-    """(dphi ^ phi)(x,y,z) = dphi(x,y)phi(z) - dphi(x,z)phi(y) + dphi(y,z)phi(x)."""
+    """(dphi ^ phi)(x,y,z) = dphi(x,y)phi(z) - dphi(x,z)phi(y) + dphi(y,z)phi(x),
+    on dphi's integer matrix and phi scaled to ints, divided once."""
     n = dphi.dim
+    m = dphi.numer
+    c, scale = linalg.scaled_ints(phi.coeffs)
+    den = dphi.denom * scale
     entries = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                v = (
-                    dphi.entries[i][j] * phi.coeffs[k]
-                    - dphi.entries[i][k] * phi.coeffs[j]
-                    + dphi.entries[j][k] * phi.coeffs[i]
-                )
-                if v != 0:
-                    entries[(i, j, k)] = v
+                v = m[i][j] * c[k] - m[i][k] * c[j] + m[j][k] * c[i]
+                if v:
+                    entries[(i, j, k)] = Fraction(v, den)
     return ThreeForm(n, entries)
 
 
@@ -286,26 +319,42 @@ def closed_covectors(
     return found, truncated
 
 
-def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
-    """Matrix of omega on s, in its echelon basis: one pairing per row."""
-    rows = s.rows
-    k = len(rows)
-    m = [[ZERO] * k for _ in range(k)]
-    for i in range(k - 1):
-        after = linalg.matvec(rows[i + 1 :], omega.pairing_with(rows[i]))
-        for j, v in enumerate(after, i + 1):
+def _gram(omega: TwoForm, s: Subspace) -> list[list[int]]:
+    """omega.denom * omega(r_i, r_j) on the integer rows r of s, one pairing per row."""
+    rows = s.int_rows
+    m = [[0] * len(rows) for _ in rows]
+    for i in range(len(rows) - 1):
+        p = omega.pair_ints(rows[i])
+        for j in range(i + 1, len(rows)):
+            v = sum(x * y for x, y in zip(rows[j], p) if x)
             m[i][j], m[j][i] = v, -v
-    return TwoForm(m)
+    return m
+
+
+def is_isotropic(omega: TwoForm, s: Subspace) -> bool:
+    """Whether omega vanishes on s x s."""
+    return not any(map(any, _gram(omega, s)))
+
+
+def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
+    """Matrix of omega on s, in its reduced echelon basis: the integer rows
+    scaled to the lcm L of their pivots, paired, and divided by L^2 once."""
+    lcm = math.lcm(*(r[p] for r, p in zip(s.int_rows, s.pivots)))
+    scale = [lcm // r[p] for r, p in zip(s.int_rows, s.pivots)]
+    m = [[x * a * b for x, b in zip(row, scale)] for row, a in zip(_gram(omega, s), scale)]
+    return TwoForm._of(m, omega.denom * lcm * lcm)
 
 
 def radical(omega: TwoForm, s: Subspace) -> Subspace:
-    """{x in s : omega(x, y) = 0 for all y in s}, as an ambient subspace."""
-    k = s.dim
-    if k == 0:
+    """{x in s : omega(x, y) = 0 for all y in s}, as an ambient subspace:
+    the combinations sum y_j r_j of s's integer rows r with y in the
+    kernel of their integer Gram matrix."""
+    if s.is_zero():
         return s
-    restr = restrict(omega, s)
-    sols = linalg.nullspace(restr.entries, k)
-    return Subspace(s.ambient_dim, [linalg.lincomb(sol, s.rows) for sol in sols])
+    rows, n = s.int_rows, s.ambient_dim
+    ker = linalg.int_nullspace(_gram(omega, s), s.dim)
+    combos = [[sum(c * r[t] for c, r in zip(y, rows) if c) for t in range(n)] for y in ker]
+    return Subspace(n, combos)
 
 
 def kernel(omega: TwoForm) -> Subspace:
@@ -315,8 +364,8 @@ def kernel(omega: TwoForm) -> Subspace:
 
 def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:
     """{x : omega(x, y) = 0 for all y in s} inside the whole space."""
-    rows = [omega.pairing_with(r) for r in s.rows]
-    return Subspace(omega.dim, linalg.nullspace(rows, omega.dim))
+    rows = [omega.pair_ints(r) for r in s.int_rows]
+    return Subspace(omega.dim, linalg.int_nullspace(rows, omega.dim))
 
 
 def closed_two_form_basis(alg: LieAlgebra) -> list[TwoForm]:
@@ -324,7 +373,7 @@ def closed_two_form_basis(alg: LieAlgebra) -> list[TwoForm]:
     matrix of d on 2-forms, solved exactly."""
     n = alg.dim
     pairs = list(itertools.combinations(range(n), 2))
-    rows = [[row.get(p, ZERO) for p in pairs] for row in _d_rows(alg).values()]
+    rows = [[row.get(p, 0) for p in pairs] for row in _d_rows(alg).values()]
     return [
         TwoForm.from_pairs(n, ((a, b, x) for (a, b), x in zip(pairs, sol)))
         for sol in linalg.nullspace(rows, len(pairs))

@@ -109,19 +109,15 @@ def random_nilpotent(rng: Random, dim: int) -> LieAlgebra:
 def random_closed_form(rng: Random, alg: LieAlgebra) -> TwoForm:
     """A random rational combination of a basis of the closed 2-forms."""
     basis = closed_two_form_basis(alg)
-    n = alg.dim
-    entries = [[linalg.ZERO] * n for _ in range(n)]
+    acc = TwoForm.zero(alg.dim)
     for attempt in range(2):
         for form in basis:
             c = rng.choice(_COEFFS)
-            if not c:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    entries[i][j] += c * form.entries[i][j]
-        if any(entries[i][j] != 0 for i in range(n) for j in range(n)):
+            if c:
+                acc = acc.plus(form.scaled(c))
+        if not acc.is_zero():
             break
-    return TwoForm(entries)
+    return acc
 
 
 def random_unimodular(rng: Random, n: int, steps: int | None = None):

@@ -27,7 +27,7 @@ from .diagram import (
     predicates,
 )
 from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_flag
-from .forms import NotClosedError, TwoForm, is_closed, radical, restrict
+from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, radical
 
 
 class NotLagrangianError(SolvdiagError):
@@ -59,7 +59,7 @@ def verify_lagrangian(alg: LieAlgebra, omega: TwoForm, s: Subspace) -> Lagrangia
     ker = radical(omega, Subspace.full(alg.dim))
     if not s.contains(ker):
         reasons.append("does not contain the kernel of the form")
-    if not restrict(omega, s).is_zero():
+    if not is_isotropic(omega, s):
         reasons.append("not isotropic")
     target = omega.rank() // 2 + ker.dim
     if s.dim != target:
@@ -124,6 +124,8 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                 if row not in gens:
                     gens.append(row)
         gens.sort(key=vector_sort_key)
+        gens = [tuple(linalg._primitive(g)) for g in gens]
+        paired = [omega.pair_ints(g) for g in gens]  # denom * omega(g, .)
 
         def extend(cur: Subspace, start: int) -> None:
             if cur.dim == target:
@@ -133,24 +135,24 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                 return
             for i in range(start, len(gens)):
                 v = gens[i]
-                if cur.contains_vector(v):
+                if cur._has(v):
                     continue
-                if any(linalg.matvec(cur.rows, omega.pairing_with(v))):
+                if any(sum(x * y for x, y in zip(r, paired[i]) if x) for r in cur.int_rows):
                     continue
-                grown = subalgebra_closure(alg, list(cur.rows) + [v])
+                grown = subalgebra_closure(alg, [v], closed=cur)
                 if grown.dim > target:
                     continue
                 # prefix-preserving: keep grown only when it gains no generator
                 # before i, so each closed set is extended once, from its
                 # canonical parent, and no visited set is needed
-                if any(grown.contains_vector(g) and not cur.contains_vector(g) for g in gens[:i]):
+                if any(grown._has(g) and not cur._has(g) for g in gens[:i]):
                     continue
-                if not restrict(omega, grown).is_zero():
+                if not is_isotropic(omega, grown):
                     continue
                 extend(grown, i + 1)
 
         start = ker
-        if is_subalgebra(alg, start) and restrict(omega, start).is_zero():
+        if is_subalgebra(alg, start) and is_isotropic(omega, start):
             extend(start, 0)
 
     exhaustive = ran_adapted and derived_subalgebra(alg).is_zero()

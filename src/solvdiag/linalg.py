@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row vectors.  Nothing
-here ever rounds: reduced row echelon form (eliminated on integers), nullspaces,
-solving, and characteristic polynomials are all exact, so two subspaces are
-equal exactly when their canonical echelon matrices are equal.
+Vectors are tuples of Fraction, matrices are tuples of row vectors, at the
+public boundary.  Nothing here ever rounds.  Every elimination runs on
+Python ints in one routine, `echelon`, whose primitive integer echelon rows
+are as canonical as the reduced row echelon form: `rref` divides them by
+their pivots, `nullspace` and `int_nullspace` read the kernel off them, and
+`solve` and `rank` use them too.  Two subspaces are equal exactly when their
+echelon matrices are equal.  Characteristic polynomials and rational roots
+are exact as well.
 """
 
 from __future__ import annotations
@@ -35,21 +39,11 @@ def vec(entries: Iterable) -> Vector:
 
 
 def support(entries: Sequence, n: int) -> list[tuple[int, Fraction]]:
-    """(index, value) of the nonzero entries of a vector in Q^n.
-
-    A vector of another length is a ValueError.  An entry that is not a
-    Fraction goes through `frac`, zero or not, so a float is a TypeError; a
-    Fraction is taken as it is.
-    """
+    """(index, value) of the nonzero entries of a vector in Q^n, coerced by
+    `vec` (a float is a TypeError); a vector of another length is a ValueError."""
     if len(entries) != n:
         raise ValueError(f"vector of length {len(entries)} in Q^{n}")
-    out = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, Fraction):
-            e = frac(e)
-        if e:
-            out.append((i, e))
-    return out
+    return [(i, e) for i, e in enumerate(vec(entries)) if e]
 
 
 def unit_vec(n: int, i: int) -> Vector:
@@ -106,25 +100,30 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support if row[j]), ZERO) for row in m)
 
 
-def _integer_row(row: Iterable) -> list[int]:
-    """The row times the lcm of its denominators, as ints; a row of ints as it is."""
+def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:
+    """(s * row as ints, s), s > 0 the lcm of the denominators; a row of ints as it is.
+
+    An entry that is not an int, Fraction or 'p/q' string is a TypeError;
+    given n, a row of another length is a ValueError.
+    """
     row = list(row)
+    if n is not None and len(row) != n:
+        raise ValueError(f"vector of length {len(row)} in Q^{n}")
     if all(type(x) is int for x in row):
-        return row
+        return row, 1
     pairs = [(x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio() for x in row]
     scale = math.lcm(*[d for _, d in pairs])
-    if scale == 1:
-        return [n for n, _ in pairs]
-    return [n * (scale // d) for n, d in pairs]
+    return [a * (scale // d) for a, d in pairs], scale
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with leading 1s; returns (rref, pivot columns).
+def echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The primitive integer echelon form of the row space; returns (rows, pivots).
 
-    Zero rows are dropped, so the result is the canonical representative of
-    the row space: equal row spaces give identical outputs.  Rows of unequal
-    length are a ValueError; an entry that is not an int, Fraction or 'p/q'
-    string is a TypeError.
+    Each row returned has coprime integer entries and a positive pivot and
+    is zero in the other rows' pivot columns: its reduced echelon row times
+    the lcm of that row's denominators, so as canonical as the reduced form.
+    Zero rows are dropped.  Rows of unequal length are a ValueError; an
+    entry that is not an int, Fraction or 'p/q' string is a TypeError.
 
     Fraction-free Gauss-Jordan: each row is scaled once to integers by the
     lcm of its denominators (a row of ints is taken as it is).  To clear
@@ -134,17 +133,15 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     invertible row operations, so the row space never changes.  Every row
     stays primitive, and a primitive row is fixed up to sign by the input
     and the columns cleared so far, so its entries are bounded by minors of
-    the scaled input, as in Bareiss (*Math. Comp.* 22, 1968).  Only at the
-    end is each pivot row divided by its pivot.  The reduced row echelon
-    form of a row space is unique, so the output is exactly that of
-    elimination over Fraction.
+    the scaled input, as in Bareiss (*Math. Comp.* 22, 1968).  At the end
+    each row is made primitive with a positive pivot.
     Cost: O(r n min(r, n)) integer multiply-adds and gcds on an r x n
     input, where elimination over Fraction pays a gcd on every multiply
-    and subtract; the only Fractions built are the output entries.
+    and subtract; no Fraction is built.
     """
-    work = [_integer_row(r) for r in rows]
+    work = [scaled_ints(r)[0] for r in rows]
     if not work:
-        return (), ()
+        return [], []
     ncols = len(work[0])
     if any(len(row) != ncols for row in work):
         raise ValueError("rows of unequal length")
@@ -172,58 +169,93 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
                 work[i] = new
         pivots.append(c)
         r += 1
-    echelon = tuple(
-        tuple(Fraction(x, row[c]) if x else ZERO for x in row)
-        for row, c in zip(work, pivots)
+    del work[r:]
+    for i, (row, c) in enumerate(zip(work, pivots)):
+        g = math.gcd(*row)
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            work[i] = [x // g for x in row]
+    return work, pivots
+
+
+def reduced(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Matrix:
+    """The reduced row echelon rows over Fraction: each row divided by its pivot."""
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(rows, pivots)
     )
-    return echelon, tuple(pivots)
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with leading 1s; returns (rref, pivot columns).
+
+    `echelon` with each row divided by its pivot.  The reduced form of a row
+    space is unique, so equal row spaces give identical outputs, exactly
+    those of elimination over Fraction.
+    """
+    ech, pivots = echelon(rows)
+    return reduced(ech, pivots), tuple(pivots)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(echelon(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
-    """Canonical basis of {x : rows @ x = 0}.
+def int_nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[int]]:
+    """Integer basis of {x : rows @ x = 0}, one vector per free column f.
 
-    ncols is required when rows is empty (the ambient dimension cannot be
-    inferred from nothing); otherwise it must equal the row length.  The
-    entries are coerced once, by `rref`.
+    Vector f is L times the canonical basis vector of `nullspace` (1 at f,
+    0 at the other free columns), where L > 0 is the lcm of the pivots it
+    divides by; f is its last nonzero entry, as the canonical vector is zero
+    after f.  ncols is required when rows is empty, and must otherwise
+    equal the row length.
     """
     if not rows:
         if ncols is None:
             raise ValueError("nullspace of empty matrix needs ncols")
-        return [unit_vec(ncols, i) for i in range(ncols)]
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     n = len(rows[0])
-    red, pivots = rref(rows)
+    ech, pivots = echelon(rows)
     if ncols is not None and ncols != n:
         raise ValueError(f"rows have {n} columns, not ncols={ncols}")
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
+    for f in (c for c in range(n) if c not in pivots):
+        hits = [(row, p) for row, p in zip(ech, pivots) if row[f]]
+        lcm = math.lcm(*(row[p] for row, p in hits))
+        v = [0] * n
+        v[f] = lcm
+        for row, p in hits:
+            v[p] = -row[f] * (lcm // row[p])
+        basis.append(v)
     return basis
+
+
+def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
+    """Canonical basis of {x : rows @ x = 0}: `int_nullspace`, each vector
+    divided by its entry at its free column (its last nonzero entry)."""
+    out = []
+    for v in int_nullspace(rows, ncols):
+        last = next(x for x in reversed(v) if x)
+        out.append(tuple(Fraction(x, last) if x else ZERO for x in v))
+    return out
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     """One exact solution x of a @ x = b, or None if inconsistent.
 
-    The entries of a and b are coerced once, by `rref`.
+    The entries of a and b are coerced once, by `echelon`.
     """
     if not a:
         return () if is_zero_vec(vec(b)) else None
     n = len(a[0])
     aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
-    red, pivots = rref(aug)
+    ech, pivots = echelon(aug)
     if n in pivots:  # pivot in the constant column: inconsistent
         return None
     x = [ZERO] * n
-    for r, p in enumerate(pivots):
-        x[p] = red[r][n]
+    for row, p in zip(ech, pivots):
+        if row[n]:
+            x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 
@@ -319,7 +351,7 @@ def _poly_quo(a: list, b: list[Fraction]) -> list[Fraction]:
 
 def _primitive(coeffs: Sequence) -> list[int]:
     """The positive integer multiple with coprime entries; zero stays zero."""
-    ints = _integer_row(coeffs)
+    ints = scaled_ints(coeffs)[0]
     content = math.gcd(*ints)
     return [c // content for c in ints] if content > 1 else ints
 

@@ -334,6 +334,33 @@ def oracle_derived_rows(alg, rows):
     return [oracle_bracket(alg, a, b) for a in rows for b in rows]
 
 
+def oracle_subalgebra_closure(alg, vectors):
+    """Reference for subalgebra_closure: from scratch each round, bracket
+    every ordered pair of the span's reduced rows (`oracle_bracket`), add
+    them, and re-eliminate over Fraction, until the span stops growing."""
+    rows = fraction_rref(vectors)[0] if vectors else ()
+    while True:
+        brackets = [oracle_bracket(alg, a, b) for a in rows for b in rows]
+        grown = fraction_rref(list(rows) + brackets)[0] if rows else ()
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+def oracle_ideal_closure(alg, rows):
+    """Reference for ideal_closure: from scratch each round, bracket every
+    basis vector with every reduced row of the span, until it stops growing."""
+    n = alg.dim
+    units = [tuple(Fraction(int(a == b)) for b in range(n)) for a in range(n)]
+    rows = fraction_rref(rows)[0] if rows else ()
+    while True:
+        brackets = [oracle_bracket(alg, e, r) for e in units for r in rows]
+        grown = fraction_rref(list(rows) + brackets)[0] if rows else ()
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
 def rank_test_hyperplane(inside_rows, containing_rows):
     """Reference for algebra._hyperplane_in: the rule it replaced.
 
@@ -502,9 +529,12 @@ def oracle_common_eigenvector(alg, rep, space_dim):
         Subspace,
         _hyperplane_in,
         _shifted,
-        normalize_vector,
         vector_sort_key,
     )
+
+    def normalize_vector(v):
+        lead = next((x for x in v if x != 0), None)
+        return v if lead is None else tuple(y / lead if y else ZERO for y in v)
 
     ZERO = Fraction(0)
     # the nonzero entries (i, j, x) of each action matrix, read once

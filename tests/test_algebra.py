@@ -239,18 +239,20 @@ def test_validate_algebra_matches_the_oracle(alg):
 
 @settings(max_examples=40, deadline=None)
 @given(perturbed_algebra())
-def test_nonzero_lists_the_nonzero_table_entries(alg):
-    assert len(alg.nonzero) == alg.dim
-    for row, nz_row in zip(alg.table, alg.nonzero, strict=True):
+def test_consts_list_the_nonzero_table_entries(alg):
+    assert len(alg.consts) == alg.dim
+    for row, nz_row in zip(alg.table, alg.consts, strict=True):
         for v, nz in zip(row, nz_row, strict=True):
-            assert nz == tuple((k, c) for k, c in enumerate(v) if c != 0)
-            assert all(type(c) is Fraction for _, c in nz)
+            assert tuple((k, Fraction(c, alg.denom)) for k, c in nz) == tuple(
+                (k, c) for k, c in enumerate(v) if c != 0
+            )
+            assert all(type(c) is int for _, c in nz)
 
 
-def test_nonzero_coerces_int_and_string_constants_once():
+def test_consts_coerce_int_and_string_constants_once():
     alg = LieAlgebra(("a", "b"), [[[0, 0], ["1/2", 0]], [[Fraction(-1, 2), 0], [0, 0]]])
-    assert alg.nonzero == (((), ((0, Fraction(1, 2)),)), (((0, Fraction(-1, 2)),), ()))
-    assert alg.nonzero[1][0][0][1] is alg.table[1][0][0]
+    assert (alg.consts, alg.denom) == ((((), ((0, 1),)), (((0, -1),), ())), 2)
+    assert alg.table[1][0] == (Fraction(-1, 2), 0)
 
 
 def test_bracket_takes_int_fraction_and_string_entries():

@@ -104,6 +104,31 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error[SCHEMA_ERROR]:")
 
+    def test_expected_entry_naming_an_undefined_form(self, capsys, tmp_path):
+        obj = json.loads(corpus_text("E1"))
+        del obj["two_forms"]
+        code, out, err = run(capsys, "audit", write_doc(tmp_path, obj))
+        assert (code, out) == (2, "")
+        assert err == "error[UNKNOWN_NAME]: no form named 'omega' (known: none)\n"
+
+    def test_expected_entry_with_a_list_valued_flag(self, capsys, tmp_path):
+        obj = json.loads(corpus_text("E1"))
+        entry = next(e for e in obj["metadata"]["expected"] if "flag" in e["args"])
+        entry["args"]["flag"] = ["F"]
+        code, _, err = run(capsys, "audit", write_doc(tmp_path, obj))
+        assert code == 2
+        assert err.startswith("error[SCHEMA_ERROR]: metadata.expected[")
+        assert ".args.flag: expected str, got list" in err
+
+    def test_expected_entry_with_a_list_valued_predicate_name(self, capsys, tmp_path):
+        obj = json.loads(corpus_text("E1"))
+        entry = next(e for e in obj["metadata"]["expected"] if e["check"] == "predicate")
+        entry["args"]["name"] = ["simple"]
+        code, _, err = run(capsys, "validate", write_doc(tmp_path, obj))
+        assert code == 2
+        assert err.startswith("error[SCHEMA_ERROR]: metadata.expected[")
+        assert ".args.name: expected str, got list" in err
+
     def test_structural_failure_is_exit_3(self, capsys):
         # X3/F2 deforms into a split whose components are not all simple
         code, _, err = run(

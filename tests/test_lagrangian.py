@@ -1,6 +1,7 @@
 """Isotropic middle-dimension subalgebras: verification, search, chains."""
 
 import hashlib
+import time
 from random import Random
 
 import pytest
@@ -237,6 +238,25 @@ def test_search_results_unchanged():
     assert len(records) == 25
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == GOLDEN_SEARCH_DIGEST
+
+
+# SHA-256 of the n = 12, seed 1 search's record, as _search_records writes
+# one; the search before its closures became semi-naive found the same
+N12_SEED1_DIGEST = "a811a1a1dad06892cad2ff2130bc651e9d414ce2a0ca214b8a4a6a103ee571c3"
+
+
+def test_the_n12_seed1_search_stays_fast():
+    # 16 s of CPU time with closures recomputed from scratch on Fraction
+    # rows, under 1 s with semi-naive closures on integer rows (2-CPU x86-64
+    # machine, Python 3.11.7); the bound leaves room for a slower machine
+    alg = random_completely_solvable(Random(1), 12)
+    omega = random_closed_form(Random(1), alg)
+    start = time.process_time()
+    v = find_lagrangians(alg, omega)
+    assert time.process_time() - start < 8
+    found = " | ".join("; ".join(" ".join(map(str, r)) for r in s.rows) for s in v.found)
+    record = f"{v.completeness.value}: {found}"
+    assert hashlib.sha256(record.encode()).hexdigest() == N12_SEED1_DIGEST
 
 
 @settings(max_examples=60, deadline=None)
