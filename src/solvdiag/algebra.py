@@ -142,6 +142,31 @@ class Subspace:
             return None
         return tuple(v[p] for p in self.pivots)
 
+    def _common_pivot_rows(self) -> tuple[int, list[list[int]]]:
+        """(L, rows): L the lcm of the pivots of the integer rows, and each
+        row scaled to pivot L, so that it is L times its reduced echelon row."""
+        lcm = math.lcm(*(r[p] for r, p in zip(self.int_rows, self.pivots)))
+        return lcm, [[x * (lcm // r[p]) for x in r] for r, p in zip(self.int_rows, self.pivots)]
+
+    def coordinates(self, t: "Subspace") -> "Subspace":
+        """t in the reduced echelon basis of this subspace, a subspace of
+        Q^dim: a vector of it has its entries at the pivots as coordinates."""
+        if not self.contains(t):
+            raise SubspaceNotNestedError("subspace is not contained in this one")
+        return Subspace(self.dim, [[r[p] for p in self.pivots] for r in t.int_rows])
+
+    def lift(self, u: "Subspace") -> "Subspace":
+        """The subspace whose coordinates are u; the inverse of `coordinates`.
+
+        Each row of u combines the rows scaled to their common pivot, so the
+        lift of a reduced echelon basis is the reduced echelon basis of the lift.
+        """
+        if u.ambient_dim != self.dim:
+            raise ValueError(f"coordinates in Q^{u.ambient_dim}, not in Q^{self.dim}")
+        columns = list(zip(*self._common_pivot_rows()[1]))
+        combos = [[sum(c * x for c, x in zip(y, col) if c) for col in columns] for y in u.int_rows]
+        return Subspace(self.ambient_dim, combos)
+
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.ambient_dim, self.int_rows + other.int_rows)
 
@@ -420,9 +445,9 @@ def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
     return all(s._has(_ibracket(alg, x, y)) for x in _sparse(t.int_rows) for y in ss)
 
 
-def _series_reaches_zero(alg: LieAlgebra, step) -> bool:
-    """Whether the series g, step(g), step(step(g)), ... ends at zero."""
-    cur = Subspace.full(alg.dim)
+def _series_reaches_zero(start: Subspace, step) -> bool:
+    """Whether the series start, step(start), step(step(start)), ... ends at zero."""
+    cur = start
     while not cur.is_zero():
         nxt = step(cur)
         if nxt == cur:
@@ -436,12 +461,20 @@ def derived_subalgebra(alg: LieAlgebra) -> Subspace:
 
 
 def is_solvable(alg: LieAlgebra) -> bool:
-    return _series_reaches_zero(alg, alg.derived_span)
+    return _series_reaches_zero(Subspace.full(alg.dim), alg.derived_span)
 
 
 def is_nilpotent(alg: LieAlgebra) -> bool:
     full = Subspace.full(alg.dim)
-    return _series_reaches_zero(alg, lambda cur: alg.bracket_spans(full, cur))
+    return _series_reaches_zero(full, lambda cur: alg.bracket_spans(full, cur))
+
+
+def is_nilpotent_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
+    """Whether s is bracket-closed and its lower central series s, [s, s],
+    [s, [s, s]], ... reaches zero, computed in the ambient algebra."""
+    return is_subalgebra(alg, s) and _series_reaches_zero(
+        s, lambda cur: alg.bracket_spans(s, cur)
+    )
 
 
 def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
@@ -470,13 +503,13 @@ def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     return LieAlgebra(names, table), proj
 
 
-def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, Matrix]:
-    """The subalgebra as a standalone algebra, plus its inclusion rows.
+def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
+    """The subalgebra as a standalone algebra.
 
-    Basis of the result = the reduced echelon rows of s (names b0, b1, ...);
-    the returned matrix has those rows, so coordinates lift via row
-    combinations.  As s is bracket-closed, the coordinates of a bracket are
-    its entries at s's pivots.
+    Basis of the result = the reduced echelon rows of s (names b0, b1, ...),
+    so `s.coordinates` and `s.lift` carry subspaces into it and back.  As s
+    is bracket-closed, the coordinates of a bracket are its entries at s's
+    pivots.
     """
     if not is_subalgebra(alg, s):
         raise NotSubalgebraError("subspace is not bracket-closed")
@@ -493,14 +526,7 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, Mat
         ]
         for i, a in enumerate(sup)
     ]
-    return LieAlgebra(names, table), s.rows
-
-
-def is_nilpotent_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
-    if s.is_zero():
-        return True
-    sub, _ = subalgebra_as_algebra(alg, s)
-    return is_nilpotent(sub)
+    return LieAlgebra(names, table)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +559,15 @@ def _shifted(m: Matrix, c, den=1) -> list[list]:
     for i, row in enumerate(rows):
         row[i] -= c
     return rows
+
+
+def _eigenspaces(m: Matrix, dim: int) -> list[list[list[int]]]:
+    """For each rational eigenvalue num/den of m, in increasing order, the
+    integer kernel basis of den*m - num*I (`linalg.int_nullspace`)."""
+    return [
+        linalg.int_nullspace(_shifted(m, mu.numerator, mu.denominator), dim)
+        for mu in linalg.rational_eigenvalues(m)
+    ]
 
 
 def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | None:
@@ -601,11 +636,9 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         wsub = Subspace(space_dim, linalg.int_nullspace(rows, space_dim))
         # the action of a complement direction of hyper in sub, restricted to
         # the weight space (invariant in char 0), on the basis of wsub's
-        # reduced rows times the lcm of their pivots: each integer row scaled
-        # to that common pivot
+        # reduced rows times the lcm of their pivots
         mz = next(a for r, (_, a) in zip(sub.int_rows, lifts) if not hyper._has(r))
-        lcm = math.lcm(*(r[p] for r, p in zip(wsub.int_rows, wsub.pivots)))
-        basis = [[x * (lcm // r[p]) for x in r] for r, p in zip(wsub.int_rows, wsub.pivots)]
+        lcm, basis = wsub._common_pivot_rows()
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
             img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
@@ -615,9 +648,8 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                 raise SolvdiagError("weight space not invariant")
         restr_m = linalg.transpose(restr)  # act on coordinate columns
         best: Vector | None = None
-        for mu in linalg.rational_eigenvalues(restr_m):
-            shifted = _shifted(restr_m, mu.numerator, mu.denominator)
-            for sol in linalg.int_nullspace(shifted, wsub.dim):
+        for eigenspace in _eigenspaces(restr_m, wsub.dim):
+            for sol in eigenspace:
                 v = [sum(c * b[j] for c, b in zip(sol, basis) if c) for j in range(space_dim)]
                 lead = next(x for x in v if x)
                 v = tuple(Fraction(x, lead) if x else ZERO for x in v)

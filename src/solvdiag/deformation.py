@@ -18,7 +18,7 @@ from .algebra import (
     SolvdiagError,
     Subspace,
     _hyperplane_in,
-    _shifted,
+    _eigenspaces,
     is_ideal_in,
     is_nilpotent_subalgebra,
     is_subalgebra,
@@ -88,7 +88,7 @@ def split_at_repulsive(
         raise NoRepulsiveVertexError("no zero-kernel repulsive vertex")
     nil = diagram.vertices[pivot].member
 
-    if not (is_subalgebra(alg, nil) and is_nilpotent_subalgebra(alg, nil)):
+    if not is_nilpotent_subalgebra(alg, nil):
         raise SplitInvariantFailedError("nilpotent")
     if not is_ideal_in(alg, nil, Subspace.full(alg.dim)):
         raise SplitInvariantFailedError("ideal")
@@ -126,26 +126,14 @@ class DescentChain:
     kernels: tuple[Subspace, ...]
 
 
-def _simultaneous_eigencovector_families(mats, dim: int):
-    """All joint rational eigencovector spaces of the transposed matrices.
-
-    Returns (weights, covector space) pairs; covectors are row vectors on
-    the dim-dimensional space the matrices act on.
-    """
-    families = [((), Subspace.full(dim))]
+def _simultaneous_eigencovector_families(mats, dim: int) -> list[Subspace]:
+    """All joint rational eigencovector spaces of the transposed matrices:
+    spaces of row vectors on the dim-dimensional space the matrices act on."""
+    families = [Subspace.full(dim)]
     for m in mats:
-        mt = linalg.transpose(m)
-        eigenspaces = [
-            (lam, Subspace(dim, linalg.nullspace(_shifted(mt, lam), dim)))
-            for lam in linalg.rational_eigenvalues(mt)
-        ]
-        nxt = []
-        for weights, space in families:
-            for lam, eig in eigenspaces:
-                inter = space.intersect(eig)
-                if not inter.is_zero():
-                    nxt.append((weights + (lam,), inter))
-        families = nxt
+        eigenspaces = [Subspace(dim, e) for e in _eigenspaces(linalg.transpose(m), dim)]
+        families = [space.intersect(eig) for space in families for eig in eigenspaces]
+        families = [f for f in families if not f.is_zero()]
         if not families:
             break
     return families
@@ -178,33 +166,23 @@ def equivariant_descent(
             raise DescentStuckError("derived part escapes the member")
         if forced.dim >= t.dim:
             raise DescentStuckError("no room for an invariant hyperplane")
-        d = t.dim
-        forced_t = Subspace(d, [t.coordinates_of(r) for r in forced.rows])
-        keep = [i for i in range(d) if i not in forced_t.pivots]
-        keep_units = [linalg.unit_vec(d, ki) for ki in keep]
-        vdim = len(keep)
-
+        # t = forced + quot, quot spanned by the echelon rows of t at the
+        # pivots forced lacks; quot's coordinates are those of t / forced
+        quot = Subspace(n, [r for r, p in zip(t.int_rows, t.pivots) if p not in forced.pivots])
         induced = []
         for z in split.complement.rows:
             cols = []
-            for r in t.rows:
-                img = t.coordinates_of(alg.bracket(z, r))
+            for r in quot.rows:
+                img = quot.coordinates_of(forced.reduce_vector(alg.bracket(z, r)))
                 if img is None:
                     raise DescentStuckError("complement action leaves the member")
-                cols.append(forced_t.reduce_vector(img))
-            induced.append(
-                tuple(tuple(cols[keep[jj]][keep[ii]] for jj in range(vdim)) for ii in range(vdim))
-            )
+                cols.append(img)
+            induced.append(linalg.transpose(cols))
 
         candidates = []
-        for _, covectors in _simultaneous_eigencovector_families(induced, vdim):
-            core = Subspace(vdim, linalg.nullspace(covectors.rows, vdim))
-            hyper_v = _hyperplane_in(Subspace.full(vdim), core)
-            lifted = [linalg.lincomb(row, keep_units) for row in hyper_v.rows]
-            hyper_t = forced_t.sum(Subspace(d, lifted))
-            candidates.append(
-                Subspace(n, [linalg.lincomb(row, t.rows) for row in hyper_t.rows])
-            )
+        for covectors in _simultaneous_eigencovector_families(induced, quot.dim):
+            hyper = _hyperplane_in(Subspace.full(quot.dim), covectors.annihilator())
+            candidates.append(forced.sum(quot.lift(hyper)))
         if not candidates:
             raise IrrationalSpectrumError(
                 f"no rational joint eigencovector at stage {j}"
@@ -235,14 +213,12 @@ def _assemble_flag(
     members: list[Subspace] = []
 
     if a.dim:
-        suba, rows_a = subalgebra_as_algebra(alg, a)
-        res = find_normal_flag(suba)
+        res = find_normal_flag(subalgebra_as_algebra(alg, a))
         if res.status is NormalFlagStatus.UNDECIDED:
             raise IrrationalSpectrumError("isotropic part has irrational spectrum")
         if res.status is NormalFlagStatus.NONE:
             raise SolvdiagError("isotropic part is not solvable")
-        for mem in res.flag.nonzero_members:
-            members.append(Subspace(n, [linalg.lincomb(r, a.rows) for r in mem.rows]))
+        members.extend(a.lift(mem) for mem in res.flag.nonzero_members)
 
     for h_j in descent.kernels:
         members.append(h_j.sum(a))
@@ -250,13 +226,10 @@ def _assemble_flag(
         members.append(t_mem.sum(a))
 
     comp = split.complement
-    subc, _ = subalgebra_as_algebra(alg, comp)
-    a_in_c = Subspace(comp.dim, [comp.coordinates_of(r) for r in a.rows])
-    comp_flag = complete_flag_through(subc, [a_in_c])
+    comp_flag = complete_flag_through(subalgebra_as_algebra(alg, comp), [comp.coordinates(a)])
     for mem in comp_flag.members:
         if mem.dim > a.dim:
-            lifted = Subspace(n, [linalg.lincomb(r, comp.rows) for r in mem.rows])
-            members.append(split.nil_ideal.sum(lifted))
+            members.append(split.nil_ideal.sum(comp.lift(mem)))
 
     out = [Subspace.zero(n)]
     for s in members:

@@ -19,7 +19,6 @@ from .algebra import (
     Subspace,
     is_ideal_in,
     is_nilpotent_subalgebra,
-    is_subalgebra,
 )
 from .flags import ChainNotNestedError, Flag
 from .forms import NotClosedError, TwoForm, is_closed, radical
@@ -203,9 +202,7 @@ def predicates(alg: LieAlgebra, diagram: WeightedDiagram) -> DiagramPredicates:
     cut_members = [diagram.vertices[i].member for i in cuts]
     full = Subspace.full(alg.dim)
     semi_normal = all(is_ideal_in(alg, m, full) for m in cut_members)
-    semi_nilpotent = all(
-        is_subalgebra(alg, m) and is_nilpotent_subalgebra(alg, m) for m in cut_members
-    )
+    semi_nilpotent = all(is_nilpotent_subalgebra(alg, m) for m in cut_members)
 
     semi_simple = semi_normal
     for start, end in components(diagram):

@@ -134,6 +134,36 @@ def _parse_member_list(raw: object, names: tuple[str, ...], where: str) -> Subsp
     return Subspace.span(vectors, len(names))
 
 
+def _parse_pair_list(raw: object, names: tuple[str, ...], where: str, words, parse_value):
+    """The items [x, y, value] of the list at `where`, as (x, y, parsed value).
+
+    x and y must be distinct basis names and each unordered pair may occur
+    once; `parse_value(value, item location)` reads the value.  words =
+    (the value's slot, what an item is, what a duplicate is) in the messages.
+    """
+    slot, item_noun, duplicate_noun = words
+    out = []
+    seen: set[frozenset[str]] = set()
+    for i, item in enumerate(_expect(raw, list, where)):
+        w = f"{where}[{i}]"
+        _expect(item, list, w)
+        if len(item) != 3:
+            raise SchemaError(f"{w}: expected [x, y, {slot}]")
+        x = _expect(item[0], str, f"{w}[0]")
+        y = _expect(item[1], str, f"{w}[1]")
+        for nm in (x, y):
+            if nm not in names:
+                raise SchemaError(f"{w}: unknown basis symbol {nm!r}")
+        if x == y:
+            raise SchemaError(f"{w}: {item_noun} of {x!r} with itself")
+        pair = frozenset((x, y))
+        if pair in seen:
+            raise SchemaError(f"{w}: duplicate {duplicate_noun} for ({x!r}, {y!r})")
+        seen.add(pair)
+        out.append((x, y, parse_value(item[2], w)))
+    return out
+
+
 def parse_document(text: str) -> Document:
     try:
         raw = json.loads(text)
@@ -160,32 +190,17 @@ def parse_document(text: str) -> Document:
     if any(not nm for nm in names):
         raise SchemaError("basis: names must be nonempty")
 
-    brackets_raw = _expect(raw["brackets"], list, "brackets")
-    entries: dict[tuple[str, str], dict[str, Fraction]] = {}
-    seen_pairs: set[frozenset[str]] = set()
-    for i, triple in enumerate(brackets_raw):
-        where = f"brackets[{i}]"
-        _expect(triple, list, where)
-        if len(triple) != 3:
-            raise SchemaError(f"{where}: expected [x, y, coefficients]")
-        x = _expect(triple[0], str, f"{where}[0]")
-        y = _expect(triple[1], str, f"{where}[1]")
-        for nm in (x, y):
-            if nm not in names:
-                raise SchemaError(f"{where}: unknown basis symbol {nm!r}")
-        if x == y:
-            raise SchemaError(f"{where}: bracket of {x!r} with itself")
-        pair = frozenset((x, y))
-        if pair in seen_pairs:
-            raise SchemaError(f"{where}: duplicate bracket for ({x!r}, {y!r})")
-        seen_pairs.add(pair)
-        coeffs = _expect(triple[2], dict, f"{where}[2]")
-        entries[(x, y)] = {
-            k: parse_rational(v, f"{where}[2][{k!r}]") for k, v in coeffs.items()
-        }
-        for k in entries[(x, y)]:
+    def coefficients(raw_value: object, where: str) -> dict[str, Fraction]:
+        coeffs = _expect(raw_value, dict, f"{where}[2]")
+        out = {k: parse_rational(v, f"{where}[2][{k!r}]") for k, v in coeffs.items()}
+        for k in out:
             if k not in names:
                 raise SchemaError(f"{where}: unknown basis symbol {k!r}")
+        return out
+
+    words = ("coefficients", "bracket", "bracket")
+    triples = _parse_pair_list(raw["brackets"], names, "brackets", words, coefficients)
+    entries = {(x, y): coeffs for x, y, coeffs in triples}
     try:
         algebra = LieAlgebra.from_brackets(names, entries)
     except ValueError as exc:
@@ -196,30 +211,14 @@ def parse_document(text: str) -> Document:
 
     index = {nm: i for i, nm in enumerate(names)}
 
+    def value(raw_value: object, where: str) -> Fraction:
+        return parse_rational(raw_value, f"{where}[2]")
+
     two_forms: dict[str, TwoForm] = {}
     for fname, pairs_raw in _expect(raw.get("two_forms", {}), dict, "two_forms").items():
         where = f"two_forms[{fname!r}]"
-        _expect(pairs_raw, list, where)
-        pairs = []
-        seen_fp: set[frozenset[str]] = set()
-        for i, item in enumerate(pairs_raw):
-            w = f"{where}[{i}]"
-            _expect(item, list, w)
-            if len(item) != 3:
-                raise SchemaError(f"{w}: expected [x, y, value]")
-            x = _expect(item[0], str, f"{w}[0]")
-            y = _expect(item[1], str, f"{w}[1]")
-            for nm in (x, y):
-                if nm not in index:
-                    raise SchemaError(f"{w}: unknown basis symbol {nm!r}")
-            if x == y:
-                raise SchemaError(f"{w}: pairing of {x!r} with itself")
-            fp = frozenset((x, y))
-            if fp in seen_fp:
-                raise SchemaError(f"{w}: duplicate entry for ({x!r}, {y!r})")
-            seen_fp.add(fp)
-            pairs.append((index[x], index[y], parse_rational(item[2], f"{w}[2]")))
-        two_forms[fname] = TwoForm.from_pairs(dim, pairs)
+        items = _parse_pair_list(pairs_raw, names, where, ("value", "pairing", "entry"), value)
+        two_forms[fname] = TwoForm.from_pairs(dim, [(index[x], index[y], c) for x, y, c in items])
 
     flags: dict[str, Flag] = {}
     for gname, chain_raw in _expect(raw.get("flags", {}), dict, "flags").items():

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from . import linalg
 from .algebra import (
     LieAlgebra,
     NotSubalgebraError,
@@ -178,27 +177,14 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
     annihilator basis of low in high and its rational pencils; the smallest
     kernel by sort key wins.
     """
-    derived = alg.derived_span(high).intersect(high)
-    w = low.sum(derived)
+    w = low.sum(alg.derived_span(high))
     if w.dim < high.dim:
         return _hyperplane_in(high, w)
 
     # fallback: covector search inside `high` as a standalone algebra
-    sub, _ = subalgebra_as_algebra(alg, high)
-    low_rows = []
-    for r in low.rows:
-        coords = high.coordinates_of(r)
-        if coords is None:  # pragma: no cover - nesting checked by caller
-            raise ChainNotNestedError("lower member escapes the upper one")
-        low_rows.append(coords)
-    covectors, _ = closed_covectors(sub, Subspace(high.dim, low_rows).annihilator().rows)
-    candidates = [
-        Subspace(
-            high.ambient_dim,
-            [linalg.lincomb(sol, high.rows) for sol in linalg.nullspace([phi], high.dim)],
-        )
-        for phi in covectors
-    ]
+    sub = subalgebra_as_algebra(alg, high)
+    covectors, _ = closed_covectors(sub, high.coordinates(low).annihilator().rows)
+    candidates = [high.lift(Subspace(high.dim, [phi]).annihilator()) for phi in covectors]
     if not candidates:
         return None
     return min(candidates, key=lambda s: s.sort_key())

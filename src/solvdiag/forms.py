@@ -319,9 +319,8 @@ def closed_covectors(
     return found, truncated
 
 
-def _gram(omega: TwoForm, s: Subspace) -> list[list[int]]:
-    """omega.denom * omega(r_i, r_j) on the integer rows r of s, one pairing per row."""
-    rows = s.int_rows
+def _gram(omega: TwoForm, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """omega.denom * omega(r_i, r_j) on integer rows r, one pairing per row."""
     m = [[0] * len(rows) for _ in rows]
     for i in range(len(rows) - 1):
         p = omega.pair_ints(rows[i])
@@ -333,16 +332,14 @@ def _gram(omega: TwoForm, s: Subspace) -> list[list[int]]:
 
 def is_isotropic(omega: TwoForm, s: Subspace) -> bool:
     """Whether omega vanishes on s x s."""
-    return not any(map(any, _gram(omega, s)))
+    return not any(map(any, _gram(omega, s.int_rows)))
 
 
 def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
     """Matrix of omega on s, in its reduced echelon basis: the integer rows
     scaled to the lcm L of their pivots, paired, and divided by L^2 once."""
-    lcm = math.lcm(*(r[p] for r, p in zip(s.int_rows, s.pivots)))
-    scale = [lcm // r[p] for r, p in zip(s.int_rows, s.pivots)]
-    m = [[x * a * b for x, b in zip(row, scale)] for row, a in zip(_gram(omega, s), scale)]
-    return TwoForm._of(m, omega.denom * lcm * lcm)
+    lcm, rows = s._common_pivot_rows()
+    return TwoForm._of(_gram(omega, rows), omega.denom * lcm * lcm)
 
 
 def radical(omega: TwoForm, s: Subspace) -> Subspace:
@@ -352,7 +349,7 @@ def radical(omega: TwoForm, s: Subspace) -> Subspace:
     if s.is_zero():
         return s
     rows, n = s.int_rows, s.ambient_dim
-    ker = linalg.int_nullspace(_gram(omega, s), s.dim)
+    ker = linalg.int_nullspace(_gram(omega, s.int_rows), s.dim)
     combos = [[sum(c * r[t] for c, r in zip(y, rows) if c) for t in range(n)] for y in ker]
     return Subspace(n, combos)
 

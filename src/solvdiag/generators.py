@@ -110,7 +110,7 @@ def random_closed_form(rng: Random, alg: LieAlgebra) -> TwoForm:
     """A random rational combination of a basis of the closed 2-forms."""
     basis = closed_two_form_basis(alg)
     acc = TwoForm.zero(alg.dim)
-    for attempt in range(2):
+    for _ in range(2):
         for form in basis:
             c = rng.choice(_COEFFS)
             if c:

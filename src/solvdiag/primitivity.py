@@ -96,7 +96,7 @@ def _ideal_hyperplane_witness(alg: LieAlgebra, h: Subspace) -> Subspace | None:
     phi = list(linalg.unit_vec(alg.dim, c))
     for row, p in zip(derived.rows, derived.pivots):
         phi[p] -= row[c]
-    return Subspace(alg.dim, linalg.nullspace([phi], alg.dim))
+    return Subspace(alg.dim, [phi]).annihilator()
 
 
 def primitive_test(pair: PairPresentation) -> PrimitivityVerdict:
@@ -139,7 +139,7 @@ def _pencil_witnesses(alg: LieAlgebra, h: Subspace, budget: int | None):
     n = alg.dim
     covectors, truncated = closed_covectors(alg, linalg.identity(n), budget)
     witnesses = [
-        Subspace(n, linalg.nullspace([phi], n))
+        Subspace(n, [phi]).annihilator()
         for phi in covectors
         if any(sum(c * x for c, x in zip(phi, row)) != 0 for row in h.rows)
     ]
@@ -216,11 +216,12 @@ def degrees(pair: PairPresentation, pencil_budget: int | None = None) -> Degrees
     if h.is_zero():
         return Degrees(ratio=r, d_lower=r, d_within_search=r, witness_chain=())
 
+    # each witness is in the coordinates of the member before it (the basis
+    # of cur_alg); a lift maps reduced echelon rows to reduced echelon rows,
+    # so lifting through that member alone reaches the original coordinates
     chain: list[Subspace] = []
     cur_alg = pair.algebra
     cur_h = h
-    carrier_rows = [linalg.unit_vec(n, i) for i in range(n)]
-    depth = 0
     while not cur_h.is_zero():
         wit = _ideal_hyperplane_witness(cur_alg, cur_h)
         if wit is None:
@@ -228,17 +229,10 @@ def degrees(pair: PairPresentation, pencil_budget: int | None = None) -> Degrees
             wit = min(cands, key=lambda s: s.sort_key()) if cands else None
         if wit is None:
             break
-        # carrier_rows lift wit's echelon basis to the original coordinates,
-        # in basis order (not re-echelonized), so deeper coordinates compose
-        lifted = [linalg.lincomb(row, carrier_rows) for row in wit.rows]
-        chain.append(Subspace(n, lifted))
-        depth += 1
-        sub, _ = subalgebra_as_algebra(cur_alg, wit)
-        inter = cur_h.intersect(wit)
-        cur_h = Subspace(wit.dim, [wit.coordinates_of(rr) for rr in inter.rows])
-        carrier_rows = lifted
-        cur_alg = sub
-    d_within = Fraction(h.dim - depth, denom)
+        chain.append(chain[-1].lift(wit) if chain else wit)
+        cur_h = wit.coordinates(cur_h.intersect(wit))
+        cur_alg = subalgebra_as_algebra(cur_alg, wit)
+    d_within = Fraction(h.dim - len(chain), denom)
     d_lower = Fraction(0) if cur_h.is_zero() else r
     return Degrees(
         ratio=r, d_lower=d_lower, d_within_search=d_within, witness_chain=tuple(chain)

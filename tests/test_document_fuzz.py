@@ -1,0 +1,141 @@
+"""A fuzzer for `parse_document`: the `[x, y, value]` items of `brackets`
+and of each two-form in corpus documents, mutated one to three at a time.
+
+Whatever the mutation, the parser returns a Document or raises one of its
+four typed errors; a bare ValueError or any other exception would reach
+`cli.main` as `error[VALUE]`.  The messages of both lists are pinned too.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from solvdiag import (
+    Document,
+    ParseError,
+    RationalFormatError,
+    SchemaError,
+    corpus_text,
+    list_corpus,
+    parse_document,
+)
+from solvdiag.document import UnknownNameError
+
+CORPUS = {name: json.loads(corpus_text(name)) for name in list_corpus()}
+TYPED = (ParseError, SchemaError, RationalFormatError, UnknownNameError)
+BAD_VALUES = (True, False, 0.5, "1/0", None, "x")
+BAD_NAMES = (1, None, True, ["x"], "", "zz")
+
+
+def _lists(doc):
+    """The item lists a mutation may touch: brackets and every two-form."""
+    return [doc["brackets"], *doc.get("two_forms", {}).values()]
+
+
+@st.composite
+def mutated_item_lists(draw):
+    """A corpus document with one to three items of its pair lists mutated."""
+    doc = copy.deepcopy(CORPUS[draw(st.sampled_from(sorted(CORPUS)))])
+    names = doc["basis"]
+    for _ in range(draw(st.integers(1, 3))):
+        items = draw(st.sampled_from(_lists(doc)))
+        if not items:
+            items.append([names[0], names[-1], {} if items is doc["brackets"] else 1])
+        i = draw(st.integers(0, len(items) - 1))
+        item = items[i]
+        if not isinstance(item, list):  # an earlier mutation replaced it
+            continue
+        how = draw(
+            st.sampled_from(["arity", "name", "self", "duplicate", "reversed", "value", "not_a_list"])
+        )
+        if how == "arity":
+            cut = draw(st.integers(0, 4))
+            items[i] = item[:cut] if cut < 3 else item + [draw(st.sampled_from(BAD_VALUES))]
+        elif how == "name" and len(item) >= 2:
+            item[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_NAMES + tuple(names)))
+        elif how == "self" and len(item) >= 2:
+            item[1] = item[0]
+        elif how == "duplicate":
+            items.insert(draw(st.integers(0, len(items))), copy.deepcopy(item))
+        elif how == "reversed" and len(item) == 3:
+            items.append([item[1], item[0], copy.deepcopy(item[2])])
+        elif how == "value" and len(item) == 3:
+            bad = draw(st.sampled_from(BAD_VALUES))
+            if isinstance(item[2], dict) and item[2] and draw(st.booleans()):
+                item[2][draw(st.sampled_from(sorted(item[2])))] = bad
+            else:
+                item[2] = bad
+        elif how == "not_a_list":
+            items[i] = draw(st.sampled_from(BAD_VALUES))
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=mutated_item_lists())
+def test_mutated_pair_lists_parse_or_raise_a_typed_error(doc):
+    try:
+        out = parse_document(json.dumps(doc))
+    except TYPED:
+        return
+    assert isinstance(out, Document)
+
+
+def _minimal(**overrides):
+    raw = {"name": "T", "dim": 2, "basis": ["x", "y"], "brackets": []}
+    raw.update(overrides)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "items, error, message",
+    [
+        ([["x", "y"]], SchemaError, "brackets[0]: expected [x, y, coefficients]"),
+        ([["x", 1, {}]], SchemaError, "brackets[0][1]: expected str, got int"),
+        ([["x", "z", {}]], SchemaError, "brackets[0]: unknown basis symbol 'z'"),
+        ([["x", "x", {}]], SchemaError, "brackets[0]: bracket of 'x' with itself"),
+        (
+            [["x", "y", {}], ["y", "x", {}]],
+            SchemaError,
+            "brackets[1]: duplicate bracket for ('y', 'x')",
+        ),
+        ([["x", "y", 1]], SchemaError, "brackets[0][2]: expected dict, got int"),
+        ([["x", "y", {"z": 1}]], SchemaError, "brackets[0]: unknown basis symbol 'z'"),
+        (
+            [["x", "y", {"x": True}]],
+            RationalFormatError,
+            "brackets[0][2]['x']: boolean is not a rational",
+        ),
+    ],
+)
+def test_bracket_messages(items, error, message):
+    with pytest.raises(error) as err:
+        parse_document(_minimal(brackets=items))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "items, error, message",
+    [
+        ([["x", "y"]], SchemaError, "two_forms['w'][0]: expected [x, y, value]"),
+        ([[None, "y", 1]], SchemaError, "two_forms['w'][0][0]: expected str, got NoneType"),
+        ([["x", "z", 1]], SchemaError, "two_forms['w'][0]: unknown basis symbol 'z'"),
+        ([["x", "x", 1]], SchemaError, "two_forms['w'][0]: pairing of 'x' with itself"),
+        (
+            [["x", "y", 1], ["y", "x", -1]],
+            SchemaError,
+            "two_forms['w'][1]: duplicate entry for ('y', 'x')",
+        ),
+        (
+            [["x", "y", "1/0"]],
+            RationalFormatError,
+            "two_forms['w'][0][2]: '1/0' has a zero denominator",
+        ),
+    ],
+)
+def test_two_form_messages(items, error, message):
+    with pytest.raises(error) as err:
+        parse_document(_minimal(two_forms={"w": items}))
+    assert str(err.value) == message

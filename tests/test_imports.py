@@ -1,4 +1,5 @@
-"""Every name a solvdiag module imports is used in that module, and every
+"""Every name a solvdiag module imports is used in that module, every name a
+function binds (other than `_`-prefixed ones) is read in it, and every
 module it imports is in the standard library."""
 
 import ast
@@ -38,3 +39,17 @@ def test_imports_only_the_standard_library(path):
             modules.add(node.module.split(".")[0])
     outside = sorted(modules - sys.stdlib_module_names)
     assert outside == [], f"{path.name} imports modules outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        unused += [f"{func.name}.{b}" for b in sorted(bound - read) if not b.startswith("_")]
+    assert unused == [], f"{path.name} binds names it never reads: {unused}"

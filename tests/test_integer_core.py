@@ -19,15 +19,20 @@ from solvdiag import (
     Covector,
     LieAlgebra,
     Subspace,
+    SubspaceNotNestedError,
     TwoForm,
     ce_differential,
     ce_differential_covector,
     ideal_closure,
     is_isotropic,
+    is_nilpotent,
+    is_subalgebra,
     radical,
     restrict,
+    subalgebra_as_algebra,
     subalgebra_closure,
 )
+from solvdiag.algebra import is_nilpotent_subalgebra
 from solvdiag import linalg
 from solvdiag.generators import (
     change_basis,
@@ -66,6 +71,11 @@ def vectors(dim, max_size=None):
     return st.lists(
         st.lists(small_frac, min_size=dim, max_size=dim), max_size=dim if max_size is None else max_size
     )
+
+
+def dense_rows(dim):
+    """One to dim rows with no zero entry, so that pivots other than 1 are common."""
+    return st.lists(st.lists(nonzero_frac, min_size=dim, max_size=dim), min_size=1, max_size=dim)
 
 
 @st.composite
@@ -184,6 +194,56 @@ def test_closures_match_the_from_scratch_closure(alg, data):
     assert grown.rows == oracle_subalgebra_closure(alg, list(closed.rows) + more)
     assert grown == subalgebra_closure(alg, rows + more)
     assert ideal_closure(alg, Subspace(n, rows)).rows == oracle_ideal_closure(alg, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_algebra(), st.data())
+def test_coordinates_and_lift_are_inverse(alg, data):
+    n = alg.dim
+    rows = data.draw(dense_rows(n))
+    s = data.draw(st.sampled_from([Subspace(n, rows), subalgebra_closure(alg, rows)]))
+    coeffs = data.draw(st.lists(st.lists(nonzero_frac, min_size=s.dim, max_size=s.dim), max_size=3))
+    t = Subspace(n, [linalg.lincomb(c, s.rows) for c in coeffs])
+    u = s.coordinates(t)
+    assert u.ambient_dim == s.dim
+    assert u == Subspace(s.dim, [s.coordinates_of(r) for r in t.rows])
+    assert s.lift(u) == t
+    # the lift of a reduced echelon basis is the reduced echelon basis of the lift
+    assert s.lift(u).rows == tuple(linalg.lincomb(r, s.rows) for r in u.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_algebra(), st.data())
+def test_coordinates_refuse_an_outside_subspace_and_lift_a_wrong_dimension(alg, data):
+    n = alg.dim
+    rows = data.draw(dense_rows(n))
+    s = data.draw(st.sampled_from([Subspace(n, rows), subalgebra_closure(alg, rows)]))
+    t = Subspace(n, data.draw(dense_rows(n)))
+    if s.contains(t):
+        assert s.lift(s.coordinates(t)) == t
+    else:
+        with pytest.raises(SubspaceNotNestedError):
+            s.coordinates(t)
+    with pytest.raises(ValueError):
+        s.lift(Subspace.zero(s.dim + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_algebra(), st.data())
+def test_is_nilpotent_subalgebra_matches_the_standalone_algebra(alg, data):
+    n = alg.dim
+    closed = [subalgebra_closure(alg, data.draw(vectors(n, 3))), Subspace.full(n)]
+    for s in closed + [ideal_closure(alg, Subspace(n, [r])) for r in Subspace.full(n).rows]:
+        if s.is_zero():  # a LieAlgebra needs a basis
+            assert is_nilpotent_subalgebra(alg, s)
+        else:
+            assert is_nilpotent_subalgebra(alg, s) == is_nilpotent(subalgebra_as_algebra(alg, s))
+    units = Subspace.full(n).rows
+    for i in range(n):
+        for j in range(i + 1, n):
+            plane = Subspace(n, [units[i], units[j]])
+            if not is_subalgebra(alg, plane):
+                assert not is_nilpotent_subalgebra(alg, plane)
 
 
 def _heisenberg():
