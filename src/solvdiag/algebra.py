@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -121,7 +120,7 @@ class Subspace:
         """Remainder of v after eliminating along the echelon rows."""
         w, scale = linalg.scaled_ints(v, self.ambient_dim)
         r, m = self._remainder(w)
-        return tuple(Fraction(x, m * scale) if x else ZERO for x in r)
+        return linalg.divided(r, m * scale)
 
     def _has(self, w: Sequence[int]) -> bool:
         """Whether the integer vector w lies in the span."""
@@ -222,45 +221,73 @@ def _sparse(rows) -> list[list[tuple[int, int]]]:
     return [[(i, x) for i, x in enumerate(r) if x] for r in rows]
 
 
-class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q given by structure constants.
+def _dense(cs, n: int) -> list[int]:
+    """The integer vector of length n with the nonzero entries (k, c) of cs."""
+    v = [0] * n
+    for k, c in cs:
+        v[k] = c
+    return v
+
+
+class VectorTable:
+    """An n x n table of vectors of Q^n, and the bilinear product it defines.
 
     Stored once, as integers over one positive denominator `denom` (the lcm
-    of the constants' denominators): `consts[i][j]` lists the nonzero
-    entries of denom * [e_i, e_j] as ((k, c), ...) in increasing k, with int
-    c.  `table[i][j]`, the dense Fraction vector [e_i, e_j], is a view built
-    on first read.
+    of the entries' denominators, so the store is in lowest terms):
+    `consts[i][j]` lists the nonzero entries of denom * table[i][j] as
+    ((k, c), ...) in increasing k, with int c.  `table[i][j]`, the dense
+    Fraction vector, is a view built on first read.  A LieAlgebra's table
+    holds the brackets [e_i, e_j]; a ConnectionTable's holds D_{e_i} e_j.
     """
 
-    __slots__ = ("dim", "names", "consts", "denom", "_table")
+    __slots__ = ("dim", "consts", "denom", "_table")
 
-    def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
-        names = tuple(names)
-        n = len(names)
-        if len(set(names)) != n:
-            raise ValueError("basis names must be distinct")
-        vecs = [table[i][j] for i in range(n) for j in range(n)]
-        if any(len(v) != n for v in vecs):
-            raise ValueError("bracket vector of wrong length")
+    def __init__(self, table: Sequence[Sequence[Sequence]]) -> None:
+        rows = [tuple(row) for row in table]
+        n = len(rows)
+        vecs = [v for row in rows for v in row]
+        if any(len(row) != n for row in rows) or any(len(v) != n for v in vecs):
+            raise ValueError(f"{type(self).__name__} must be n x n vectors of length n")
         ints, denom = linalg.scaled_ints(x for v in vecs for x in v)
-        rows = iter(_sparse(ints[t : t + n] for t in range(0, n * n * n, n)))
-        consts = tuple(tuple(tuple(next(rows)) for _ in range(n)) for _ in range(n))
-        _init(self, dim=n, names=names, consts=consts, denom=denom, _table=None)
+        sparse = iter(_sparse(ints[t : t + n] for t in range(0, n * n * n, n or 1)))
+        consts = tuple(tuple(tuple(next(sparse)) for _ in range(n)) for _ in range(n))
+        _init(self, dim=n, consts=consts, denom=denom, _table=None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("LieAlgebra is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
         if self._table is None:
             n, d = self.dim, self.denom
-            rows = [[dict(cs) for cs in row] for row in self.consts]
-            table = tuple(
-                tuple(tuple(Fraction(v[k], d) if k in v else ZERO for k in range(n)) for v in row)
-                for row in rows
+            view = tuple(
+                tuple(linalg.divided(_dense(cs, n), d) for cs in row) for row in self.consts
             )
-            _init(self, _table=table)
+            _init(self, _table=view)
         return self._table
+
+    def apply(self, x: Sequence, y: Sequence) -> Vector:
+        """The sum of x_i y_j table[i][j] over the nonzero coordinates of x and
+        y and the nonzero constants of table[i][j], on ints, divided once.
+        An entry that is not exact is a TypeError, a wrong length a ValueError."""
+        (x, sx), (y, sy) = linalg.scaled_ints(x, self.dim), linalg.scaled_ints(y, self.dim)
+        return linalg.divided(_ibracket(self, *_sparse((x, y))), sx * sy * self.denom)
+
+
+class LieAlgebra(VectorTable):
+    """Finite-dimensional Lie algebra over Q given by structure constants:
+    the VectorTable of the brackets [e_i, e_j] of the named basis."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError("basis names must be distinct")
+        super().__init__(table)
+        if self.dim != len(names):
+            raise ValueError(f"a bracket table of size {self.dim} for {len(names)} basis names")
+        _init(self, names=names)
 
     @classmethod
     def from_brackets(cls, names: Sequence[str], entries) -> "LieAlgebra":
@@ -301,12 +328,8 @@ class LieAlgebra:
         return linalg.unit_vec(self.dim, self.index_of(name))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y]: the sum of x_i y_j c over the nonzero coordinates of x and y
-        and the nonzero constants (k, c) of [e_i, e_j], on ints, divided once."""
-        (x, sx), (y, sy) = linalg.scaled_ints(x, self.dim), linalg.scaled_ints(y, self.dim)
-        out = _ibracket(self, *_sparse((x, y)))
-        scale = sx * sy * self.denom
-        return tuple(Fraction(v, scale) if v else ZERO for v in out)
+        """[x, y], the product of the bracket table."""
+        return self.apply(x, y)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad_x = [x, .] acting on coordinate columns (row-major).
@@ -321,8 +344,7 @@ class LieAlgebra:
                 for j, cs in enumerate(row):
                     for k, c in cs:
                         out[k][j] += xi * c
-        scale = sx * self.denom
-        return tuple(tuple(Fraction(v, scale) if v else ZERO for v in r) for r in out)
+        return tuple(linalg.divided(r, sx * self.denom) for r in out)
 
     def bracket_spans(self, s: Subspace, t: Subspace) -> Subspace:
         ts = _sparse(t.int_rows)
@@ -486,7 +508,6 @@ def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     if not is_ideal_in(alg, ideal, Subspace.full(alg.dim)):
         raise NotAnIdealError("quotient requires an ideal of the full algebra")
     keep = [i for i in range(alg.dim) if i not in ideal.pivots]
-    m = len(keep)
 
     def project(v: Vector) -> Vector:
         r = ideal.reduce_vector(v)
@@ -495,11 +516,7 @@ def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     proj = tuple(project(linalg.unit_vec(alg.dim, j)) for j in range(alg.dim))
     proj = linalg.transpose(proj)  # m x n, rows = quotient coordinates
     names = tuple(alg.names[i] for i in keep)
-    table = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            br = alg.bracket(linalg.unit_vec(alg.dim, keep[a]), linalg.unit_vec(alg.dim, keep[b]))
-            table[a][b] = project(br)
+    table = [[project(alg.table[a][b]) for b in keep] for a in keep]
     return LieAlgebra(names, table), proj
 
 
@@ -521,7 +538,7 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
     # integer bracket over denom * piv_i * piv_j, read at the pivots
     table = [
         [
-            [Fraction(br[p], alg.denom * piv[i] * piv[j]) for p in s.pivots]
+            linalg.divided([br[p] for p in s.pivots], alg.denom * piv[i] * piv[j])
             for j, br in enumerate(_ibracket(alg, a, b) for b in sup)
         ]
         for i, a in enumerate(sup)
@@ -537,17 +554,15 @@ def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
     """Greedy canonical hyperplane of `inside` containing `containing`.
 
     Extends by the earliest echelon rows of `inside`; the result has the
-    lexicographically least pivot set among such hyperplanes.  Each integer
-    row is tested for membership, and a new Subspace is built only for a
-    row outside the current span.
+    lexicographically least pivot set among such hyperplanes.  `_grow`
+    builds a new Subspace only for a row outside the current span.
     """
     target = inside.dim - 1
     cur = containing
     for row in inside.int_rows:
         if cur.dim == target:
             break
-        if not cur._has(row):
-            cur = Subspace(inside.ambient_dim, cur.int_rows + (row,))
+        cur = _grow(cur, [row])[0]
     if cur.dim != target:  # pragma: no cover - containing must fit
         raise ValueError("cannot extend to a hyperplane")
     return cur
@@ -651,8 +666,7 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         for eigenspace in _eigenspaces(restr_m, wsub.dim):
             for sol in eigenspace:
                 v = [sum(c * b[j] for c, b in zip(sol, basis) if c) for j in range(space_dim)]
-                lead = next(x for x in v if x)
-                v = tuple(Fraction(x, lead) if x else ZERO for x in v)
+                v = linalg.divided(v, next(x for x in v if x))
                 if best is None or vector_sort_key(v) < vector_sort_key(best):
                     best = v
         return best
@@ -695,7 +709,7 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         return SolvabilityCertificate(SolvabilityVerdict.NOT_SOLVABLE, None)
     n = alg.dim
     # D [e_i, e_j] mod carried
-    red = [[[dict(cs).get(k, 0) for k in range(n)] for cs in row] for row in alg.consts]
+    red = [[_dense(cs, n) for cs in row] for row in alg.consts]
     members: list[Subspace] = []
     carried = Subspace.zero(n)
     keep = list(range(n))  # quotient coordinates: non-pivot columns of carried
@@ -708,23 +722,21 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
             return SolvabilityCertificate(
                 SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM, None
             )
-        lifted = [ZERO] * n
-        for c, i in zip(v, keep):
+        lifted = [0] * n
+        for c, i in zip(linalg._primitive(v), keep):
             lifted[i] = c
-        carried = carried.sum(Subspace(n, [lifted]))
+        carried, (q,) = _grow(carried, [lifted])  # q: the new echelon row
         members.append(carried)
-        p = next(c for c in carried.pivots if c in keep)  # the new pivot
+        support = [(j, c) for j, c in enumerate(q) if c]
+        p, d = support[0]  # q's pivot and its entry there
         keep.remove(p)
-        q = carried.int_rows[carried.pivots.index(p)]
-        d = q[p]
         for red_i in red:
             for j, r in enumerate(red_i):
                 if r[p] or d != 1:
                     red_i[j] = [d * x - r[p] * y for x, y in zip(r, q)]
         if d != 1 and (g := math.gcd(*(x for red_i in red for r in red_i for x in r))) > 1:
             red = [[[x // g for x in r] for r in red_i] for red_i in red]
-        # [e_i, v] reduced modulo the new carried must vanish
-        support = [(j, c) for j, c in enumerate(linalg._primitive(lifted)) if c]
+        # [e_i, q] reduced modulo the new carried must vanish
         if any(sum(c * red_i[j][k] for j, c in support) for red_i in red for k in keep):
             raise NotAnIdealError("certificate member is not an ideal")
     return SolvabilityCertificate(SolvabilityVerdict.COMPLETELY_SOLVABLE, tuple(members))

@@ -17,10 +17,11 @@ from .algebra import (
     NotSubalgebraError,
     SolvdiagError,
     Subspace,
+    VectorTable,
     is_subalgebra,
 )
 from .forms import DegenerateFormError, TwoForm, kernel
-from .linalg import Vector, ZERO
+from .linalg import Vector
 
 
 class NotTransverseError(SolvdiagError):
@@ -58,45 +59,20 @@ def d_zero(alg: LieAlgebra, omega: TwoForm, x, y) -> Vector:
     return _leafwise(alg, omega)(linalg.transpose(alg.ad_matrix(x)), y)
 
 
-class ConnectionTable:
-    """Values D_{e_i} e_j on basis pairs; everything else by bilinearity."""
+class ConnectionTable(VectorTable):
+    """Values D_{e_i} e_j on basis pairs, stored like a LieAlgebra's
+    brackets; `apply(x, y)` is D_x y, by bilinearity."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries) -> None:
-        ent = tuple(tuple(linalg.vec(v) for v in row) for row in entries)
-        n = len(ent)
-        for row in ent:
-            if len(row) != n or any(len(v) != n for v in row):
-                raise ValueError("connection table must be n x n vectors of length n")
-        object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("ConnectionTable is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def apply(self, x, y) -> Vector:
-        """D_x y: the sum of x_i y_j D_{e_i} e_j over the nonzero coordinates
-        of x and y and the nonzero entries of D_{e_i} e_j."""
-        ys = linalg.support(y, self.dim)
-        out = [ZERO] * self.dim
-        for i, xi in linalg.support(x, self.dim):
-            row = self.entries[i]
-            for j, yj in ys:
-                f = xi * yj
-                for k, c in enumerate(row[j]):
-                    if c:
-                        out[k] += f * c
-        return tuple(out)
+    entries = VectorTable.table
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConnectionTable) and self.entries == other.entries
+        same_kind = isinstance(other, ConnectionTable)
+        return same_kind and (self.consts, self.denom) == (other.consts, other.denom)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.consts, self.denom))
 
 
 def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> ConnectionTable:
@@ -205,17 +181,20 @@ def curvature(alg: LieAlgebra, table: ConnectionTable, x, y, z) -> Vector:
 
 def curvature_flatness(alg: LieAlgebra, table: ConnectionTable) -> bool:
     """Does the curvature tensor vanish on all basis triples?  With ent[i][j]
-    = D_{e_i} e_j read from the table, R(e_i, e_j)e_k is the sum over m of
-    ent[j][k]_m ent[i][m] - ent[i][k]_m ent[j][m] - [e_i, e_j]_m ent[m][k],
-    summed here times the algebra's `denom`, so the constants stay ints."""
-    n, d = alg.dim, alg.denom
-    nz = [[linalg.support(v, n) for v in row] for row in table.entries]  # ValueError unless n
+    = D_{e_i} e_j, R(e_i, e_j)e_k is the sum over m of ent[j][k]_m ent[i][m]
+    - ent[i][k]_m ent[j][m] - [e_i, e_j]_m ent[m][k], summed here on the
+    integer constants of both tables, times a t^2 (a the algebra's `denom`,
+    t the table's), so no Fraction is built."""
+    n, a, t = alg.dim, alg.denom, table.denom
+    if table.dim != n:
+        raise ValueError(f"a connection on Q^{table.dim} for an algebra on Q^{n}")
+    nz = table.consts
     for i, j, k in ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)):
-        terms = [(d * c, nz[i][m]) for m, c in nz[j][k]] + [(-d * c, nz[j][m]) for m, c in nz[i][k]]
+        terms = [(a * c, nz[i][m]) for m, c in nz[j][k]] + [(-a * c, nz[j][m]) for m, c in nz[i][k]]
         out = {}
-        for c, v in terms + [(-c, nz[m][k]) for m, c in alg.consts[i][j]]:
+        for c, v in terms + [(-t * c, nz[m][k]) for m, c in alg.consts[i][j]]:
             for l, x in v:
-                out[l] = out.get(l, ZERO) + c * x
+                out[l] = out.get(l, 0) + c * x
         if any(out.values()):
             return False
     return True

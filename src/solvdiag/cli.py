@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .bilagrangian import BilagrangianPair, audit_connection, connection, curvature_flatness
 from .corpus import evaluate_expected
-from .deformation import deform_to_simple, step_audit
+from .deformation import audit_step, deform_to_simple
 from .diagram import (
     contract,
     kernel_chain,
@@ -360,11 +360,11 @@ def _audit_checks(doc: Document):
             yield (f"diagram {fname}/{gname} weight-zero singulars repulsive", ok_rep, "")
             step_ok = True
             detail = ""
-            for k in d.member_dims[:-1]:
-                r = step_audit(alg, form, flag, k)
+            for low, high in zip(d.vertices, d.vertices[1:]):
+                r = audit_step(alg, form, low.member, low.kernel, high.member, high.kernel)
                 if not r.ok:
                     step_ok = False
-                    detail = f"step {k}: {', '.join(r.failures)}"
+                    detail = f"step {low.index}: {', '.join(r.failures)}"
                     break
             yield (f"diagram {fname}/{gname} step audit", step_ok, detail)
             preds = predicates(alg, d)

@@ -70,7 +70,7 @@ class TwoForm:
         if any(len(r) != n for r in rows):
             raise ValueError("two-form matrix must be square")
         ints, denom = linalg.scaled_ints(x for r in rows for x in r)  # in lowest terms
-        m = tuple(tuple(ints[i : i + n]) for i in range(0, n * n, n))
+        m = tuple(tuple(ints[i : i + n]) for i in range(0, n * n, n or 1))
         for i in range(n):
             if m[i][i] != 0:
                 raise ValueError("two-form matrix must have zero diagonal")
@@ -92,9 +92,7 @@ class TwoForm:
     @property
     def entries(self) -> tuple[Vector, ...]:
         if self._entries is None:
-            d = self.denom
-            m = tuple(tuple(Fraction(x, d) if x else ZERO for x in r) for r in self.numer)
-            _init(self, _entries=m)
+            _init(self, _entries=tuple(linalg.divided(r, self.denom) for r in self.numer))
         return self._entries
 
     @classmethod
@@ -128,8 +126,7 @@ class TwoForm:
     def pairing_with(self, x: Sequence) -> Vector:
         """The covector omega(x, .); x is checked by `linalg.scaled_ints`."""
         ints, scale = linalg.scaled_ints(x, self.dim)
-        scale *= self.denom
-        return tuple(Fraction(v, scale) if v else ZERO for v in self.pair_ints(ints))
+        return linalg.divided(self.pair_ints(ints), scale * self.denom)
 
     def apply(self, x: Sequence, y: Sequence) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:

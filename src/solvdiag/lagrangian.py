@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import linalg
 from .algebra import (
     LieAlgebra,
     SolvdiagError,
@@ -118,13 +117,9 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
         ran_adapted = True
         ker = radical(omega, Subspace.full(n))
         target = omega.rank() // 2 + ker.dim
-        gens: list = []
-        for member in normal.flag.members:
-            for row in member.rows:
-                if row not in gens:
-                    gens.append(row)
-        gens.sort(key=vector_sort_key)
-        gens = [tuple(linalg._primitive(g)) for g in gens]
+        # the primitive integer echelon rows of the members, each once
+        rows = (row for member in normal.flag.members for row in member.int_rows)
+        gens = sorted(dict.fromkeys(rows), key=vector_sort_key)
         paired = [omega.pair_ints(g) for g in gens]  # denom * omega(g, .)
 
         def extend(cur: Subspace, start: int) -> None:

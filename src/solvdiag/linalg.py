@@ -38,12 +38,10 @@ def vec(entries: Iterable) -> Vector:
     return tuple(e if isinstance(e, Fraction) else frac(e) for e in entries)
 
 
-def support(entries: Sequence, n: int) -> list[tuple[int, Fraction]]:
-    """(index, value) of the nonzero entries of a vector in Q^n, coerced by
-    `vec` (a float is a TypeError); a vector of another length is a ValueError."""
-    if len(entries) != n:
-        raise ValueError(f"vector of length {len(entries)} in Q^{n}")
-    return [(i, e) for i, e in enumerate(vec(entries)) if e]
+def divided(ints: Iterable[int], den: int) -> Vector:
+    """The exact vector ints / den (den nonzero), with ZERO for each zero entry:
+    the one way from integer rows back to Fraction."""
+    return tuple(Fraction(x, den) if x else ZERO for x in ints)
 
 
 def unit_vec(n: int, i: int) -> Vector:
@@ -181,9 +179,7 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
 
 def reduced(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Matrix:
     """The reduced row echelon rows over Fraction: each row divided by its pivot."""
-    return tuple(
-        tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(rows, pivots)
-    )
+    return tuple(divided(row, row[c]) for row, c in zip(rows, pivots))
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
@@ -233,11 +229,7 @@ def int_nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[li
 def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
     """Canonical basis of {x : rows @ x = 0}: `int_nullspace`, each vector
     divided by its entry at its free column (its last nonzero entry)."""
-    out = []
-    for v in int_nullspace(rows, ncols):
-        last = next(x for x in reversed(v) if x)
-        out.append(tuple(Fraction(x, last) if x else ZERO for x in v))
-    return out
+    return [divided(v, next(x for x in reversed(v) if x)) for v in int_nullspace(rows, ncols)]
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:

@@ -92,9 +92,11 @@ def _ideal_hyperplane_witness(alg: LieAlgebra, h: Subspace) -> Subspace | None:
     derived = derived_subalgebra(alg)
     if derived.contains(h):
         return None
-    c = Subspace(alg.dim, [derived.reduce_vector(r) for r in h.rows]).pivots[0]
-    phi = list(linalg.unit_vec(alg.dim, c))
-    for row, p in zip(derived.rows, derived.pivots):
+    c = Subspace(alg.dim, [derived._remainder(r)[0] for r in h.int_rows]).pivots[0]
+    # the same covector times L, on the derived rows scaled to pivot L
+    lcm, rows = derived._common_pivot_rows()
+    phi = [lcm * (i == c) for i in range(alg.dim)]
+    for row, p in zip(rows, derived.pivots):
         phi[p] -= row[c]
     return Subspace(alg.dim, [phi]).annihilator()
 
@@ -120,11 +122,11 @@ def _family_provably_empty(alg: LieAlgebra, w) -> bool:
     """
     n = alg.dim
     pivot = next(i for i, c in enumerate(w) if c != 0)
-    # echelon rows have leading coefficient 1, so the dual at the pivot
-    # takes the value 1 on w
-    phi0 = linalg.vscale(1 / linalg.frac(w[pivot]), linalg.unit_vec(n, pivot))
-    psis = Subspace(n, [w]).annihilator().rows
-    for poly in wedge_polys(alg, [phi0, *psis]):
+    # this family, phi(w) = w[pivot] > 0 on integer parameters, is a positive
+    # rescaling of phi(w) = 1; d(phi) ^ phi is quadratic in phi, so the two
+    # have the same constant coefficients up to a positive factor
+    psis = Subspace(n, [w]).annihilator().int_rows
+    for poly in wedge_polys(alg, [linalg.unit_vec(n, pivot), *psis]):
         if set(poly) == {()}:
             return True
     return False
@@ -141,7 +143,7 @@ def _pencil_witnesses(alg: LieAlgebra, h: Subspace, budget: int | None):
     witnesses = [
         Subspace(n, [phi]).annihilator()
         for phi in covectors
-        if any(sum(c * x for c, x in zip(phi, row)) != 0 for row in h.rows)
+        if any(sum(c * x for c, x in zip(phi, row)) != 0 for row in h.int_rows)
     ]
     return witnesses, truncated
 
@@ -186,7 +188,7 @@ def quasi_primitive_test(
         return PrimitivityVerdict(
             PrimitivityStatus.NOT_QUASI_PRIMITIVE, witness=best, searched=tuple(searched)
         )
-    if not truncated and all(_family_provably_empty(alg, w) for w in h.rows):
+    if not truncated and all(_family_provably_empty(alg, w) for w in h.int_rows):
         searched.append("emptiness-certificate")
         return PrimitivityVerdict(PrimitivityStatus.QUASI_PRIMITIVE, searched=tuple(searched))
     return PrimitivityVerdict(PrimitivityStatus.UNKNOWN, searched=tuple(searched))

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvdiag import (
+    ConnectionTable,
     Covector,
     LieAlgebra,
     Subspace,
@@ -279,3 +280,40 @@ def test_a_float_is_a_type_error_at_every_public_entry(entry):
     w = TwoForm.from_pairs(3, [(0, 1, "1/2")])
     with pytest.raises(TypeError, match="not an exact rational"):
         FLOAT_ENTRIES[entry](h, w)
+
+
+# -- the shared table of LieAlgebra and ConnectionTable ----------------------
+
+
+def _connection_values():
+    """A 2 x 2 table of vectors of Q^2, as ints and as the same values in Fraction."""
+    return [[(0, 1), (2, 0)], [(0, 0), (-3, 1)]], [
+        [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))],
+        [(Fraction(0), Fraction(0)), (Fraction(-3), Fraction(1))],
+    ]
+
+
+def test_a_connection_table_from_ints_equals_one_from_fractions():
+    ints, fracs = _connection_values()
+    a, b = ConnectionTable(ints), ConnectionTable(fracs)
+    assert a == b and hash(a) == hash(b)
+    assert a.entries == b.entries == tuple(tuple(map(tuple, row)) for row in fracs)
+    halves = ConnectionTable([[[Fraction(x, 2) for x in v] for v in row] for row in ints])
+    assert halves != a and halves.denom == 2
+    assert halves.apply((2, 0), (0, 1)) == a.apply((1, 0), (0, 1)) == (2, 0)
+
+
+def test_a_float_is_a_type_error_in_a_connection_table():
+    ints, _ = _connection_values()
+    with pytest.raises(TypeError, match="not an exact rational"):
+        ConnectionTable([[(0, 1.0), (2, 0)], [(0, 0), (-3, 1)]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        ConnectionTable(ints).apply((1, 0), (0.5, 0))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_bracket_table_of_another_size_than_the_names_is_refused(rows):
+    # rows of two zero vectors of Q^2 for two names: one row short, or one extra
+    table = [[[0, 0], [0, 0]] for _ in range(rows)]
+    with pytest.raises(ValueError):
+        LieAlgebra(("a", "b"), table)
