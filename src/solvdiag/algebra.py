@@ -256,6 +256,17 @@ class VectorTable:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _of(cls, consts, denom: int, **attrs):
+        """The table consts / denom, put in lowest terms, with no Fraction built
+        (the constructor is the boundary that coerces values): consts[i][j]
+        lists the nonzero (k, c) of denom * table[i][j], denom > 0; attrs sets
+        a subclass's other slots."""
+        g = math.gcd(denom, *(c for row in consts for cs in row for _, c in cs))
+        consts = tuple(tuple(tuple((k, c // g) for k, c in cs) for cs in row) for row in consts)
+        table = object.__new__(cls)
+        return _init(table, dim=len(consts), consts=consts, denom=denom // g, _table=None, **attrs)
+
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
         if self._table is None:
@@ -530,20 +541,16 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
     """
     if not is_subalgebra(alg, s):
         raise NotSubalgebraError("subspace is not bracket-closed")
-    k = s.dim
-    names = tuple(f"b{i}" for i in range(k))
-    sup = _sparse(s.int_rows)
-    piv = [r[p] for r, p in zip(s.int_rows, s.pivots)]
-    # the reduced row i is int row i over its pivot, so [row_i, row_j] is the
-    # integer bracket over denom * piv_i * piv_j, read at the pivots
-    table = [
-        [
-            linalg.divided([br[p] for p in s.pivots], alg.denom * piv[i] * piv[j])
-            for j, br in enumerate(_ibracket(alg, a, b) for b in sup)
-        ]
-        for i, a in enumerate(sup)
+    # the rows scaled to their common pivot L are L times the reduced rows, so
+    # their integer bracket is denom * L^2 times the bracket of the reduced rows
+    lcm, rows = s._common_pivot_rows()
+    sup = _sparse(rows)
+    consts = [
+        [[(i, br[p]) for i, p in enumerate(s.pivots) if br[p]] for br in row]
+        for row in ([_ibracket(alg, a, b) for b in sup] for a in sup)
     ]
-    return LieAlgebra(names, table)
+    names = tuple(f"b{i}" for i in range(s.dim))
+    return LieAlgebra._of(consts, alg.denom * lcm * lcm, names=names)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from .algebra import (
     SolvdiagError,
     Subspace,
     VectorTable,
+    _dense,
+    _ibracket,
+    _sparse,
     is_subalgebra,
 )
 from .forms import DegenerateFormError, TwoForm, kernel
@@ -139,16 +142,21 @@ def audit_connection(
     alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair, table: ConnectionTable
 ) -> ConnectionAudit:
     """Check the defining properties on basis vectors, reading D_{e_i} e_j
-    as the table entry (i, j) and D_{e_i} v as row i combined by v."""
-    n = alg.dim
-    ent = table.entries
+    as the table entry (i, j) and D_{e_i} v as row i combined by v, all on
+    the integer constants of both tables, over a the algebra's `denom` and t
+    the table's: torsion-freeness is a (D_ij - D_ji) = t [e_i, e_j]."""
+    n, a, t = alg.dim, alg.denom, table.denom
+    if {table.dim, omega.dim, pair.left.ambient_dim} != {n}:
+        raise ValueError(f"a connection, form or pair of another dimension than Q^{n}")
+    ent = [[_dense(cs, n) for cs in row] for row in table.consts]
     torsion = all(
-        linalg.vsub(ent[i][j], ent[j][i]) == alg.table[i][j]
+        a * (x - y) == t * z
         for i in range(n)
         for j in range(i + 1, n)
+        for x, y, z in zip(ent[i][j], ent[j][i], _dense(alg.consts[i][j], n))
     )
     # omega(D_i e_j, e_k) + omega(e_j, D_i e_k) = 0, with omega(a, b) = -omega(b, a)
-    paired = [[omega.pairing_with(v) for v in row] for row in ent]
+    paired = [[omega.pair_ints(v) for v in row] for row in ent]
     parallel = all(
         paired[i][j][k] == paired[i][k][j]
         for i in range(n)
@@ -157,9 +165,8 @@ def audit_connection(
     )
 
     def preserves(member: Subspace) -> bool:
-        return all(
-            member.contains_vector(linalg.lincomb(v, ent[i])) for i in range(n) for v in member.rows
-        )
+        rows = _sparse(member.int_rows)
+        return all(member._has(_ibracket(table, [(i, 1)], v)) for i in range(n) for v in rows)
 
     return ConnectionAudit(
         torsion_free=torsion,

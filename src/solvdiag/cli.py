@@ -324,20 +324,16 @@ def _audit_checks(doc: Document):
     reparsed = serialize_document(parse_document(canon))
     yield ("serialize/parse round trip", canon == reparsed, "")
 
-    closed_forms = {}
+    closed_forms = {}  # name -> (form, its kernel, whether that is a subalgebra)
     for fname in sorted(doc.two_forms):
         form = doc.two_forms[fname]
         closed = is_closed(alg, form)
         yield (f"form {fname} closedness recorded", True, f"closed={_bool(closed)}")
         if not closed:
             continue
-        closed_forms[fname] = form
         ker = kernel(form)
-        yield (
-            f"form {fname} kernel is a subalgebra",
-            is_subalgebra(alg, ker),
-            f"dim {ker.dim}",
-        )
+        closed_forms[fname] = form, ker, is_subalgebra(alg, ker)
+        yield (f"form {fname} kernel is a subalgebra", closed_forms[fname][2], f"dim {ker.dim}")
 
     diagrams = []
     for gname in sorted(doc.flags):
@@ -350,7 +346,7 @@ def _audit_checks(doc: Document):
         )
         if not rep.chain_ok:
             continue
-        for fname, form in closed_forms.items():
+        for fname, (form, _, _) in closed_forms.items():
             d = kernel_chain(alg, form, flag)
             diagrams.append(d)
             wz = weight_zero_singulars(d)
@@ -377,22 +373,16 @@ def _audit_checks(doc: Document):
         complete_solvability_certificate(alg).verdict.value == "COMPLETELY_SOLVABLE"
     )
     if solvable:
-        for fname in sorted(closed_forms):
-            form = closed_forms[fname]
-            ker = kernel(form)
-            if ker.is_zero() or not is_subalgebra(alg, ker):
+        for fname, (form, ker, sub) in closed_forms.items():  # in name order
+            if ker.is_zero() or not sub:
                 continue
             pair = PairPresentation(algebra=alg, isotropy=ker)
             rep = ideal_closure_audit(pair, form)
             yield (f"form {fname} ideal-closure audit agrees", rep.agree, "")
 
-    if (
-        solvable
-        and diagrams
-        and all(is_subalgebra(alg, kernel(f)) for f in closed_forms.values())
-    ):
+    if solvable and diagrams and all(sub for _, _, sub in closed_forms.values()):
         first = sorted(closed_forms)[0]
-        pair = PairPresentation(algebra=alg, isotropy=kernel(closed_forms[first]))
+        pair = PairPresentation(algebra=alg, isotropy=closed_forms[first][1])
         quasi = quasi_primitive_test(pair)
         entries = singular_count_audit(pair, diagrams, quasi_verdict=quasi)
         ok_counts = all(

@@ -51,10 +51,11 @@ class ExpectedResult:
         return self.matched == self.entry.agrees
 
 
-def _diagram_for(doc: Document, args) -> WeightedDiagram:
-    omega = doc.two_forms[_arg(args, "form")]
-    flag = doc.flags[_arg(args, "flag")]
-    return kernel_chain(doc.algebra, omega, flag)
+def _diagram_for(doc: Document, args, diagrams: dict) -> WeightedDiagram:
+    key = (_arg(args, "form"), _arg(args, "flag"))
+    if key not in diagrams:
+        diagrams[key] = kernel_chain(doc.algebra, doc.two_forms[key[0]], doc.flags[key[1]])
+    return diagrams[key]
 
 
 def _arg(args, key: str):
@@ -63,8 +64,9 @@ def _arg(args, key: str):
     return args[key]
 
 
-def compute_check(doc: Document, check: str, args) -> Any:
-    """Recompute the value an expected entry refers to, as plain JSON data."""
+def compute_check(doc: Document, check: str, args, diagrams: dict) -> Any:
+    """Recompute the value an expected entry refers to, as plain JSON data;
+    diagrams holds the kernel chains computed so far, by (form, flag)."""
     alg = doc.algebra
     names = alg.names
     if check == "algebra_valid":
@@ -78,33 +80,35 @@ def compute_check(doc: Document, check: str, args) -> Any:
     if check == "chain_ok":
         return validate_flag(alg, doc.flags[_arg(args, "flag")]).chain_ok
     if check == "kernel_dims":
-        return list(_diagram_for(doc, args).kernel_dims)
+        return list(_diagram_for(doc, args, diagrams).kernel_dims)
     if check == "kernel_member":
         want = _arg(args, "member_dim")
-        for v in _diagram_for(doc, args).vertices:
+        for v in _diagram_for(doc, args, diagrams).vertices:
             if v.member.dim == want:
                 return subspace_obj(names, v.kernel)
         raise ValueError(f"no flag member of dimension {want}")
     if check == "step_directions":
-        return [s.value for s in _diagram_for(doc, args).steps]
+        return [s.value for s in _diagram_for(doc, args, diagrams).steps]
     if check == "template":
-        return match_template(_diagram_for(doc, args)).value
+        return match_template(_diagram_for(doc, args, diagrams)).value
     if check == "predicate":
         name = _arg(args, "name")
         if name not in {f.name for f in fields(DiagramPredicates)}:
             raise ValueError(f"unknown predicate {name!r}")
-        return getattr(predicates(alg, _diagram_for(doc, args)), name)
+        return getattr(predicates(alg, _diagram_for(doc, args, diagrams)), name)
     if check == "singular_member_dims":
-        return [v.member.dim for v in _diagram_for(doc, args).singular_vertices()]
+        return [v.member.dim for v in _diagram_for(doc, args, diagrams).singular_vertices()]
     if check == "singular_weights":
-        return [rational_repr(v.weight) for v in _diagram_for(doc, args).singular_vertices()]
+        singular = _diagram_for(doc, args, diagrams).singular_vertices()
+        return [rational_repr(v.weight) for v in singular]
     raise ValueError(f"unknown check {check!r}")
 
 
 def evaluate_expected(doc: Document) -> tuple[ExpectedResult, ...]:
     results = []
+    diagrams: dict = {}  # shared by the entries, as most name one (form, flag) pair
     for entry in doc.metadata.expected:
-        computed = compute_check(doc, entry.check, entry.args)
+        computed = compute_check(doc, entry.check, entry.args, diagrams)
         results.append(
             ExpectedResult(entry=entry, computed=computed, matched=computed == entry.value)
         )

@@ -58,23 +58,18 @@ def _triangular_derivations(alg: LieAlgebra, strict: bool) -> list:
 
 
 def _extend_by_derivation(alg: LieAlgebra, coeffs, slots) -> LieAlgebra:
+    """The algebra with a new basis vector e_n acting by [e_n, e_b] = D e_b,
+    where D e_b has coefficient c at e_a for each slot (a, b) with value c."""
     n = alg.dim
-    d_mat = [[linalg.ZERO] * n for _ in range(n)]  # row a, column b
+    cols = [[linalg.ZERO] * (n + 1) for _ in range(n)]  # cols[b] = D e_b
     for c, (a, b) in zip(coeffs, slots):
-        d_mat[a][b] = c
-    names = tuple(alg.names) + (f"e{n}",)
-    m = n + 1
-    table = [[[linalg.ZERO] * m for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            for t in range(n):
-                table[i][j][t] = alg.table[i][j][t]
-    for b in range(n):
-        col = [d_mat[a][b] for a in range(n)]
-        for t in range(n):
-            table[n][b][t] = col[t]
-            table[b][n][t] = -col[t]
-    return LieAlgebra(names, table)
+        cols[b][a] = c
+    table = [
+        [list(v) + [linalg.ZERO] for v in row] + [[-x for x in cols[b]]]
+        for b, row in enumerate(alg.table)
+    ]
+    table.append(cols + [[linalg.ZERO] * (n + 1)])
+    return LieAlgebra(tuple(alg.names) + (f"e{n}",), table)
 
 
 def _grow(rng: Random, dim: int, strict: bool) -> LieAlgebra:
@@ -137,19 +132,15 @@ def random_unimodular(rng: Random, n: int, steps: int | None = None):
 
 
 def change_basis(alg: LieAlgebra, m) -> LieAlgebra:
-    """The same algebra presented on the basis given by the rows of m."""
+    """The same algebra presented on the basis given by the rows of m, which
+    must be n x n of rank n.  The coordinates c of a bracket v solve
+    m^T c = v, so c combines the solutions of m^T x = e_k by v: n solves."""
     n = alg.dim
+    if len(m) != n or any(len(r) != n for r in m) or linalg.rank(m) != n:
+        raise ValueError("basis matrix is singular")
     mt = linalg.transpose(m)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = alg.bracket(m[i], m[j])
-            coords = linalg.solve(mt, v)
-            if coords is None:
-                raise ValueError("basis matrix is singular")
-            row.append(coords)
-        table.append(row)
+    inv = [linalg.solve(mt, e) for e in linalg.identity(n)]
+    table = [[linalg.lincomb(alg.bracket(a, b), inv) for b in m] for a in m]
     return LieAlgebra(tuple(f"f{i}" for i in range(n)), table)
 
 

@@ -613,3 +613,64 @@ def oracle_common_eigenvector(alg, rep, space_dim):
         return best
 
     return recurse(Subspace.full(alg.dim))
+
+
+def oracle_audit_connection(alg, omega, pair, table):
+    """Reference for bilagrangian.audit_connection: the check as it was on
+    the dense Fraction views of both tables, with Fraction pairings and
+    membership of Fraction combinations."""
+    from solvdiag import linalg
+    from solvdiag.bilagrangian import ConnectionAudit
+
+    n = alg.dim
+    ent = table.entries
+    torsion = all(
+        linalg.vsub(ent[i][j], ent[j][i]) == alg.table[i][j]
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    # omega(D_i e_j, e_k) + omega(e_j, D_i e_k) = 0, with omega(a, b) = -omega(b, a)
+    paired = [[omega.pairing_with(v) for v in row] for row in ent]
+    parallel = all(
+        paired[i][j][k] == paired[i][k][j]
+        for i in range(n)
+        for j in range(n)
+        for k in range(j + 1, n)
+    )
+
+    def preserves(member):
+        return all(
+            member.contains_vector(linalg.lincomb(v, ent[i])) for i in range(n) for v in member.rows
+        )
+
+    return ConnectionAudit(
+        torsion_free=torsion,
+        parallel_form=parallel,
+        preserves_left=preserves(pair.left),
+        preserves_right=preserves(pair.right),
+    )
+
+
+def oracle_subalgebra_as_algebra(alg, s):
+    """Reference for algebra.subalgebra_as_algebra: the construction that
+    divides each integer bracket back to Fraction and hands the Fraction
+    table to the LieAlgebra constructor."""
+    from solvdiag import linalg
+    from solvdiag.algebra import LieAlgebra, NotSubalgebraError, _ibracket, _sparse, is_subalgebra
+
+    if not is_subalgebra(alg, s):
+        raise NotSubalgebraError("subspace is not bracket-closed")
+    k = s.dim
+    names = tuple(f"b{i}" for i in range(k))
+    sup = _sparse(s.int_rows)
+    piv = [r[p] for r, p in zip(s.int_rows, s.pivots)]
+    # the reduced row i is int row i over its pivot, so [row_i, row_j] is the
+    # integer bracket over denom * piv_i * piv_j, read at the pivots
+    table = [
+        [
+            linalg.divided([br[p] for p in s.pivots], alg.denom * piv[i] * piv[j])
+            for j, br in enumerate(_ibracket(alg, a, b) for b in sup)
+        ]
+        for i, a in enumerate(sup)
+    ]
+    return LieAlgebra(names, table)

@@ -29,7 +29,7 @@ from solvdiag.generators import (
     random_nilpotent,
     random_unimodular,
 )
-from oracles import oracle_connection, oracle_curvature_is_zero
+from oracles import oracle_audit_connection, oracle_connection, oracle_curvature_is_zero
 
 
 def d1_pair(d1, a="L1", b="L2"):
@@ -255,3 +255,94 @@ def test_flatness_matches_the_oracle_on_the_hand_built_table():
     zero, z = (0, 0, 0), (0, 0, 1)
     table = ConnectionTable([[zero, z, (1, 0, 0)], [z, zero, zero], [zero, zero, zero]])
     assert curvature_flatness(alg, table) is oracle_curvature_is_zero(alg, table) is False
+
+
+def _perturbed_d1(d1, *changes):
+    """D1's algebra, form and (L1, L2) pair, and its connection table with
+    (i, j, k, c) adding c to the e_k coefficient of D_{e_i} e_j."""
+    alg, w, pair = d1.algebra, d1.two_forms["omega"], d1_pair(d1)
+    entries = [[list(v) for v in row] for row in connection(alg, w, pair).entries]
+    for i, j, k, c in changes:
+        entries[i][j][k] += c
+    return alg, w, pair, ConnectionTable(entries)
+
+
+# on the basis (x, y, c, t) of D1, with L1 = <x, c> and L2 = <y, t>
+PERTURBATIONS = {
+    # D_t scaled by x -> 2x, y -> -2y: still in sp(omega) and preserving
+    # both members, but D_t x - D_x t = 2x is not [t, x] = x
+    "torsion_free": ((3, 0, 0, 1), (3, 1, 1, -1)),
+    # D_x x = x: omega(D_x x, y) = 1 but omega(D_x y, x) = 0
+    "parallel_form": ((0, 0, 0, 1),),
+    # D_x x = y leaves L1
+    "preserves_left": ((0, 0, 1, 1),),
+    # D_y y = x leaves L2
+    "preserves_right": ((1, 1, 0, 1),),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(PERTURBATIONS))
+def test_a_perturbed_d1_connection_fails_exactly_one_property(d1, broken):
+    alg, w, pair, table = _perturbed_d1(d1, *PERTURBATIONS[broken])
+    audit = audit_connection(alg, w, pair, table)
+    assert audit == oracle_audit_connection(alg, w, pair, table)
+    assert not audit.ok
+    assert [f for f, v in vars(audit).items() if not v] == [broken]
+
+
+def test_audit_refuses_a_table_form_or_pair_of_another_dimension(d1):
+    alg, w, pair = d1.algebra, d1.two_forms["omega"], d1_pair(d1)
+    table = connection(alg, w, pair)
+    small = ConnectionTable([[(0, 0, 0)] * 3] * 3)
+    plane = BilagrangianPair(Subspace.zero(3), Subspace.full(3))
+    for args in ((w, pair, small), (TwoForm.zero(3), pair, table), (w, plane, table)):
+        with pytest.raises(ValueError):
+            audit_connection(alg, *args)
+
+
+@st.composite
+def audit_case(draw):
+    """An abelian or generated algebra of dimension 1-5, in a unimodular
+    basis half the time; a skew form, two subspaces and a table of small
+    rationals, zero with drawn densities.  Half the tables are made
+    torsion-free: a symmetric table plus half the bracket."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    make = draw(st.sampled_from(("abelian", random_completely_solvable, random_nilpotent)))
+    names = tuple(f"e{i}" for i in range(dim))
+    alg = LieAlgebra.from_brackets(names, {}) if make == "abelian" else make(rng, dim)
+    if draw(st.booleans()):
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    values = (-1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+    def pick(density):
+        return rng.choice(values) if rng.random() < density else 0
+
+    density = draw(st.sampled_from((0, 0.2, 1)))
+    upper = [(i, j, pick(density)) for i in range(dim) for j in range(i + 1, dim)]
+    omega = TwoForm.from_pairs(dim, upper)
+    left, right = (
+        Subspace(dim, [[pick(0.6) for _ in range(dim)] for _ in range(rng.randrange(dim + 1))])
+        for _ in range(2)
+    )
+    density = draw(st.sampled_from((0, 0.05, 0.2, 1)))
+    entries = [[[pick(density) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    if draw(st.booleans()):
+        sym, br = entries, alg.table
+        entries = [
+            [[(a + b + c) / 2 for a, b, c in zip(sym[i][j], sym[j][i], br[i][j])] for j in range(dim)]
+            for i in range(dim)
+        ]
+    return alg, omega, BilagrangianPair(left, right), ConnectionTable(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(audit_case())
+def test_audit_matches_the_oracle_on_random_tables(case):
+    alg, omega, pair, table = case
+    audit = audit_connection(alg, omega, pair, table)
+    expected = oracle_audit_connection(alg, omega, pair, table)
+    assert audit.torsion_free is expected.torsion_free
+    assert audit.parallel_form is expected.parallel_form
+    assert audit.preserves_left is expected.preserves_left
+    assert audit.preserves_right is expected.preserves_right

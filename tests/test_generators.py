@@ -146,6 +146,24 @@ class TestChangeBasis:
         with pytest.raises(ValueError):
             change_basis(alg, rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 0, 1), (0, 0, 1), (0, 0, 2)),  # rank 1, inside the centre
+            ((1, 0, 0), (1, 0, 0), (0, 0, 1)),  # rank 2, a bracket-closed plane
+        ],
+    )
+    def test_singular_matrix_with_closed_span_rejected(self, rows):
+        # the brackets of the rows stay in their span, so every solve succeeds
+        heis = LieAlgebra.from_brackets(("x", "y", "z"), {("x", "y"): {"z": 1}})
+        with pytest.raises(ValueError, match="basis matrix is singular"):
+            change_basis(heis, rows)
+
+    def test_too_few_rows_rejected(self):
+        abelian = LieAlgebra.from_brackets(("a", "b", "c"), {})
+        with pytest.raises(ValueError, match="basis matrix is singular"):
+            change_basis(abelian, ((1, 0, 0), (0, 1, 0)))
+
 
 class TestFullChains:
     @pytest.mark.parametrize("seed", range(8))

@@ -48,6 +48,7 @@ from oracles import (
     oracle_d_two_form,
     oracle_ideal_closure,
     oracle_radical_rows,
+    oracle_subalgebra_as_algebra,
     oracle_subalgebra_closure,
     spans_equal,
 )
@@ -245,6 +246,22 @@ def test_is_nilpotent_subalgebra_matches_the_standalone_algebra(alg, data):
             plane = Subspace(n, [units[i], units[j]])
             if not is_subalgebra(alg, plane):
                 assert not is_nilpotent_subalgebra(alg, plane)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=10**6), st.data())
+def test_subalgebra_as_algebra_matches_the_fraction_construction(dim, seed, data):
+    rng = Random(seed)
+    make = data.draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    scales = data.draw(st.lists(nonzero_frac, min_size=dim, max_size=dim))
+    m = [[c * x for x in row] for c, row in zip(scales, random_unimodular(rng, dim))]
+    alg = change_basis(make(rng, dim), m)
+    closures = [subalgebra_closure(alg, data.draw(vectors(dim, 3))) for _ in range(2)]
+    for s in closures + [Subspace.zero(dim), Subspace.full(dim)]:
+        sub, ref = subalgebra_as_algebra(alg, s), oracle_subalgebra_as_algebra(alg, s)
+        assert (sub.consts, sub.denom, sub.names) == (ref.consts, ref.denom, ref.names)
+        assert sub.denom > 0
+        assert math.gcd(sub.denom, *(c for row in sub.consts for cs in row for _, c in cs)) == 1
 
 
 def _heisenberg():
