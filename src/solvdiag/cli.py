@@ -28,7 +28,7 @@ from .algebra import (
     validate_algebra,
 )
 from .bilagrangian import BilagrangianPair, audit_connection, connection, curvature_flatness
-from .corpus import evaluate_expected
+from .corpus import _evaluated
 from .deformation import audit_step, deform_to_simple
 from .diagram import (
     contract,
@@ -335,7 +335,7 @@ def _audit_checks(doc: Document):
         closed_forms[fname] = form, ker, is_subalgebra(alg, ker)
         yield (f"form {fname} kernel is a subalgebra", closed_forms[fname][2], f"dim {ker.dim}")
 
-    diagrams = []
+    diagrams = {}  # (form, flag) -> its kernel chain, reused by the recorded expectations
     for gname in sorted(doc.flags):
         flag = doc.flags[gname]
         rep = validate_flag(alg, flag)
@@ -347,8 +347,7 @@ def _audit_checks(doc: Document):
         if not rep.chain_ok:
             continue
         for fname, (form, _, _) in closed_forms.items():
-            d = kernel_chain(alg, form, flag)
-            diagrams.append(d)
+            d = diagrams[fname, gname] = kernel_chain(alg, form, flag)
             wz = weight_zero_singulars(d)
             ok_rep = all(
                 d.vertices[i].vclass.value == "singular-repulsive" for i in wz
@@ -384,7 +383,7 @@ def _audit_checks(doc: Document):
         first = sorted(closed_forms)[0]
         pair = PairPresentation(algebra=alg, isotropy=closed_forms[first][1])
         quasi = quasi_primitive_test(pair)
-        entries = singular_count_audit(pair, diagrams, quasi_verdict=quasi)
+        entries = singular_count_audit(pair, diagrams.values(), quasi_verdict=quasi)
         ok_counts = all(
             e.within_connected_bound is not False
             and e.within_quasi_primitive_bound is not False
@@ -393,7 +392,7 @@ def _audit_checks(doc: Document):
         counts = ",".join(str(e.singular_count) for e in entries)
         yield ("singular-count bounds", ok_counts, f"counts={counts}")
 
-    results = evaluate_expected(doc)
+    results = _evaluated(doc, diagrams)
     bad = [r for r in results if not r.ok]
     detail = "" if not bad else (
         f"first mismatch: {bad[0].entry.check} {bad[0].entry.args} "

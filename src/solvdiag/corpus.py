@@ -105,8 +105,13 @@ def compute_check(doc: Document, check: str, args, diagrams: dict) -> Any:
 
 
 def evaluate_expected(doc: Document) -> tuple[ExpectedResult, ...]:
+    return _evaluated(doc, {})
+
+
+def _evaluated(doc: Document, diagrams: dict) -> tuple[ExpectedResult, ...]:
+    """The expected entries, checked in order; they share `diagrams`, the
+    kernel chains by (form, flag), as most name one pair."""
     results = []
-    diagrams: dict = {}  # shared by the entries, as most name one (form, flag) pair
     for entry in doc.metadata.expected:
         computed = compute_check(doc, entry.check, entry.args, diagrams)
         results.append(

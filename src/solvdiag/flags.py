@@ -24,7 +24,7 @@ from .algebra import (
     is_subalgebra,
     subalgebra_as_algebra,
 )
-from .forms import closed_covectors
+from .forms import hyperplane_subalgebras
 
 
 class ChainNotNestedError(SolvdiagError):
@@ -172,10 +172,10 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
     """A codimension-1 subalgebra of `high` containing `low`, or None.
 
     Preference: hyperplanes containing low + [high, high] (these are ideals
-    of high, canonical choice by greedy echelon extension).  Fallback: kernels
-    of the covectors that `forms.closed_covectors` finds among the
-    annihilator basis of low in high and its rational pencils; the smallest
-    kernel by sort key wins.
+    of high, canonical choice by greedy echelon extension).  Fallback: the
+    hyperplane subalgebras that `forms.hyperplane_subalgebras` finds over
+    the annihilator basis of low in high and its rational pencils; the
+    smallest by sort key wins.
     """
     w = low.sum(alg.derived_span(high))
     if w.dim < high.dim:
@@ -183,11 +183,8 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
 
     # fallback: covector search inside `high` as a standalone algebra
     sub = subalgebra_as_algebra(alg, high)
-    covectors, _ = closed_covectors(sub, high.coordinates(low).annihilator().rows)
-    candidates = [high.lift(Subspace(high.dim, [phi]).annihilator()) for phi in covectors]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda s: s.sort_key())
+    kernels, _ = hyperplane_subalgebras(sub, high.coordinates(low).annihilator().int_rows)
+    return min((high.lift(k) for k in kernels), key=lambda s: s.sort_key(), default=None)
 
 
 def complete_flag_through(alg: LieAlgebra, chain: Sequence[Subspace]) -> Flag:

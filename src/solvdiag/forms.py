@@ -172,6 +172,8 @@ class ThreeForm:
         for (i, j, k), v in entries.items():
             if not i < j < k:
                 raise ValueError("three-form keys must be strictly ordered")
+            if i < 0 or k >= dim:
+                raise ValueError(f"three-form key {(i, j, k)} outside range({dim})")
             if v != 0:
                 clean[(i, j, k)] = frac(v)
         _init(self, dim=dim, entries=clean)
@@ -196,17 +198,47 @@ class ThreeForm:
         return f"ThreeForm(dim={self.dim}, nonzero={len(self.entries)})"
 
 
-def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
-    """d(phi)(x, y) = -phi([x, y]) on basis pairs."""
+def _d_covector(alg: LieAlgebra, c: Sequence[int]) -> list[list[int]]:
+    """alg.denom * d(c) for an integer covector c: the skew integer matrix
+    with entry -c([e_i, e_j]) on the integer constants `alg.consts`."""
     n = alg.dim
-    coeffs, scale = linalg.scaled_ints(phi.coeffs)
     m = [[0] * n for _ in range(n)]
     for i, row in enumerate(alg.consts):
         for j in range(i + 1, n):
-            val = -sum(coeffs[k] * c for k, c in row[j])
+            val = -sum(c[k] * x for k, x in row[j])
             m[i][j] = val
             m[j][i] = -val
-    return TwoForm._of(m, scale * alg.denom)
+    return m
+
+
+def _wedge(m: Sequence[Sequence[int]], c: Sequence[int]) -> list[int]:
+    """(m ^ c)(e_i, e_j, e_k) = m[i][j]c[k] - m[i][k]c[j] + m[j][k]c[i] for
+    a skew integer matrix m and an integer covector c, on the triples
+    i < j < k in combinations order."""
+    return [
+        m[i][j] * c[k] - m[i][k] * c[j] + m[j][k] * c[i]
+        for i, j, k in itertools.combinations(range(len(c)), 3)
+    ]
+
+
+def _wedge_table(alg: LieAlgebra, covectors: Sequence[Sequence]):
+    """(p, w): the covectors as integer rows p, scaled by one common factor
+    s > 0, and w(a, b) = D * (d(p_a) ^ p_b) on the triples in combinations
+    order, D = alg.denom * s^2.  Each d(p_a) is computed once, and w(a, b)
+    is one wedge per call, so only the entries read are built."""
+    n = alg.dim
+    if any(len(v) != n for v in covectors):
+        raise ValueError(f"covector of the wrong length for Q^{n}")
+    flat, _ = linalg.scaled_ints([x for v in covectors for x in v])
+    rows = [flat[a * n : (a + 1) * n] for a in range(len(covectors))]
+    diffs = [_d_covector(alg, p) for p in rows]
+    return rows, lambda a, b: _wedge(diffs[a], rows[b])
+
+
+def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
+    """d(phi)(x, y) = -phi([x, y]) on basis pairs."""
+    coeffs, scale = linalg.scaled_ints(phi.coeffs, alg.dim)
+    return TwoForm._of(_d_covector(alg, coeffs), scale * alg.denom)
 
 
 def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int], int]]:
@@ -249,71 +281,42 @@ def wedge_with_covector(dphi: TwoForm, phi: Covector) -> ThreeForm:
     """(dphi ^ phi)(x,y,z) = dphi(x,y)phi(z) - dphi(x,z)phi(y) + dphi(y,z)phi(x),
     on dphi's integer matrix and phi scaled to ints, divided once."""
     n = dphi.dim
-    m = dphi.numer
-    c, scale = linalg.scaled_ints(phi.coeffs)
+    c, scale = linalg.scaled_ints(phi.coeffs, n)
     den = dphi.denom * scale
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = m[i][j] * c[k] - m[i][k] * c[j] + m[j][k] * c[i]
-                if v:
-                    entries[(i, j, k)] = Fraction(v, den)
-    return ThreeForm(n, entries)
+    triples = itertools.combinations(range(n), 3)
+    return ThreeForm(n, {t: Fraction(v, den) for t, v in zip(triples, _wedge(dphi.numer, c)) if v})
 
 
-def wedge_polys(alg: LieAlgebra, parts: Sequence[Vector]) -> list[dict]:
-    """Coefficients of d(phi) ^ phi for phi = parts[0] + sum a_i parts[i+1].
+def hyperplane_subalgebras(
+    alg: LieAlgebra, covectors: Sequence[Sequence], budget: int | None = None
+) -> tuple[list[Subspace], bool]:
+    """Hyperplane subalgebras: the kernels of covectors phi with
+    d(phi) ^ phi = 0.
 
-    One polynomial per basis triple, in triple order, as {monomial:
-    coefficient} with monomials () / (i,) / (i, j) over the parameters a_i.
-    Identically zero triples are dropped.
+    Searched: each given covector pa, closed when w[a][a] = 0 in the wedge
+    table w, then the pencils pa + s pb over pairs of them (in combinations
+    order, the first `budget` pairs only; a negative budget is a
+    ValueError).  A pencil's wedge is w[a][a] + s (w[a][b] + w[b][a]) +
+    s^2 w[b][b] on each triple; each common rational root s = p/q != 0
+    gives q pa + p pb, and a pencil closed for every s gives pa + pb.
+    Returns (kernels, truncated).
     """
-    diffs = [ce_differential_covector(alg, Covector(v)) for v in parts]
-    polys: dict = {}
-    for a, da in enumerate(diffs):
-        for b, vb in enumerate(parts):
-            mono = tuple(sorted(x - 1 for x in (a, b) if x > 0))
-            for triple, c in wedge_with_covector(da, Covector(vb)).entries.items():
-                poly = polys.setdefault(triple, {})
-                poly[mono] = poly.get(mono, ZERO) + c
-    out = []
-    for triple in sorted(polys):
-        poly = {m: c for m, c in polys[triple].items() if c != 0}
-        if poly:
-            out.append(poly)
-    return out
-
-
-def closed_covectors(
-    alg: LieAlgebra, covectors: Sequence[Vector], budget: int | None = None
-) -> tuple[list[Vector], bool]:
-    """Covectors phi with d(phi) ^ phi = 0: their kernels are the hyperplane
-    subalgebras.
-
-    Searched: each given covector, then the pencils pa + s pb over pairs of
-    them (in combinations order, the first `budget` pairs only).  The wedge
-    coefficients of a pencil are quadratics in s, solved exactly; each
-    common rational root s != 0 gives pa + s pb, and a pencil closed for
-    every s gives pa + pb.  Returns (covectors, truncated).
-    """
-    found = [tuple(phi) for phi in covectors if not wedge_polys(alg, [phi])]
-    pairs = list(itertools.combinations(covectors, 2))
-    truncated = budget is not None and len(pairs) > budget
-    if truncated:
-        pairs = pairs[:budget]
-    for pa, pb in pairs:
-        quads = [
-            (p.get((), ZERO), p.get((0,), ZERO), p.get((0, 0), ZERO))
-            for p in wedge_polys(alg, [pa, pb])
-        ]
-        if not quads:
-            found.append(linalg.vadd(pa, pb))
-            continue
-        for s in linalg.rational_roots(list(quads[0])):
-            if s != 0 and all(q0 + q1 * s + q2 * s * s == 0 for q0, q1, q2 in quads):
-                found.append(linalg.lincomb((ONE, s), (pa, pb)))
-    return found, truncated
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative pencil budget {budget}")
+    rows, w = _wedge_table(alg, covectors)
+    diag = [w(a, a) for a in range(len(rows))]
+    found = [p for p, wa in zip(rows, diag) if not any(wa)]
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+    for a, b in pairs[:budget]:
+        cross = [x + y for x, y in zip(w(a, b), w(b, a))]
+        quads = [q for q in zip(diag[a], cross, diag[b]) if any(q)]
+        # with no nonzero quadratic every s is a root; s = 1 stands for them
+        for s in linalg.rational_roots(quads[0]) if quads else [ONE]:
+            p, q = s.as_integer_ratio()
+            if p and all(q0 * q * q + q1 * p * q + q2 * p * p == 0 for q0, q1, q2 in quads):
+                found.append([q * x + p * y for x, y in zip(rows[a], rows[b])])
+    kernels = [Subspace(alg.dim, [p]).annihilator() for p in found]
+    return kernels, budget is not None and len(pairs) > budget
 
 
 def _gram(omega: TwoForm, rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -115,10 +115,10 @@ def random_closed_form(rng: Random, alg: LieAlgebra) -> TwoForm:
     return acc
 
 
-def random_unimodular(rng: Random, n: int, steps: int | None = None):
-    """An integer matrix of determinant +-1 built from elementary moves."""
+def random_unimodular(rng: Random, n: int):
+    """An integer matrix of determinant +-1 built from 3n elementary moves."""
     m = [[linalg.frac(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(steps if steps is not None else 3 * n):
+    for _ in range(3 * n):
         a = rng.randrange(n)
         b = rng.randrange(n)
         if a == b:

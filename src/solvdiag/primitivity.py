@@ -5,18 +5,18 @@ transitive subalgebra is always contained in one of codimension 1, so the
 searches enumerate hyperplane subalgebras.  Ideal hyperplanes (those
 containing the derived subalgebra) are decided exactly; the remaining
 hyperplane subalgebras are kernels of covectors phi with d(phi) ^ phi = 0,
-found by `forms.closed_covectors` over the dual basis and its rational
-pencils, with an exact emptiness certificate where a wedge coefficient is
-a nonzero constant.
+found by `forms.hyperplane_subalgebras` over the dual basis and its
+rational pencils, with an exact emptiness certificate where a wedge
+coefficient is a nonzero constant.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 
-from . import linalg
 from .algebra import (
     LieAlgebra,
     NotSubalgebraError,
@@ -32,7 +32,7 @@ from .algebra import (
     subalgebra_as_algebra,
 )
 from .diagram import weight_zero_singulars
-from .forms import TwoForm, closed_covectors, radical, wedge_polys
+from .forms import TwoForm, _wedge_table, hyperplane_subalgebras, radical
 
 
 class NotSolvableError(SolvdiagError):
@@ -118,7 +118,10 @@ def _family_provably_empty(alg: LieAlgebra, w) -> bool:
     """Is {phi : phi(w) = 1, d(phi) ^ phi = 0} provably empty?
 
     Sufficient condition: some wedge coefficient is a nonzero constant on
-    the affine family.
+    the affine family p_0 + sum x_a p_a, p_0 the unit covector at w's pivot
+    and p_a the annihilator rows of w: on the wedge table of these
+    covectors, some triple has w[0][0] != 0 and every other
+    w[a][b] + w[b][a] (a <= b) zero.
     """
     n = alg.dim
     pivot = next(i for i, c in enumerate(w) if c != 0)
@@ -126,26 +129,21 @@ def _family_provably_empty(alg: LieAlgebra, w) -> bool:
     # rescaling of phi(w) = 1; d(phi) ^ phi is quadratic in phi, so the two
     # have the same constant coefficients up to a positive factor
     psis = Subspace(n, [w]).annihilator().int_rows
-    for poly in wedge_polys(alg, [linalg.unit_vec(n, pivot), *psis]):
-        if set(poly) == {()}:
-            return True
-    return False
+    _, wedge = _wedge_table(alg, [[int(i == pivot) for i in range(n)], *psis])
+    pairs = itertools.combinations_with_replacement(range(1 + len(psis)), 2)
+    coeffs = [[x + y for x, y in zip(wedge(a, b), wedge(b, a))] for a, b in pairs]
+    # per triple, the first coefficient is (a, b) = (0, 0), twice the constant
+    return any(c[0] and not any(c[1:]) for c in zip(*coeffs))
 
 
 def _pencil_witnesses(alg: LieAlgebra, h: Subspace, budget: int | None):
-    """Hyperplane subalgebras transitive over h: the kernels of the closed
-    covectors among the dual basis and its pencils that do not vanish on h.
+    """Hyperplane subalgebras transitive over h: the kernels found over the
+    dual basis and its pencils that do not contain h.
 
     Returns (witnesses, truncated).
     """
-    n = alg.dim
-    covectors, truncated = closed_covectors(alg, linalg.identity(n), budget)
-    witnesses = [
-        Subspace(n, [phi]).annihilator()
-        for phi in covectors
-        if any(sum(c * x for c, x in zip(phi, row)) != 0 for row in h.int_rows)
-    ]
-    return witnesses, truncated
+    kernels, truncated = hyperplane_subalgebras(alg, Subspace.full(alg.dim).int_rows, budget)
+    return [k for k in kernels if not k.contains(h)], truncated
 
 
 def quasi_primitive_test(

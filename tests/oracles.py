@@ -6,6 +6,7 @@ and Gauss-Jordan over Fraction), so that agreement between the two is
 evidence rather than tautology.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -297,6 +298,47 @@ def oracle_bracket(alg, x, y):
         )
         for k in range(n)
     )
+
+
+def oracle_d_covector(alg, phi):
+    """The matrix of d(phi)(e_i, e_j) = -phi([e_i, e_j]), straight from the
+    definition, with the bracket from `oracle_bracket`; d(phi) is skew, so
+    each pair i < j is bracketed once."""
+    n = alg.dim
+    unit = [tuple(Fraction(int(a == b)) for b in range(n)) for a in range(n)]
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = -sum(Fraction(c) * z for c, z in zip(phi, oracle_bracket(alg, unit[i], unit[j])))
+        d[j][i] = -d[i][j]
+    return d
+
+
+def oracle_family_provably_empty(alg, w):
+    """Whether some (d(phi) ^ phi)(e_i, e_j, e_k) is a nonzero constant on
+    the affine family {phi : phi(w) = 1}, written phi_0 + sum x_a psi_a with
+    the psi_a from `oracle_nullspace`.  A quadratic in x is constant exactly
+    when its values at every e_a, -e_a and e_a + e_b equal its value at 0;
+    d is linear, so d(phi) combines the d of phi_0 and of each psi_a."""
+    n = alg.dim
+    pivot = next(i for i, c in enumerate(w) if c)
+    parts = [[Fraction(int(i == pivot)) / w[pivot] for i in range(n)], *oracle_nullspace([w], n)]
+    diffs = [oracle_d_covector(alg, p) for p in parts]
+    k = len(parts) - 1
+
+    def wedge(x):
+        cs = [1, *x]
+        phi = [sum(c * p[i] for c, p in zip(cs, parts)) for i in range(n)]
+        d = [[sum(c * m[i][j] for c, m in zip(cs, diffs)) for j in range(n)] for i in range(n)]
+        return [
+            d[i][j] * phi[k] - d[i][k] * phi[j] + d[j][k] * phi[i]
+            for i, j, k in itertools.combinations(range(n), 3)
+        ]
+
+    points = [[0] * k]
+    points += [[s * (b == a) for b in range(k)] for a in range(k) for s in (1, -1)]
+    points += [[int(b in ab) for b in range(k)] for ab in itertools.combinations(range(k), 2)]
+    values = [wedge(x) for x in points]
+    return any(v0 and all(v[t] == v0 for v in values) for t, v0 in enumerate(values[0]))
 
 
 def oracle_validation(alg):

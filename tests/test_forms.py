@@ -1,6 +1,7 @@
 """Invariant forms, the differential, radicals and orthogonals."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -15,6 +16,7 @@ from solvdiag import (
     PairPresentation,
     SolvdiagError,
     Subspace,
+    ThreeForm,
     TwoForm,
     ce_differential,
     ce_differential_covector,
@@ -37,8 +39,14 @@ from solvdiag import (
     wedge_with_covector,
 )
 from solvdiag import linalg
-from solvdiag.forms import closed_covectors, wedge_polys
-from oracles import oracle_d_two_form, oracle_is_closed, oracle_radical_rows, spans_equal
+from solvdiag.forms import _wedge_table, hyperplane_subalgebras
+from oracles import (
+    oracle_d_covector,
+    oracle_d_two_form,
+    oracle_is_closed,
+    oracle_radical_rows,
+    spans_equal,
+)
 
 
 def printed_variant_e1():
@@ -186,6 +194,13 @@ class TestDifferential:
         assert not w3.is_zero()
 
 
+@pytest.mark.parametrize("key", [(0, 1, 5), (-1, 0, 1), (0, 1, 2)])
+def test_three_form_keys_outside_the_dimension_are_refused(key):
+    with pytest.raises(ValueError, match="outside range"):
+        ThreeForm(2, {key: 1})
+    assert ThreeForm(3, {(0, 1, 2): 1}).coefficient(0, 1, 2) == 1
+
+
 class TestRadicals:
     def test_kernel_of_corpus_forms(self, e1, x3, d1):
         w1 = e1.two_forms["omega"]
@@ -262,7 +277,7 @@ def algebra_and_covectors(draw):
     dim = draw(st.integers(min_value=2, max_value=6))
     rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
     alg = change_basis(make(rng, dim), random_unimodular(rng, dim))
-    entry = st.integers(min_value=-2, max_value=2)
+    entry = st.integers(min_value=-2, max_value=2) | st.fractions(-2, 2, max_denominator=3)
     covector = st.lists(entry, min_size=dim, max_size=dim).map(linalg.vec)
     covectors = draw(st.lists(covector, max_size=5))
     budget = draw(st.none() | st.integers(min_value=0, max_value=12))
@@ -270,42 +285,67 @@ def algebra_and_covectors(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(algebra_and_covectors(), st.lists(st.fractions(-3, 3, max_denominator=3), max_size=4))
-def test_wedge_polys_evaluate_to_the_wedge(case, params):
+@given(algebra_and_covectors(), st.lists(st.fractions(-3, 3, max_denominator=3), max_size=5))
+def test_wedge_table_evaluates_to_the_wedge(case, xs):
+    """sum of x_a x_b w[a][b] = D * (d(phi) ^ phi) for phi = sum of x_a p_a,
+    D = alg.denom * s^2 with s the common factor of the integer rows."""
     alg, parts, _ = case
-    if not parts:
-        return
-    params = (params + [Fraction(0)] * len(parts))[: len(parts) - 1]
-    phi = Covector(linalg.lincomb([Fraction(1), *params], parts))
-    values = []
-    for poly in wedge_polys(alg, parts):
-        value = Fraction(0)
-        for mono, c in poly.items():
-            for i in mono:
-                c *= params[i]
-            value += c
-        values.append(value)
-    wedge = wedge_with_covector(ce_differential_covector(alg, phi), phi)
-    assert [v for v in values if v != 0] == [wedge.entries[t] for t in sorted(wedge.entries)]
+    n = alg.dim
+    xs = (xs + [Fraction(0)] * len(parts))[: len(parts)]
+    rows, w = _wedge_table(alg, parts)
+    s = next(
+        (Fraction(r[i]) / p[i] for r, p in zip(rows, parts) for i in range(n) if p[i]),
+        Fraction(1),
+    )
+    phi = [sum((x * p[i] for x, p in zip(xs, parts)), Fraction(0)) for i in range(n)]
+    d = oracle_d_covector(alg, phi)
+    ref = [
+        d[i][j] * phi[k] - d[i][k] * phi[j] + d[j][k] * phi[i]
+        for i, j, k in itertools.combinations(range(n), 3)
+    ]
+    values = [Fraction(0)] * len(ref)
+    for a, b in itertools.product(range(len(parts)), repeat=2):
+        for t, c in enumerate(w(a, b)):
+            values[t] += xs[a] * xs[b] * c
+    assert all(type(x) is int for r in rows for x in r)
+    assert values == [alg.denom * s * s * v for v in ref]
+    # the public pair builds the same wedge through the same two formulas
+    covector = Covector(linalg.vec(phi))
+    wedge = wedge_with_covector(ce_differential_covector(alg, covector), covector)
+    triples = itertools.combinations(range(n), 3)
+    assert wedge.entries == {t: v for t, v in zip(triples, ref) if v}
 
 
 @settings(max_examples=60, deadline=None)
 @given(algebra_and_covectors())
-def test_closed_covectors_cut_out_subalgebras(case):
+def test_hyperplane_subalgebras_are_the_closed_kernels(case):
     alg, covectors, budget = case
     n = alg.dim
-
-    def kernel_of(phi):
-        return Subspace(n, linalg.nullspace([phi], n))
-
-    found, truncated = closed_covectors(alg, covectors, budget)
+    kernels, truncated = hyperplane_subalgebras(alg, covectors, budget)
     assert truncated == (budget is not None and comb(len(covectors), 2) > budget)
-    for phi in found:
-        assert is_subalgebra(alg, kernel_of(phi))
+    for k in kernels:
+        assert k.dim >= n - 1
+        assert is_subalgebra(alg, k)
     # the converse for the given covectors: a subalgebra kernel is found
     for phi in covectors:
-        if is_subalgebra(alg, kernel_of(phi)):
-            assert phi in found
+        ker = Subspace(n, [phi]).annihilator()
+        if is_subalgebra(alg, ker):
+            assert ker in kernels
+
+
+def test_a_negative_pencil_budget_is_refused():
+    alg = random_completely_solvable(Random(3), 4)
+    units = Subspace.full(4).int_rows
+    assert hyperplane_subalgebras(alg, units, 6) == hyperplane_subalgebras(alg, units)
+    with pytest.raises(ValueError, match="negative pencil budget"):
+        hyperplane_subalgebras(alg, units, -1)
+    # e_0 lies in the derived subalgebra, so both tests reach the search
+    pair = PairPresentation(alg, Subspace(4, [(1, 0, 0, 0)]))
+    assert quasi_primitive_test(pair, 0).searched[-1] == "hyperplane-pencils"
+    with pytest.raises(ValueError, match="negative pencil budget"):
+        quasi_primitive_test(pair, -1)
+    with pytest.raises(ValueError, match="negative pencil budget"):
+        degrees(pair, -1)
 
 
 def _rows(s: Subspace) -> str:

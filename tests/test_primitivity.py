@@ -18,6 +18,7 @@ from solvdiag import (
     change_basis,
     classify_vertices,
     degrees,
+    derived_subalgebra,
     ideal_closure_audit,
     kernel,
     kernel_chain,
@@ -25,9 +26,13 @@ from solvdiag import (
     quasi_primitive_test,
     random_closed_form,
     random_completely_solvable,
+    random_nilpotent,
+    random_unimodular,
     singular_count_audit,
     transitive_test,
 )
+from solvdiag.primitivity import _family_provably_empty
+from oracles import oracle_family_provably_empty
 
 
 def kernel_pair(doc, *names):
@@ -184,6 +189,25 @@ class TestQuasiPrimitive:
         assert verdict.searched == small.searched
         assert transitive_test(big_pair, verdict.witness)
         assert elapsed < 2.0
+
+
+def test_emptiness_certificate_matches_the_definition():
+    """The certificate read from the wedge table against the definition: some
+    wedge coefficient is a nonzero constant on {phi : phi(w) = 1}.  w is
+    drawn from the derived subalgebra, where quasi_primitive_test asks."""
+    outcomes = []
+    for seed in range(100):
+        rng = Random(23000 + seed)
+        dim = rng.randint(3, 5)
+        alg = (random_completely_solvable if seed % 3 else random_nilpotent)(rng, dim)
+        if seed % 2:
+            alg = change_basis(alg, random_unimodular(rng, dim))
+        derived = derived_subalgebra(alg).int_rows
+        w = [sum(rng.choice((-1, 0, 1, 2)) * r[i] for r in derived) for i in range(dim)]
+        if any(w):
+            outcomes.append(_family_provably_empty(alg, w))
+            assert outcomes[-1] == oracle_family_provably_empty(alg, w), seed
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestDegrees:
