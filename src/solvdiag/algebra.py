@@ -304,8 +304,8 @@ class LieAlgebra(VectorTable):
     def from_brackets(cls, names: Sequence[str], entries) -> "LieAlgebra":
         """Build from sparse brackets {(name_i, name_j): {name_k: rational}}.
 
-        Antisymmetry is filled in; a contradictory duplicate (both (i,j) and
-        (j,i) given, not negatives of each other) is a hard error.
+        Antisymmetry is filled in; both (i,j) and (j,i) given, not negatives
+        of each other, is a hard error, and so is a name outside the basis.
         """
         names = tuple(names)
         idx = {nm: i for i, nm in enumerate(names)}
@@ -313,6 +313,9 @@ class LieAlgebra(VectorTable):
         table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         seen: dict[tuple[int, int], Vector] = {}
         for (a, b), val in entries.items():
+            for nm in (a, b, *val):
+                if nm not in idx:
+                    raise ValueError(f"bracket [{a},{b}] names {nm!r}, which is not a basis name")
             i, j = idx[a], idx[b]
             if i == j:
                 raise ValueError(f"bracket [{a},{a}] must be zero, not given")
@@ -320,16 +323,11 @@ class LieAlgebra(VectorTable):
             for k_name, c in val.items():
                 v[idx[k_name]] = frac(c)
             v = tuple(v)
-            if (i, j) in seen:
-                if seen[(i, j)] != v:
-                    raise ValueError(f"contradictory duplicate bracket [{a},{b}]")
-                continue
             if (j, i) in seen and seen[(j, i)] != linalg.vscale(-ONE, v):
                 raise ValueError(f"brackets [{a},{b}] and [{b},{a}] are not antisymmetric")
             seen[(i, j)] = v
             table[i][j] = list(v)
-            if (j, i) not in seen:
-                table[j][i] = [-x for x in v]
+            table[j][i] = [-x for x in v]
         return cls(names, table)
 
     def index_of(self, name: str) -> int:

@@ -11,7 +11,7 @@ once, as an integer matrix over one positive denominator; `entries`, its
 Fraction matrix, is a view built on first read.  d on 2-forms is one sparse
 integer matrix, built once per call by `_d_rows` from the algebra's integer
 constants `alg.consts`: `ce_differential` evaluates it on the form's integer
-matrix and divides once, and `closed_two_form_basis` is its nullspace.
+matrix and divides once, and `closed_two_form_basis` is its integer nullspace.
 Pairings, restrictions, radicals, isotropy tests and symplectic orthogonals
 run on the integer rows of a Subspace and the form's integer matrix.
 """
@@ -104,6 +104,8 @@ class TwoForm:
         """Build from sparse (i, j, value) with antisymmetry filled in."""
         m = [[ZERO] * n for _ in range(n)]
         for i, j, val in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"two-form index pair {(i, j)} outside range({n})")
             v = frac(val)
             if i == j:
                 raise ValueError("diagonal entry in a two-form")
@@ -185,6 +187,8 @@ class ThreeForm:
         return not self.entries
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
+        if not 0 <= i < j < k < self.dim:
+            raise ValueError(f"three-form triple {(i, j, k)} unordered or outside range({self.dim})")
         return self.entries.get((i, j, k), ZERO)
 
     def __eq__(self, other) -> bool:
@@ -287,6 +291,11 @@ def wedge_with_covector(dphi: TwoForm, phi: Covector) -> ThreeForm:
     return ThreeForm(n, {t: Fraction(v, den) for t, v in zip(triples, _wedge(dphi.numer, c)) if v})
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative pencil budget {budget}")
+
+
 def hyperplane_subalgebras(
     alg: LieAlgebra, covectors: Sequence[Sequence], budget: int | None = None
 ) -> tuple[list[Subspace], bool]:
@@ -301,8 +310,7 @@ def hyperplane_subalgebras(
     gives q pa + p pb, and a pencil closed for every s gives pa + pb.
     Returns (kernels, truncated).
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"negative pencil budget {budget}")
+    _check_budget(budget)
     rows, w = _wedge_table(alg, covectors)
     diag = [w(a, a) for a in range(len(rows))]
     found = [p for p, wa in zip(rows, diag) if not any(wa)]
@@ -366,12 +374,16 @@ def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:
 
 
 def closed_two_form_basis(alg: LieAlgebra) -> list[TwoForm]:
-    """Canonical basis of the space of closed 2-forms: the nullspace of the
-    matrix of d on 2-forms, solved exactly."""
+    """Canonical basis of the space of closed 2-forms: the integer nullspace
+    of the matrix of d on 2-forms, each vector over its last nonzero entry."""
     n = alg.dim
     pairs = list(itertools.combinations(range(n), 2))
     rows = [[row.get(p, 0) for p in pairs] for row in _d_rows(alg).values()]
-    return [
-        TwoForm.from_pairs(n, ((a, b, x) for (a, b), x in zip(pairs, sol)))
-        for sol in linalg.nullspace(rows, len(pairs))
-    ]
+    basis = []
+    for sol in linalg.int_nullspace(rows, len(pairs)):
+        numer = [[0] * n for _ in range(n)]
+        for (a, b), x in zip(pairs, sol):
+            numer[a][b] = x
+            numer[b][a] = -x
+        basis.append(TwoForm._of(numer, next(x for x in reversed(sol) if x)))
+    return basis

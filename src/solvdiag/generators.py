@@ -4,100 +4,76 @@ Completely solvable algebras are grown one dimension at a time: each new
 basis vector acts on the previous ones through a derivation that keeps
 every prefix span invariant, so the prefix chain stays a chain of ideals
 with triangular adjoint action and rational spectrum by construction.
-The nilpotent variant uses strictly triangular derivations.
+The nilpotent variant uses strictly triangular derivations.  Towers are
+built on the integer constants `consts`, and a change of basis is one
+integer elimination.
 """
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 from . import linalg
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra, Subspace, _ibracket, _sparse
 from .flags import Flag
 from .forms import TwoForm, closed_two_form_basis
 
 _COEFFS = (-2, -1, 0, 0, 1, 2)
 
 
-def _triangular_derivations(alg: LieAlgebra, strict: bool) -> list:
-    """Basis of derivations D with D(e_b) in span(e_0 .. e_b) for every b.
-
-    strict drops the diagonal, forcing D(e_b) into span(e_0 .. e_(b-1)).
-    Returned as flat coefficient vectors over the allowed (a, b) slots.
-    """
-    n = alg.dim
-    slots = [(a, b) for b in range(n) for a in range(b + (0 if strict else 1))]
-    pos = {s: i for i, s in enumerate(slots)}
-    if not slots:
-        return []
-
+def _triangular_derivations(alg: LieAlgebra, slots) -> list[list[int]]:
+    """Integer basis of the derivations D zero outside the slots (a, b), the
+    coefficients of D e_b at e_a: `linalg.int_nullspace` of the law
+    D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j] times denom, one integer row
+    per pair i < j and coordinate t, read off `alg.consts`."""
+    n, nz = alg.dim, alg.consts
+    pos = {s: p for p, s in enumerate(slots)}
     rows = []
-    # derivation law on each basis pair, coordinate by coordinate:
-    # D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j]
     for i in range(n):
         for j in range(i + 1, n):
-            cij = alg.table[i][j]
-            for t in range(n):
-                row = [linalg.ZERO] * len(slots)
-                for (a, b), p in pos.items():
-                    coeff = linalg.ZERO
-                    if b == i:
-                        coeff += alg.table[a][j][t]
-                    if b == j:
-                        coeff += alg.table[i][a][t]
-                    row[p] = coeff
-                # D e_t coefficient of the left side: c_ij pulled through D
-                for (a, b), p in pos.items():
-                    if a == t:
-                        row[p] -= cij[b]
-                if any(c != 0 for c in row):
-                    rows.append(tuple(row))
-    if not rows:
-        return [tuple(linalg.unit_vec(len(slots), k)) for k in range(len(slots))]
-    return [tuple(v) for v in linalg.nullspace(rows, len(slots))]
-
-
-def _extend_by_derivation(alg: LieAlgebra, coeffs, slots) -> LieAlgebra:
-    """The algebra with a new basis vector e_n acting by [e_n, e_b] = D e_b,
-    where D e_b has coefficient c at e_a for each slot (a, b) with value c."""
-    n = alg.dim
-    cols = [[linalg.ZERO] * (n + 1) for _ in range(n)]  # cols[b] = D e_b
-    for c, (a, b) in zip(coeffs, slots):
-        cols[b][a] = c
-    table = [
-        [list(v) + [linalg.ZERO] for v in row] + [[-x for x in cols[b]]]
-        for b, row in enumerate(alg.table)
-    ]
-    table.append(cols + [[linalg.ZERO] * (n + 1)])
-    return LieAlgebra(tuple(alg.names) + (f"e{n}",), table)
+            hits = [((a, i), t, c) for a in range(n) for t, c in nz[a][j]]
+            hits += [((a, j), t, c) for a in range(n) for t, c in nz[i][a]]
+            # D e_t coefficient of the left side: c_ij pulled through D
+            hits += [((t, b), t, -c) for b, c in nz[i][j] for t in range(n)]
+            by_t = [[0] * len(slots) for _ in range(n)]
+            for s, t, c in hits:
+                if s in pos:
+                    by_t[t][pos[s]] += c
+            rows += [row for row in by_t if any(row)]
+    return linalg.int_nullspace(rows, len(slots))
 
 
 def _grow(rng: Random, dim: int, strict: bool) -> LieAlgebra:
-    alg = LieAlgebra(("e0",), [[[linalg.ZERO]]])
+    """Extend the line dim - 1 times, by e_n acting by [e_n, e_b] = D e_b for
+    D a random combination of the canonical triangular derivations (each
+    integer kernel vector over its last nonzero entry)."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    alg = LieAlgebra._of([[()]], 1, names=("e0",))
     while alg.dim < dim:
         n = alg.dim
         slots = [(a, b) for b in range(n) for a in range(b + (0 if strict else 1))]
-        basis = _triangular_derivations(alg, strict)
-        coeffs = [linalg.ZERO] * len(slots)
-        for vec in basis:
-            c = rng.choice(_COEFFS)
-            if c:
-                coeffs = [x + c * y for x, y in zip(coeffs, vec)]
-        alg = _extend_by_derivation(alg, coeffs, slots)
+        basis = _triangular_derivations(alg, slots)
+        lasts = [next(x for x in reversed(v) if x) for v in basis]
+        lcm = math.lcm(alg.denom, *lasts)
+        weights = [rng.choice(_COEFFS) * (lcm // last) for last in lasts]
+        coeffs = [sum(w * x for w, x in zip(weights, col)) for col in zip(*basis)]  # lcm * D
+        cols = [[(a, x) for x, (a, b) in zip(coeffs, slots) if x and b == k] for k in range(n)]
+        up = lcm // alg.denom
+        old = [[[(k, up * c) for k, c in cs] for cs in row] for row in alg.consts]
+        consts = [row + [[(a, -x) for a, x in col]] for row, col in zip(old, cols)] + [cols + [[]]]
+        alg = LieAlgebra._of(consts, lcm, names=alg.names + (f"e{n}",))
     return alg
 
 
 def random_completely_solvable(rng: Random, dim: int) -> LieAlgebra:
     """A dim-dimensional algebra with a full chain of ideals and rational
     adjoint spectrum, drawn from seeded random derivation towers."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
     return _grow(rng, dim, strict=False)
 
 
 def random_nilpotent(rng: Random, dim: int) -> LieAlgebra:
-    if dim < 1:
-        raise ValueError("dimension must be positive")
     return _grow(rng, dim, strict=True)
 
 
@@ -115,9 +91,9 @@ def random_closed_form(rng: Random, alg: LieAlgebra) -> TwoForm:
     return acc
 
 
-def random_unimodular(rng: Random, n: int):
+def random_unimodular(rng: Random, n: int) -> tuple[tuple[int, ...], ...]:
     """An integer matrix of determinant +-1 built from 3n elementary moves."""
-    m = [[linalg.frac(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
         a = rng.randrange(n)
         b = rng.randrange(n)
@@ -133,21 +109,30 @@ def random_unimodular(rng: Random, n: int):
 
 def change_basis(alg: LieAlgebra, m) -> LieAlgebra:
     """The same algebra presented on the basis given by the rows of m, which
-    must be n x n of rank n.  The coordinates c of a bracket v solve
-    m^T c = v, so c combines the solutions of m^T x = e_k by v: n solves."""
+    must be n x n of rank n.  With m = M / s, M integer, the coordinates c
+    of [f_a, f_b] solve M^T c = [M_a, M_b] / s: one `linalg.echelon` of
+    [M^T | the brackets denom * [M_a, M_b] as columns] has pivots 0 .. n-1
+    exactly when m is nonsingular, and then row k is p_k (e_k | denom s c_k).
+    """
     n = alg.dim
-    if len(m) != n or any(len(r) != n for r in m) or linalg.rank(m) != n:
+    if len(m) != n or any(len(r) != n for r in m):
         raise ValueError("basis matrix is singular")
-    mt = linalg.transpose(m)
-    inv = [linalg.solve(mt, e) for e in linalg.identity(n)]
-    table = [[linalg.lincomb(alg.bracket(a, b), inv) for b in m] for a in m]
-    return LieAlgebra(tuple(f"f{i}" for i in range(n)), table)
+    flat, s = linalg.scaled_ints(x for r in m for x in r)
+    m_int = [flat[a * n : a * n + n] for a in range(n)]
+    sup = _sparse(m_int)
+    brackets = [_ibracket(alg, x, y) for x in sup for y in sup]
+    aug = [[r[k] for r in m_int] + [br[k] for br in brackets] for k in range(n)]
+    ech, pivots = linalg.echelon(aug)
+    if pivots != list(range(n)):
+        raise ValueError("basis matrix is singular")
+    d = math.lcm(*(row[k] for k, row in enumerate(ech)))
+    ys = [[x * (d // row[k]) for x in row[n:]] for k, row in enumerate(ech)]
+    cs = _sparse(zip(*ys))  # the constants of [f_a, f_b], at a * n + b
+    consts = [cs[a * n : a * n + n] for a in range(n)]
+    return LieAlgebra._of(consts, d * s * alg.denom, names=tuple(f"f{i}" for i in range(n)))
 
 
 def random_full_chain(rng: Random, n: int) -> Flag:
     """A random full chain of subspaces (not necessarily subalgebras)."""
     m = random_unimodular(rng, n)
-    members = [Subspace.zero(n)]
-    for k in range(1, n + 1):
-        members.append(Subspace(n, m[:k]))
-    return Flag(members)
+    return Flag([Subspace(n, m[:k]) for k in range(n + 1)])

@@ -32,7 +32,7 @@ from .algebra import (
     subalgebra_as_algebra,
 )
 from .diagram import weight_zero_singulars
-from .forms import TwoForm, _wedge_table, hyperplane_subalgebras, radical
+from .forms import TwoForm, _check_budget, _wedge_table, hyperplane_subalgebras, radical
 
 
 class NotSolvableError(SolvdiagError):
@@ -157,6 +157,7 @@ def quasi_primitive_test(
     because the algebra is nilpotent, where every maximal subalgebra is an
     ideal).  Anything short of that is reported UNKNOWN, never guessed.
     """
+    _check_budget(pencil_budget)
     alg, h = pair.algebra, pair.isotropy
     cert = complete_solvability_certificate(alg)
     if cert.verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
@@ -209,6 +210,7 @@ def degrees(pair: PairPresentation, pencil_budget: int | None = None) -> Degrees
     is 0 exactly when the descent reached a presentation with zero
     isotropy (otherwise no better lower bound than ratio is certified).
     """
+    _check_budget(pencil_budget)
     n = pair.algebra.dim
     h = pair.isotropy
     denom = n - h.dim + 1

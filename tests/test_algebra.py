@@ -134,6 +134,15 @@ class TestLieAlgebra:
                 ("a", "b"), {("a", "b"): {"a": 1}, ("b", "a"): {"a": 1}}
             )
 
+    @pytest.mark.parametrize(
+        "entries, unknown",
+        [({("a", "b"): {"c": 1}}, "'c'"), ({("a", "c"): {"a": 1}}, "'c'"), ({("d", "a"): {}}, "'d'")],
+        ids=["in-a-value", "in-a-key", "first-in-a-key"],
+    )
+    def test_a_name_outside_the_basis_is_a_value_error(self, entries, unknown):
+        with pytest.raises(ValueError, match=f"names {unknown}, which is not a basis name"):
+            LieAlgebra.from_brackets(("a", "b"), entries)
+
     def test_validate_flags_jacobi_violation(self):
         # [a,b]=c, [a,c]=a breaks Jacobi on (a,b,c)
         bad = LieAlgebra.from_brackets(

@@ -92,6 +92,13 @@ class TestTwoForm:
         with pytest.raises(ValueError):
             TwoForm.from_pairs(3, [(1, 1, 1)])
 
+    @pytest.mark.parametrize("pair", [(-1, 0, 1), (0, 5, 1), (0, -2, 1)])
+    def test_from_pairs_rejects_an_index_outside_the_dimension(self, pair):
+        # Python would wrap -1 to the last row and send (0, -2) onto the
+        # diagonal, so the range is checked before any indexing
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            TwoForm.from_pairs(2, [pair])
+
     def test_matrix_constructor_requires_antisymmetry(self):
         with pytest.raises(ValueError):
             TwoForm([[0, 1], [1, 0]])
@@ -199,6 +206,13 @@ def test_three_form_keys_outside_the_dimension_are_refused(key):
     with pytest.raises(ValueError, match="outside range"):
         ThreeForm(2, {key: 1})
     assert ThreeForm(3, {(0, 1, 2): 1}).coefficient(0, 1, 2) == 1
+
+
+@pytest.mark.parametrize("triple", [(1, 0, 2), (0, 2, 1), (0, 1, 1), (0, 1, 3), (-1, 0, 1)])
+def test_three_form_coefficient_refuses_a_triple_it_does_not_store(triple):
+    # the value at (1, 0, 2) is -5 by alternation, not the 0 a lookup gives
+    with pytest.raises(ValueError, match=r"unordered or outside range\(3\)"):
+        ThreeForm(3, {(0, 1, 2): 5}).coefficient(*triple)
 
 
 class TestRadicals:

@@ -1,5 +1,6 @@
 """Seeded random instance builders: determinism and advertised guarantees."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -111,7 +112,7 @@ class TestUnimodular:
 
     def test_entries_are_integers(self):
         m = random_unimodular(Random(4), 4)
-        assert all(c.denominator == 1 for row in m for c in row)
+        assert all(type(c) is int for row in m for c in row)
 
 
 class TestChangeBasis:
@@ -173,3 +174,49 @@ class TestFullChains:
         rep = validate_flag(alg, flag)
         assert rep.chain_ok
         assert rep.dims == tuple(range(6))
+
+
+def _generator_records():
+    """(names, denom, consts) of generated algebras and the integer rows of
+    generated chains.
+
+    Completely solvable and nilpotent algebras of dimension 1 to 10, each
+    as drawn, after `change_basis` by a random unimodular matrix, and after
+    `change_basis` by a diagonal matrix of fractions whose last entry is
+    large, as in the benchmark's rescale; then the `int_rows` of every
+    member of one `random_full_chain`.
+    """
+
+    def record(alg):
+        return repr((alg.names, alg.denom, alg.consts))
+
+    lines = []
+    for make in (random_completely_solvable, random_nilpotent):
+        for dim in range(1, 11):
+            for seed in range(3):
+                rng = Random(17000 + 100 * dim + seed)
+                alg = make(rng, dim)
+                lines.append(record(alg))
+                lines.append(record(change_basis(alg, random_unimodular(rng, dim))))
+                diag = [
+                    Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3, 7))) * rng.choice((1, -1))
+                    for _ in range(dim - 1)
+                ] + [Fraction(2**40 + rng.randrange(2**20), 3)]
+                scale = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+                lines.append(record(change_basis(alg, scale)))
+                chain = random_full_chain(rng, dim)
+                lines.append(repr([m.int_rows for m in chain.members]))
+    return lines
+
+
+# SHA-256 of _generator_records() as computed when the derivation towers and
+# changes of basis were solved over Fraction; computing them on the integer
+# constants must not move a constant, a denominator or a chain
+GOLDEN_GENERATOR_DIGEST = "07cdd2de8e848fd2141be31a0243cd0fc4a66cb697c5bc15410bcf6043e53a39"
+
+
+def test_generated_algebras_unchanged():
+    records = _generator_records()
+    assert len(records) == 240
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_GENERATOR_DIGEST

@@ -191,6 +191,17 @@ class TestQuasiPrimitive:
         assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("run", [quasi_primitive_test, degrees], ids=["quasi", "degrees"])
+def test_a_negative_pencil_budget_is_refused_before_any_verdict(run):
+    # the isotropy span(e_3) has an ideal hyperplane witness, so neither
+    # function reaches the pencil search: the budget is checked at entry
+    alg = random_completely_solvable(Random(3), 4)
+    pair = PairPresentation(alg, Subspace.span([alg.basis_vector("e3")], 4))
+    run(pair, pencil_budget=0)
+    with pytest.raises(ValueError, match="negative pencil budget -1"):
+        run(pair, pencil_budget=-1)
+
+
 def test_emptiness_certificate_matches_the_definition():
     """The certificate read from the wedge table against the definition: some
     wedge coefficient is a nonzero constant on {phi : phi(w) = 1}.  w is
