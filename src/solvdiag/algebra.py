@@ -583,10 +583,22 @@ def _shifted(m: Matrix, c, den=1) -> list[list]:
 
 def _eigenspaces(m: Matrix, dim: int) -> list[list[list[int]]]:
     """For each rational eigenvalue num/den of m, in increasing order, the
-    integer kernel basis of den*m - num*I (`linalg.int_nullspace`)."""
+    integer kernel basis of den*m - num*I (`linalg.int_nullspace`).
+
+    A forced spectrum is read off m: a 1x1 matrix has the one eigenspace
+    [[1]], and a triangular one (upper or lower, entries ints or Fractions)
+    has its diagonal entries as its eigenvalues."""
+    if dim == 1:
+        return [[[1]]]
+    if all(not x for i, row in enumerate(m) for x in row[:i]) or all(
+        not x for i, row in enumerate(m) for x in row[i + 1 :]
+    ):
+        spectrum = sorted(set(row[i] for i, row in enumerate(m)))
+    else:
+        spectrum = linalg.rational_eigenvalues(m)
     return [
         linalg.int_nullspace(_shifted(m, mu.numerator, mu.denominator), dim)
-        for mu in linalg.rational_eigenvalues(m)
+        for mu in spectrum
     ]
 
 
@@ -603,14 +615,17 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     hyperplane of the one before, down to one acting trivially.  [sub, sub]
     comes from the pairs a < b of sub's echelon rows, so the constants must
     be antisymmetric with zero diagonal.  A stage costs m(m-1)/2 brackets
-    (m = dim sub), a nullspace for the weight space, and a charpoly and a
-    nullspace per rational eigenvalue for the complement.  All of it runs
-    on ints: constants and matrices are scaled to integers by one positive
-    factor each, and an element acts through its primitive integer
-    multiple, so each action matrix A is a positive multiple of the true
-    one.  That scales weights and moves no span, eigenspace or normalized
+    (m = dim sub), a nullspace for the weight space (none when the
+    hyperplane acts by zero: it is the whole space), and a nullspace per
+    rational eigenvalue for the complement, plus a charpoly unless the
+    restriction is triangular (`_eigenspaces`).  All of it runs on ints:
+    constants and matrices are scaled to integers by one positive factor
+    each, and an element acts through its primitive integer multiple, so
+    each action matrix A is a positive multiple of the true one.  That
+    scales weights and moves no span, eigenspace or normalized
     eigenvector.  A weight is a pair num/den, den > 0, compared by
-    cross-multiplying; den*A - num*I stands for A - (num/den)*I.
+    cross-multiplying; den*A - num*I stands for A - (num/den)*I.  Vectors
+    stay primitive integer ones up the recursion; the top divides once.
     """
     n = alg.dim
     # the nonzero entries (i, j, x) of each action matrix, read once, as ints
@@ -628,10 +643,26 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                     out[i][j] += c * x
         return p, out
 
-    def recurse(sub: Subspace, lifts) -> Vector | None:
-        """The descent below sub, given the lifts of sub's echelon rows."""
-        if not any(x for _, a in lifts for row in a for x in row):
-            return linalg.unit_vec(space_dim, 0)
+    def least(eigenspaces, basis=None) -> list[int]:
+        """The least eigenvector (coordinates on basis, if given) in
+        vector_sort_key's order, primitive and positive at its pivot; the
+        entries over the pivot entry are compared by cross-multiplying."""
+        best, q = None, 0
+        for eigenspace in eigenspaces:
+            for v in eigenspace:
+                if basis is not None:
+                    v = [sum(c * b[j] for c, b in zip(v, basis) if c) for j in range(space_dim)]
+                p = next(i for i, x in enumerate(v) if x)
+                g = math.gcd(*v) if v[p] > 0 else -math.gcd(*v)
+                if g != 1:
+                    v = [x // g for x in v]
+                if best is None or (p, [x * best[q] for x in v]) < (q, [y * v[p] for y in best]):
+                    best, q = v, p
+        return best
+
+    def recurse(sub: Subspace, lifts) -> list[int] | None:
+        """The descent below sub, given the lifts of sub's echelon rows; the
+        eigenvector as a primitive integer vector positive at its pivot."""
         sup = _sparse(p for p, _ in lifts)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
         derived = Subspace(n, [_ibracket(alg, x, y) for x, y in pairs])
@@ -639,13 +670,17 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
             return None  # not solvable
         hyper = _hyperplane_in(sub, derived)
         hyper_lifts = [lift(r) for r in hyper.int_rows]
+        # the action of a complement direction of hyper in sub
+        mz = next(a for r, (_, a) in zip(sub.int_rows, lifts) if not hyper._has(r))
+        if not any(x for _, a in hyper_lifts for row in a for x in row):
+            # hyper acts by zero: w = e_0, whose weight space is the whole space
+            return least(_eigenspaces(mz, space_dim))
         w = recurse(hyper, hyper_lifts)
         if w is None:
             return None
         # the weight num/den of each row of hyper on w; their common eigenspace
-        w = linalg._primitive(w)
         ws = [(j, y) for j, y in enumerate(w) if y]
-        t, den = ws[0]  # den > 0: w was normalized
+        t, den = ws[0]  # den > 0: w is positive at its pivot
         rows = []
         for _, a in hyper_lifts:
             img = [sum(row[j] * y for j, y in ws) for row in a]
@@ -654,10 +689,8 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                 raise SolvdiagError("descent produced a non-eigenvector")
             rows += _shifted(a, num, den)
         wsub = Subspace(space_dim, linalg.int_nullspace(rows, space_dim))
-        # the action of a complement direction of hyper in sub, restricted to
-        # the weight space (invariant in char 0), on the basis of wsub's
-        # reduced rows times the lcm of their pivots
-        mz = next(a for r, (_, a) in zip(sub.int_rows, lifts) if not hyper._has(r))
+        # mz restricted to the weight space (invariant in char 0), on the
+        # basis of wsub's reduced rows times the lcm of their pivots
         lcm, basis = wsub._common_pivot_rows()
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
@@ -667,17 +700,14 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
             if back != [lcm * x for x in img]:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
         restr_m = linalg.transpose(restr)  # act on coordinate columns
-        best: Vector | None = None
-        for eigenspace in _eigenspaces(restr_m, wsub.dim):
-            for sol in eigenspace:
-                v = [sum(c * b[j] for c, b in zip(sol, basis) if c) for j in range(space_dim)]
-                v = linalg.divided(v, next(x for x in v if x))
-                if best is None or vector_sort_key(v) < vector_sort_key(best):
-                    best = v
-        return best
+        return least(_eigenspaces(restr_m, wsub.dim), basis)
 
     full = Subspace.full(n)
-    return recurse(full, [lift(r) for r in full.int_rows])
+    lifts = [lift(r) for r in full.int_rows]
+    if not any(x for _, a in lifts for row in a for x in row):
+        return linalg.unit_vec(space_dim, 0)
+    v = recurse(full, lifts)
+    return None if v is None else linalg.divided(v, next(x for x in v if x))
 
 
 class SolvabilityVerdict(Enum):

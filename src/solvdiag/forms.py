@@ -101,16 +101,22 @@ class TwoForm:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, object]]) -> "TwoForm":
-        """Build from sparse (i, j, value) with antisymmetry filled in."""
+        """Build from sparse (i, j, value) with antisymmetry filled in.
+
+        A pair given twice, in either order, must give the same value (its
+        negative in the other order), zero included."""
         m = [[ZERO] * n for _ in range(n)]
+        given = set()
         for i, j, val in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"two-form index pair {(i, j)} outside range({n})")
             v = frac(val)
             if i == j:
                 raise ValueError("diagonal entry in a two-form")
-            if m[i][j] != 0 and m[i][j] != v:
+            key = (min(i, j), max(i, j))
+            if key in given and m[i][j] != v:
                 raise ValueError(f"contradictory duplicate entry ({i},{j})")
+            given.add(key)
             m[i][j] = v
             m[j][i] = -v
         return cls(m)

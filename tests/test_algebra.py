@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solvdiag import (
@@ -28,6 +28,7 @@ from solvdiag import (
     validate_algebra,
 )
 from solvdiag import algebra, linalg
+from solvdiag.corpus import list_corpus, load_corpus
 from solvdiag.algebra import is_nilpotent_subalgebra
 from solvdiag.generators import (
     change_basis,
@@ -36,14 +37,17 @@ from solvdiag.generators import (
     random_unimodular,
 )
 from oracles import (
+    faddeev_leverrier_charpoly,
     fraction_rref,
     is_common_eigenvector,
     oracle_bracket,
     oracle_common_eigenvector,
     oracle_derived_rows,
+    oracle_nullspace,
     oracle_validation,
     rank_test_hyperplane,
     spans_equal,
+    trial_division_rational_roots,
 )
 
 
@@ -368,6 +372,78 @@ def test_common_eigenvector_matches_the_fraction_descent(case):
     assert v == oracle_common_eigenvector(alg, rep, alg.dim)
     assert all(type(x) is Fraction for x in v)
     assert is_common_eigenvector(v, rep)
+
+
+@st.composite
+def square_matrices(draw):
+    """A matrix of dimension 1-6 with int or Fraction entries: upper or
+    lower triangular, diagonal with repeated entries, dense (mostly with an
+    irrational or complex spectrum), or an upper triangular one conjugated
+    by a unimodular matrix (dense, with a rational spectrum)."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from(("upper", "lower", "diagonal", "dense", "conjugated")))
+    ints = draw(st.booleans())
+    if ints:
+        entry, zero = st.integers(min_value=-3, max_value=3), 0
+    else:
+        entry, zero = st.fractions(min_value=-2, max_value=2, max_denominator=3), Fraction(0)
+    if shape == "diagonal":
+        values = draw(st.lists(entry, min_size=1, max_size=2))  # few values, so repeats
+        diag = [draw(st.sampled_from(values)) for _ in range(dim)]
+        return [[diag[i] if i == j else zero for j in range(dim)] for i in range(dim)]
+    m = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+    if shape in ("upper", "conjugated"):
+        m = [[x if j >= i else zero for j, x in enumerate(row)] for i, row in enumerate(m)]
+    elif shape == "lower":
+        m = [[x if j <= i else zero for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if shape == "conjugated":
+        p = random_unimodular(Random(draw(st.integers(min_value=0, max_value=10**6))), dim)
+        red, _ = fraction_rref([list(row) + list(linalg.unit_vec(dim, i)) for i, row in enumerate(p)])
+        m = _matmul(_matmul(p, m), [row[dim:] for row in red])
+        if ints:  # the inverse of a unimodular matrix is integer
+            m = [[int(x) for x in row] for row in m]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example([[0, -1], [1, 0]])  # spectrum +-i
+@example([[0, 2], [1, 0]])  # spectrum +-sqrt(2)
+@example([[1, 2, 0], [0, 1, 0], [0, 3, 1]])  # neither triangular: one eigenvalue, thrice
+def test_eigenspaces_match_the_charpoly_oracle(m):
+    dim = len(m)
+    spectrum = trial_division_rational_roots(faddeev_leverrier_charpoly(m))
+    spaces = algebra._eigenspaces(m, dim)
+    # the eigenvalue of each space, read off its first vector at its pivot
+    weights = []
+    for space in spaces:
+        assert all(type(x) is int for v in space for x in v)
+        v = space[0]
+        p = next(i for i, x in enumerate(v) if x)
+        weights.append(Fraction(sum(x * y for x, y in zip(m[p], v))) / v[p])
+    assert weights == spectrum
+    for mu, space in zip(spectrum, spaces):
+        shifted = [[x - mu * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert spans_equal(space, oracle_nullspace(shifted, dim), dim)
+
+
+def test_forced_spectra_skip_the_charpoly(monkeypatch):
+    # a 1x1 or triangular restriction has its spectrum read off its entries,
+    # so only 51 of the 219 restrictions of these 22 certificates need a
+    # charpoly and its rational roots; the count is deterministic
+    calls = []
+    eigenvalues = linalg.rational_eigenvalues
+
+    def counting(m):
+        calls.append(len(m))
+        return eigenvalues(m)
+
+    monkeypatch.setattr(linalg, "rational_eigenvalues", counting)
+    algs = [random_completely_solvable(Random(s), n) for s in range(1, 5) for n in range(3, 7)]
+    algs += [load_corpus(name).algebra for name in list_corpus()]
+    for alg in algs:
+        complete_solvability_certificate(alg)
+    assert len(calls) == 51
 
 
 @pytest.mark.parametrize("make", [sl2, rot2d])

@@ -91,6 +91,14 @@ class TestTwoForm:
             TwoForm.from_pairs(3, [(0, 1, 1), (1, 0, 1)])
         with pytest.raises(ValueError):
             TwoForm.from_pairs(3, [(1, 1, 1)])
+        # a value given as zero is given: a later nonzero one contradicts it
+        for pairs in ([(0, 1, 0), (0, 1, 5)], [(0, 1, 5), (0, 1, 0)], [(0, 1, 0), (1, 0, 5)]):
+            with pytest.raises(ValueError, match="contradictory duplicate"):
+                TwoForm.from_pairs(2, pairs)
+
+    def test_from_pairs_accepts_a_consistent_repeat(self):
+        for pairs in ([(0, 1, 2), (1, 0, -2)], [(0, 1, 0), (1, 0, 0)], [(0, 1, 2), (0, 1, 2)]):
+            assert TwoForm.from_pairs(2, pairs) == TwoForm.from_pairs(2, pairs[:1])
 
     @pytest.mark.parametrize("pair", [(-1, 0, 1), (0, 5, 1), (0, -2, 1)])
     def test_from_pairs_rejects_an_index_outside_the_dimension(self, pair):
