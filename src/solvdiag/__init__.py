@@ -14,6 +14,7 @@ from .algebra import (
     SolvdiagError,
     Subspace,
     SubspaceNotNestedError,
+    change_basis,
     complete_solvability_certificate,
     derived_subalgebra,
     ideal_closure,
@@ -119,7 +120,6 @@ from .forms import (
     wedge_with_covector,
 )
 from .generators import (
-    change_basis,
     random_closed_form,
     random_completely_solvable,
     random_full_chain,

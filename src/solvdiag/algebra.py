@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ZERO, ONE, frac
+from .linalg import Matrix, Vector, ZERO, frac
 
 
 class SolvdiagError(Exception):
@@ -323,7 +323,7 @@ class LieAlgebra(VectorTable):
             for k_name, c in val.items():
                 v[idx[k_name]] = frac(c)
             v = tuple(v)
-            if (j, i) in seen and seen[(j, i)] != linalg.vscale(-ONE, v):
+            if (j, i) in seen and seen[(j, i)] != tuple(-x for x in v):
                 raise ValueError(f"brackets [{a},{b}] and [{b},{a}] are not antisymmetric")
             seen[(i, j)] = v
             table[i][j] = list(v)
@@ -512,21 +512,27 @@ def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """Quotient algebra by an ideal, plus the projection matrix.
 
     Quotient coordinates are the ambient coordinates away from the ideal's
-    pivot columns; names are inherited from those coordinates.
+    pivot columns; names are inherited from those coordinates.  With the
+    ideal's rows scaled to their common pivot L, L*v - sum over its pivots p
+    of v[p] row_p is L times the remainder of v: `alg.consts` reduced so are
+    the constants over denom * L, and e_j projects to e_j or -row_j / L.
     """
     if not is_ideal_in(alg, ideal, Subspace.full(alg.dim)):
         raise NotAnIdealError("quotient requires an ideal of the full algebra")
-    keep = [i for i in range(alg.dim) if i not in ideal.pivots]
+    n = alg.dim
+    keep = [i for i in range(n) if i not in ideal.pivots]
+    lcm, rows = ideal._common_pivot_rows()
+    at = dict(zip(ideal.pivots, rows))
+    # L times the projection, m x n, rows = quotient coordinates
+    proj = [[-at[j][k] if j in at else lcm * (j == k) for j in range(n)] for k in keep]
 
-    def project(v: Vector) -> Vector:
-        r = ideal.reduce_vector(v)
-        return tuple(r[i] for i in keep)
+    def image(cs) -> list[tuple[int, int]]:  # of the vector with nonzero entries cs
+        return [(i, x) for i, r in enumerate(proj) if (x := sum(r[k] * c for k, c in cs))]
 
-    proj = tuple(project(linalg.unit_vec(alg.dim, j)) for j in range(alg.dim))
-    proj = linalg.transpose(proj)  # m x n, rows = quotient coordinates
+    consts = [[image(alg.consts[a][b]) for b in keep] for a in keep]
     names = tuple(alg.names[i] for i in keep)
-    table = [[project(alg.table[a][b]) for b in keep] for a in keep]
-    return LieAlgebra(names, table), proj
+    matrix = tuple(linalg.divided(r, lcm) for r in proj)
+    return LieAlgebra._of(consts, alg.denom * lcm, names=names), matrix
 
 
 def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
@@ -549,6 +555,29 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
     ]
     names = tuple(f"b{i}" for i in range(s.dim))
     return LieAlgebra._of(consts, alg.denom * lcm * lcm, names=names)
+
+
+def change_basis(table: VectorTable, m) -> VectorTable:
+    """The same table (a LieAlgebra, basis names f0, f1, ..., or a
+    ConnectionTable) on the basis f given by the rows of m, n x n of rank n.
+    With m = M / s, M integer, the coordinates c of f_a * f_b solve
+    M^T c = (M_a * M_b) / s: one `linalg.int_solve` of the integer products
+    denom * (M_a * M_b), whose solutions y over d give c = y / (d s denom).
+    """
+    n = table.dim
+    if len(m) != n or any(len(r) != n for r in m):
+        raise ValueError("basis matrix is singular")
+    flat, s = linalg.scaled_ints(x for r in m for x in r)
+    m_int = [flat[a * n : a * n + n] for a in range(n)]
+    sup = _sparse(m_int)
+    solved = linalg.int_solve(list(zip(*m_int)), [_ibracket(table, x, y) for x in sup for y in sup])
+    if solved is None:
+        raise ValueError("basis matrix is singular")
+    ys, d = solved
+    cs = _sparse(ys)  # the constants of f_a * f_b, at a * n + b
+    consts = [cs[a * n : a * n + n] for a in range(n)]
+    names = {"names": tuple(f"f{i}" for i in range(n))} if isinstance(table, LieAlgebra) else {}
+    return type(table)._of(consts, d * s * table.denom, **names)
 
 
 # ---------------------------------------------------------------------------
@@ -633,15 +662,14 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     rep = [[[next(flat) for _ in row] for row in m] for m in rep]
     entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
 
-    def lift(elem: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-        """The primitive integer multiple of elem and its action."""
-        p = linalg._primitive(elem)
+    def act(elem: Sequence[int]) -> list[list[int]]:
+        """The action of a primitive integer row (of `Subspace.int_rows`)."""
         out = [[0] * space_dim for _ in range(space_dim)]
-        for c, nz in zip(p, entries):
+        for c, nz in zip(elem, entries):
             if c:
                 for i, j, x in nz:
                     out[i][j] += c * x
-        return p, out
+        return out
 
     def least(eigenspaces, basis=None) -> list[int]:
         """The least eigenvector (coordinates on basis, if given) in
@@ -660,29 +688,29 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                     best, q = v, p
         return best
 
-    def recurse(sub: Subspace, lifts) -> list[int] | None:
-        """The descent below sub, given the lifts of sub's echelon rows; the
+    def recurse(sub: Subspace, acts) -> list[int] | None:
+        """The descent below sub, given the actions of sub's echelon rows; the
         eigenvector as a primitive integer vector positive at its pivot."""
-        sup = _sparse(p for p, _ in lifts)
+        sup = _sparse(sub.int_rows)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
         derived = Subspace(n, [_ibracket(alg, x, y) for x, y in pairs])
         if derived.dim >= sub.dim:
             return None  # not solvable
         hyper = _hyperplane_in(sub, derived)
-        hyper_lifts = [lift(r) for r in hyper.int_rows]
+        hyper_acts = [act(r) for r in hyper.int_rows]
         # the action of a complement direction of hyper in sub
-        mz = next(a for r, (_, a) in zip(sub.int_rows, lifts) if not hyper._has(r))
-        if not any(x for _, a in hyper_lifts for row in a for x in row):
+        mz = next(a for r, a in zip(sub.int_rows, acts) if not hyper._has(r))
+        if not any(x for a in hyper_acts for row in a for x in row):
             # hyper acts by zero: w = e_0, whose weight space is the whole space
             return least(_eigenspaces(mz, space_dim))
-        w = recurse(hyper, hyper_lifts)
+        w = recurse(hyper, hyper_acts)
         if w is None:
             return None
         # the weight num/den of each row of hyper on w; their common eigenspace
         ws = [(j, y) for j, y in enumerate(w) if y]
         t, den = ws[0]  # den > 0: w is positive at its pivot
         rows = []
-        for _, a in hyper_lifts:
+        for a in hyper_acts:
             img = [sum(row[j] * y for j, y in ws) for row in a]
             num = img[t]
             if any(x * den != num * y for x, y in zip(img, w)):  # pragma: no cover - theory guard
@@ -699,14 +727,14 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
             back = [sum(c * v[j] for c, v in zip(restr[-1], basis)) for j in range(space_dim)]
             if back != [lcm * x for x in img]:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
-        restr_m = linalg.transpose(restr)  # act on coordinate columns
+        restr_m = list(zip(*restr))  # act on coordinate columns
         return least(_eigenspaces(restr_m, wsub.dim), basis)
 
     full = Subspace.full(n)
-    lifts = [lift(r) for r in full.int_rows]
-    if not any(x for _, a in lifts for row in a for x in row):
+    acts = [act(r) for r in full.int_rows]
+    if not any(x for a in acts for row in a for x in row):
         return linalg.unit_vec(space_dim, 0)
-    v = recurse(full, lifts)
+    v = recurse(full, acts)
     return None if v is None else linalg.divided(v, next(x for x in v if x))
 
 
@@ -751,7 +779,7 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     while keep:
         table = [[[red[a][b][k] for k in keep] for b in keep] for a in keep]
         consts = [_sparse(row) for row in table]
-        rep = [linalg.transpose(row) for row in table]
+        rep = [list(zip(*row)) for row in table]
         v = common_eigenvector(SimpleNamespace(dim=len(keep), consts=consts), rep, len(keep))
         if v is None:
             return SolvabilityCertificate(

@@ -1,8 +1,7 @@
-"""Transverse Lagrangian pairs and their canonical (Hess) connection.
-
-The connection is bilinear and fixed by two linear maps, each built once
-per call with n solves: the split of each basis vector against left +
-right, and omega^-1, from which the leafwise derivative is read.
+"""Transverse Lagrangian pairs and their canonical (Hess) connection (H. Hess,
+LNM 836, 1980), built in the pair's own basis, where the split against
+left + right is a cut of coordinates: one change of basis each way, and
+one solve for all the leafwise derivatives.
 
 Scope: nondegenerate closed 2-forms.
 """
@@ -21,9 +20,10 @@ from .algebra import (
     _dense,
     _ibracket,
     _sparse,
+    change_basis,
     is_subalgebra,
 )
-from .forms import DegenerateFormError, TwoForm, kernel
+from .forms import DegenerateFormError, TwoForm, _gram, kernel
 from .linalg import Vector
 
 
@@ -41,15 +41,22 @@ class BilagrangianPair:
             raise ValueError("pair members live in different ambient spaces")
 
 
-def _leafwise(alg: LieAlgebra, omega: TwoForm):
-    """(ad_x^T, y) -> omega^-1 ad_x^T omega(y, .): the D with omega(D, z) =
-    -omega(y, [x, z]) for all z, as omega^T = -omega.  Row k of omega^-1
-    solves omega^T r = e_k; the n solves run once."""
-    wt = linalg.transpose(omega.entries)
-    inv = [linalg.solve(wt, e) for e in linalg.identity(alg.dim)]
-    if None in inv:
+def _derivatives(alg: VectorTable, gram, pairs) -> tuple[list[list[int]], int]:
+    """The D with omega(D, z) = -omega(y, [x, z]) for all z, for each pair (x, y)
+    of integer vectors, over one denominator; gram is a positive multiple of
+    omega's Gram matrix on alg's basis.  At z = e_k this reads gram^T D =
+    r / denom, r_k the pairing of denom * [x, e_k] with y through gram: one
+    `linalg.int_solve` for all pairs, and a DegenerateFormError if singular."""
+    rhs = []
+    for x, y in pairs:
+        gy = [sum(g * c for g, c in zip(row, y) if c) for row in gram]
+        brs = (_ibracket(alg, _sparse([x])[0], [(k, 1)]) for k in range(alg.dim))  # denom [x, e_k]
+        rhs.append([sum(b * g for b, g in zip(br, gy) if b) for br in brs])
+    solved = linalg.int_solve(list(zip(*gram)), rhs)
+    if solved is None:
         raise DegenerateFormError("the form does not determine the derivative")
-    return lambda ad_t, y: linalg.matvec(inv, linalg.matvec(ad_t, omega.pairing_with(y)))
+    sols, d = solved
+    return sols, d * alg.denom
 
 
 def d_zero(alg: LieAlgebra, omega: TwoForm, x, y) -> Vector:
@@ -59,7 +66,12 @@ def d_zero(alg: LieAlgebra, omega: TwoForm, x, y) -> Vector:
     otherwise; on vectors of one member of a transverse Lagrangian pair
     this is the leafwise derivative and stays inside that member.
     """
-    return _leafwise(alg, omega)(linalg.transpose(alg.ad_matrix(x)), y)
+    n = alg.dim
+    if omega.dim != n:
+        raise ValueError(f"a form on Q^{omega.dim} for an algebra on Q^{n}")
+    (x, sx), (y, sy) = linalg.scaled_ints(x, n), linalg.scaled_ints(y, n)
+    (sol,), d = _derivatives(alg, omega.numer, [(x, y)])
+    return linalg.divided(sol, d * sx * sy)
 
 
 class ConnectionTable(VectorTable):
@@ -83,9 +95,12 @@ def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> Conne
 
     With x = x_L + x_R split against left + right and likewise y,
     D_x y = D(x_L, y_L) + D(x_R, y_R) + left part of [x_R, y_L] + right
-    part of [x_L, y_R], where D is the leafwise derivative.  The split and
-    D are built once, with 2n solves in all.  Requires a nondegenerate form
-    and a transverse pair of bracket-closed members.
+    part of [x_L, y_R], where D is the leafwise derivative.  On the pair's
+    basis f (left rows, then right rows), D_{f_a} f_c is D(f_a, f_c) when
+    both lie on one side, else the coordinates of [f_a, f_c] on the side
+    f_a is not on.  Four eliminations in any dimension: to f, the D(f_a, f_c),
+    e in f-coordinates, and back.  Requires a nondegenerate form and a
+    transverse pair of bracket-closed members.
     """
     n = alg.dim
     if pair.left.ambient_dim != n:
@@ -100,25 +115,24 @@ def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> Conne
     if not kernel(omega).is_zero():
         raise DegenerateFormError("the form must be nondegenerate")
 
-    derivative = _leafwise(alg, omega)
-    basis = pair.left.rows + pair.right.rows
-    bt = linalg.transpose(basis)
-    units = linalg.identity(n)
-    # lefts[k] is the left part of e_k: the first left.dim rows of basis span left
-    lefts = [linalg.lincomb(linalg.solve(bt, e)[: pair.left.dim], basis) for e in units]
-    entries = []
-    for xl, e in zip(lefts, units):
-        # row j of the transposed ad matrix of v is [v, e_j]
-        ad_l, ad_r = (linalg.transpose(alg.ad_matrix(v)) for v in (xl, linalg.vsub(e, xl)))
-        row = []
-        for yl, f in zip(lefts, units):
-            yr = linalg.vsub(f, yl)
-            b_rl = linalg.lincomb(yl, ad_r)  # [x_R, y_L], whose left part counts
-            b_lr = linalg.lincomb(yr, ad_l)  # [x_L, y_R], whose right part counts
-            mixed = linalg.vadd(b_lr, linalg.lincomb(linalg.vsub(b_rl, b_lr), lefts))
-            row.append(linalg.vadd(linalg.vadd(derivative(ad_l, yl), derivative(ad_r, yr)), mixed))
-        entries.append(row)
-    return ConnectionTable(entries)
+    basis = pair.left.int_rows + pair.right.int_rows
+    on_f = change_basis(alg, basis)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    left = [a < pair.left.dim for a in range(n)]
+    same = [(a, c) for a in range(n) for c in range(n) if left[a] == left[c]]
+    sols, d = _derivatives(on_f, _gram(omega, basis), [(units[a], units[c]) for a, c in same])
+    up = d // on_f.denom  # both kinds of entry over d
+    consts = [
+        [[(k, up * x) for k, x in cs if left[k] != left[a]] for cs in row]
+        for a, row in enumerate(on_f.consts)
+    ]
+    for (a, c), sol in zip(same, sols):
+        consts[a][c] = [(k, x) for k, x in enumerate(sol) if x]
+    # the rows e_i in f-coordinates, times q: the table on the basis q e_i
+    # is q times the table on e
+    inverse, q = linalg.int_solve(list(zip(*basis)), units)
+    on_e = change_basis(ConnectionTable._of(consts, d), inverse)
+    return ConnectionTable._of(on_e.consts, on_e.denom * q)
 
 
 @dataclass(frozen=True)
@@ -177,13 +191,19 @@ def audit_connection(
 
 
 def curvature(alg: LieAlgebra, table: ConnectionTable, x, y, z) -> Vector:
-    """R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z."""
-    return linalg.vsub(
-        linalg.vsub(
-            table.apply(x, table.apply(y, z)), table.apply(y, table.apply(x, z))
-        ),
-        table.apply(alg.bracket(x, y), z),
-    )
+    """R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z, on the integer constants
+    of both tables (a the algebra's `denom`, t the table's), divided once."""
+    n, a, t = table.dim, alg.denom, table.denom
+    if alg.dim != n:
+        raise ValueError(f"a connection on Q^{n} for an algebra on Q^{alg.dim}")
+    (x, sx), (y, sy), (z, sz) = (linalg.scaled_ints(v, n) for v in (x, y, z))
+
+    def times(tab, u, v):  # the integer product of integer vectors in tab
+        return _ibracket(tab, *_sparse((u, v)))
+
+    xy, yx = times(table, x, times(table, y, z)), times(table, y, times(table, x, z))
+    out = [a * (p - q) - t * r for p, q, r in zip(xy, yx, times(table, times(alg, x, y), z))]
+    return linalg.divided(out, a * t * t * sx * sy * sz)
 
 
 def curvature_flatness(alg: LieAlgebra, table: ConnectionTable) -> bool:

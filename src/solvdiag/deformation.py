@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .algebra import (
     LieAlgebra,
     SolvdiagError,
     Subspace,
     _hyperplane_in,
     _eigenspaces,
+    _ibracket,
+    _sparse,
     is_ideal_in,
     is_nilpotent_subalgebra,
     is_subalgebra,
@@ -127,11 +128,11 @@ class DescentChain:
 
 
 def _simultaneous_eigencovector_families(mats, dim: int) -> list[Subspace]:
-    """All joint rational eigencovector spaces of the transposed matrices:
-    spaces of row vectors on the dim-dimensional space the matrices act on."""
+    """All joint rational eigencovector spaces of the actions whose transposes
+    are mats (row i the image of e_i), as spaces of row vectors on Q^dim."""
     families = [Subspace.full(dim)]
     for m in mats:
-        eigenspaces = [Subspace(dim, e) for e in _eigenspaces(linalg.transpose(m), dim)]
+        eigenspaces = [Subspace(dim, e) for e in _eigenspaces(m, dim)]
         families = [space.intersect(eig) for space in families for eig in eigenspaces]
         families = [f for f in families if not f.is_zero()]
         if not families:
@@ -169,15 +170,22 @@ def equivariant_descent(
         # t = forced + quot, quot spanned by the echelon rows of t at the
         # pivots forced lacks; quot's coordinates are those of t / forced
         quot = Subspace(n, [r for r, p in zip(t.int_rows, t.pivots) if p not in forced.pivots])
+        # the action on integer rows (brackets with quot's rows at their common
+        # pivot, reduced modulo forced's as L*v - sum of v[p] row_p) is a positive
+        # multiple of the true one: same eigenspaces in the same order
+        lcm, reducers = forced._common_pivot_rows()
+        rows = _sparse(quot._common_pivot_rows()[1])
         induced = []
-        for z in split.complement.rows:
+        for z in _sparse(split.complement.int_rows):
             cols = []
-            for r in quot.rows:
-                img = quot.coordinates_of(forced.reduce_vector(alg.bracket(z, r)))
-                if img is None:
+            for r in rows:
+                v = _ibracket(alg, z, r)
+                hits = [(v[p], row) for p, row in zip(forced.pivots, reducers) if v[p]]
+                img = [lcm * x - sum(c * row[k] for c, row in hits) for k, x in enumerate(v)]
+                if not quot._has(img):
                     raise DescentStuckError("complement action leaves the member")
-                cols.append(img)
-            induced.append(linalg.transpose(cols))
+                cols.append([img[p] for p in quot.pivots])
+            induced.append(cols)
 
         candidates = []
         for covectors in _simultaneous_eigencovector_families(induced, quot.dim):

@@ -5,8 +5,7 @@ basis vector acts on the previous ones through a derivation that keeps
 every prefix span invariant, so the prefix chain stays a chain of ideals
 with triangular adjoint action and rational spectrum by construction.
 The nilpotent variant uses strictly triangular derivations.  Towers are
-built on the integer constants `consts`, and a change of basis is one
-integer elimination.
+built on the integer constants `consts`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from random import Random
 
 from . import linalg
-from .algebra import LieAlgebra, Subspace, _ibracket, _sparse
+from .algebra import LieAlgebra, Subspace
 from .flags import Flag
 from .forms import TwoForm, closed_two_form_basis
 
@@ -105,31 +104,6 @@ def random_unimodular(rng: Random, n: int) -> tuple[tuple[int, ...], ...]:
             c = rng.choice((-2, -1, 1, 2))
             m[b] = [x + c * y for x, y in zip(m[b], m[a])]
     return tuple(tuple(row) for row in m)
-
-
-def change_basis(alg: LieAlgebra, m) -> LieAlgebra:
-    """The same algebra presented on the basis given by the rows of m, which
-    must be n x n of rank n.  With m = M / s, M integer, the coordinates c
-    of [f_a, f_b] solve M^T c = [M_a, M_b] / s: one `linalg.echelon` of
-    [M^T | the brackets denom * [M_a, M_b] as columns] has pivots 0 .. n-1
-    exactly when m is nonsingular, and then row k is p_k (e_k | denom s c_k).
-    """
-    n = alg.dim
-    if len(m) != n or any(len(r) != n for r in m):
-        raise ValueError("basis matrix is singular")
-    flat, s = linalg.scaled_ints(x for r in m for x in r)
-    m_int = [flat[a * n : a * n + n] for a in range(n)]
-    sup = _sparse(m_int)
-    brackets = [_ibracket(alg, x, y) for x in sup for y in sup]
-    aug = [[r[k] for r in m_int] + [br[k] for br in brackets] for k in range(n)]
-    ech, pivots = linalg.echelon(aug)
-    if pivots != list(range(n)):
-        raise ValueError("basis matrix is singular")
-    d = math.lcm(*(row[k] for k, row in enumerate(ech)))
-    ys = [[x * (d // row[k]) for x in row[n:]] for k, row in enumerate(ech)]
-    cs = _sparse(zip(*ys))  # the constants of [f_a, f_b], at a * n + b
-    consts = [cs[a * n : a * n + n] for a in range(n)]
-    return LieAlgebra._of(consts, d * s * alg.denom, names=tuple(f"f{i}" for i in range(n)))
 
 
 def random_full_chain(rng: Random, n: int) -> Flag:

@@ -5,9 +5,9 @@ public boundary.  Nothing here ever rounds.  Every elimination runs on
 Python ints in one routine, `echelon`, whose primitive integer echelon rows
 are as canonical as the reduced row echelon form: `rref` divides them by
 their pivots, `nullspace` and `int_nullspace` read the kernel off them, and
-`solve` and `rank` use them too.  Two subspaces are equal exactly when their
-echelon matrices are equal.  Characteristic polynomials and rational roots
-are exact as well.
+`solve`, `int_solve` and `rank` use them too.  Two subspaces are equal
+exactly when their echelon matrices are equal.  Characteristic polynomials
+and rational roots are exact as well.
 """
 
 from __future__ import annotations
@@ -46,56 +46,6 @@ def divided(ints: Iterable[int], den: int) -> Vector:
 
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def lincomb(coeffs: Sequence, rows: Sequence[Vector]) -> Vector:
-    """sum of coeffs[i] * rows[i] over the first len(coeffs) rows.
-
-    Lifts coordinates back to ambient vectors; rows must be nonempty.
-    """
-    out = [ZERO] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += c * x
-    return tuple(out)
-
-
-def is_zero_vec(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
-    return tuple(zip(*m, strict=True))
-
-
-def matvec(m: Matrix, v: Vector) -> Vector:
-    """m @ v, multiplying only where both the entry of m and of v are nonzero."""
-    support = [(j, x) for j, x in enumerate(v) if x]
-    return tuple(sum((row[j] * x for j, x in support if row[j]), ZERO) for row in m)
 
 
 def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:
@@ -238,7 +188,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     The entries of a and b are coerced once, by `echelon`.
     """
     if not a:
-        return () if is_zero_vec(vec(b)) else None
+        return () if not any(vec(b)) else None
     n = len(a[0])
     aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
     ech, pivots = echelon(aug)
@@ -249,6 +199,22 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
         if row[n]:
             x[p] = Fraction(row[n], row[p])
     return tuple(x)
+
+
+def int_solve(a: Sequence[Sequence], rhs: Sequence[Sequence]) -> tuple[list[list[int]], int] | None:
+    """(xs, d) with a @ xs[k] = d * rhs[k], xs integer and d > 0, for a square
+    a, or None when a is singular.  One `echelon` of [a | the b as columns]:
+    a is nonsingular exactly when the pivots are 0 .. n-1, and then row k is
+    p_k (e_k | the k-th entries of the solutions), p_k > 0; d = lcm(p_k)."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("int_solve needs a square matrix")
+    ech, pivots = echelon([list(row) + [b[k] for b in rhs] for k, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    d = math.lcm(*(row[k] for k, row in enumerate(ech)))
+    up = [d // row[k] for k, row in enumerate(ech)]
+    return [[u * row[n + j] for u, row in zip(up, ech)] for j in range(len(rhs))], d
 
 
 def charpoly(m: Matrix) -> list[Fraction]:

@@ -15,6 +15,41 @@ def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _unit(n, i):
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def matvec(m, v):
+    """m @ v over Fraction."""
+    return tuple(sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in m)
+
+
+def lincomb(coeffs, rows):
+    """The sum of coeffs[i] * rows[i] over Fraction; rows must be nonempty."""
+    out = [Fraction(0)] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        for j, x in enumerate(row):
+            out[j] += c * x
+    return tuple(out)
+
+
+def _solve(a, b):
+    """One solution x of a @ x = b, read off `fraction_rref` of [a | b], or
+    None if the system is inconsistent."""
+    n = len(a[0])
+    red, pivots = fraction_rref([list(row) + [c] for row, c in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(red, pivots):
+        x[p] = row[n]
+    return tuple(x)
+
+
 def bareiss_rank(rows) -> int:
     """Rank by fraction-free elimination."""
     m = _frac_rows(rows)
@@ -437,27 +472,28 @@ def is_common_eigenvector(v, matrices) -> bool:
 def oracle_connection(alg, omega, pair):
     """Reference for bilagrangian.connection: the per-entry construction it
     replaced, which splits and solves again for every table entry (4n^2 + n
-    calls to linalg.solve).  Input checks are left to the caller."""
-    from solvdiag import linalg
+    solves, each by Gauss-Jordan over Fraction).  Input checks are left to
+    the caller."""
     from solvdiag.bilagrangian import ConnectionTable
+
+    def vadd(a, b):
+        return tuple(x + y for x, y in zip(a, b))
 
     def d_zero(x, y):
         n = alg.dim
-        rhs = tuple(
-            -omega.apply(y, alg.bracket(x, linalg.unit_vec(n, j))) for j in range(n)
-        )
-        return linalg.solve(linalg.transpose(omega.entries), rhs)
+        rhs = tuple(-omega.apply(y, alg.bracket(x, _unit(n, j))) for j in range(n))
+        return _solve(transpose(omega.entries), rhs)
 
     def split_against(v):
         l, r = pair.left, pair.right
         basis = list(l.rows) + list(r.rows)
-        coords = linalg.solve(linalg.transpose(basis), linalg.vec(v))
+        coords = _solve(transpose(basis), v)
         # the first l.dim rows of basis span the left member
-        vl = linalg.lincomb(coords[: l.dim], basis)
-        return vl, linalg.vsub(linalg.vec(v), vl)
+        vl = lincomb(coords[: l.dim], basis)
+        return vl, tuple(Fraction(x) - y for x, y in zip(v, vl))
 
     n = alg.dim
-    splits = [split_against(linalg.unit_vec(n, i)) for i in range(n)]
+    splits = [split_against(_unit(n, i)) for i in range(n)]
     entries = []
     for i in range(n):
         xl, xr = splits[i]
@@ -466,11 +502,11 @@ def oracle_connection(alg, omega, pair):
             yl, yr = splits[j]
             left_part = d_zero(xl, yl)
             bl, _ = split_against(alg.bracket(xr, yl))
-            left_part = linalg.vadd(left_part, bl)
+            left_part = vadd(left_part, bl)
             right_part = d_zero(xr, yr)
             _, br = split_against(alg.bracket(xl, yr))
-            right_part = linalg.vadd(right_part, br)
-            row.append(linalg.vadd(left_part, right_part))
+            right_part = vadd(right_part, br)
+            row.append(vadd(left_part, right_part))
         entries.append(row)
     return ConnectionTable(entries)
 
@@ -480,7 +516,6 @@ def oracle_find_lagrangians(alg, omega, mode="both"):
     it kept, per visited subspace, the least generator index it was
     extended from, and re-extended a subspace reached again from an earlier
     index."""
-    from solvdiag import linalg
     from solvdiag.algebra import (
         Subspace,
         derived_subalgebra,
@@ -536,7 +571,7 @@ def oracle_find_lagrangians(alg, omega, mode="both"):
                 v = gens[i]
                 if cur.contains_vector(v):
                     continue
-                if any(linalg.matvec(cur.rows, omega.pairing_with(v))):
+                if any(matvec(cur.rows, omega.pairing_with(v))):
                     continue
                 grown = subalgebra_closure(alg, list(cur.rows) + [v])
                 if grown.dim > target:
@@ -565,7 +600,6 @@ def oracle_common_eigenvector(alg, rep, space_dim):
     Fraction matrices, with a LieAlgebra acting (its `derived_span` gives
     [sub, sub]), weights as Fractions and an action matrix per element of
     the chain built from the element itself."""
-    from solvdiag import linalg
     from solvdiag.algebra import (
         SolvdiagError,
         Subspace,
@@ -597,7 +631,7 @@ def oracle_common_eigenvector(alg, rep, space_dim):
 
     def recurse(sub):
         if not any(x for r in sub.rows for row in act(r) for x in row):
-            return linalg.unit_vec(space_dim, 0)
+            return _unit(space_dim, 0)
         derived = alg.derived_span(sub)
         if derived.dim >= sub.dim:
             return None  # not solvable
@@ -608,7 +642,7 @@ def oracle_common_eigenvector(alg, rep, space_dim):
         # the weight of the hyperplane on w
         lam = []
         for r in hyper.rows:
-            img = linalg.matvec(act(r), w)
+            img = matvec(act(r), w)
             # img must be collinear with w
             coef = None
             for a, b in zip(img, w):
@@ -617,14 +651,14 @@ def oracle_common_eigenvector(alg, rep, space_dim):
                     break
             if coef is None:
                 coef = ZERO
-            if img != linalg.vscale(coef, w):  # pragma: no cover - theory guard
+            if img != tuple(coef * x for x in w):  # pragma: no cover - theory guard
                 raise SolvdiagError("descent produced a non-eigenvector")
             lam.append(coef)
         # common eigenspace of the hyperplane for that weight
         rows = []
         for r, l in zip(hyper.rows, lam):
             rows += _shifted(act(r), l)
-        wspace = linalg.nullspace(rows, space_dim)
+        wspace = oracle_nullspace(rows, space_dim)
         if not wspace:  # pragma: no cover - w is in there
             raise SolvdiagError("empty common eigenspace")
         wsub = Subspace(space_dim, wspace)
@@ -641,15 +675,15 @@ def oracle_common_eigenvector(alg, rep, space_dim):
         k = wsub.dim
         restr = []
         for r in wsub.rows:
-            coords = wsub.coordinates_of(linalg.matvec(mz, r))
+            coords = wsub.coordinates_of(matvec(mz, r))
             if coords is None:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
             restr.append(coords)
-        restr_m = linalg.transpose(tuple(restr))  # act on coordinate columns
+        restr_m = transpose(restr)  # act on coordinate columns
         best = None
-        for mu in linalg.rational_eigenvalues(restr_m):
-            for sol in linalg.nullspace(_shifted(restr_m, mu), k):
-                v = normalize_vector(linalg.lincomb(sol, wsub.rows))
+        for mu in trial_division_rational_roots(faddeev_leverrier_charpoly(restr_m)):
+            for sol in oracle_nullspace(_shifted(restr_m, mu), k):
+                v = normalize_vector(lincomb(sol, wsub.rows))
                 if best is None or vector_sort_key(v) < vector_sort_key(best):
                     best = v
         return best
@@ -661,13 +695,12 @@ def oracle_audit_connection(alg, omega, pair, table):
     """Reference for bilagrangian.audit_connection: the check as it was on
     the dense Fraction views of both tables, with Fraction pairings and
     membership of Fraction combinations."""
-    from solvdiag import linalg
     from solvdiag.bilagrangian import ConnectionAudit
 
     n = alg.dim
     ent = table.entries
     torsion = all(
-        linalg.vsub(ent[i][j], ent[j][i]) == alg.table[i][j]
+        tuple(a - b for a, b in zip(ent[i][j], ent[j][i])) == alg.table[i][j]
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -682,7 +715,7 @@ def oracle_audit_connection(alg, omega, pair, table):
 
     def preserves(member):
         return all(
-            member.contains_vector(linalg.lincomb(v, ent[i])) for i in range(n) for v in member.rows
+            member.contains_vector(lincomb(v, ent[i])) for i in range(n) for v in member.rows
         )
 
     return ConnectionAudit(
@@ -697,7 +730,6 @@ def oracle_subalgebra_as_algebra(alg, s):
     """Reference for algebra.subalgebra_as_algebra: the construction that
     divides each integer bracket back to Fraction and hands the Fraction
     table to the LieAlgebra constructor."""
-    from solvdiag import linalg
     from solvdiag.algebra import LieAlgebra, NotSubalgebraError, _ibracket, _sparse, is_subalgebra
 
     if not is_subalgebra(alg, s):
@@ -710,7 +742,7 @@ def oracle_subalgebra_as_algebra(alg, s):
     # integer bracket over denom * piv_i * piv_j, read at the pivots
     table = [
         [
-            linalg.divided([br[p] for p in s.pivots], alg.denom * piv[i] * piv[j])
+            tuple(Fraction(br[p], alg.denom * piv[i] * piv[j]) for p in s.pivots)
             for j, br in enumerate(_ibracket(alg, a, b) for b in sup)
         ]
         for i, a in enumerate(sup)

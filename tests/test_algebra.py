@@ -29,9 +29,8 @@ from solvdiag import (
 )
 from solvdiag import algebra, linalg
 from solvdiag.corpus import list_corpus, load_corpus
-from solvdiag.algebra import is_nilpotent_subalgebra
+from solvdiag.algebra import change_basis, is_nilpotent_subalgebra
 from solvdiag.generators import (
-    change_basis,
     random_completely_solvable,
     random_nilpotent,
     random_unimodular,
@@ -40,6 +39,7 @@ from oracles import (
     faddeev_leverrier_charpoly,
     fraction_rref,
     is_common_eigenvector,
+    matvec,
     oracle_bracket,
     oracle_common_eigenvector,
     oracle_derived_rows,
@@ -188,7 +188,7 @@ def algebra_and_two_vectors(draw):
 @given(algebra_and_two_vectors())
 def test_ad_matrix_agrees_with_bracket(case):
     alg, x, y = case
-    assert linalg.matvec(alg.ad_matrix(x), y) == alg.bracket(x, y)
+    assert matvec(alg.ad_matrix(x), y) == alg.bracket(x, y)
 
 
 @st.composite
@@ -240,7 +240,7 @@ def test_bracket_and_ad_matrix_match_the_oracle(case):
     alg, x, y = case
     expected = oracle_bracket(alg, [Fraction(a) for a in x], [Fraction(b) for b in y])
     assert alg.bracket(x, y) == expected
-    assert linalg.matvec(alg.ad_matrix(x), linalg.vec(y)) == expected
+    assert matvec(alg.ad_matrix(x), linalg.vec(y)) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -667,6 +667,32 @@ class TestQuotient:
         )
         assert is_nilpotent_subalgebra(a, Subspace.span([(1, 0, 0), (0, 1, 0)], 3))
         assert not is_nilpotent_subalgebra(a, Subspace.full(3))
+
+
+@st.composite
+def algebra_ideal_and_two_vectors(draw):
+    """A generated algebra of dimension 1-6, in a random unimodular basis
+    half the time, one member of its certificate, and two small rational
+    vectors."""
+    make = draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = draw(st.integers(min_value=1, max_value=6))
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    alg = make(rng, dim)
+    if draw(st.booleans()):
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    ideal = draw(st.sampled_from(complete_solvability_certificate(alg).witness))
+    vector = st.lists(small_frac, min_size=dim, max_size=dim)
+    return alg, ideal, draw(vector), draw(vector)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_ideal_and_two_vectors())
+def test_quotient_projection_is_a_homomorphism(case):
+    alg, ideal, x, y = case
+    q, proj = quotient(alg, ideal)
+    assert q.dim == alg.dim - ideal.dim
+    assert all(matvec(proj, r) == (0,) * q.dim for r in ideal.rows)
+    assert matvec(proj, alg.bracket(x, y)) == q.bracket(matvec(proj, x), matvec(proj, y))
 
 
 def test_corpus_e1_structure(e1):

@@ -23,13 +23,21 @@ from solvdiag import (
     d_zero,
     linalg,
 )
+from solvdiag.algebra import change_basis
 from solvdiag.generators import (
-    change_basis,
     random_completely_solvable,
     random_nilpotent,
     random_unimodular,
 )
-from oracles import oracle_audit_connection, oracle_connection, oracle_curvature_is_zero
+from oracles import (
+    oracle_audit_connection,
+    oracle_connection,
+    oracle_curvature_is_zero,
+    transpose,
+)
+
+
+small_frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def d1_pair(d1, a="L1", b="L2"):
@@ -127,7 +135,7 @@ def rebased(alg, omega, members, p):
     """The algebra, form and members presented on the basis given by the
     rows of p: the form becomes p omega p^T and a member row l becomes
     l p^-1."""
-    pt = linalg.transpose(p)
+    pt = transpose(p)
     w = [[omega.apply(a, b) for b in p] for a in p]
     return (
         change_basis(alg, p),
@@ -148,7 +156,7 @@ class TestAgainstOracle:
         assert table == oracle_connection(alg, w, pair)
         assert audit_connection(alg, w, pair, table).ok
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_abelian_standard_form(self, m, seed):
         n = 2 * m
@@ -164,17 +172,36 @@ class TestAgainstOracle:
         assert connection(alg, w, pair) == oracle_connection(alg, w, pair)
 
 
-def test_connection_solves_twice_per_dimension(d1, monkeypatch):
+def test_connection_eliminations_do_not_grow_with_the_dimension(d1, monkeypatch):
+    # four for the connection (the change of basis to the pair's basis, the
+    # solve for the leafwise derivatives, the inverse basis and the change of
+    # basis back) and eight for its input checks (transversality six,
+    # nondegeneracy two), on D1 and on the standard forms of dims 2-10
     calls = []
-    solve = linalg.solve
+    echelon = linalg.echelon
 
-    def counting(a, b):
+    def counting(rows):
         calls.append(1)
-        return solve(a, b)
+        return echelon(rows)
 
-    monkeypatch.setattr(linalg, "solve", counting)
-    connection(d1.algebra, d1.two_forms["omega"], d1_pair(d1))
-    assert len(calls) <= 2 * d1.algebra.dim
+    cases = [(d1.algebra, d1.two_forms["omega"], d1_pair(d1))]
+    for m in range(1, 6):
+        n = 2 * m
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cases.append(
+            (
+                LieAlgebra.from_brackets(tuple(f"e{i}" for i in range(n)), {}),
+                TwoForm.from_pairs(n, [(i, m + i, 1) for i in range(m)]),
+                BilagrangianPair(Subspace(n, units[:m]), Subspace(n, units[m:])),
+            )
+        )
+    monkeypatch.setattr(linalg, "echelon", counting)
+    counts = []
+    for case in cases:
+        calls.clear()
+        connection(*case)
+        counts.append(len(calls))
+    assert counts == [12] * len(cases)
 
 
 class TestDZero:
@@ -194,6 +221,20 @@ class TestDZero:
         for k in range(4):
             z = tuple(1 if i == k else 0 for i in range(4))
             assert w.apply(out, z) == -w.apply(y, alg.bracket(t, z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(small_frac, min_size=4, max_size=4),
+        st.lists(small_frac, min_size=4, max_size=4),
+    )
+    def test_defining_identity_in_a_rebased_d1(self, d1, seed, x, y):
+        p = random_unimodular(Random(seed), 4)
+        alg, w, _ = rebased(d1.algebra, d1.two_forms["omega"], [], p)
+        out = d_zero(alg, w, x, y)
+        for k in range(4):
+            z = tuple(int(i == k) for i in range(4))
+            assert w.apply(out, z) == -w.apply(y, alg.bracket(x, z))
 
     def test_degenerate_form_raises_on_every_basis_pair(self, e2):
         alg, w = e2.algebra, e2.two_forms["omega"]

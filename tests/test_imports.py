@@ -53,3 +53,32 @@ def test_no_unused_locals(path):
         bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
         unused += [f"{func.name}.{b}" for b in sorted(bound - read) if not b.startswith("_")]
     assert unused == [], f"{path.name} binds names it never reads: {unused}"
+
+
+def test_every_linalg_function_has_a_caller():
+    """Each top-level function of linalg.py is called from another module of
+    src/, from a linalg function that is itself called, or is traced by
+    name in `perfbench/tracer.py` (its `LAYERS` or `COUNTED`), so that a
+    toolkit only the tests use cannot grow back."""
+    from test_tracer_names import _tracer
+
+    tracer = _tracer()
+    linalg = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in linalg.body if isinstance(node, ast.FunctionDef)}
+    live = set(tracer.LAYERS.get("linalg", ()))
+    live |= {name.split(".", 1)[1] for name in tracer.COUNTED if name.startswith("linalg.")}
+    for path in SRC.glob("*.py"):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg":
+                live.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                live.update(alias.name for alias in node.names)
+    todo = list(live & defs.keys())
+    while todo:
+        func = defs[todo.pop()]
+        called = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)} & defs.keys()
+        todo += sorted(called - live)
+        live |= called
+    assert sorted(defs.keys() - live) == []

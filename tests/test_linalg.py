@@ -12,10 +12,16 @@ from oracles import (
     bareiss_rank,
     faddeev_leverrier_charpoly,
     fraction_rref,
+    matvec,
     oracle_nullspace,
     spans_equal,
     trial_division_rational_roots,
 )
+
+def fmat(rows):
+    """The matrix with each entry as a Fraction."""
+    return [[Fraction(x) for x in row] for row in rows]
+
 
 small_frac = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -94,7 +100,7 @@ def test_solve_inconsistent_is_none():
 def test_charpoly_companion():
     # x^2 - 5x + 6 has roots 2 and 3
     m = [[0, -6], [1, 5]]
-    cp = linalg.charpoly(linalg.mat(m))
+    cp = linalg.charpoly(fmat(m))
     roots = linalg.rational_roots(cp)
     assert sorted(roots) == [2, 3]
 
@@ -106,7 +112,7 @@ def test_rational_roots_with_fractional_root():
 
 
 def test_rational_eigenvalues_triangular():
-    m = linalg.mat([[2, 1, 0], [0, 2, 5], [0, 0, -1]])
+    m = fmat([[2, 1, 0], [0, 2, 5], [0, 0, -1]])
     assert sorted(linalg.rational_eigenvalues(m)) == [-1, 2]
 
 
@@ -189,7 +195,7 @@ def test_solve_matches_the_fraction_oracle(rows, data):
     n = len(rows[0])
     if data.draw(st.booleans(), label="consistent"):
         x = data.draw(st.lists(rational_entries(), min_size=n, max_size=n))
-        b = linalg.matvec(linalg.mat(rows), linalg.vec(x))
+        b = matvec(fmat(rows), linalg.vec(x))
     else:
         b = data.draw(st.lists(rational_entries(), min_size=len(rows), max_size=len(rows)))
     red, pivots = fraction_rref([list(row) + [bi] for row, bi in zip(rows, b)])
@@ -242,19 +248,19 @@ def test_nullspace_annihilates_and_has_right_dim(rows):
 def test_solve_recovers_products(rows):
     n = len(rows[0])
     x = tuple(Fraction(i + 1) for i in range(n))
-    b = linalg.matvec(linalg.mat(rows), x)
+    b = matvec(fmat(rows), x)
     sol = linalg.solve(rows, b)
     assert sol is not None
-    assert linalg.matvec(linalg.mat(rows), sol) == b
+    assert matvec(fmat(rows), sol) == b
 
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrices())
 def test_charpoly_is_monic_of_degree_n(rows):
-    cp = linalg.charpoly(linalg.mat(rows))
+    cp = linalg.charpoly(fmat(rows))
     assert len(cp) == len(rows) + 1
     assert cp[-1] == 1
-    for lam in linalg.rational_eigenvalues(linalg.mat(rows)):
+    for lam in linalg.rational_eigenvalues(fmat(rows)):
         assert linalg.poly_eval(cp, lam) == 0
 
 
@@ -275,7 +281,7 @@ def sparse_square_matrices(max_n=8):
 @settings(max_examples=100, deadline=None)
 @given(sparse_square_matrices())
 def test_charpoly_matches_faddeev_leverrier(rows):
-    assert linalg.charpoly(linalg.mat(rows)) == faddeev_leverrier_charpoly(rows)
+    assert linalg.charpoly(fmat(rows)) == faddeev_leverrier_charpoly(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,7 +293,7 @@ def test_charpoly_matches_sympy(rows):
         len(rows), len(rows), [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
     )
     expected = [Fraction(int(c.p), int(c.q)) for c in reversed(smat.charpoly(t).all_coeffs())]
-    assert linalg.charpoly(linalg.mat(rows)) == expected
+    assert linalg.charpoly(fmat(rows)) == expected
 
 
 def poly_mul(a, b):

@@ -27,8 +27,8 @@ from solvdiag import (
 )
 from solvdiag.cli import INPUT_ERROR_CODES, main
 from solvdiag.document import Document, serialize_document
+from solvdiag.algebra import change_basis
 from solvdiag.generators import (
-    change_basis,
     random_closed_form,
     random_completely_solvable,
     random_full_chain,
