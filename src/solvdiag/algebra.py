@@ -51,6 +51,22 @@ def _init(obj, **attrs):
     return obj
 
 
+def _reduce(w: Sequence[int], rows, pivots) -> tuple[list[int], int]:
+    """(r, m) with r/m the remainder of w along integer rows each zero at the
+    pivots before its own, m > 0: fraction-free, each step a*w - b*row with
+    a/b the pivot over w's entry there, reduced by their gcd."""
+    m = 1
+    for row, p in zip(rows, pivots):
+        c = w[p]
+        if c:
+            q = row[p]
+            g = math.gcd(q, c)
+            a, b = q // g, c // g
+            w = [a * x - b * y for x, y in zip(w, row)]
+            m *= a
+    return w, m
+
+
 class Subspace:
     """A subspace of Q^n in canonical echelon form (immutable).
 
@@ -102,19 +118,8 @@ class Subspace:
         return not self.pivots
 
     def _remainder(self, w: list[int]) -> tuple[list[int], int]:
-        """(r, m) with r/m the remainder of w after eliminating along the
-        echelon rows, m > 0: fraction-free, each step a*w - b*row with
-        a/b the pivot over w's entry there, reduced by their gcd."""
-        m = 1
-        for row, p in zip(self.int_rows, self.pivots):
-            c = w[p]
-            if c:
-                q = row[p]
-                g = math.gcd(q, c)
-                a, b = q // g, c // g
-                w = [a * x - b * y for x, y in zip(w, row)]
-                m *= a
-        return w, m
+        """`_reduce` along the echelon rows."""
+        return _reduce(w, self.int_rows, self.pivots)
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """Remainder of v after eliminating along the echelon rows."""
@@ -588,18 +593,20 @@ def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
     """Greedy canonical hyperplane of `inside` containing `containing`.
 
     Extends by the earliest echelon rows of `inside`; the result has the
-    lexicographically least pivot set among such hyperplanes.  `_grow`
-    builds a new Subspace only for a row outside the current span.
+    lexicographically least pivot set among such hyperplanes.  A row is kept
+    when `_reduce` along those kept so far leaves a remainder: one echelon.
     """
-    target = inside.dim - 1
-    cur = containing
+    rows, pivots = list(containing.int_rows), list(containing.pivots)
     for row in inside.int_rows:
-        if cur.dim == target:
+        if len(rows) == inside.dim - 1:
             break
-        cur = _grow(cur, [row])[0]
-    if cur.dim != target:  # pragma: no cover - containing must fit
+        r = _reduce(row, rows, pivots)[0]
+        if any(r):
+            rows.append(r)
+            pivots.append(next(j for j, x in enumerate(r) if x))
+    if len(rows) != inside.dim - 1:  # pragma: no cover - containing must fit
         raise ValueError("cannot extend to a hyperplane")
-    return cur
+    return Subspace(inside.ambient_dim, rows) if len(rows) > containing.dim else containing
 
 
 def _shifted(m: Matrix, c, den=1) -> list[list]:
@@ -640,26 +647,27 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     needs an eigenvalue that is not rational (or the algebra turns out
     non-solvable along the way).
 
-    The descent walks a chain of subalgebras sub, each a canonical
-    hyperplane of the one before, down to one acting trivially.  [sub, sub]
-    comes from the pairs a < b of sub's echelon rows, so the constants must
-    be antisymmetric with zero diagonal.  A stage costs m(m-1)/2 brackets
-    (m = dim sub), a nullspace for the weight space (none when the
-    hyperplane acts by zero: it is the whole space), and a nullspace per
-    rational eigenvalue for the complement, plus a charpoly unless the
-    restriction is triangular (`_eigenspaces`).  All of it runs on ints:
-    constants and matrices are scaled to integers by one positive factor
-    each, and an element acts through its primitive integer multiple, so
-    each action matrix A is a positive multiple of the true one.  That
-    scales weights and moves no span, eigenspace or normalized
-    eigenvector.  A weight is a pair num/den, den > 0, compared by
-    cross-multiplying; den*A - num*I stands for A - (num/den)*I.  Vectors
-    stay primitive integer ones up the recursion; the top divides once.
+    The descent walks a chain of subalgebras sub = H + <z>, H a canonical
+    hyperplane, down to one acting trivially.  [sub, sub] comes from the
+    pairs a < b of sub's echelon rows, so the constants must be
+    antisymmetric with zero diagonal.  A stage returns w, least in the
+    eigenspace E of z on H's weight space (the whole space where H acts by
+    zero), and E, which is sub's weight space for w's weight: no weight
+    space is solved for.  A stage costs m(m-1)/2 brackets (m = dim sub) and
+    an echelon for H; unless E is a line, one for E and a nullspace per
+    rational eigenvalue of z on E, plus a charpoly unless that restriction
+    is triangular (`_eigenspaces`).  All of it runs on ints: matrices that
+    are not are scaled to integers by one positive factor, and an element
+    acts through its primitive integer multiple, so each action matrix is a
+    positive multiple of the true one.  That scales weights and moves no
+    span, eigenspace or normalized eigenvector.  Vectors stay primitive
+    integer ones up the recursion; the top divides once.
     """
     n = alg.dim
-    # the nonzero entries (i, j, x) of each action matrix, read once, as ints
-    flat = iter(linalg.scaled_ints(x for m in rep for row in m for x in row)[0])
-    rep = [[[next(flat) for _ in row] for row in m] for m in rep]
+    if any(type(x) is not int for m in rep for row in m for x in row):
+        flat = iter(linalg.scaled_ints(x for m in rep for row in m for x in row)[0])
+        rep = [[[next(flat) for _ in row] for row in m] for m in rep]
+    # the nonzero entries (i, j, x) of each action matrix, read once
     entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
 
     def act(elem: Sequence[int]) -> list[list[int]]:
@@ -671,26 +679,36 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                     out[i][j] += c * x
         return out
 
-    def least(eigenspaces, basis=None) -> list[int]:
+    def fixes(a, w: list[int]) -> bool:
+        """Whether a maps w to a multiple of w, by cross-multiplying."""
+        ws = [(j, y) for j, y in enumerate(w) if y]
+        img = [sum(row[j] * y for j, y in ws) for row in a]
+        t, den = ws[0]
+        return all(x * den == img[t] * y for x, y in zip(img, w))
+
+    def least(eigenspaces, basis=None) -> tuple[list[int], list] | None:
         """The least eigenvector (coordinates on basis, if given) in
-        vector_sort_key's order, primitive and positive at its pivot; the
-        entries over the pivot entry are compared by cross-multiplying."""
-        best, q = None, 0
+        vector_sort_key's order, primitive and positive at its pivot, and its
+        eigenspace, in Q^space_dim; cross-multiplied over the pivot entry."""
+        best, q, held = None, 0, None
         for eigenspace in eigenspaces:
+            if basis is not None:
+                eigenspace = [
+                    [sum(c * b[j] for c, b in zip(v, basis) if c) for j in range(space_dim)]
+                    for v in eigenspace
+                ]
             for v in eigenspace:
-                if basis is not None:
-                    v = [sum(c * b[j] for c, b in zip(v, basis) if c) for j in range(space_dim)]
                 p = next(i for i, x in enumerate(v) if x)
                 g = math.gcd(*v) if v[p] > 0 else -math.gcd(*v)
                 if g != 1:
                     v = [x // g for x in v]
                 if best is None or (p, [x * best[q] for x in v]) < (q, [y * v[p] for y in best]):
-                    best, q = v, p
-        return best
+                    best, q, held = v, p, eigenspace
+        return None if best is None else (best, held)
 
-    def recurse(sub: Subspace, acts) -> list[int] | None:
-        """The descent below sub, given the actions of sub's echelon rows; the
-        eigenvector as a primitive integer vector positive at its pivot."""
+    def recurse(sub: Subspace, acts) -> tuple[list[int], list] | None:
+        """The descent below sub, given the actions of sub's echelon rows: w,
+        primitive and positive at its pivot, and sub's weight space for it."""
         sup = _sparse(sub.int_rows)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
         derived = Subspace(n, [_ibracket(alg, x, y) for x, y in pairs])
@@ -701,41 +719,38 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         # the action of a complement direction of hyper in sub
         mz = next(a for r, a in zip(sub.int_rows, acts) if not hyper._has(r))
         if not any(x for a in hyper_acts for row in a for x in row):
-            # hyper acts by zero: w = e_0, whose weight space is the whole space
+            # hyper acts by zero: its weight space is the whole space
             return least(_eigenspaces(mz, space_dim))
-        w = recurse(hyper, hyper_acts)
-        if w is None:
+        found = recurse(hyper, hyper_acts)
+        if found is None:
             return None
-        # the weight num/den of each row of hyper on w; their common eigenspace
-        ws = [(j, y) for j, y in enumerate(w) if y]
-        t, den = ws[0]  # den > 0: w is positive at its pivot
-        rows = []
-        for a in hyper_acts:
-            img = [sum(row[j] * y for j, y in ws) for row in a]
-            num = img[t]
-            if any(x * den != num * y for x, y in zip(img, w)):  # pragma: no cover - theory guard
-                raise SolvdiagError("descent produced a non-eigenvector")
-            rows += _shifted(a, num, den)
-        wsub = Subspace(space_dim, linalg.int_nullspace(rows, space_dim))
+        w, space = found  # space: hyper's weight space for w's weight
+        if not all(fixes(a, w) for a in hyper_acts):  # pragma: no cover - theory guard
+            raise SolvdiagError("descent produced a non-eigenvector")
+        if len(space) == 1:  # a line: mz fixes it, and w is its least vector
+            if not fixes(mz, w):  # pragma: no cover - invariance lemma
+                raise SolvdiagError("weight space not invariant")
+            return w, [w]
+        wsub = Subspace(space_dim, space)
         # mz restricted to the weight space (invariant in char 0), on the
         # basis of wsub's reduced rows times the lcm of their pivots
         lcm, basis = wsub._common_pivot_rows()
+        free = [j for j in range(space_dim) if j not in wsub.pivots]
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
             img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
             restr.append([img[p] for p in wsub.pivots])
-            back = [sum(c * v[j] for c, v in zip(restr[-1], basis)) for j in range(space_dim)]
-            if back != [lcm * x for x in img]:  # pragma: no cover - invariance lemma
+            # at the pivots the combination is lcm * img by construction
+            back = [sum(c * v[j] for c, v in zip(restr[-1], basis)) for j in free]
+            if back != [lcm * img[j] for j in free]:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
-        restr_m = list(zip(*restr))  # act on coordinate columns
-        return least(_eigenspaces(restr_m, wsub.dim), basis)
+        return least(_eigenspaces(list(zip(*restr)), wsub.dim), basis)
 
-    full = Subspace.full(n)
-    acts = [act(r) for r in full.int_rows]
-    if not any(x for a in acts for row in a for x in row):
+    # the actions of the full algebra's echelon rows, the unit vectors, are rep
+    if not any(x for a in rep for row in a for x in row):
         return linalg.unit_vec(space_dim, 0)
-    v = recurse(full, acts)
-    return None if v is None else linalg.divided(v, next(x for x in v if x))
+    found = recurse(Subspace.full(n), rep)
+    return None if found is None else linalg.divided(found[0], next(x for x in found[0] if x))
 
 
 class SolvabilityVerdict(Enum):
@@ -759,17 +774,18 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     I_(k-1), which vanishes on the pivot columns of I_(k-1) and so is
     already in quotient coordinates.  The table is kept as ints, D > 0
     times the true one; the descent sees only ratios, so D never shows.
-    Each level hands the table and the ad matrices read from it to the
-    descent, then reduces it by the new member's primitive row q, with
-    pivot d > 0 (each bracket r becomes d*r - r[p]*q), and divides it by
-    its content.  Each member is checked as it is made: [e_i, v] must
-    reduce to zero modulo I_k for every basis vector e_i, which, I_(k-1)
-    being an ideal, proves that I_k is one (NotAnIdealError otherwise).
-    Besides the descent, a level costs O(n^3) integer operations.  If the
-    spectrum leaves Q the verdict is UNDECIDED_IRRATIONAL_SPECTRUM.
+    Each level hands the table and its ad matrices, as ints, to the
+    descent.  Then it reduces by the new member's primitive row q, with
+    pivot p and d = q[p] > 0 (r becomes d*r - r[p]*q), the live brackets
+    [e_i, e_j] only, i off the pivots of I_k and j off those of I_(k-1),
+    and divides them by their content.  It checks [e_i, q] = 0 modulo I_k
+    for each such i (NotAnIdealError otherwise).  That proves I_k an ideal:
+    I_(k-1) is one, q is supported off its pivots, and e_p is
+    (q - sum of q_j e_j) / d.  Besides the descent, a level costs O(n^3)
+    integer operations.  When the descent finds no rational eigenvector,
+    `is_solvable` tells NOT_SOLVABLE (the first level's descent meets a
+    perfect subalgebra) from UNDECIDED_IRRATIONAL_SPECTRUM.
     """
-    if not is_solvable(alg):
-        return SolvabilityCertificate(SolvabilityVerdict.NOT_SOLVABLE, None)
     n = alg.dim
     # D [e_i, e_j] mod carried
     red = [[_dense(cs, n) for cs in row] for row in alg.consts]
@@ -782,9 +798,8 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         rep = [list(zip(*row)) for row in table]
         v = common_eigenvector(SimpleNamespace(dim=len(keep), consts=consts), rep, len(keep))
         if v is None:
-            return SolvabilityCertificate(
-                SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM, None
-            )
+            verdict = "UNDECIDED_IRRATIONAL_SPECTRUM" if is_solvable(alg) else "NOT_SOLVABLE"
+            return SolvabilityCertificate(SolvabilityVerdict(verdict), None)
         lifted = [0] * n
         for c, i in zip(linalg._primitive(v), keep):
             lifted[i] = c
@@ -792,14 +807,15 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         members.append(carried)
         support = [(j, c) for j, c in enumerate(q) if c]
         p, d = support[0]  # q's pivot and its entry there
-        keep.remove(p)
-        for red_i in red:
-            for j, r in enumerate(red_i):
-                if r[p] or d != 1:
-                    red_i[j] = [d * x - r[p] * y for x, y in zip(r, q)]
-        if d != 1 and (g := math.gcd(*(x for red_i in red for r in red_i for x in r))) > 1:
-            red = [[[x // g for x in r] for r in red_i] for red_i in red]
+        live, keep = keep, [k for k in keep if k != p]
+        cells = [(i, j) for i in keep for j in live]  # all that is read from here on
+        for i, j in cells:
+            if (r := red[i][j])[p] or d != 1:
+                red[i][j] = [d * x - r[p] * y for x, y in zip(r, q)]
+        if d != 1 and (g := math.gcd(*(x for i, j in cells for x in red[i][j]))) > 1:
+            for i, j in cells:
+                red[i][j] = [x // g for x in red[i][j]]
         # [e_i, q] reduced modulo the new carried must vanish
-        if any(sum(c * red_i[j][k] for j, c in support) for red_i in red for k in keep):
+        if any(sum(c * red[i][j][k] for j, c in support) for i in keep for k in keep):
             raise NotAnIdealError("certificate member is not an ideal")
     return SolvabilityCertificate(SolvabilityVerdict.COMPLETELY_SOLVABLE, tuple(members))

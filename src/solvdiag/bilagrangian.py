@@ -23,7 +23,7 @@ from .algebra import (
     change_basis,
     is_subalgebra,
 )
-from .forms import DegenerateFormError, TwoForm, _gram, kernel
+from .forms import DegenerateFormError, TwoForm, _gram
 from .linalg import Vector
 
 
@@ -54,7 +54,7 @@ def _derivatives(alg: VectorTable, gram, pairs) -> tuple[list[list[int]], int]:
         rhs.append([sum(b * g for b, g in zip(br, gy) if b) for br in brs])
     solved = linalg.int_solve(list(zip(*gram)), rhs)
     if solved is None:
-        raise DegenerateFormError("the form does not determine the derivative")
+        raise DegenerateFormError("the form must be nondegenerate")
     sols, d = solved
     return sols, d * alg.denom
 
@@ -99,24 +99,23 @@ def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> Conne
     basis f (left rows, then right rows), D_{f_a} f_c is D(f_a, f_c) when
     both lie on one side, else the coordinates of [f_a, f_c] on the side
     f_a is not on.  Four eliminations in any dimension: to f, the D(f_a, f_c),
-    e in f-coordinates, and back.  Requires a nondegenerate form and a
-    transverse pair of bracket-closed members.
+    e in f-coordinates, and back.  Requires, in this order, bracket-closed
+    members, a transverse pair (dimensions adding up to n, and f regular)
+    and a nondegenerate form (its Gram matrix on f regular).
     """
     n = alg.dim
     if pair.left.ambient_dim != n:
         raise ValueError("pair does not match the algebra")
     if not (is_subalgebra(alg, pair.left) and is_subalgebra(alg, pair.right)):
         raise NotSubalgebraError("pair members must be bracket-closed")
-    if not (
-        pair.left.intersect(pair.right).is_zero()
-        and pair.left.dim + pair.right.dim == n
-    ):
-        raise NotTransverseError("pair members do not decompose the algebra")
-    if not kernel(omega).is_zero():
-        raise DegenerateFormError("the form must be nondegenerate")
-
+    not_transverse = NotTransverseError("pair members do not decompose the algebra")
+    if pair.left.dim + pair.right.dim != n:
+        raise not_transverse
     basis = pair.left.int_rows + pair.right.int_rows
-    on_f = change_basis(alg, basis)
+    try:
+        on_f = change_basis(alg, basis)
+    except ValueError:  # the basis matrix is singular
+        raise not_transverse from None
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     left = [a < pair.left.dim for a in range(n)]
     same = [(a, c) for a in range(n) for c in range(n) if left[a] == left[c]]

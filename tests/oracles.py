@@ -411,6 +411,20 @@ def oracle_derived_rows(alg, rows):
     return [oracle_bracket(alg, a, b) for a in rows for b in rows]
 
 
+def oracle_is_solvable(alg):
+    """Reference for is_solvable: the derived series by ordered-pair
+    brackets (`oracle_derived_rows`) and Bareiss ranks, solvable when it
+    reaches zero before it stalls."""
+    rows = [_unit(alg.dim, i) for i in range(alg.dim)]
+    while rows:
+        derived = oracle_derived_rows(alg, rows)
+        rank = bareiss_rank(derived)
+        if rank == len(rows):
+            return False
+        rows = fraction_rref(derived)[0] if rank else []
+    return True
+
+
 def oracle_subalgebra_closure(alg, vectors):
     """Reference for subalgebra_closure: from scratch each round, bracket
     every ordered pair of the span's reduced rows (`oracle_bracket`), add

@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solvdiag import (
@@ -43,6 +43,7 @@ from oracles import (
     oracle_bracket,
     oracle_common_eigenvector,
     oracle_derived_rows,
+    oracle_is_solvable,
     oracle_nullspace,
     oracle_validation,
     rank_test_hyperplane,
@@ -635,6 +636,154 @@ def test_certificate_checks_each_member_is_an_ideal(monkeypatch):
     )
     with pytest.raises(NotAnIdealError):
         complete_solvability_certificate(heisenberg())  # [q, p] = -z
+
+
+def _certificate_line(alg):
+    """The verdict and every member's echelon rows, as _witness_records has it."""
+    cert = complete_solvability_certificate(alg)
+    members = ["; ".join(" ".join(map(str, row)) for row in m.rows) for m in cert.witness or ()]
+    return f"{cert.verdict.value}: " + " | ".join(members)
+
+
+# SHA-256 of the two dimension-16 records as computed by the descent that
+# solved each weight space as one stacked system
+GOLDEN_N16_WITNESS_DIGEST = "993870f049c0b959a5984bb745bc10ef222dbac26dca212728eca3219f569dc0"
+
+
+def test_n16_certificate_witnesses_unchanged():
+    records = [_certificate_line(random_completely_solvable(Random(s), 16)) for s in (1, 7)]
+    assert all(r.startswith("COMPLETELY_SOLVABLE: ") for r in records)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_N16_WITNESS_DIGEST
+
+
+def _non_eigenvector(rep, dim):
+    """A unit vector or a sum of two that is not a common eigenvector of
+    rep, or None: one exists unless every matrix is scalar."""
+    units = [linalg.unit_vec(dim, i) for i in range(dim)]
+    sums = [tuple(a + b for a, b in zip(u, v)) for i, u in enumerate(units) for v in units[i + 1 :]]
+    return next((v for v in units + sums if not is_common_eigenvector(v, rep)), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_non_eigenvector_at_any_level_is_refused(data):
+    # a level checks [e_i, q] only for e_i off the new member's pivots; a
+    # descent that returns a non-eigenvector at any one level must still
+    # make the certificate refuse
+    make = data.draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    dim = data.draw(st.integers(min_value=3, max_value=7))
+    rng = Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    alg = make(rng, dim)
+    if data.draw(st.booleans()):
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    descent = algebra.common_eigenvector
+    wrong = []  # per level, a vector the action does not fix, or None
+
+    def recording(quot, rep, space_dim):
+        wrong.append(_non_eigenvector(rep, space_dim))
+        return descent(quot, rep, space_dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "common_eigenvector", recording)
+        complete_solvability_certificate(alg)
+    levels = [k for k, v in enumerate(wrong) if v is not None]
+    assume(levels)
+    level = data.draw(st.sampled_from(levels))
+    calls = []
+
+    def patched(quot, rep, space_dim):
+        calls.append(rep)
+        if len(calls) == level + 1:
+            assert not is_common_eigenvector(wrong[level], rep)
+            return wrong[level]
+        return descent(quot, rep, space_dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "common_eigenvector", patched)
+        with pytest.raises(NotAnIdealError):
+            complete_solvability_certificate(alg)
+    assert len(calls) == level + 1
+
+
+SL2 = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
+NON_SOLVABLE = {
+    "sl2": (("e", "f", "h"), SL2),
+    "Q+sl2": (("z", "e", "f", "h"), SL2),
+    "sl2+Q": (("e", "f", "h", "z"), SL2),
+    # sl2 acting on Q^2 = <u, v> by its standard representation
+    "sl2|Q2": (
+        ("e", "f", "h", "u", "v"),
+        {**SL2, ("e", "v"): {"u": 1}, ("f", "u"): {"v": 1}, ("h", "u"): {"u": 1}, ("h", "v"): {"v": -1}},
+    ),
+    # gl2 on its matrix units a = E11, b = E12, c = E21, d = E22
+    "gl2": (
+        ("a", "b", "c", "d"),
+        {
+            ("a", "b"): {"b": 1},
+            ("a", "c"): {"c": -1},
+            ("b", "c"): {"a": 1, "d": -1},
+            ("b", "d"): {"b": 1},
+            ("c", "d"): {"c": -1},
+        },
+    ),
+}
+IRRATIONAL = {
+    # ad t on <x, y> has the spectrum +-sqrt(2)
+    "sqrt2": (("t", "x", "y"), {("t", "x"): {"y": 1}, ("t", "y"): {"x": 2}}),
+    # Q acting on Q^2 by a rotation: the spectrum +-i
+    "rotation": (("r", "x", "y"), {("r", "x"): {"y": 1}, ("r", "y"): {"x": -1}}),
+    # by a rotation with a dilation: the spectrum 1 +- i
+    "dilation": (("s", "x", "y"), {("s", "x"): {"x": 1, "y": 1}, ("s", "y"): {"x": -1, "y": 1}}),
+    # the oscillator algebra: the center z is rational, then +-i on g/<z>
+    "oscillator": (
+        ("t", "p", "q", "z"),
+        {("t", "p"): {"q": 1}, ("t", "q"): {"p": -1}, ("p", "q"): {"z": 1}},
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", [*NON_SOLVABLE, *IRRATIONAL])
+def test_non_solvable_and_irrational_verdicts(name, seed):
+    # the certificate runs is_solvable only once a descent finds no rational
+    # eigenvector; the verdicts must stay those of the derived series
+    names, brackets = {**NON_SOLVABLE, **IRRATIONAL}[name]
+    alg = LieAlgebra.from_brackets(names, brackets)
+    assert validate_algebra(alg).ok
+    if seed is not None:
+        alg = change_basis(alg, random_unimodular(Random(seed), alg.dim))
+    assert oracle_is_solvable(alg) == (name in IRRATIONAL)
+    cert = complete_solvability_certificate(alg)
+    expected = "UNDECIDED_IRRATIONAL_SPECTRUM" if name in IRRATIONAL else "NOT_SOLVABLE"
+    assert cert.verdict is SolvabilityVerdict(expected)
+    assert cert.witness is None
+
+
+def test_certificate_eliminations_stay_within_the_basis_pairs(monkeypatch):
+    # no elimination of a dim-n certificate has more rows than the n(n-1)/2
+    # brackets of the basis pairs: each descent stage reads its weight space
+    # off the stage below instead of stacking a system over the hyperplane's
+    # actions (up to twice as many rows); the counts are deterministic
+    algs = [random_completely_solvable(Random(s), n) for s in range(1, 5) for n in range(3, 7)]
+    algs += [load_corpus(name).algebra for name in list_corpus()]
+    algs.append(random_completely_solvable(Random(1), 12))
+    sizes = []
+    echelon = linalg.echelon
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    calls = rows = 0
+    for alg in algs:
+        sizes.clear()
+        complete_solvability_certificate(alg)
+        assert max(sizes) <= alg.dim * (alg.dim - 1) // 2
+        if alg.dim < 12:
+            calls, rows = calls + len(sizes), rows + sum(sizes)
+    assert (calls, rows) == (780, 2100)
 
 
 class TestQuotient:

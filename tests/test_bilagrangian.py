@@ -173,10 +173,10 @@ class TestAgainstOracle:
 
 
 def test_connection_eliminations_do_not_grow_with_the_dimension(d1, monkeypatch):
-    # four for the connection (the change of basis to the pair's basis, the
-    # solve for the leafwise derivatives, the inverse basis and the change of
-    # basis back) and eight for its input checks (transversality six,
-    # nondegeneracy two), on D1 and on the standard forms of dims 2-10
+    # four in all: the change of basis to the pair's basis (which also
+    # decides transversality), the solve for the leafwise derivatives (which
+    # also decides nondegeneracy), the inverse basis and the change of basis
+    # back, on D1 and on the standard forms of dims 2-10
     calls = []
     echelon = linalg.echelon
 
@@ -201,7 +201,49 @@ def test_connection_eliminations_do_not_grow_with_the_dimension(d1, monkeypatch)
         calls.clear()
         connection(*case)
         counts.append(len(calls))
-    assert counts == [12] * len(cases)
+    assert counts == [4] * len(cases)
+
+
+NOT_CLOSED = "^pair members must be bracket-closed$"
+NOT_TRANSVERSE = "^pair members do not decompose the algebra$"
+DEGENERATE = "^the form must be nondegenerate$"
+
+
+@pytest.mark.parametrize(
+    "left, right, degenerate, error, message",
+    [
+        # x+c, t is not bracket-closed: that is reported before anything else
+        ("x+c,t", "L3", False, NotSubalgebraError, NOT_CLOSED),
+        ("x+c,t", "L3", True, NotSubalgebraError, NOT_CLOSED),
+        ("x+c,t", "L1", True, NotSubalgebraError, NOT_CLOSED),
+        # dimensions that add up to 4, members that meet in c
+        ("L1", "L3", False, NotTransverseError, NOT_TRANSVERSE),
+        ("L1", "L3", True, NotTransverseError, NOT_TRANSVERSE),
+        ("L1", "L1", True, NotTransverseError, NOT_TRANSVERSE),
+        # dimensions that do not add up to 4
+        ("L1", "zero", False, NotTransverseError, NOT_TRANSVERSE),
+        ("L1", "zero", True, NotTransverseError, NOT_TRANSVERSE),
+        # a transverse pair and the zero form
+        ("L1", "L2", True, DegenerateFormError, DEGENERATE),
+        ("L3", "L4", True, DegenerateFormError, DEGENERATE),
+    ],
+)
+def test_connection_errors_and_their_precedence(d1, left, right, degenerate, error, message):
+    spaces = {
+        **d1.subspaces,
+        "x+c,t": Subspace.span([(1, 0, 1, 0), (0, 0, 0, 1)], 4),
+        "zero": Subspace.zero(4),
+    }
+    omega = TwoForm.from_pairs(4, []) if degenerate else d1.two_forms["omega"]
+    pair = BilagrangianPair(spaces[left], spaces[right])
+    with pytest.raises(error, match=message):
+        connection(d1.algebra, omega, pair)
+
+
+def test_a_degenerate_form_names_itself_in_the_leafwise_derivative(e2):
+    alg = e2.algebra
+    with pytest.raises(DegenerateFormError, match=DEGENERATE):
+        d_zero(alg, e2.two_forms["omega"], alg.basis_vector("c"), alg.basis_vector("b"))
 
 
 class TestDZero:
