@@ -23,6 +23,7 @@ from .algebra import (
     is_solvable,
     is_subalgebra,
     quotient,
+    solvability_verdict,
     subalgebra_as_algebra,
     subalgebra_closure,
     validate_algebra,

@@ -121,12 +121,6 @@ class Subspace:
         """`_reduce` along the echelon rows."""
         return _reduce(w, self.int_rows, self.pivots)
 
-    def reduce_vector(self, v: Sequence) -> Vector:
-        """Remainder of v after eliminating along the echelon rows."""
-        w, scale = linalg.scaled_ints(v, self.ambient_dim)
-        r, m = self._remainder(w)
-        return linalg.divided(r, m * scale)
-
     def _has(self, w: Sequence[int]) -> bool:
         """Whether the integer vector w lies in the span."""
         return not any(self._remainder(w)[0])
@@ -138,13 +132,6 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("subspaces of different ambient spaces")
         return other.dim <= self.dim and all(self._has(r) for r in other.int_rows)
-
-    def coordinates_of(self, v: Sequence) -> Vector | None:
-        """Coefficients of v in the echelon row basis, or None if v is outside."""
-        v = linalg.vec(v)
-        if not self.contains_vector(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
 
     def _common_pivot_rows(self) -> tuple[int, list[list[int]]]:
         """(L, rows): L the lcm of the pivots of the integer rows, and each
@@ -617,18 +604,23 @@ def _shifted(m: Matrix, c, den=1) -> list[list]:
     return rows
 
 
+def _triangular(m: Matrix) -> bool:
+    """Whether the square matrix m (entries ints or Fractions) is upper or
+    lower triangular, so that its eigenvalues are its diagonal entries."""
+    return all(not x for i, row in enumerate(m) for x in row[:i]) or all(
+        not x for i, row in enumerate(m) for x in row[i + 1 :]
+    )
+
+
 def _eigenspaces(m: Matrix, dim: int) -> list[list[list[int]]]:
     """For each rational eigenvalue num/den of m, in increasing order, the
     integer kernel basis of den*m - num*I (`linalg.int_nullspace`).
 
     A forced spectrum is read off m: a 1x1 matrix has the one eigenspace
-    [[1]], and a triangular one (upper or lower, entries ints or Fractions)
-    has its diagonal entries as its eigenvalues."""
+    [[1]], and a triangular one has its diagonal entries as its eigenvalues."""
     if dim == 1:
         return [[[1]]]
-    if all(not x for i, row in enumerate(m) for x in row[:i]) or all(
-        not x for i, row in enumerate(m) for x in row[i + 1 :]
-    ):
+    if _triangular(m):
         spectrum = sorted(set(row[i] for i, row in enumerate(m)))
     else:
         spectrum = linalg.rational_eigenvalues(m)
@@ -656,12 +648,14 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     space is solved for.  A stage costs m(m-1)/2 brackets (m = dim sub) and
     an echelon for H; unless E is a line, one for E and a nullspace per
     rational eigenvalue of z on E, plus a charpoly unless that restriction
-    is triangular (`_eigenspaces`).  All of it runs on ints: matrices that
-    are not are scaled to integers by one positive factor, and an element
-    acts through its primitive integer multiple, so each action matrix is a
-    positive multiple of the true one.  That scales weights and moves no
-    span, eigenspace or normalized eigenvector.  Vectors stay primitive
-    integer ones up the recursion; the top divides once.
+    is triangular (`_eigenspaces`).  The vector the descent returns is
+    checked once, against every matrix of rep.  All of it runs on ints:
+    matrices that are not are scaled to integers by one positive factor,
+    and an element acts through its primitive integer multiple, so each
+    action matrix is a positive multiple of the true one.  That scales
+    weights and moves no span, eigenspace or normalized eigenvector.
+    Vectors stay primitive integer ones up the recursion; the top divides
+    once.
     """
     n = alg.dim
     if any(type(x) is not int for m in rep for row in m for x in row):
@@ -725,8 +719,6 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         if found is None:
             return None
         w, space = found  # space: hyper's weight space for w's weight
-        if not all(fixes(a, w) for a in hyper_acts):  # pragma: no cover - theory guard
-            raise SolvdiagError("descent produced a non-eigenvector")
         if len(space) == 1:  # a line: mz fixes it, and w is its least vector
             if not fixes(mz, w):  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
@@ -750,7 +742,12 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     if not any(x for a in rep for row in a for x in row):
         return linalg.unit_vec(space_dim, 0)
     found = recurse(Subspace.full(n), rep)
-    return None if found is None else linalg.divided(found[0], next(x for x in found[0] if x))
+    if found is None:
+        return None
+    w = found[0]
+    if not all(fixes(a, w) for a in rep):  # pragma: no cover - theory guard
+        raise SolvdiagError("descent produced a non-eigenvector")
+    return linalg.divided(w, next(x for x in w if x))
 
 
 class SolvabilityVerdict(Enum):
@@ -763,6 +760,51 @@ class SolvabilityVerdict(Enum):
 class SolvabilityCertificate:
     verdict: SolvabilityVerdict
     witness: tuple[Subspace, ...] | None  # ascending chain of ideals of g, dims 1..n
+
+
+def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
+    """The verdict of `complete_solvability_certificate`, from the spectra
+    of the ad(e_i) and without the flag.
+
+    NOT_SOLVABLE when the derived series does not reach zero.  Otherwise
+    COMPLETELY_SOLVABLE exactly when ad(e_i) splits over Q for every unit
+    vector e_i off the pivots of [g, g], and UNDECIDED_IRRATIONAL_SPECTRUM
+    when one does not.  This is exact.  Over the algebraic closure, Lie's
+    theorem makes the adjoint representation of a solvable g triangular;
+    its diagonal gives weights lambda_k, which vanish on [g, g], and ad(x)
+    has the eigenvalues lambda_k(x).  Those unit vectors span g together
+    with [g, g], so if every lambda_k(e_i) is rational, every lambda_k is.
+    Each weight space is then defined over Q, so every level of the
+    certificate's quotient descent finds a rational common eigenvector,
+    which is exactly when the certificate succeeds.  Conversely, a flag of
+    ideals over Q makes every ad(x) triangular over Q.
+
+    ad(e_i) is read off `alg.consts[i]` on ints, denom times the true
+    matrix, which moves no eigenvalue off Q.  A triangular one splits
+    (`_triangular`); for any other, the rational roots of its
+    `linalg.charpoly` are divided out exactly, as often as each divides,
+    and it splits when nothing is left.  [g, g] is built once: it starts
+    the derived series and its pivots pick the unit vectors.
+    """
+    n = alg.dim
+    derived = derived_subalgebra(alg)
+    if not _series_reaches_zero(derived, alg.derived_span):
+        return SolvabilityVerdict.NOT_SOLVABLE
+    for i in range(n):
+        if i in derived.pivots:
+            continue
+        ad = [[0] * n for _ in range(n)]
+        for j, cs in enumerate(alg.consts[i]):
+            for k, c in cs:
+                ad[k][j] = c
+        if not _triangular(ad):
+            poly = linalg.charpoly(ad)
+            for r in linalg.rational_roots(poly):
+                while linalg.poly_eval(poly, r) == 0:
+                    poly = linalg._poly_quo(poly, [-r, 1])
+            if len(poly) > 1:
+                return SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM
+    return SolvabilityVerdict.COMPLETELY_SOLVABLE
 
 
 def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
@@ -783,8 +825,9 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     I_(k-1) is one, q is supported off its pivots, and e_p is
     (q - sum of q_j e_j) / d.  Besides the descent, a level costs O(n^3)
     integer operations.  When the descent finds no rational eigenvector,
-    `is_solvable` tells NOT_SOLVABLE (the first level's descent meets a
-    perfect subalgebra) from UNDECIDED_IRRATIONAL_SPECTRUM.
+    `solvability_verdict` tells NOT_SOLVABLE from
+    UNDECIDED_IRRATIONAL_SPECTRUM; if it says COMPLETELY_SOLVABLE there,
+    the descent is at fault and a SolvdiagError is raised.
     """
     n = alg.dim
     # D [e_i, e_j] mod carried
@@ -798,8 +841,10 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         rep = [list(zip(*row)) for row in table]
         v = common_eigenvector(SimpleNamespace(dim=len(keep), consts=consts), rep, len(keep))
         if v is None:
-            verdict = "UNDECIDED_IRRATIONAL_SPECTRUM" if is_solvable(alg) else "NOT_SOLVABLE"
-            return SolvabilityCertificate(SolvabilityVerdict(verdict), None)
+            verdict = solvability_verdict(alg)
+            if verdict is SolvabilityVerdict.COMPLETELY_SOLVABLE:
+                raise SolvdiagError("descent found no rational eigenvector of a split spectrum")
+            return SolvabilityCertificate(verdict, None)
         lifted = [0] * n
         for c, i in zip(linalg._primitive(v), keep):
             lifted[i] = c

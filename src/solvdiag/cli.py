@@ -23,8 +23,8 @@ from dataclasses import asdict
 from .algebra import (
     SolvdiagError,
     Subspace,
-    complete_solvability_certificate,
     is_subalgebra,
+    solvability_verdict,
     validate_algebra,
 )
 from .bilagrangian import BilagrangianPair, audit_connection, connection, curvature_flatness
@@ -135,17 +135,17 @@ def cmd_validate(doc: Document, args):
     alg = doc.algebra
     names = alg.names
     report = validate_algebra(alg)
-    cert = complete_solvability_certificate(alg)
+    verdict = solvability_verdict(alg)
     head, obj = _asked(doc, args)
     lines = [
         head,
         f"dim: {alg.dim}",
-        f"algebra: ok={_bool(report.ok)} solvability={cert.verdict.value}",
+        f"algebra: ok={_bool(report.ok)} solvability={verdict.value}",
     ]
     obj.update(
         dim=alg.dim,
         algebra_ok=report.ok,
-        solvability=cert.verdict.value,
+        solvability=verdict.value,
         forms={},
         flags={},
         subspaces={},
@@ -368,9 +368,7 @@ def _audit_checks(doc: Document):
             )
             yield (f"diagram {fname}/{gname} predicate consistency", consistent, "")
 
-    solvable = (
-        complete_solvability_certificate(alg).verdict.value == "COMPLETELY_SOLVABLE"
-    )
+    solvable = solvability_verdict(alg).value == "COMPLETELY_SOLVABLE"
     if solvable:
         for fname, (form, ker, sub) in closed_forms.items():  # in name order
             if ker.is_zero() or not sub:

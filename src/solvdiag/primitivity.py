@@ -23,12 +23,12 @@ from .algebra import (
     SolvabilityVerdict,
     SolvdiagError,
     Subspace,
-    complete_solvability_certificate,
     derived_subalgebra,
     ideal_closure,
     is_nilpotent,
     is_solvable,
     is_subalgebra,
+    solvability_verdict,
     subalgebra_as_algebra,
 )
 from .diagram import weight_zero_singulars
@@ -159,15 +159,15 @@ def quasi_primitive_test(
     """
     _check_budget(pencil_budget)
     alg, h = pair.algebra, pair.isotropy
-    cert = complete_solvability_certificate(alg)
-    if cert.verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
+    verdict = solvability_verdict(alg)
+    if verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
         raise UndecidedSpectrumError(
             "the test needs a completely solvable algebra, and the certificate "
             "needs an eigenvalue outside Q"
         )
-    if cert.verdict is not SolvabilityVerdict.COMPLETELY_SOLVABLE:
+    if verdict is not SolvabilityVerdict.COMPLETELY_SOLVABLE:
         raise NotSolvableError(
-            f"the test needs a completely solvable algebra ({cert.verdict.value})"
+            f"the test needs a completely solvable algebra ({verdict.value})"
         )
     searched = ["ideal-hyperplanes"]
     if h.is_zero():

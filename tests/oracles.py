@@ -50,6 +50,26 @@ def _solve(a, b):
     return tuple(x)
 
 
+def reduce_vector(s, v):
+    """The remainder of v along the Subspace s: v minus each reduced echelon
+    row of s times v's entry at that row's pivot, so zero at every pivot."""
+    if len(v) != s.ambient_dim:
+        raise ValueError(f"a vector of length {len(v)} in Q^{s.ambient_dim}")
+    v = [Fraction(x) for x in v]
+    for row, p in zip(s.rows, s.pivots):
+        c = v[p]
+        v = [x - c * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def coordinates_of(s, v):
+    """The coefficients of v in the reduced echelon basis of the Subspace s,
+    its entries at the pivots, or None if v is outside s."""
+    if any(reduce_vector(s, v)):
+        return None
+    return tuple(Fraction(v[p]) for p in s.pivots)
+
+
 def bareiss_rank(rows) -> int:
     """Rank by fraction-free elimination."""
     m = _frac_rows(rows)
@@ -689,7 +709,7 @@ def oracle_common_eigenvector(alg, rep, space_dim):
         k = wsub.dim
         restr = []
         for r in wsub.rows:
-            coords = wsub.coordinates_of(matvec(mz, r))
+            coords = coordinates_of(wsub, matvec(mz, r))
             if coords is None:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
             restr.append(coords)

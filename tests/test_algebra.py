@@ -13,6 +13,7 @@ from solvdiag import (
     LieAlgebra,
     NotAnIdealError,
     SolvabilityVerdict,
+    SolvdiagError,
     Subspace,
     SubspaceNotNestedError,
     complete_solvability_certificate,
@@ -23,6 +24,7 @@ from solvdiag import (
     is_solvable,
     is_subalgebra,
     quotient,
+    solvability_verdict,
     subalgebra_as_algebra,
     subalgebra_closure,
     validate_algebra,
@@ -36,6 +38,7 @@ from solvdiag.generators import (
     random_unimodular,
 )
 from oracles import (
+    coordinates_of,
     faddeev_leverrier_charpoly,
     fraction_rref,
     is_common_eigenvector,
@@ -47,6 +50,7 @@ from oracles import (
     oracle_nullspace,
     oracle_validation,
     rank_test_hyperplane,
+    reduce_vector,
     spans_equal,
     trial_division_rational_roots,
 )
@@ -97,9 +101,9 @@ class TestSubspace:
     def test_coordinates_roundtrip(self):
         s = Subspace.span([(1, 2, 0), (0, 0, 1)], 3)
         v = (3, 6, -2)
-        coords = s.coordinates_of(v)
+        coords = coordinates_of(s, v)
         assert coords == (3, -2)
-        assert s.coordinates_of((0, 1, 0)) is None
+        assert coordinates_of(s, (0, 1, 0)) is None
 
     @pytest.mark.parametrize(
         "v", [(1, 0), (1, 0, 0, 0), (1, 0, 0, 7)], ids=["short", "long", "long-tail"]
@@ -107,8 +111,13 @@ class TestSubspace:
     @pytest.mark.parametrize("method", ["reduce_vector", "contains_vector", "coordinates_of"])
     def test_a_vector_of_the_wrong_length_is_rejected(self, method, v):
         s = Subspace(3, [[1, 0, 0]])
+        entry = {
+            "reduce_vector": reduce_vector,
+            "contains_vector": Subspace.contains_vector,
+            "coordinates_of": coordinates_of,
+        }[method]
         with pytest.raises(ValueError, match="length"):
-            getattr(s, method)(v)
+            entry(s, v)
 
     def test_ragged_rows_are_rejected(self):
         with pytest.raises(ValueError, match="ambient dimension"):
@@ -740,14 +749,19 @@ IRRATIONAL = {
         ("t", "p", "q", "z"),
         {("t", "p"): {"q": 1}, ("t", "q"): {"p": -1}, ("p", "q"): {"z": 1}},
     ),
+    # a rotation r beside a rational torus s: ad s splits, ad r does not
+    "torus+rotation": (
+        ("s", "r", "x", "y"),
+        {("s", "x"): {"x": 1}, ("s", "y"): {"y": 1}, ("r", "x"): {"y": 1}, ("r", "y"): {"x": -1}},
+    ),
 }
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
 @pytest.mark.parametrize("name", [*NON_SOLVABLE, *IRRATIONAL])
 def test_non_solvable_and_irrational_verdicts(name, seed):
-    # the certificate runs is_solvable only once a descent finds no rational
-    # eigenvector; the verdicts must stay those of the derived series
+    # the certificate asks solvability_verdict only once a descent finds no
+    # rational eigenvector; the verdicts must stay those of the derived series
     names, brackets = {**NON_SOLVABLE, **IRRATIONAL}[name]
     alg = LieAlgebra.from_brackets(names, brackets)
     assert validate_algebra(alg).ok
@@ -758,6 +772,54 @@ def test_non_solvable_and_irrational_verdicts(name, seed):
     expected = "UNDECIDED_IRRATIONAL_SPECTRUM" if name in IRRATIONAL else "NOT_SOLVABLE"
     assert cert.verdict is SolvabilityVerdict(expected)
     assert cert.witness is None
+    assert solvability_verdict(alg) is cert.verdict
+
+
+def _direct_sum(a, b):
+    """a + b, the brackets of each kept and those between them zero."""
+    n, table = a.dim + b.dim, []
+    for alg, at in ((a, 0), (b, a.dim)):
+        for row in alg.table:
+            table.append([[0] * n for _ in range(n)])
+            for j, v in enumerate(row):
+                table[-1][at + j][at : at + alg.dim] = v
+    return LieAlgebra([f"e{i}" for i in range(n)], table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_verdict_agrees_with_the_certificate(data):
+    # solvability_verdict reads the spectra of the ad(e_i) where the
+    # certificate builds the flag of ideals; the verdicts must agree on
+    # generated algebras in their triangular basis, rebased and rescaled,
+    # alone or beside an algebra that is not solvable or whose spectrum
+    # leaves Q, so that a unimodular rebasing mixes the two
+    dim = data.draw(st.integers(min_value=0, max_value=8))
+    rng = Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    make = data.draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
+    alg = make(rng, dim) if dim else LieAlgebra((), [])
+    if dim <= 4 and data.draw(st.booleans()):
+        names, brackets = data.draw(st.sampled_from([*NON_SOLVABLE.values(), *IRRATIONAL.values()]))
+        alg = _direct_sum(alg, LieAlgebra.from_brackets(names, brackets))
+    shape = data.draw(st.sampled_from(("triangular", "unimodular", "diagonal")))
+    if alg.dim and shape == "unimodular":
+        alg = change_basis(alg, random_unimodular(rng, alg.dim))
+    if alg.dim and shape == "diagonal":
+        alg = change_basis(alg, _rational_diagonal(rng, alg.dim))
+    assert solvability_verdict(alg) is complete_solvability_certificate(alg).verdict
+
+
+def test_a_descent_that_finds_nothing_on_a_split_spectrum_is_refused(monkeypatch):
+    # the certificate asks solvability_verdict only where a descent returns
+    # None; a COMPLETELY_SOLVABLE answer there is a fault of the descent,
+    # not an UNDECIDED verdict, while the other two verdicts stand
+    monkeypatch.setattr(algebra, "common_eigenvector", lambda alg, rep, dim: None)
+    with pytest.raises(SolvdiagError, match="no rational eigenvector"):
+        complete_solvability_certificate(heisenberg())
+    cert = complete_solvability_certificate(sl2())
+    assert (cert.verdict, cert.witness) == (SolvabilityVerdict.NOT_SOLVABLE, None)
+    cert = complete_solvability_certificate(rot2d())
+    assert (cert.verdict, cert.witness) == (SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM, None)
 
 
 def test_certificate_eliminations_stay_within_the_basis_pairs(monkeypatch):

@@ -28,6 +28,7 @@ from solvdiag import (
     load_corpus,
     render_dot,
 )
+from solvdiag import algebra
 from solvdiag.cli import main
 
 
@@ -612,6 +613,39 @@ def test_every_command_output_unchanged(capsys, monkeypatch, tmp_path):
     }
     assert sum(len(runs) for runs in records.values()) == 182
     assert digests == GOLDEN_CLI_DIGESTS
+
+
+def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
+    # validate, primitivity and audit read only the solvability verdict,
+    # which solvability_verdict gives from the spectra of the ad(e_i);
+    # lagrangians builds its normal flag from exactly one certificate
+    calls = []
+    original = algebra.complete_solvability_certificate
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return original(alg)
+
+    bound = 0
+    for modname, mod in list(sys.modules.items()):
+        if modname == "solvdiag" or modname.startswith("solvdiag."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+                    bound += 1
+    assert bound >= 2  # the algebra module and flags, at least
+    for name in list_corpus():
+        path = corpus_path(name)
+        argvs = [(["validate", path], 0), (["audit", path], 0)]
+        for form in sorted(load_corpus(name).two_forms):
+            argvs += [(["primitivity", path, "--form", form], 0)]
+            argvs += [(["lagrangians", path, "--form", form], 1)]
+        for argv, expected in argvs:
+            for json_flag in ([], ["--json"]):
+                calls.clear()
+                code, _, err = run(capsys, *argv, *json_flag)
+                assert (code, err) == (0, ""), argv
+                assert len(calls) == expected, argv
 
 
 def test_version_matches_pyproject():
