@@ -74,13 +74,14 @@ class Subspace:
     coprime entries, positive pivot), as canonical as the reduced row
     echelon form, so equality and hashing compare them.  Membership, sums
     and intersections eliminate on them fraction-free.  `rows`, the reduced
-    row echelon form over Fraction, is a view built on first read.
+    row echelon form over Fraction, is a view built on first read.  The
+    rows given go to `linalg.echelon` as they are, with no copy.
     """
 
     __slots__ = ("ambient_dim", "int_rows", "pivots", "_rows")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Iterable]) -> None:
-        rows = [tuple(r) for r in rows]
+    def __init__(self, ambient_dim: int, rows: Iterable[Sequence]) -> None:
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row length does not match ambient dimension")
         ech, pivots = linalg.echelon(rows)  # coerces each entry once
@@ -645,24 +646,27 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     antisymmetric with zero diagonal.  A stage returns w, least in the
     eigenspace E of z on H's weight space (the whole space where H acts by
     zero), and E, which is sub's weight space for w's weight: no weight
-    space is solved for.  A stage costs m(m-1)/2 brackets (m = dim sub) and
-    an echelon for H; unless E is a line, one for E and a nullspace per
-    rational eigenvalue of z on E, plus a charpoly unless that restriction
-    is triangular (`_eigenspaces`).  The vector the descent returns is
-    checked once, against every matrix of rep.  All of it runs on ints:
-    matrices that are not are scaled to integers by one positive factor,
-    and an element acts through its primitive integer multiple, so each
-    action matrix is a positive multiple of the true one.  That scales
-    weights and moves no span, eigenspace or normalized eigenvector.
+    space is solved for.  A stage costs m(m-1)/2 brackets (m = dim sub), an
+    echelon for H, and the actions of z and of H's echelon rows up to the
+    first that is not zero (an action is built only where it is read);
+    unless E is a line, an echelon for E and a nullspace per rational
+    eigenvalue of z on E, plus a charpoly unless that restriction is
+    triangular (`_eigenspaces`).  The vector the descent returns is checked
+    once, against every matrix of rep as given.  The descent runs on ints:
+    the nonzero entries of rep, read once, are scaled to integers by one
+    positive factor unless they are ints, and an element acts through its
+    primitive integer multiple, so each action matrix is a positive
+    multiple of the true one.  That scales weights and moves no span,
+    eigenspace or normalized eigenvector.
     Vectors stay primitive integer ones up the recursion; the top divides
     once.
     """
     n = alg.dim
-    if any(type(x) is not int for m in rep for row in m for x in row):
-        flat = iter(linalg.scaled_ints(x for m in rep for row in m for x in row)[0])
-        rep = [[[next(flat) for _ in row] for row in m] for m in rep]
     # the nonzero entries (i, j, x) of each action matrix, read once
     entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
+    if any(type(x) is not int for nz in entries for _, _, x in nz):
+        flat = iter(linalg.scaled_ints([x for nz in entries for _, _, x in nz])[0])
+        entries = [[(i, j, next(flat)) for i, j, _ in nz] for nz in entries]
 
     def act(elem: Sequence[int]) -> list[list[int]]:
         """The action of a primitive integer row (of `Subspace.int_rows`)."""
@@ -700,22 +704,21 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                     best, q, held = v, p, eigenspace
         return None if best is None else (best, held)
 
-    def recurse(sub: Subspace, acts) -> tuple[list[int], list] | None:
-        """The descent below sub, given the actions of sub's echelon rows: w,
-        primitive and positive at its pivot, and sub's weight space for it."""
+    def recurse(sub: Subspace) -> tuple[list[int], list] | None:
+        """The descent below sub: w, primitive and positive at its pivot, and
+        sub's weight space for it."""
         sup = _sparse(sub.int_rows)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
         derived = Subspace(n, [_ibracket(alg, x, y) for x, y in pairs])
         if derived.dim >= sub.dim:
             return None  # not solvable
         hyper = _hyperplane_in(sub, derived)
-        hyper_acts = [act(r) for r in hyper.int_rows]
         # the action of a complement direction of hyper in sub
-        mz = next(a for r, a in zip(sub.int_rows, acts) if not hyper._has(r))
-        if not any(x for a in hyper_acts for row in a for x in row):
+        mz = act(next(r for r in sub.int_rows if not hyper._has(r)))
+        if not any(x for r in hyper.int_rows for row in act(r) for x in row):
             # hyper acts by zero: its weight space is the whole space
             return least(_eigenspaces(mz, space_dim))
-        found = recurse(hyper, hyper_acts)
+        found = recurse(hyper)
         if found is None:
             return None
         w, space = found  # space: hyper's weight space for w's weight
@@ -738,10 +741,9 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                 raise SolvdiagError("weight space not invariant")
         return least(_eigenspaces(list(zip(*restr)), wsub.dim), basis)
 
-    # the actions of the full algebra's echelon rows, the unit vectors, are rep
-    if not any(x for a in rep for row in a for x in row):
+    if not any(entries):  # every e_i acts by zero
         return linalg.unit_vec(space_dim, 0)
-    found = recurse(Subspace.full(n), rep)
+    found = recurse(Subspace.full(n))
     if found is None:
         return None
     w = found[0]
@@ -816,7 +818,8 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     I_(k-1), which vanishes on the pivot columns of I_(k-1) and so is
     already in quotient coordinates.  The table is kept as ints, D > 0
     times the true one; the descent sees only ratios, so D never shows.
-    Each level hands the table and its ad matrices, as ints, to the
+    Each level reads its table's nonzero constants and its ad matrices
+    straight off those ints, with no dense table, and hands them to the
     descent.  Then it reduces by the new member's primitive row q, with
     pivot p and d = q[p] > 0 (r becomes d*r - r[p]*q), the live brackets
     [e_i, e_j] only, i off the pivots of I_k and j off those of I_(k-1),
@@ -836,9 +839,9 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     carried = Subspace.zero(n)
     keep = list(range(n))  # quotient coordinates: non-pivot columns of carried
     while keep:
-        table = [[[red[a][b][k] for k in keep] for b in keep] for a in keep]
-        consts = [_sparse(row) for row in table]
-        rep = [list(zip(*row)) for row in table]
+        rows, at = [red[a] for a in keep], list(enumerate(keep))  # the level's table
+        consts = [[[(t, x) for t, k in at if (x := r[b][k])] for b in keep] for r in rows]
+        rep = [[[r[b][k] for b in keep] for k in keep] for r in rows]
         v = common_eigenvector(SimpleNamespace(dim=len(keep), consts=consts), rep, len(keep))
         if v is None:
             verdict = solvability_verdict(alg)

@@ -52,15 +52,19 @@ class LagrangianCandidate:
 
 
 def verify_lagrangian(alg: LieAlgebra, omega: TwoForm, s: Subspace) -> LagrangianCandidate:
+    ker = radical(omega, Subspace.full(alg.dim))
+    return _verify(alg, omega, s, ker, omega.rank() // 2 + ker.dim)
+
+
+def _verify(alg, omega, s: Subspace, ker: Subspace, target: int) -> LagrangianCandidate:
+    """`verify_lagrangian` given the form's kernel and the Lagrangian dimension."""
     reasons = []
     if not is_subalgebra(alg, s):
         reasons.append("not a subalgebra")
-    ker = radical(omega, Subspace.full(alg.dim))
     if not s.contains(ker):
         reasons.append("does not contain the kernel of the form")
     if not is_isotropic(omega, s):
         reasons.append("not isotropic")
-    target = omega.rank() // 2 + ker.dim
     if s.dim != target:
         reasons.append(f"dimension {s.dim} instead of {target}")
     return LagrangianCandidate(subspace=s, reasons=tuple(reasons))
@@ -124,8 +128,7 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
 
         def extend(cur: Subspace, start: int) -> None:
             if cur.dim == target:
-                cand = verify_lagrangian(alg, omega, cur)
-                if cand.verified:
+                if _verify(alg, omega, cur, ker, target).verified:
                     found.add(cur)
                 return
             for i in range(start, len(gens)):

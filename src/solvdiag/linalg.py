@@ -64,64 +64,87 @@ def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:
     return [a * (scale // d) for a, d in pairs], scale
 
 
-def echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+def echelon(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
     """The primitive integer echelon form of the row space; returns (rows, pivots).
 
     Each row returned has coprime integer entries and a positive pivot and
     is zero in the other rows' pivot columns: its reduced echelon row times
     the lcm of that row's denominators, so as canonical as the reduced form.
-    Zero rows are dropped.  Rows of unequal length are a ValueError; an
-    entry that is not an int, Fraction or 'p/q' string is a TypeError.
+    Zero rows are dropped; a row already in that form may be returned as
+    the object given.  Rows of unequal length are a ValueError; an entry
+    that is not an int, Fraction or 'p/q' string is a TypeError.
 
-    Fraction-free Gauss-Jordan: each row is scaled once to integers by the
-    lcm of its denominators (a row of ints is taken as it is).  To clear
-    column c of row i against the pivot p of row r, row i becomes
-    (p/g) row_i - (f/g) row_r, with f = row_i[c] and g = gcd(p, f), and is
-    then divided by its content (the gcd of its entries).  These are
-    invertible row operations, so the row space never changes.  Every row
-    stays primitive, and a primitive row is fixed up to sign by the input
-    and the columns cleared so far, so its entries are bounded by minors of
-    the scaled input, as in Bareiss (*Math. Comp.* 22, 1968).  At the end
-    each row is made primitive with a positive pivot.
+    Fraction-free Gauss-Jordan.  A row of ints is used as it is, any other
+    is scaled once to integers by the lcm of its denominators, and no
+    nonzero row, or one, returns at once.  To clear column c of row i
+    against the pivot p of row r, row i becomes (p/g) row_i - (f/g) row_r,
+    with f = row_i[c] and g = gcd(p, f) (no gcd when p = 1, no multiply
+    when p/g = 1), and is then divided by its content (the gcd of its
+    entries).  These are invertible row operations, so the row space never
+    changes.  Every row stays primitive, and a primitive row is fixed up to
+    sign by the input and the columns cleared so far, so its entries are
+    bounded by minors of the scaled input, as in Bareiss (*Math. Comp.* 22,
+    1968).  At the end each row is made primitive with a positive pivot.
     Cost: O(r n min(r, n)) integer multiply-adds and gcds on an r x n
     input, where elimination over Fraction pays a gcd on every multiply
     and subtract; no Fraction is built.
     """
-    work = [scaled_ints(r)[0] for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    if any(len(row) != ncols for row in work):
-        raise ValueError("rows of unequal length")
-    work = [row for row in work if any(row)]
+    work = []
+    ncols = -1
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                row = scaled_ints(row)[0]
+                break
+        if len(row) != ncols:
+            if ncols >= 0:
+                raise ValueError("rows of unequal length")
+            ncols = len(row)
+        if any(row):
+            work.append(row)
+    nrows = len(work)
     pivots: list[int] = []
+    if nrows < 2:
+        if not work:
+            return [], []
+        row = work[0]  # the one nonzero row: made primitive, positive at its pivot
+        for c, x in enumerate(row):
+            if x:
+                break
+        g = math.gcd(*row) if x > 0 else -math.gcd(*row)
+        return [row if g == 1 else [x // g for x in row]], [c]
     r = 0
     for c in range(ncols):
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
+        for k in range(r, nrows):
+            if work[k][c]:
+                break
+        else:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
+        prow = work[k]
+        if k != r:
+            work[k], work[r] = work[r], prow
         p = prow[c]
-        for i, row in enumerate(work):
+        for i in range(nrows):
+            row = work[i]
             f = row[c]
             if f and i != r:
-                g = math.gcd(p, f)
+                g = 1 if p == 1 else math.gcd(p, f)
                 a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(row, prow)]
+                if a == 1:
+                    new = [x - b * y for x, y in zip(row, prow)]
+                else:
+                    new = [a * x - b * y for x, y in zip(row, prow)]
                 content = math.gcd(*new)
                 if content > 1:
                     new = [x // content for x in new]
                 work[i] = new
         pivots.append(c)
         r += 1
+        if r == nrows:
+            break
     del work[r:]
     for i, (row, c) in enumerate(zip(work, pivots)):
-        g = math.gcd(*row)
-        if row[c] < 0:
-            g = -g
+        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
         if g != 1:
             work[i] = [x // g for x in row]
     return work, pivots

@@ -219,7 +219,7 @@ def test_criterion_5_lagrangian_round_trip():
 
 
 def test_criterion_6_property_suite():
-    with criterion(6, 60.0):
+    with criterion(6, 15.0):
         instances = 0
 
         for seed in range(400):

@@ -1,5 +1,6 @@
 """Exact linear algebra over Fractions."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -221,6 +222,92 @@ def test_rref_rejects_a_non_rational_entry(bad):
         linalg.solve([[1, 2], [Fraction(1, 3), bad]], [1, 2])
     with pytest.raises(TypeError, match="not an exact rational"):
         linalg.solve([[1, 2], [Fraction(1, 3), 1]], [1, bad])
+
+
+def assert_echelon_matches_the_oracle(rows):
+    """echelon's rows are ints, primitive, positive at their pivots, and
+    each is its reduced echelon row from `fraction_rref` times that row's lcm."""
+    ech, pivots = linalg.echelon(rows)
+    red, expected_pivots = fraction_rref(rows)
+    assert tuple(pivots) == expected_pivots and len(ech) == len(red)
+    for row, c, reduced in zip(ech, pivots, red):
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert tuple(Fraction(x, row[c]) for x in row) == reduced
+
+
+KERNEL_CASES = {
+    # one nonzero row: returned at once, divided by its content, pivot made positive
+    "one-row-negative-content-2": [[0, -6, 4, 0]],
+    "one-row-among-zero-rows": [[0, 0, 0], [0, -9, 3], [0, 0, 0]],
+    "one-row-primitive": [(0, 3, -2)],
+    "one-row-fraction": [[Fraction(-4, 3), "2/3", 0]],
+    # unit pivots: no gcd or multiply on the multiplier side
+    "unit-pivot": [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+    "unit-multiplier": [[6, 4, 2], [1, 5, 7]],
+    "pivot-divides-entry": [[2, 1, 0], [6, 0, 5]],
+    "swap-needed": [[0, 0, 5], [0, 3, 1], [2, 1, 1]],
+    "dependent": [[2, 4, 6], [-1, -2, -3], [3, 6, 9]],
+    # int rows mixed with other exact rows, in both orders
+    "int-then-fraction": [[2, 0, 4], [Fraction(1, 2), Fraction(1, 3), 0]],
+    "fraction-then-int": [[Fraction(1, 2), Fraction(1, 3), 0], [2, 0, 4]],
+    "int-then-string": [[3, -6, 9], ["1/2", "-3/4", "0"]],
+    "string-then-int": [["1/2", "-3/4", "0"], [3, -6, 9]],
+    "int-then-bool": [[2, 4, 0], [True, False, True]],
+    "bool-then-int": [[True, False, True], [2, 4, 0]],
+    "bool-alone": [[False, True, True]],
+    "mixed-within-a-row": [[1, Fraction(1, 2), "1/3"], [0, True, 2]],
+}
+
+
+@pytest.mark.parametrize("rows", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES))
+def test_echelon_fast_paths_match_the_fraction_oracle(rows):
+    assert_echelon_matches_the_oracle(rows)
+
+
+def test_echelon_of_one_row_and_of_nothing():
+    assert linalg.echelon([[0, -6, 4, 0]]) == ([[0, 3, -2, 0]], [1])
+    assert linalg.echelon([[0, 0], [0, 0]]) == ([], [])
+    assert linalg.echelon([]) == ([], [])
+    assert linalg.echelon([[], []]) == ([], [])
+    ech, pivots = linalg.echelon([(0, 3, -2)])  # already final: a row of ints as it is
+    assert [list(r) for r in ech] == [[0, 3, -2]] and pivots == [1]
+
+
+def test_echelon_takes_a_generator_of_rows():
+    rows = [[2, 4, 6], [0, Fraction(1, 2), 1], [1, 1, 1]]
+    assert linalg.echelon(r for r in rows) == linalg.echelon(rows)
+    assert Subspace(3, (r for r in rows)) == Subspace(3, rows)
+    assert Subspace(3, iter([])) == Subspace.zero(3)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 2], [1, 2, 3]], [[1, 2, 3], [1, 2]], [[0, 0], [1, 2, 3]], [["1/2", 1], [1, 2, 3]]],
+    ids=["long-second", "short-second", "after-a-zero-row", "after-a-string-row"],
+)
+def test_echelon_unequal_rows_are_a_value_error(rows):
+    with pytest.raises(ValueError, match="^rows of unequal length$"):
+        linalg.echelon(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.5, 1]], [[1, 2], [3, 0.0]], [[1.0, 2], [1, 2]], [[Fraction(1, 2), 2.5]]],
+    ids=["float-alone", "float-zero-after-ints", "float-first", "float-after-a-fraction"],
+)
+def test_echelon_a_float_is_a_type_error(rows):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linalg.echelon(rows)
+
+
+def test_subspace_keeps_its_own_length_message():
+    good = [(1, 0, 0), (0, 1, 0)]
+    for bad in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="row length does not match ambient dimension"):
+            Subspace(3, good + [bad])
+        with pytest.raises(ValueError, match="row length does not match ambient dimension"):
+            Subspace(3, [(0, 0, 0)] + [bad])
 
 
 @settings(max_examples=60, deadline=None)
