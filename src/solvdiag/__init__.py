@@ -7,6 +7,7 @@ result of an exact computation, never a floating-point approximation.
 
 from .algebra import (
     AlgebraValidationReport,
+    InputError,
     LieAlgebra,
     NotAnIdealError,
     NotSubalgebraError,

@@ -32,15 +32,20 @@ class SolvdiagError(Exception):
     code = "ERROR"
 
 
-class SubspaceNotNestedError(SolvdiagError):
+class InputError(SolvdiagError):
+    """The input is at fault (a malformed document, an unknown name, a failed
+    precondition of the operation asked for): the CLI exits 2, not 3."""
+
+
+class SubspaceNotNestedError(InputError):
     code = "SUBSPACE_NOT_NESTED"
 
 
-class NotSubalgebraError(SolvdiagError):
+class NotSubalgebraError(InputError):
     code = "NOT_SUBALGEBRA"
 
 
-class NotAnIdealError(SolvdiagError):
+class NotAnIdealError(InputError):
     code = "NOT_AN_IDEAL"
 
 
@@ -51,11 +56,10 @@ def _init(obj, **attrs):
     return obj
 
 
-def _reduce(w: Sequence[int], rows, pivots) -> tuple[list[int], int]:
-    """(r, m) with r/m the remainder of w along integer rows each zero at the
-    pivots before its own, m > 0: fraction-free, each step a*w - b*row with
+def _reduce(w: Sequence[int], rows, pivots) -> list[int]:
+    """A nonzero multiple of the remainder of w along integer rows each zero
+    at the pivots before its own: fraction-free, each step a*w - b*row with
     a/b the pivot over w's entry there, reduced by their gcd."""
-    m = 1
     for row, p in zip(rows, pivots):
         c = w[p]
         if c:
@@ -63,8 +67,7 @@ def _reduce(w: Sequence[int], rows, pivots) -> tuple[list[int], int]:
             g = math.gcd(q, c)
             a, b = q // g, c // g
             w = [a * x - b * y for x, y in zip(w, row)]
-            m *= a
-    return w, m
+    return w
 
 
 class Subspace:
@@ -118,13 +121,13 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.pivots
 
-    def _remainder(self, w: list[int]) -> tuple[list[int], int]:
+    def _remainder(self, w: list[int]) -> list[int]:
         """`_reduce` along the echelon rows."""
         return _reduce(w, self.int_rows, self.pivots)
 
     def _has(self, w: Sequence[int]) -> bool:
         """Whether the integer vector w lies in the span."""
-        return not any(self._remainder(w)[0])
+        return not any(self._remainder(w))
 
     def contains_vector(self, v: Sequence) -> bool:
         return self._has(linalg.scaled_ints(v, self.ambient_dim)[0])
@@ -414,7 +417,7 @@ def _grow(cur: Subspace, vectors) -> tuple[Subspace, list]:
     """cur + span(vectors), and a basis of it modulo cur: the echelon rows of
     the sum at the pivots cur lacks.  Each vector is first reduced along
     cur, and cur is returned as it is when nothing is left."""
-    rest = [r for r in (cur._remainder(v)[0] for v in vectors) if any(r)]
+    rest = [r for r in (cur._remainder(v) for v in vectors) if any(r)]
     if not rest:
         return cur, []
     nxt = Subspace(cur.ambient_dim, cur.int_rows + tuple(rest))
@@ -536,15 +539,15 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
     is bracket-closed, the coordinates of a bracket are its entries at s's
     pivots.
     """
-    if not is_subalgebra(alg, s):
-        raise NotSubalgebraError("subspace is not bracket-closed")
     # the rows scaled to their common pivot L are L times the reduced rows, so
     # their integer bracket is denom * L^2 times the bracket of the reduced rows
     lcm, rows = s._common_pivot_rows()
     sup = _sparse(rows)
+    brackets = [[_ibracket(alg, a, b) for b in sup] for a in sup]
+    if not all(s._has(brackets[a][b]) for a in range(s.dim) for b in range(a + 1, s.dim)):
+        raise NotSubalgebraError("subspace is not bracket-closed")
     consts = [
-        [[(i, br[p]) for i, p in enumerate(s.pivots) if br[p]] for br in row]
-        for row in ([_ibracket(alg, a, b) for b in sup] for a in sup)
+        [[(i, br[p]) for i, p in enumerate(s.pivots) if br[p]] for br in row] for row in brackets
     ]
     names = tuple(f"b{i}" for i in range(s.dim))
     return LieAlgebra._of(consts, alg.denom * lcm * lcm, names=names)
@@ -588,7 +591,7 @@ def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
     for row in inside.int_rows:
         if len(rows) == inside.dim - 1:
             break
-        r = _reduce(row, rows, pivots)[0]
+        r = _reduce(row, rows, pivots)
         if any(r):
             rows.append(r)
             pivots.append(next(j for j, x in enumerate(r) if x))

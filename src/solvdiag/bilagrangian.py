@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (
+    InputError,
     LieAlgebra,
     NotSubalgebraError,
-    SolvdiagError,
     Subspace,
     VectorTable,
     _dense,
@@ -27,7 +27,7 @@ from .forms import DegenerateFormError, TwoForm, _gram
 from .linalg import Vector
 
 
-class NotTransverseError(SolvdiagError):
+class NotTransverseError(InputError):
     code = "NOT_TRANSVERSE"
 
 

@@ -21,6 +21,7 @@ import sys
 from dataclasses import asdict
 
 from .algebra import (
+    InputError,
     SolvdiagError,
     Subspace,
     is_subalgebra,
@@ -39,6 +40,7 @@ from .diagram import (
 )
 from .document import (
     Document,
+    _vector_obj,
     named,
     parse_document,
     rational_repr,
@@ -59,51 +61,24 @@ from .primitivity import (
 from .render import STYLES, contracted_text, render_dot
 
 
-# Codes that indicate a problem with what the user handed in, as opposed
-# to a structural hypothesis failing mid-computation.
-INPUT_ERROR_CODES = frozenset(
-    {
-        "PARSE_ERROR",
-        "SCHEMA_ERROR",
-        "RATIONAL_FORMAT_ERROR",
-        "UNKNOWN_NAME",
-        "CHAIN_NOT_NESTED",
-        "SUBSPACE_NOT_NESTED",
-        "NOT_SUBALGEBRA",
-        "NOT_AN_IDEAL",
-        "NOT_CLOSED",
-        "DEGENERATE_FORM",
-        "NOT_LAGRANGIAN",
-        "NOT_TRANSVERSE",
-        "NOT_SOLVABLE",
-    }
-)
-
-
-def _vec_str(names, v) -> str:
-    terms = []
-    for name, c in zip(names, v):
-        if c == 0:
-            continue
+def _vec_str(vec: dict) -> str:
+    """A nonzero vector's text, from its map {name: rational_repr(c)} of nonzero c."""
+    out = ""
+    for name, c in vec.items():
         if c == 1:
             t = name
         elif c == -1:
             t = f"-{name}"
         else:
-            t = f"{rational_repr(c)}*{name}"
-        terms.append(t)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+            t = f"{c}*{name}"
+        if out:
+            t = f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        out += t
     return out
 
 
 def _space_str(names, s: Subspace) -> str:
-    if s.is_zero():
-        return "(zero)"
-    return ", ".join(_vec_str(names, r) for r in s.rows)
+    return ", ".join(map(_vec_str, subspace_obj(names, s))) or "(zero)"
 
 
 def _bool(value: bool) -> str:
@@ -266,12 +241,9 @@ def cmd_bilagrangian(doc: Document, args):
     entries = []
     for i, ni in enumerate(names):
         for j, nj in enumerate(names):
-            v = table.entries[i][j]
-            if any(c != 0 for c in v):
-                lines.append(f"  D[{ni}, {nj}] = {_vec_str(names, v)}")
-                entries.append(
-                    {"x": ni, "y": nj, "value": {n: rational_repr(c) for n, c in zip(names, v) if c != 0}}
-                )
+            if vec := _vector_obj(names, table.entries[i][j]):
+                lines.append(f"  D[{ni}, {nj}] = {_vec_str(vec)}")
+                entries.append({"x": ni, "y": nj, "value": vec})
     lines += [f"{key}: {_bool(value)}" for key, value in verdicts.items()]
     obj.update(connection=entries, **verdicts)
     return lines, obj
@@ -471,7 +443,7 @@ def main(argv=None) -> int:
         return 3 if args.command == "audit" and not obj["ok"] else 0
     except SolvdiagError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2 if exc.code in INPUT_ERROR_CODES else 3
+        return 2 if isinstance(exc, InputError) else 3
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from .algebra import (
     LieAlgebra,
     SolvdiagError,
     Subspace,
-    _hyperplane_in,
     _eigenspaces,
     _ibracket,
     _sparse,
@@ -187,9 +186,11 @@ def equivariant_descent(
                 cols.append([img[p] for p in quot.pivots])
             induced.append(cols)
 
+        # the greedy hyperplane over a family's annihilator adds e_p at the pivots
+        # of all but the family's last echelon row, in order: that row's kernel
         candidates = []
         for covectors in _simultaneous_eigencovector_families(induced, quot.dim):
-            hyper = _hyperplane_in(Subspace.full(quot.dim), covectors.annihilator())
+            hyper = Subspace(quot.dim, covectors.int_rows[-1:]).annihilator()
             candidates.append(forced.sum(quot.lift(hyper)))
         if not candidates:
             raise IrrationalSpectrumError(

@@ -15,24 +15,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .algebra import LieAlgebra, SolvdiagError, Subspace, validate_algebra
+from .algebra import InputError, LieAlgebra, Subspace, validate_algebra
 from .flags import Flag
 from .forms import TwoForm
 
 
-class ParseError(SolvdiagError):
+class ParseError(InputError):
     code = "PARSE_ERROR"
 
 
-class SchemaError(SolvdiagError):
+class SchemaError(InputError):
     code = "SCHEMA_ERROR"
 
 
-class RationalFormatError(SolvdiagError):
+class RationalFormatError(InputError):
     code = "RATIONAL_FORMAT_ERROR"
 
 
-class UnknownNameError(SolvdiagError):
+class UnknownNameError(InputError):
     code = "UNKNOWN_NAME"
 
 
@@ -117,6 +117,17 @@ def _expect(obj: object, kind: type, where: str):
     return obj
 
 
+def _expect_fields(raw: object, where: str, allowed, required=()) -> None:
+    """That raw is a dict with no field outside `allowed` and every `required` one."""
+    _expect(raw, dict, where)
+    for key in raw:
+        if key not in allowed:
+            raise SchemaError(f"{where}: unknown field {key!r}")
+    for key in required:
+        if key not in raw:
+            raise SchemaError(f"{where}: missing field {key!r}")
+
+
 def _parse_vector(raw: object, names: tuple[str, ...], where: str) -> list[Fraction]:
     _expect(raw, dict, where)
     vec = [Fraction(0)] * len(names)
@@ -169,13 +180,7 @@ def parse_document(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    _expect(raw, dict, "document")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise SchemaError(f"document: unknown field {key!r}")
-    for key in ("name", "dim", "basis", "brackets"):
-        if key not in raw:
-            raise SchemaError(f"document: missing field {key!r}")
+    _expect_fields(raw, "document", _TOP_KEYS, ("name", "dim", "basis", "brackets"))
 
     name = _expect(raw["name"], str, "name")
     dim = _expect(raw["dim"], int, "dim")
@@ -248,10 +253,7 @@ def parse_document(text: str) -> Document:
 
 
 def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata:
-    _expect(raw, dict, "metadata")
-    for key in raw:
-        if key not in _META_KEYS:
-            raise SchemaError(f"metadata: unknown field {key!r}")
+    _expect_fields(raw, "metadata", _META_KEYS)
     source = _expect(raw.get("source", ""), str, "metadata.source")
     notes_raw = _expect(raw.get("notes", []), list, "metadata.notes")
     notes = tuple(
@@ -261,13 +263,7 @@ def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata
     expected = []
     for i, item in enumerate(expected_raw):
         where = f"metadata.expected[{i}]"
-        _expect(item, dict, where)
-        for key in item:
-            if key not in _EXPECTED_KEYS:
-                raise SchemaError(f"{where}: unknown field {key!r}")
-        for key in ("check", "value", "tag"):
-            if key not in item:
-                raise SchemaError(f"{where}: missing field {key!r}")
+        _expect_fields(item, where, _EXPECTED_KEYS, ("check", "value", "tag"))
         check = _expect(item["check"], str, f"{where}.check")
         args = _expect(item.get("args", {}), dict, f"{where}.args")
         for k in args:
@@ -302,24 +298,23 @@ def subspace_obj(names: tuple[str, ...], space: Subspace) -> list[dict[str, obje
 
 
 def document_obj(doc: Document) -> dict[str, object]:
-    """Plain-JSON object for a document, with canonical sparse encodings."""
+    """Plain-JSON object for a document, canonical and sparse, read off the integer stores."""
     alg = doc.algebra
     names = alg.names
     n = alg.dim
     brackets = []
     for i in range(n):
         for j in range(i + 1, n):
-            row = alg.table[i][j]
-            if any(c != 0 for c in row):
-                brackets.append([names[i], names[j], _vector_obj(names, row)])
+            if cs := alg.consts[i][j]:
+                row = {names[k]: rational_repr(Fraction(c, alg.denom)) for k, c in cs}
+                brackets.append([names[i], names[j], row])
     two_forms = {}
     for fname, form in doc.two_forms.items():
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if form.entries[i][j] != 0:
-                    pairs.append([names[i], names[j], rational_repr(form.entries[i][j])])
-        two_forms[fname] = pairs
+        m = form.numer
+        two_forms[fname] = [
+            [names[i], names[j], rational_repr(Fraction(m[i][j], form.denom))]
+            for i in range(n) for j in range(i + 1, n) if m[i][j]
+        ]
     flags = {
         gname: [subspace_obj(names, m) for m in flag.members]
         for gname, flag in doc.flags.items()

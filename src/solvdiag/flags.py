@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .algebra import (
+    InputError,
     LieAlgebra,
     NotSubalgebraError,
     SolvabilityVerdict,
@@ -27,7 +28,7 @@ from .algebra import (
 from .forms import hyperplane_subalgebras
 
 
-class ChainNotNestedError(SolvdiagError):
+class ChainNotNestedError(InputError):
     code = "CHAIN_NOT_NESTED"
 
 

@@ -25,15 +25,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import LieAlgebra, SolvdiagError, Subspace, _init
+from .algebra import InputError, LieAlgebra, Subspace, _init
 from .linalg import Vector, ZERO, ONE, frac
 
 
-class NotClosedError(SolvdiagError):
+class NotClosedError(InputError):
     code = "NOT_CLOSED"
 
 
-class DegenerateFormError(SolvdiagError):
+class DegenerateFormError(InputError):
     code = "DEGENERATE_FORM"
 
 

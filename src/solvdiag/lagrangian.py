@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import (
+    InputError,
     LieAlgebra,
     SolvdiagError,
     Subspace,
@@ -29,7 +30,7 @@ from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_fl
 from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, radical
 
 
-class NotLagrangianError(SolvdiagError):
+class NotLagrangianError(InputError):
     code = "NOT_LAGRANGIAN"
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from enum import Enum
 
 from .algebra import (
+    InputError,
     LieAlgebra,
     NotSubalgebraError,
     SolvabilityVerdict,
@@ -35,7 +36,7 @@ from .diagram import weight_zero_singulars
 from .forms import TwoForm, _check_budget, _wedge_table, hyperplane_subalgebras, radical
 
 
-class NotSolvableError(SolvdiagError):
+class NotSolvableError(InputError):
     code = "NOT_SOLVABLE"
 
 
@@ -92,7 +93,7 @@ def _ideal_hyperplane_witness(alg: LieAlgebra, h: Subspace) -> Subspace | None:
     derived = derived_subalgebra(alg)
     if derived.contains(h):
         return None
-    c = Subspace(alg.dim, [derived._remainder(r)[0] for r in h.int_rows]).pivots[0]
+    c = Subspace(alg.dim, [derived._remainder(r) for r in h.int_rows]).pivots[0]
     # the same covector times L, on the derived rows scaled to pivot L
     lcm, rows = derived._common_pivot_rows()
     phi = [lcm * (i == c) for i in range(alg.dim)]

@@ -5,8 +5,10 @@ console script to confirm the packaging entry point works.
 """
 
 import hashlib
+import importlib
 import itertools
 import json
+import pkgutil
 import subprocess
 import sys
 from importlib import resources
@@ -178,6 +180,14 @@ class TestExitCodes:
         assert code == 3
         assert any(line.startswith("FAIL recorded expectations") for line in out.splitlines())
         assert "audit result: FAIL" in out
+
+    def test_audit_of_an_unknown_check_is_a_value_error(self, capsys, tmp_path):
+        # validate reads no recorded expectation, so it passes the same file
+        obj = json.loads(corpus_text("E1"))
+        obj["metadata"]["expected"].append({"check": "nope", "value": 0, "tag": "derived"})
+        path = write_doc(tmp_path, obj)
+        assert run(capsys, "audit", path) == (2, "", "error[VALUE]: unknown check 'nope'\n")
+        assert run(capsys, "validate", path)[0] == 0
 
     def test_bad_mode_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -646,6 +656,73 @@ def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
                 code, _, err = run(capsys, *argv, *json_flag)
                 assert (code, err) == (0, ""), argv
                 assert len(calls) == expected, argv
+
+
+# Every code a solvdiag error carries, by the exit status the CLI gives it:
+# 2 for an InputError (what was handed in is at fault), 3 for the rest (a
+# structural hypothesis failed while computing).  A new error class must be
+# added to one of the two on purpose.
+EXIT_2_CODES = {
+    "PARSE_ERROR",
+    "SCHEMA_ERROR",
+    "RATIONAL_FORMAT_ERROR",
+    "UNKNOWN_NAME",
+    "CHAIN_NOT_NESTED",
+    "SUBSPACE_NOT_NESTED",
+    "NOT_SUBALGEBRA",
+    "NOT_AN_IDEAL",
+    "NOT_CLOSED",
+    "DEGENERATE_FORM",
+    "NOT_LAGRANGIAN",
+    "NOT_TRANSVERSE",
+    "NOT_SOLVABLE",
+}
+EXIT_3_CODES = {
+    "ERROR",
+    "INCOMPLETE",
+    "NESTING_VIOLATION",
+    "NOT_SIMPLE",
+    "UNDECIDED_IRRATIONAL_SPECTRUM",
+    "NO_REPULSIVE_VERTEX",
+    "SPLIT_INVARIANT_FAILED",
+    "IRRATIONAL_SPECTRUM",
+    "DESCENT_STUCK",
+    "NOT_SEMISIMPLE",
+}
+
+
+def _error_classes():
+    """SolvdiagError and every subclass of it defined in a solvdiag module."""
+    for info in pkgutil.iter_modules(solvdiag.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"solvdiag.{info.name}")
+    found, todo = [], [solvdiag.SolvdiagError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo += cls.__subclasses__()
+    return [cls for cls in found if cls.__module__.startswith("solvdiag")]
+
+
+def test_every_error_code_has_its_exit_status(capsys, monkeypatch):
+    from solvdiag import cli
+
+    exits = {}
+    for cls in _error_classes():
+        if "code" not in vars(cls):  # a category such as InputError, raised by nothing
+            continue
+        assert cls.code not in exits, f"two classes carry {cls.code}"
+
+        def refuse(text, cls=cls):
+            raise cls("refused")
+
+        monkeypatch.setattr(cli, "parse_document", refuse)
+        code, out, err = run(capsys, "validate", corpus_path("E1"))
+        assert out == "" and err.startswith(f"error[{cls.code}]: "), (cls, err)
+        assert code == (2 if issubclass(cls, solvdiag.InputError) else 3), cls
+        exits[cls.code] = code
+    assert {c for c, code in exits.items() if code == 2} == EXIT_2_CODES
+    assert {c for c, code in exits.items() if code == 3} == EXIT_3_CODES
 
 
 def test_version_matches_pyproject():

@@ -75,6 +75,22 @@ class TestKernelChain:
         with pytest.raises(ChainNotNestedError):
             kernel_chain(d1.algebra, d1.two_forms["omega"], gap)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[], [(1, 0, 0)], [(1, 0, 0), (0, 1, 0)]], "chain does not end at the full algebra"),
+            ([[], [(1, 0, 0)], [(0, 1, 0), (0, 0, 1)], None], "chain members are not nested"),
+        ],
+    )
+    def test_chain_shape_refusals(self, rows, message):
+        from solvdiag import ChainNotNestedError
+
+        alg = LieAlgebra.from_brackets(("a", "b", "c"), {("a", "b"): {"c": 1}})
+        flag = Flag([Subspace.full(3) if r is None else Subspace(3, r) for r in rows])
+        with pytest.raises(ChainNotNestedError) as err:
+            kernel_chain(alg, TwoForm.zero(3), flag)
+        assert str(err.value) == message
+
     def test_nesting_violation_guard(self, d1, monkeypatch):
         # adjacent radicals of a restricted skew form always nest by exactly
         # one dimension, so the guard can only fire on a broken radical

@@ -131,6 +131,56 @@ class TestParsing:
             parse_document(bad)
 
 
+def schema_message(text):
+    with pytest.raises(SchemaError) as err:
+        parse_document(text)
+    return str(err.value)
+
+
+def expected_entry(**fields):
+    entry = {"check": "algebra_valid", "value": True, "tag": "derived"}
+    entry.update(fields)
+    return minimal(metadata={"expected": [entry]})
+
+
+class TestSchemaMessages:
+    """The exact text of each reader refusal that no corpus document reaches."""
+
+    def test_unknown_symbol_in_a_flag_vector(self):
+        text = minimal(flags={"F": [[{"x": 1}], [{"z": 1}]]})
+        assert schema_message(text) == "flags['F'][1][0]: unknown basis symbol 'z'"
+
+    def test_unknown_symbol_in_a_subspace_vector(self):
+        text = minimal(subspaces={"S": [{"y": 1}, {"z": "1/2"}]})
+        assert schema_message(text) == "subspaces['S'][1]: unknown basis symbol 'z'"
+
+    def test_negative_dim(self):
+        assert schema_message(minimal(dim=-1, basis=[])) == "dim: must be nonnegative"
+
+    def test_empty_basis_name(self):
+        assert schema_message(minimal(basis=["x", ""])) == "basis: names must be nonempty"
+
+    def test_unknown_metadata_field(self):
+        text = minimal(metadata={"source": "s", "author": "a"})
+        assert schema_message(text) == "metadata: unknown field 'author'"
+
+    def test_unknown_field_in_an_expected_entry(self):
+        text = expected_entry(note="n")
+        assert schema_message(text) == "metadata.expected[0]: unknown field 'note'"
+
+    def test_missing_field_in_an_expected_entry(self):
+        text = minimal(metadata={"expected": [{"check": "algebra_valid", "tag": "derived"}]})
+        assert schema_message(text) == "metadata.expected[0]: missing field 'value'"
+
+    def test_unknown_field_is_reported_before_a_missing_one(self):
+        text = minimal(metadata={"expected": [{"check": "algebra_valid", "extra": 1}]})
+        assert schema_message(text) == "metadata.expected[0]: unknown field 'extra'"
+
+    def test_agrees_must_be_a_bool(self):
+        text = expected_entry(agrees="yes")
+        assert schema_message(text) == "metadata.expected[0].agrees: expected bool"
+
+
 class TestSerialization:
     def test_corpus_files_are_canonical(self):
         for name in CORPUS:
@@ -153,6 +203,14 @@ class TestSerialization:
         assert text.endswith("\n")
         obj = json.loads(text)
         assert list(obj) == sorted(obj)
+
+    def test_written_from_the_integer_stores(self):
+        # the Fraction views of the brackets and the forms are left unbuilt
+        for name in CORPUS:
+            doc = parse_document(corpus_text(name))
+            serialize_document(doc)
+            assert doc.algebra._table is None
+            assert all(form._entries is None for form in doc.two_forms.values())
 
 
 class TestCorpus:
@@ -186,6 +244,16 @@ class TestCorpus:
         for res in evaluate_expected(doc):
             if not res.entry.agrees:
                 assert not res.matched
+
+    def test_form_kernel_dim_check(self):
+        # no bundled document records this check; E1's omega has a kernel of dim 1
+        obj = json.loads(corpus_text("E1"))
+        obj["metadata"]["expected"] = [
+            {"check": "form_kernel_dim", "args": {"form": "omega"}, "value": v, "tag": "derived"}
+            for v in (1, 2)
+        ]
+        results = evaluate_expected(parse_document(json.dumps(obj)))
+        assert [(r.computed, r.matched) for r in results] == [(1, True), (1, False)]
 
     def test_every_document_names_a_source(self):
         for name in CORPUS:
