@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ZERO, frac
+from .linalg import Matrix, Vector, frac
 
 
 class SolvdiagError(Exception):
@@ -54,6 +55,11 @@ def _init(obj, **attrs):
     for name, value in attrs.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, of an int, Fraction or str; else `frac`'s TypeError."""
+    return (x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio()
 
 
 def _reduce(w: Sequence[int], rows, pivots) -> list[int]:
@@ -302,12 +308,10 @@ class LieAlgebra(VectorTable):
 
         Antisymmetry is filled in; both (i,j) and (j,i) given, not negatives
         of each other, is a hard error, and so is a name outside the basis.
-        """
+        `consts` is built over the lcm of the denominators, with no Fraction table."""
         names = tuple(names)
         idx = {nm: i for i, nm in enumerate(names)}
-        n = len(names)
-        table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        seen: dict[tuple[int, int], Vector] = {}
+        given: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}  # both orientations
         for (a, b), val in entries.items():
             for nm in (a, b, *val):
                 if nm not in idx:
@@ -315,16 +319,17 @@ class LieAlgebra(VectorTable):
             i, j = idx[a], idx[b]
             if i == j:
                 raise ValueError(f"bracket [{a},{a}] must be zero, not given")
-            v = [ZERO] * n
-            for k_name, c in val.items():
-                v[idx[k_name]] = frac(c)
-            v = tuple(v)
-            if (j, i) in seen and seen[(j, i)] != tuple(-x for x in v):
+            v = {idx[k]: r for k, c in val.items() if (r := _ratio(c))[0]}
+            if given.setdefault((i, j), v) != v:
                 raise ValueError(f"brackets [{a},{b}] and [{b},{a}] are not antisymmetric")
-            seen[(i, j)] = v
-            table[i][j] = list(v)
-            table[j][i] = [-x for x in v]
-        return cls(names, table)
+            given[(j, i)] = {k: (-p, q) for k, (p, q) in v.items()}
+        if len(idx) != len(names):
+            raise ValueError("basis names must be distinct")
+        denom = math.lcm(*(q for v in given.values() for _, q in v.values()))
+        consts = [[()] * len(names) for _ in names]
+        for (i, j), v in given.items():
+            consts[i][j] = [(k, p * (denom // q)) for k, (p, q) in sorted(v.items())]
+        return cls._of(consts, denom, names=names)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)

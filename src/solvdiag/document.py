@@ -10,6 +10,7 @@ JSON integers or strings "p/q".
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +45,7 @@ def named(table: Mapping, name: str, what: str):
     return table[name]
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # whole string, ASCII only
 
 _TOP_KEYS = {"name", "dim", "basis", "brackets", "two_forms", "flags", "subspaces", "metadata"}
 _META_KEYS = {"source", "notes", "expected"}
@@ -52,20 +53,26 @@ _EXPECTED_KEYS = {"check", "args", "value", "tag", "agrees"}
 _TAGS = ("printed", "derived")
 
 
-def parse_rational(value: object, where: str) -> Fraction:
-    """Exact rational from a JSON scalar: int, or string 'p/q'."""
+def _parse_ratio(value: object, where: str) -> tuple[int, int]:
+    """(p, q), q > 0, with value = p/q: a JSON int, or a string 'p/q' of ASCII digits."""
     if isinstance(value, bool):
         raise RationalFormatError(f"{where}: boolean is not a rational")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
-        m = _RATIONAL_RE.match(value)
+        m = _RATIONAL_RE.fullmatch(value)
         if m is None:
             raise RationalFormatError(f"{where}: {value!r} is not an integer or 'p/q'")
-        if m.group(1) is not None and int(m.group(1)) == 0:
+        p, q = int(m[1]), int(m[2] or 1)
+        if q == 0:
             raise RationalFormatError(f"{where}: {value!r} has a zero denominator")
-        return Fraction(value)
+        return p, q
     raise RationalFormatError(f"{where}: {value!r} is not an exact rational")
+
+
+def parse_rational(value: object, where: str) -> Fraction:
+    """Exact rational from a JSON scalar: int, or string 'p/q'."""
+    return Fraction(*_parse_ratio(value, where))
 
 
 def rational_repr(value) -> object:
@@ -109,69 +116,79 @@ class Document:
     metadata: Metadata = field(default_factory=Metadata)
 
 
-def _expect(obj: object, kind: type, where: str):
+def _at(where: str, path) -> str:
+    """A location: where, then [p] for each int p of path and each str p as it is."""
+    return where + "".join(f"[{p}]" if type(p) is int else p for p in path)
+
+
+def _expect(obj: object, kind: type, where: str, *path):
+    """obj, if it is a `kind` (a bool is not an int); `_at` runs only on a refusal."""
+    if type(obj) is kind:
+        return obj
     if kind is int and isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected {kind.__name__}, got bool")
+        raise SchemaError(f"{_at(where, path)}: expected {kind.__name__}, got bool")
     if not isinstance(obj, kind):
-        raise SchemaError(f"{where}: expected {kind.__name__}, got {type(obj).__name__}")
+        raise SchemaError(f"{_at(where, path)}: expected {kind.__name__}, got {type(obj).__name__}")
     return obj
 
 
-def _expect_fields(raw: object, where: str, allowed, required=()) -> None:
+def _expect_fields(raw: object, allowed, required, where: str, *path) -> None:
     """That raw is a dict with no field outside `allowed` and every `required` one."""
-    _expect(raw, dict, where)
+    _expect(raw, dict, where, *path)
     for key in raw:
         if key not in allowed:
-            raise SchemaError(f"{where}: unknown field {key!r}")
+            raise SchemaError(f"{_at(where, path)}: unknown field {key!r}")
     for key in required:
         if key not in raw:
-            raise SchemaError(f"{where}: missing field {key!r}")
+            raise SchemaError(f"{_at(where, path)}: missing field {key!r}")
 
 
-def _parse_vector(raw: object, names: tuple[str, ...], where: str) -> list[Fraction]:
-    _expect(raw, dict, where)
-    vec = [Fraction(0)] * len(names)
-    idx = {nm: i for i, nm in enumerate(names)}
-    for key, val in raw.items():
-        if key not in idx:
-            raise SchemaError(f"{where}: unknown basis symbol {key!r}")
-        vec[idx[key]] = parse_rational(val, f"{where}[{key!r}]")
-    return vec
+def _parse_member_list(raw: object, index: Mapping[str, int], where: str) -> Subspace:
+    """The span of the coefficient maps listed at `where`, each read straight into
+    an integer row over the lcm of its denominators (a name before its value)."""
+    rows = []
+    for i, coeffs in enumerate(_expect(raw, list, where)):
+        _expect(coeffs, dict, where, i)
+        row, scale = [0] * len(index), 1
+        for key, val in coeffs.items():
+            k = index.get(key)
+            if k is None:
+                raise SchemaError(f"{where}[{i}]: unknown basis symbol {key!r}")
+            p, q = (val, 1) if type(val) is int else _parse_ratio(val, f"{where}[{i}][{key!r}]")
+            if scale % q:
+                up = q // math.gcd(scale, q)
+                row = [x * up for x in row]
+                scale *= up
+            row[k] = p * (scale // q)
+        rows.append(row)
+    return Subspace(len(index), rows)
 
 
-def _parse_member_list(raw: object, names: tuple[str, ...], where: str) -> Subspace:
-    _expect(raw, list, where)
-    vectors = [_parse_vector(v, names, f"{where}[{i}]") for i, v in enumerate(raw)]
-    return Subspace.span(vectors, len(names))
-
-
-def _parse_pair_list(raw: object, names: tuple[str, ...], where: str, words, parse_value):
+def _parse_pair_list(raw: object, index: Mapping[str, int], where: str, words, parse_value):
     """The items [x, y, value] of the list at `where`, as (x, y, parsed value).
 
     x and y must be distinct basis names and each unordered pair may occur
-    once; `parse_value(value, item location)` reads the value.  words =
+    once; `parse_value(value, where, i)` reads the value of item i.  words =
     (the value's slot, what an item is, what a duplicate is) in the messages.
     """
     slot, item_noun, duplicate_noun = words
     out = []
     seen: set[frozenset[str]] = set()
     for i, item in enumerate(_expect(raw, list, where)):
-        w = f"{where}[{i}]"
-        _expect(item, list, w)
-        if len(item) != 3:
-            raise SchemaError(f"{w}: expected [x, y, {slot}]")
-        x = _expect(item[0], str, f"{w}[0]")
-        y = _expect(item[1], str, f"{w}[1]")
+        if len(_expect(item, list, where, i)) != 3:
+            raise SchemaError(f"{where}[{i}]: expected [x, y, {slot}]")
+        x = _expect(item[0], str, where, i, 0)
+        y = _expect(item[1], str, where, i, 1)
         for nm in (x, y):
-            if nm not in names:
-                raise SchemaError(f"{w}: unknown basis symbol {nm!r}")
+            if nm not in index:
+                raise SchemaError(f"{where}[{i}]: unknown basis symbol {nm!r}")
         if x == y:
-            raise SchemaError(f"{w}: {item_noun} of {x!r} with itself")
+            raise SchemaError(f"{where}[{i}]: {item_noun} of {x!r} with itself")
         pair = frozenset((x, y))
         if pair in seen:
-            raise SchemaError(f"{w}: duplicate {duplicate_noun} for ({x!r}, {y!r})")
+            raise SchemaError(f"{where}[{i}]: duplicate {duplicate_noun} for ({x!r}, {y!r})")
         seen.add(pair)
-        out.append((x, y, parse_value(item[2], w)))
+        out.append((x, y, parse_value(item[2], where, i)))
     return out
 
 
@@ -180,49 +197,49 @@ def parse_document(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    _expect_fields(raw, "document", _TOP_KEYS, ("name", "dim", "basis", "brackets"))
+    _expect_fields(raw, _TOP_KEYS, ("name", "dim", "basis", "brackets"), "document")
 
     name = _expect(raw["name"], str, "name")
     dim = _expect(raw["dim"], int, "dim")
     if dim < 0:
         raise SchemaError("dim: must be nonnegative")
     basis_raw = _expect(raw["basis"], list, "basis")
-    names = tuple(_expect(nm, str, f"basis[{i}]") for i, nm in enumerate(basis_raw))
+    names = tuple(_expect(nm, str, "basis", i) for i, nm in enumerate(basis_raw))
     if len(names) != dim:
         raise SchemaError(f"basis: expected {dim} names, got {len(names)}")
     if len(set(names)) != len(names):
         raise SchemaError("basis: names must be distinct")
     if any(not nm for nm in names):
         raise SchemaError("basis: names must be nonempty")
+    index = {nm: i for i, nm in enumerate(names)}
 
-    def coefficients(raw_value: object, where: str) -> dict[str, Fraction]:
-        coeffs = _expect(raw_value, dict, f"{where}[2]")
-        out = {k: parse_rational(v, f"{where}[2][{k!r}]") for k, v in coeffs.items()}
+    def coefficients(coeffs: object, where: str, i: int) -> dict[str, object]:
+        # every value is read before any name is checked
+        _expect(coeffs, dict, where, i, 2)
+        out = {
+            k: v if type(v) is int else parse_rational(v, f"{where}[{i}][2][{k!r}]")
+            for k, v in coeffs.items()
+        }
         for k in out:
-            if k not in names:
-                raise SchemaError(f"{where}: unknown basis symbol {k!r}")
+            if k not in index:
+                raise SchemaError(f"{where}[{i}]: unknown basis symbol {k!r}")
         return out
 
+    def value(v: object, where: str, i: int) -> object:
+        return v if type(v) is int else parse_rational(v, f"{where}[{i}][2]")
+
     words = ("coefficients", "bracket", "bracket")
-    triples = _parse_pair_list(raw["brackets"], names, "brackets", words, coefficients)
-    entries = {(x, y): coeffs for x, y, coeffs in triples}
-    try:
-        algebra = LieAlgebra.from_brackets(names, entries)
-    except ValueError as exc:
-        raise SchemaError(f"brackets: {exc}") from exc
+    triples = _parse_pair_list(raw["brackets"], index, "brackets", words, coefficients)
+    # the checks above leave from_brackets nothing to refuse
+    algebra = LieAlgebra.from_brackets(names, {(x, y): cs for x, y, cs in triples})
     report = validate_algebra(algebra)
     if not report.ok:
         raise SchemaError("brackets: structure constants violate the Jacobi identity")
 
-    index = {nm: i for i, nm in enumerate(names)}
-
-    def value(raw_value: object, where: str) -> Fraction:
-        return parse_rational(raw_value, f"{where}[2]")
-
     two_forms: dict[str, TwoForm] = {}
     for fname, pairs_raw in _expect(raw.get("two_forms", {}), dict, "two_forms").items():
         where = f"two_forms[{fname!r}]"
-        items = _parse_pair_list(pairs_raw, names, where, ("value", "pairing", "entry"), value)
+        items = _parse_pair_list(pairs_raw, index, where, ("value", "pairing", "entry"), value)
         two_forms[fname] = TwoForm.from_pairs(dim, [(index[x], index[y], c) for x, y, c in items])
 
     flags: dict[str, Flag] = {}
@@ -232,13 +249,13 @@ def parse_document(text: str) -> Document:
         if not chain_raw:
             raise SchemaError(f"{where}: a flag needs at least one member")
         members = [
-            _parse_member_list(m, names, f"{where}[{i}]") for i, m in enumerate(chain_raw)
+            _parse_member_list(m, index, f"{where}[{i}]") for i, m in enumerate(chain_raw)
         ]
         flags[gname] = Flag(members)
 
     subspaces: dict[str, Subspace] = {}
     for sname, vecs_raw in _expect(raw.get("subspaces", {}), dict, "subspaces").items():
-        subspaces[sname] = _parse_member_list(vecs_raw, names, f"subspaces[{sname!r}]")
+        subspaces[sname] = _parse_member_list(vecs_raw, index, f"subspaces[{sname!r}]")
 
     metadata = _parse_metadata(raw.get("metadata", {}), two_forms, flags)
 
@@ -253,35 +270,34 @@ def parse_document(text: str) -> Document:
 
 
 def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata:
-    _expect_fields(raw, "metadata", _META_KEYS)
+    _expect_fields(raw, _META_KEYS, (), "metadata")
     source = _expect(raw.get("source", ""), str, "metadata.source")
     notes_raw = _expect(raw.get("notes", []), list, "metadata.notes")
     notes = tuple(
-        _expect(n, str, f"metadata.notes[{i}]") for i, n in enumerate(notes_raw)
+        _expect(n, str, "metadata.notes", i) for i, n in enumerate(notes_raw)
     )
     expected_raw = _expect(raw.get("expected", []), list, "metadata.expected")
     expected = []
     for i, item in enumerate(expected_raw):
-        where = f"metadata.expected[{i}]"
-        _expect_fields(item, where, _EXPECTED_KEYS, ("check", "value", "tag"))
-        check = _expect(item["check"], str, f"{where}.check")
-        args = _expect(item.get("args", {}), dict, f"{where}.args")
+        _expect_fields(item, _EXPECTED_KEYS, ("check", "value", "tag"), "metadata.expected", i)
+        check = _expect(item["check"], str, "metadata.expected", i, ".check")
+        args = _expect(item.get("args", {}), dict, "metadata.expected", i, ".args")
         for k in args:
-            _expect(k, str, f"{where}.args key")
+            _expect(k, str, "metadata.expected", i, ".args key")
         # the names an entry refers to: strings, and the form and flag defined
         for key in ("form", "flag", "name"):
             if key in args:
-                _expect(args[key], str, f"{where}.args.{key}")
+                _expect(args[key], str, "metadata.expected", i, ".args.", key)
         if "form" in args:
             named(two_forms, args["form"], "form")
         if "flag" in args:
             named(flags, args["flag"], "flag")
-        tag = _expect(item["tag"], str, f"{where}.tag")
+        tag = _expect(item["tag"], str, "metadata.expected", i, ".tag")
         if tag not in _TAGS:
-            raise SchemaError(f"{where}.tag: expected one of {_TAGS}, got {tag!r}")
+            raise SchemaError(f"metadata.expected[{i}].tag: expected one of {_TAGS}, got {tag!r}")
         agrees = item.get("agrees", True)
         if not isinstance(agrees, bool):
-            raise SchemaError(f"{where}.agrees: expected bool")
+            raise SchemaError(f"metadata.expected[{i}].agrees: expected bool")
         expected.append(
             ExpectedEntry(check=check, args=dict(args), value=item["value"], tag=tag, agrees=agrees)
         )

@@ -116,18 +116,21 @@ class FlagValidationReport:
 
 
 def validate_flag(alg: LieAlgebra, flag: Flag) -> FlagValidationReport:
+    """The report, normality first: an ideal m of g is a subalgebra ([m, m] in
+    [g, m] in m) and an ideal of every member t containing it ([t, m] in [g, m]
+    in m), so `is_subalgebra` and `is_ideal_in` run only on the other members."""
     ms = flag.members
-    dims = tuple(m.dim for m in ms)
-    consecutive = all(b == a + 1 for a, b in zip(dims, dims[1:]))
-    ends = ms[-1].dim == alg.dim and ms[-1] == Subspace.full(alg.dim)
-    nesting = tuple(ms[i + 1].contains(ms[i]) for i in range(len(ms) - 1))
-    subalg = tuple(is_subalgebra(alg, m) for m in ms)
-    ideal_next = tuple(
-        ms[i + 1].contains(ms[i]) and is_ideal_in(alg, ms[i], ms[i + 1])
-        for i in range(len(ms) - 1)
-    )
     full = Subspace.full(alg.dim)
     normal = tuple(is_ideal_in(alg, m, full) for m in ms)
+    dims = tuple(m.dim for m in ms)
+    consecutive = all(b == a + 1 for a, b in zip(dims, dims[1:]))
+    ends = ms[-1].dim == alg.dim and ms[-1] == full
+    nesting = tuple(ms[i + 1].contains(ms[i]) for i in range(len(ms) - 1))
+    subalg = tuple(ok or is_subalgebra(alg, m) for m, ok in zip(ms, normal))
+    ideal_next = tuple(
+        nested and (normal[i] or is_ideal_in(alg, ms[i], ms[i + 1]))
+        for i, nested in enumerate(nesting)
+    )
     return FlagValidationReport(
         dims=dims,
         dims_consecutive=consecutive,

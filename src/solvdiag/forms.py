@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import InputError, LieAlgebra, Subspace, _init
+from .algebra import InputError, LieAlgebra, Subspace, _init, _ratio
 from .linalg import Vector, ZERO, ONE, frac
 
 
@@ -104,22 +104,23 @@ class TwoForm:
         """Build from sparse (i, j, value) with antisymmetry filled in.
 
         A pair given twice, in either order, must give the same value (its
-        negative in the other order), zero included."""
-        m = [[ZERO] * n for _ in range(n)]
-        given = set()
+        negative in the other order), zero included.  `numer` is built over
+        the lcm of the denominators, with no Fraction matrix."""
+        given: dict[tuple[int, int], tuple[int, int]] = {}  # both orientations
         for i, j, val in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"two-form index pair {(i, j)} outside range({n})")
-            v = frac(val)
+            v = _ratio(val)
             if i == j:
                 raise ValueError("diagonal entry in a two-form")
-            key = (min(i, j), max(i, j))
-            if key in given and m[i][j] != v:
+            if given.setdefault((i, j), v) != v:
                 raise ValueError(f"contradictory duplicate entry ({i},{j})")
-            given.add(key)
-            m[i][j] = v
-            m[j][i] = -v
-        return cls(m)
+            given[(j, i)] = (-v[0], v[1])
+        denom = math.lcm(*(q for _, q in given.values()))
+        m = [[0] * n for _ in range(n)]
+        for (i, j), (p, q) in given.items():
+            m[i][j] = p * (denom // q)
+        return cls._of(m, denom)
 
     def pair_ints(self, x: Sequence[int]) -> list[int]:
         """denom * omega(x, .) for an integer vector x."""

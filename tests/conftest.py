@@ -1,8 +1,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from solvdiag import load_corpus
+
+# The reader fuzzers (tests/test_document_fuzz.py) draw 400 examples each, or
+# the profile's budget when it is larger: CI runs them once more with
+#   python -m pytest tests/test_document_fuzz.py --hypothesis-profile=reader-fuzz
+settings.register_profile("reader-fuzz", max_examples=4000)
 
 # registry for the acceptance suite: number -> (description, passed, seconds)
 ACCEPTANCE_RESULTS = {}

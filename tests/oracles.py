@@ -782,3 +782,83 @@ def oracle_subalgebra_as_algebra(alg, s):
         for i, a in enumerate(sup)
     ]
     return LieAlgebra(names, table)
+
+
+def oracle_read_document(text):
+    """Reference for the stores parse_document builds, on a text it accepts:
+    every value read with Fraction, every bracket, form and vector laid out
+    dense, and the dense constructors LieAlgebra(names, table),
+    TwoForm(entries) and Subspace(n, rows) left to scale them to integers.
+    Returns (algebra, {form: TwoForm}, {flag: [Subspace]}, {name: Subspace})."""
+    import json
+
+    from solvdiag import LieAlgebra, Subspace, TwoForm
+
+    raw = json.loads(text)
+    names = raw["basis"]
+    n = len(names)
+    idx = {nm: i for i, nm in enumerate(names)}
+
+    def vector(coeffs):
+        v = [Fraction(0)] * n
+        for k, c in coeffs.items():
+            v[idx[k]] = Fraction(c)
+        return v
+
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for x, y, coeffs in raw["brackets"]:
+        table[idx[x]][idx[y]] = vector(coeffs)
+        table[idx[y]][idx[x]] = [-c for c in vector(coeffs)]
+    forms = {}
+    for fname, items in raw.get("two_forms", {}).items():
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for x, y, c in items:
+            m[idx[x]][idx[y]], m[idx[y]][idx[x]] = Fraction(c), -Fraction(c)
+        forms[fname] = TwoForm(m)
+    flags = {
+        g: [Subspace(n, [vector(v) for v in member]) for member in chain]
+        for g, chain in raw.get("flags", {}).items()
+    }
+    subspaces = {
+        s: Subspace(n, [vector(v) for v in vs]) for s, vs in raw.get("subspaces", {}).items()
+    }
+    return LieAlgebra(names, table), forms, flags, subspaces
+
+
+def oracle_validate_flag(alg, members):
+    """Reference for validate_flag, column by column from the definitions:
+    each member given as rows spanning it, ranks by Bareiss and brackets
+    summed over the Fraction table, with no column read off another.
+    Returns (dims, dims_consecutive, ends_at_full, nesting, subalgebra,
+    ideal_in_next, normal_in_algebra)."""
+    n = alg.dim
+    units = [_unit(n, i) for i in range(n)]
+
+    def bracket(x, y):
+        out = [Fraction(0)] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            if x[i] and y[j]:
+                for k, c in enumerate(alg.table[i][j]):
+                    out[k] += x[i] * y[j] * c
+        return out
+
+    def within(a, b, rank):  # every vector of a in the span of b, of rank `rank`
+        return all(bareiss_rank(list(b) + [v]) == rank for v in a)
+
+    def stable(s, t, rank):  # [t, s] in s
+        return within([bracket(x, y) for x in t for y in s], s, rank)
+
+    dims = tuple(bareiss_rank(m) for m in members)
+    nesting = tuple(within(a, b, r) for a, b, r in zip(members, members[1:], dims[1:]))
+    return (
+        dims,
+        all(b == a + 1 for a, b in zip(dims, dims[1:])),
+        dims[-1] == n and within(units, members[-1], n),
+        nesting,
+        tuple(stable(s, s, r) for s, r in zip(members, dims)),
+        tuple(
+            nest and stable(s, t, r)
+            for nest, s, t, r in zip(nesting, members, members[1:], dims)
+        ),
+        tuple(stable(s, units, r) for s, r in zip(members, dims)),
+    )

@@ -157,6 +157,37 @@ class TestLieAlgebra:
         with pytest.raises(ValueError, match=f"names {unknown}, which is not a basis name"):
             LieAlgebra.from_brackets(("a", "b"), entries)
 
+    @pytest.mark.parametrize(
+        "names, entries, error, message",
+        [
+            (
+                ("a", "a", "b"),
+                {("a", "b"): {"c": 1}},
+                ValueError,
+                "bracket [a,b] names 'c', which is not a basis name",
+            ),
+            (("a", "a", "b"), {("a", "b"): {"b": 1}}, ValueError, "basis names must be distinct"),
+            (
+                ("a", "b"),
+                {("a", "b"): {"a": 1}, ("b", "a"): {"a": 1}},
+                ValueError,
+                "brackets [b,a] and [a,b] are not antisymmetric",
+            ),
+            (("a", "b"), {("a", "b"): {"a": 0.5}}, TypeError, "not an exact rational: 0.5"),
+            (("a", "b"), {("a", "a"): {"a": 0.5}}, ValueError, "bracket [a,a] must be zero, not given"),
+        ],
+        ids=["unknown-before-duplicate-names", "duplicate-names", "contradictory", "float", "self"],
+    )
+    def test_from_brackets_refusals_and_their_order(self, names, entries, error, message):
+        with pytest.raises(error) as err:
+            LieAlgebra.from_brackets(names, entries)
+        assert str(err.value) == message
+
+    def test_from_brackets_accepts_an_explicit_zero_against_an_absent_entry(self):
+        entries = {("a", "b"): {"a": 0, "b": "1/2"}, ("b", "a"): {"b": Fraction(-2, 4)}}
+        a = LieAlgebra.from_brackets(("a", "b"), entries)
+        assert a.consts == (((), ((1, 1),)), (((1, -1),), ())) and a.denom == 2
+
     def test_validate_flags_jacobi_violation(self):
         # [a,b]=c, [a,c]=a breaks Jacobi on (a,b,c)
         bad = LieAlgebra.from_brackets(

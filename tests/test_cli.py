@@ -658,6 +658,15 @@ def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
                 assert len(calls) == expected, argv
 
 
+@pytest.mark.parametrize("spelling", ["1/2\n", "\uff13"], ids=["newline", "fullwidth"])
+def test_a_rational_outside_the_format_exits_2(capsys, tmp_path, spelling):
+    doc = dict(SL2_DOC, subspaces={"S": [{"e": spelling}]})
+    code, out, err = run(capsys, "validate", write_doc(tmp_path, doc))
+    assert (code, out) == (2, "")
+    says = f"{spelling!r} is not an integer or 'p/q'"
+    assert err == f"error[RATIONAL_FORMAT_ERROR]: subspaces['S'][0]['e']: {says}\n"
+
+
 # Every code a solvdiag error carries, by the exit status the CLI gives it:
 # 2 for an InputError (what was handed in is at fault), 3 for the rest (a
 # structural hypothesis failed while computing).  A new error class must be

@@ -1,6 +1,7 @@
 """The JSON document format: parsing, canonical output, recorded values."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from solvdiag import (
     rational_repr,
     serialize_document,
 )
+from solvdiag.document import _parse_metadata
 
 CORPUS = ("D1", "E1", "E2", "X1", "X2", "X3")
 
@@ -53,6 +55,22 @@ class TestRationals:
     def test_garbage_string_rejected(self):
         with pytest.raises(RationalFormatError):
             parse_rational("1.5", "here")
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["3\n", "1/2\n", "\u0663/\u0664", "\uff13"],
+        ids=["int-newline", "ratio-newline", "arabic-indic-digits", "fullwidth-digit"],
+    )
+    def test_only_the_whole_string_of_ascii_digits_is_read(self, spelling):
+        # "$" matched before a final newline and "\d" any Unicode digit
+        with pytest.raises(RationalFormatError) as err:
+            parse_rational(spelling, "here")
+        assert str(err.value) == f"here: {spelling!r} is not an integer or 'p/q'"
+
+    def test_a_sign_and_an_unreduced_ratio_are_read(self):
+        assert parse_rational("+3", "here") == 3
+        assert parse_rational("-0/5", "here") == 0
+        assert parse_rational("006/4", "here") == Fraction(3, 2)
 
     def test_repr_roundtrip(self):
         assert rational_repr(parse_rational("6/4", "x")) == "3/2"
@@ -179,6 +197,91 @@ class TestSchemaMessages:
     def test_agrees_must_be_a_bool(self):
         text = expected_entry(agrees="yes")
         assert schema_message(text) == "metadata.expected[0].agrees: expected bool"
+
+
+def refusal(text):
+    with pytest.raises((SchemaError, RationalFormatError)) as err:
+        parse_document(text)
+    return type(err.value).__name__, str(err.value)
+
+
+class TestPinnedRefusals:
+    """The code, message and precedence of the refusals inside vectors,
+    bracket coefficients and metadata entries."""
+
+    @pytest.mark.parametrize(
+        "bad, says",
+        [
+            (True, "boolean is not a rational"),
+            (0.5, "0.5 is not an exact rational"),
+            (None, "None is not an exact rational"),
+        ],
+        ids=["bool", "float", "none"],
+    )
+    def test_a_bad_coefficient_in_a_vector(self, bad, says):
+        flag = minimal(flags={"F": [[{"x": 1}], [{"y": 1}, {"x": bad}]]})
+        assert refusal(flag) == ("RationalFormatError", f"flags['F'][1][1]['x']: {says}")
+        sub = minimal(subspaces={"S": [{"y": 1}, {"x": bad}]})
+        assert refusal(sub) == ("RationalFormatError", f"subspaces['S'][1]['x']: {says}")
+
+    def test_a_vector_reports_its_first_bad_key_in_order(self):
+        # an unknown symbol before a bad value wins, and a bad value before one
+        assert refusal(minimal(subspaces={"S": [{"z": 1, "x": 0.5}]})) == (
+            "SchemaError",
+            "subspaces['S'][0]: unknown basis symbol 'z'",
+        )
+        assert refusal(minimal(subspaces={"S": [{"x": 0.5, "z": 1}]})) == (
+            "RationalFormatError",
+            "subspaces['S'][0]['x']: 0.5 is not an exact rational",
+        )
+        assert refusal(minimal(flags={"F": [[{"z": 1, "x": 0.5}]]})) == (
+            "SchemaError",
+            "flags['F'][0][0]: unknown basis symbol 'z'",
+        )
+        assert refusal(minimal(flags={"F": [[{"x": None, "z": 1}]]})) == (
+            "RationalFormatError",
+            "flags['F'][0][0]['x']: None is not an exact rational",
+        )
+
+    def test_a_vector_or_member_of_the_wrong_type(self):
+        assert refusal(minimal(subspaces={"S": [[1, 0]]})) == (
+            "SchemaError",
+            "subspaces['S'][0]: expected dict, got list",
+        )
+        assert refusal(minimal(subspaces={"S": {"x": 1}})) == (
+            "SchemaError",
+            "subspaces['S']: expected list, got dict",
+        )
+        assert refusal(minimal(flags={"F": [{"x": 1}]})) == (
+            "SchemaError",
+            "flags['F'][0]: expected list, got dict",
+        )
+
+    def test_bracket_coefficients_are_read_before_their_names(self):
+        # unlike a vector, every value of a bracket is read before any name
+        for coeffs in ({"x": 0.5}, {"z": 1, "x": 0.5}):
+            assert refusal(minimal(brackets=[["x", "y", coeffs]])) == (
+                "RationalFormatError",
+                "brackets[0][2]['x']: 0.5 is not an exact rational",
+            )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"args": {1: "x"}}, "metadata.expected[0].args key: expected str, got int"),
+            ({"check": 1}, "metadata.expected[0].check: expected str, got int"),
+            ({"tag": 1}, "metadata.expected[0].tag: expected str, got int"),
+            ({"tag": None, "check": 1}, "metadata.expected[0].check: expected str, got int"),
+        ],
+        ids=["args-key", "check", "tag", "check-before-tag"],
+    )
+    def test_a_metadata_entry_of_the_wrong_type(self, fields, message):
+        # JSON keys are strings, so a non-string args key only reaches the
+        # metadata reader from Python
+        entry = dict({"check": "c", "value": 1, "tag": "derived"}, **fields)
+        with pytest.raises(SchemaError) as err:
+            _parse_metadata({"expected": [entry]}, {}, {})
+        assert str(err.value) == message
 
 
 class TestSerialization:

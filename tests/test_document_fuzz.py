@@ -1,9 +1,13 @@
-"""A fuzzer for `parse_document`: the `[x, y, value]` items of `brackets`
-and of each two-form in corpus documents, mutated one to three at a time.
+"""A fuzzer for `parse_document`: corpus documents mutated one to three
+times, in the `[x, y, value]` items of `brackets` and of each two-form, in
+the vectors of the flags and subspaces, and in the entries of
+`metadata.expected`.
 
 Whatever the mutation, the parser returns a Document or raises one of its
 four typed errors; a bare ValueError or any other exception would reach
-`cli.main` as `error[VALUE]`.  The messages of both lists are pinned too.
+`cli.main` as `error[VALUE]`.  The messages of the pair lists are pinned
+too.  Each fuzzer draws 400 examples; a hypothesis profile with a larger
+budget raises that (`--hypothesis-profile=reader-fuzz`, see conftest.py).
 """
 
 import copy
@@ -28,6 +32,7 @@ CORPUS = {name: json.loads(corpus_text(name)) for name in list_corpus()}
 TYPED = (ParseError, SchemaError, RationalFormatError, UnknownNameError)
 BAD_VALUES = (True, False, 0.5, "1/0", None, "x")
 BAD_NAMES = (1, None, True, ["x"], "", "zz")
+EXAMPLES = max(400, settings.default.max_examples)
 
 
 def _lists(doc):
@@ -73,14 +78,99 @@ def mutated_item_lists(draw):
     return doc
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(doc=mutated_item_lists())
-def test_mutated_pair_lists_parse_or_raise_a_typed_error(doc):
+def _parses_or_raises_a_typed_error(doc):
     try:
         out = parse_document(json.dumps(doc))
     except TYPED:
         return
     assert isinstance(out, Document)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(doc=mutated_item_lists())
+def test_mutated_pair_lists_parse_or_raise_a_typed_error(doc):
+    _parses_or_raises_a_typed_error(doc)
+
+
+def _member_slots(doc):
+    """(container, key) of every list of coefficient maps: each member of
+    each flag, and each subspace."""
+    slots = [(chain, i) for chain in doc.get("flags", {}).values() for i in range(len(chain))]
+    return slots + [(doc["subspaces"], name) for name in doc.get("subspaces", {})]
+
+
+@st.composite
+def mutated_vectors(draw):
+    """A corpus document with one to three flag or subspace vectors mutated."""
+    doc = copy.deepcopy(CORPUS[draw(st.sampled_from(sorted(CORPUS)))])
+    names = doc["basis"]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["value", "symbol", "not_a_dict", "not_a_list", "empty_flag"]))
+        if how == "empty_flag":
+            doc.setdefault("flags", {})[draw(st.sampled_from(["F", "G"]))] = []
+            continue
+        slots = _member_slots(doc)
+        if not slots:
+            continue
+        container, key = draw(st.sampled_from(slots))
+        vectors = container[key]
+        if how == "not_a_list" or not isinstance(vectors, list):
+            container[key] = draw(st.sampled_from(BAD_VALUES + ({"x": 1}, {})))
+            continue
+        if not vectors:
+            vectors.append({})
+        i = draw(st.integers(0, len(vectors) - 1))
+        vec = vectors[i]
+        if how == "not_a_dict" or not isinstance(vec, dict):
+            vectors[i] = draw(st.sampled_from(BAD_VALUES + ([1, 0],)))
+        elif how == "value":
+            vec[draw(st.sampled_from(names))] = draw(st.sampled_from(BAD_VALUES))
+        else:  # an unknown symbol, before or after the names already there
+            bad = {draw(st.sampled_from(("zz", "", names[0].upper() + "?"))): 1}
+            vectors[i] = {**bad, **vec} if draw(st.booleans()) else {**vec, **bad}
+    return doc
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(doc=mutated_vectors())
+def test_mutated_vectors_parse_or_raise_a_typed_error(doc):
+    _parses_or_raises_a_typed_error(doc)
+
+
+@st.composite
+def mutated_expected(draw):
+    """A corpus document with one to three entries of metadata.expected mutated."""
+    doc = copy.deepcopy(CORPUS[draw(st.sampled_from(sorted(CORPUS)))])
+    entries = doc["metadata"]["expected"]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(entries) - 1))
+        if not isinstance(entries[i], dict):  # an earlier mutation replaced it
+            continue
+        entry = entries[i]
+        how = draw(
+            st.sampled_from(["missing", "tag", "agrees", "form", "flag", "args", "not_a_dict"])
+        )
+        if how == "missing":
+            entry.pop(draw(st.sampled_from(["check", "value", "tag"])), None)
+        elif how == "tag":
+            entry["tag"] = draw(st.sampled_from(["guessed", "", 1, None, ["printed"]]))
+        elif how == "agrees":
+            entry["agrees"] = draw(st.sampled_from(["yes", 1, 0, None, []]))
+        elif how in ("form", "flag"):
+            args = entry.setdefault("args", {})
+            if isinstance(args, dict):
+                args[how] = draw(st.sampled_from(["nope", "", 1, None, True]))
+        elif how == "args":
+            entry["args"] = draw(st.sampled_from([[], "form", 1, None]))
+        else:
+            entries[i] = draw(st.sampled_from(BAD_VALUES + ([entry],)))
+    return doc
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(doc=mutated_expected())
+def test_mutated_expected_entries_parse_or_raise_a_typed_error(doc):
+    _parses_or_raises_a_typed_error(doc)
 
 
 def _minimal(**overrides):

@@ -1,6 +1,10 @@
 """Chain validation, normal-chain search, gap completion."""
 
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvdiag import (
     ChainNotNestedError,
@@ -16,6 +20,9 @@ from solvdiag import (
     is_subalgebra,
     validate_flag,
 )
+from solvdiag import flags
+from solvdiag.generators import random_completely_solvable, random_full_chain
+from oracles import oracle_validate_flag
 
 
 class TestFlagObject:
@@ -68,6 +75,67 @@ class TestValidation:
         rep = validate_flag(e2.algebra, e2.flags["F"])
         assert rep.composition_ok
         assert rep.all_normal
+
+
+def _columns(rep):
+    return (
+        rep.dims,
+        rep.dims_consecutive,
+        rep.ends_at_full,
+        rep.nesting,
+        rep.subalgebra,
+        rep.ideal_in_next,
+        rep.normal_in_algebra,
+    )
+
+
+@st.composite
+def algebras_with_chains(draw):
+    """(algebra, rows spanning each member): the normal flag of the
+    certificate, a random full chain, or a normal flag with one member
+    replaced by random rows of its size (so, mostly, neither nested nor a
+    subalgebra)."""
+    n = draw(st.integers(1, 6))
+    alg = random_completely_solvable(Random(draw(st.integers(0, 10**6))), n)
+    rng = Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["normal", "random", "replaced"]))
+    flag = random_full_chain(rng, n) if kind == "random" else find_normal_flag(alg).flag
+    members = [[list(r) for r in m.int_rows] for m in flag.members]
+    if kind == "replaced":
+        k = rng.randrange(len(members))
+        members[k] = [[rng.choice((-1, 0, 1, 2)) for _ in range(n)] for _ in members[k]]
+    return alg, members
+
+
+class TestValidationOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=algebras_with_chains())
+    def test_report_matches_the_column_by_column_oracle(self, case):
+        alg, members = case
+        flag = Flag([Subspace(alg.dim, rows) for rows in members])
+        assert _columns(validate_flag(alg, flag)) == oracle_validate_flag(alg, members)
+
+    def test_corpus_flags_match_the_oracle(self, e1, e2, x1, x2, x3, d1):
+        for doc in (e1, e2, x1, x2, x3, d1):
+            for f in doc.flags.values():
+                members = [m.int_rows for m in f.members]
+                assert _columns(validate_flag(doc.algebra, f)) == oracle_validate_flag(
+                    doc.algebra, members
+                )
+
+    def test_a_normal_full_flag_costs_one_ideal_test_per_member(self, monkeypatch):
+        calls = []
+        for name in ("is_ideal_in", "is_subalgebra"):
+            real = getattr(flags, name)
+            monkeypatch.setattr(
+                flags, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        for n in range(1, 7):
+            alg = random_completely_solvable(Random(n), n)
+            flag = find_normal_flag(alg).flag
+            calls.clear()
+            assert validate_flag(alg, flag).composition_ok
+            assert calls == ["is_ideal_in"] * (n + 1)
 
 
 class TestNormalFlag:

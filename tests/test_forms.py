@@ -107,6 +107,27 @@ class TestTwoForm:
         with pytest.raises(ValueError, match=r"outside range\(2\)"):
             TwoForm.from_pairs(2, [pair])
 
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            ([(5, 5, 1), (0, 0, 1)], ValueError, "two-form index pair (5, 5) outside range(3)"),
+            ([(5, 0, 0.5)], ValueError, "two-form index pair (5, 0) outside range(3)"),
+            ([(0, 0, 0.5)], TypeError, "not an exact rational: 0.5"),
+            ([(1, 1, 1), (5, 0, 1)], ValueError, "diagonal entry in a two-form"),
+            ([(0, 1, 1), (1, 0, 1), (2, 2, 1)], ValueError, "contradictory duplicate entry (1,0)"),
+            (
+                [(0, 1, "1/2"), (1, 0, "-2/4"), (0, 2, "1/3"), (0, 2, 1)],
+                ValueError,
+                "contradictory duplicate entry (0,2)",
+            ),
+        ],
+        ids=["range", "range-first", "value-first", "diagonal", "contradiction", "after-a-repeat"],
+    )
+    def test_from_pairs_refusals_and_their_order(self, pairs, error, message):
+        with pytest.raises(error) as err:
+            TwoForm.from_pairs(3, pairs)
+        assert str(err.value) == message
+
     def test_matrix_constructor_requires_antisymmetry(self):
         with pytest.raises(ValueError):
             TwoForm([[0, 1], [1, 0]])
