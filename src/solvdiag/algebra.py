@@ -76,6 +76,13 @@ def _reduce(w: Sequence[int], rows, pivots) -> list[int]:
     return w
 
 
+def _at_common_pivot(rows, pivots) -> tuple[int, list[list[int]]]:
+    """(L, rows): L the lcm of the pivots of the integer echelon rows, and each
+    row scaled to pivot L, so that it is L times its reduced echelon row."""
+    lcm = math.lcm(*(r[p] for r, p in zip(rows, pivots)))
+    return lcm, [[x * (lcm // r[p]) for x in r] for r, p in zip(rows, pivots)]
+
+
 class Subspace:
     """A subspace of Q^n in canonical echelon form (immutable).
 
@@ -144,10 +151,7 @@ class Subspace:
         return other.dim <= self.dim and all(self._has(r) for r in other.int_rows)
 
     def _common_pivot_rows(self) -> tuple[int, list[list[int]]]:
-        """(L, rows): L the lcm of the pivots of the integer rows, and each
-        row scaled to pivot L, so that it is L times its reduced echelon row."""
-        lcm = math.lcm(*(r[p] for r, p in zip(self.int_rows, self.pivots)))
-        return lcm, [[x * (lcm // r[p]) for x in r] for r, p in zip(self.int_rows, self.pivots)]
+        return _at_common_pivot(self.int_rows, self.pivots)
 
     def coordinates(self, t: "Subspace") -> "Subspace":
         """t in the reduced echelon basis of this subspace, a subspace of
@@ -585,24 +589,25 @@ def change_basis(table: VectorTable, m) -> VectorTable:
 # rational common eigenvectors (constructive Lie-theorem descent over Q)
 
 
-def _hyperplane_in(inside: Subspace, containing: Subspace) -> Subspace:
-    """Greedy canonical hyperplane of `inside` containing `containing`.
+def _hyperplane_in(inside, rows, pivots) -> tuple[list, list[int]]:
+    """Greedy canonical hyperplane of the span of the echelon rows `inside` containing
+    that of `rows` (echelon, with `pivots`), as `linalg.echelon`'s (rows, pivots).
 
-    Extends by the earliest echelon rows of `inside`; the result has the
+    Extends by the earliest rows of `inside`; the result has the
     lexicographically least pivot set among such hyperplanes.  A row is kept
     when `_reduce` along those kept so far leaves a remainder: one echelon.
     """
-    rows, pivots = list(containing.int_rows), list(containing.pivots)
-    for row in inside.int_rows:
-        if len(rows) == inside.dim - 1:
+    given, rows, pivots = len(rows), list(rows), list(pivots)
+    for row in inside:
+        if len(rows) == len(inside) - 1:
             break
         r = _reduce(row, rows, pivots)
         if any(r):
             rows.append(r)
             pivots.append(next(j for j, x in enumerate(r) if x))
-    if len(rows) != inside.dim - 1:  # pragma: no cover - containing must fit
+    if len(rows) != len(inside) - 1:  # pragma: no cover - containing must fit
         raise ValueError("cannot extend to a hyperplane")
-    return Subspace(inside.ambient_dim, rows) if len(rows) > containing.dim else containing
+    return linalg.echelon(rows) if len(rows) > given else (rows, pivots)
 
 
 def _shifted(m: Matrix, c, den=1) -> list[list]:
@@ -621,14 +626,16 @@ def _triangular(m: Matrix) -> bool:
     )
 
 
-def _eigenspaces(m: Matrix, dim: int) -> list[list[list[int]]]:
+def _eigenspaces(m: Matrix, dim: int, nilpotent: bool = False) -> list[list[list[int]]]:
     """For each rational eigenvalue num/den of m, in increasing order, the
     integer kernel basis of den*m - num*I (`linalg.int_nullspace`).
 
     A forced spectrum is read off m: a 1x1 matrix has the one eigenspace
-    [[1]], and a triangular one has its diagonal entries as its eigenvalues."""
+    [[1]], one the caller knows nilpotent its kernel, a triangular one its diagonal."""
     if dim == 1:
         return [[[1]]]
+    if nilpotent:
+        return [linalg.int_nullspace(m, dim)]
     if _triangular(m):
         spectrum = sorted(set(row[i] for i, row in enumerate(m)))
     else:
@@ -646,7 +653,8 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     the algebra is read through `alg.dim` and `alg.consts` only.  Returns
     the canonical least normalized eigenvector, or None when the descent
     needs an eigenvalue that is not rational (or the algebra turns out
-    non-solvable along the way).
+    non-solvable along the way).  A rep of other than alg.dim matrices, a
+    matrix not space_dim x space_dim, or space_dim < 1 is a ValueError.
 
     The descent walks a chain of subalgebras sub = H + <z>, H a canonical
     hyperplane, down to one acting trivially.  [sub, sub] comes from the
@@ -654,21 +662,29 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     antisymmetric with zero diagonal.  A stage returns w, least in the
     eigenspace E of z on H's weight space (the whole space where H acts by
     zero), and E, which is sub's weight space for w's weight: no weight
-    space is solved for.  A stage costs m(m-1)/2 brackets (m = dim sub), an
-    echelon for H, and the actions of z and of H's echelon rows up to the
-    first that is not zero (an action is built only where it is read);
-    unless E is a line, an echelon for E and a nullspace per rational
-    eigenvalue of z on E, plus a charpoly unless that restriction is
-    triangular (`_eigenspaces`).  The vector the descent returns is checked
-    once, against every matrix of rep as given.  The descent runs on ints:
-    the nonzero entries of rep, read once, are scaled to integers by one
-    positive factor unless they are ints, and an element acts through its
-    primitive integer multiple, so each action matrix is a positive
-    multiple of the true one.  That scales weights and moves no span,
-    eigenspace or normalized eigenvector.
+    space is solved for.  A stage runs on the integer (rows, pivots) of
+    `linalg.echelon` and builds no Subspace.  It costs m(m-1)/2 brackets
+    (m = dim sub) and their echelon when m > 1, at most one echelon for H,
+    one reduction of z along the top stage's [q, q], and the actions of z
+    and of H's rows up to the first that is not zero; unless E is a line,
+    an echelon for E and `_eigenspaces` of z on it, with no charpoly where
+    that restriction is 1x1 or triangular or z is in [q, q].  Then z acts
+    nilpotently: a stage reaches `_eigenspaces` only once those below it
+    succeed, so the image of q is solvable, its weights vanish on [q, q]
+    by Lie's theorem (Humphreys, GTM 9, 4.1 Cor. C), and on the invariant
+    weight space z has the one eigenspace ker z, all that the charpoly
+    route returns for the spectrum {0}.  The vector the descent returns is
+    checked once, against every matrix of rep as given.
+    The descent runs on ints: the nonzero entries of rep, read once, are
+    scaled to integers by one positive factor unless they are ints, and an
+    element acts through its primitive integer multiple, so each action
+    matrix is a positive multiple of the true one.  That scales weights
+    and moves no span, eigenspace or normalized eigenvector.
     Vectors stay primitive integer ones up the recursion; the top divides
     once.
     """
+    if space_dim < 1 or len(rep) != alg.dim or any({len(m), *map(len, m)} - {space_dim} for m in rep):
+        raise ValueError(f"rep must be {alg.dim} matrices of size {space_dim} x {space_dim} >= 1")
     n = alg.dim
     # the nonzero entries (i, j, x) of each action matrix, read once
     entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
@@ -677,7 +693,7 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         entries = [[(i, j, next(flat)) for i, j, _ in nz] for nz in entries]
 
     def act(elem: Sequence[int]) -> list[list[int]]:
-        """The action of a primitive integer row (of `Subspace.int_rows`)."""
+        """The action of a primitive integer row (of `linalg.echelon`)."""
         out = [[0] * space_dim for _ in range(space_dim)]
         for c, nz in zip(elem, entries):
             if c:
@@ -712,21 +728,24 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                     best, q, held = v, p, eigenspace
         return None if best is None else (best, held)
 
-    def recurse(sub: Subspace) -> tuple[list[int], list] | None:
-        """The descent below sub: w, primitive and positive at its pivot, and
-        sub's weight space for it."""
-        sup = _sparse(sub.int_rows)
+    def recurse(rows, pivots, qq=None) -> tuple[list[int], list] | None:
+        """The descent below the subalgebra sub with echelon rows and pivots:
+        w, primitive and positive at its pivot, and sub's weight space for
+        it.  qq is the echelon of [q, q], from the top stage."""
+        sup = _sparse(rows)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
-        derived = Subspace(n, [_ibracket(alg, x, y) for x, y in pairs])
-        if derived.dim >= sub.dim:
+        drows, dpiv = linalg.echelon([_ibracket(alg, *xy) for xy in pairs]) if pairs else ([], [])
+        if len(dpiv) >= len(pivots):
             return None  # not solvable
-        hyper = _hyperplane_in(sub, derived)
+        qq = qq or (drows, dpiv)
+        hrows, hpiv = _hyperplane_in(rows, drows, dpiv)
         # the action of a complement direction of hyper in sub
-        mz = act(next(r for r in sub.int_rows if not hyper._has(r)))
-        if not any(x for r in hyper.int_rows for row in act(r) for x in row):
+        z = next(r for r in rows if any(_reduce(r, hrows, hpiv)))
+        mz, nilpotent = act(z), not any(_reduce(z, *qq))
+        if not any(x for r in hrows for row in act(r) for x in row):
             # hyper acts by zero: its weight space is the whole space
-            return least(_eigenspaces(mz, space_dim))
-        found = recurse(hyper)
+            return least(_eigenspaces(mz, space_dim, nilpotent))
+        found = recurse(hrows, hpiv, qq)
         if found is None:
             return None
         w, space = found  # space: hyper's weight space for w's weight
@@ -734,24 +753,25 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
             if not fixes(mz, w):  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
             return w, [w]
-        wsub = Subspace(space_dim, space)
         # mz restricted to the weight space (invariant in char 0), on the
-        # basis of wsub's reduced rows times the lcm of their pivots
-        lcm, basis = wsub._common_pivot_rows()
-        free = [j for j in range(space_dim) if j not in wsub.pivots]
+        # basis of its reduced echelon rows times the lcm of their pivots
+        wrows, wpiv = linalg.echelon(space)
+        lcm, basis = _at_common_pivot(wrows, wpiv)
+        free = [j for j in range(space_dim) if j not in wpiv]
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
             img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
-            restr.append([img[p] for p in wsub.pivots])
+            restr.append([img[p] for p in wpiv])
             # at the pivots the combination is lcm * img by construction
             back = [sum(c * v[j] for c, v in zip(restr[-1], basis)) for j in free]
             if back != [lcm * img[j] for j in free]:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
-        return least(_eigenspaces(list(zip(*restr)), wsub.dim), basis)
+        return least(_eigenspaces(list(zip(*restr)), len(wpiv), nilpotent), basis)
 
     if not any(entries):  # every e_i acts by zero
         return linalg.unit_vec(space_dim, 0)
-    found = recurse(Subspace.full(n))
+    full = Subspace.full(n)
+    found = recurse(full.int_rows, full.pivots)
     if found is None:
         return None
     w = found[0]

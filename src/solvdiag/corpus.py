@@ -22,7 +22,7 @@ from .diagram import (
     predicates,
 )
 from .document import Document, ExpectedEntry, parse_document, rational_repr, subspace_obj
-from .flags import validate_flag
+from .flags import chain_shape
 from .forms import is_closed, kernel
 
 
@@ -78,7 +78,7 @@ def compute_check(doc: Document, check: str, args, diagrams: dict) -> Any:
     if check == "form_kernel_dim":
         return kernel(doc.two_forms[_arg(args, "form")]).dim
     if check == "chain_ok":
-        return validate_flag(alg, doc.flags[_arg(args, "flag")]).chain_ok
+        return chain_shape(alg, doc.flags[_arg(args, "flag")]).chain_ok
     if check == "kernel_dims":
         return list(_diagram_for(doc, args, diagrams).kernel_dims)
     if check == "kernel_member":

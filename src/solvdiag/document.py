@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem
 from typing import Any, Mapping
 
 from .algebra import InputError, LieAlgebra, Subspace, validate_algebra
@@ -309,8 +310,11 @@ def _vector_obj(names: tuple[str, ...], row) -> dict[str, object]:
 
 
 def subspace_obj(names: tuple[str, ...], space: Subspace) -> list[dict[str, object]]:
-    """Canonical JSON encoding of a subspace: its echelon rows."""
-    return [_vector_obj(names, row) for row in space.rows]
+    """Canonical JSON encoding of a subspace: each of `int_rows` over its pivot entry."""
+    return [
+        {names[i]: c if d == 1 else rational_repr(Fraction(c, d)) for i, c in enumerate(row) if c}
+        for row, d in zip(space.int_rows, map(getitem, space.int_rows, space.pivots))
+    ]
 
 
 def document_obj(doc: Document) -> dict[str, object]:

@@ -8,7 +8,7 @@ member they declare, and every consumer honors that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -80,27 +80,38 @@ class Flag:
 
 
 @dataclass(frozen=True)
-class FlagValidationReport:
-    """Tiered per-member checks.
-
-    chain_ok gates the numeric shape (consecutive dims, nesting, top = full
-    algebra); the subalgebra / ideal-in-next / normal-in-algebra columns are
-    reported but deliberately not folded into chain_ok, so that chains copied
-    from outside sources can still be diagrammed while their structural
-    defects stay visible.
-    """
+class ChainShape:
+    """The numeric shape of a chain, which chain_ok gates: consecutive dims,
+    nesting, top = full algebra."""
 
     dims: tuple[int, ...]
     dims_consecutive: bool
     ends_at_full: bool
     nesting: tuple[bool, ...]
-    subalgebra: tuple[bool, ...]
-    ideal_in_next: tuple[bool, ...]
-    normal_in_algebra: tuple[bool, ...]
 
     @property
     def chain_ok(self) -> bool:
         return self.dims_consecutive and self.ends_at_full and all(self.nesting)
+
+
+def chain_shape(alg: LieAlgebra, flag: Flag) -> ChainShape:
+    ms = flag.members
+    dims = tuple(m.dim for m in ms)
+    nesting = tuple(b.contains(a) for a, b in zip(ms, ms[1:]))
+    consecutive = all(b == a + 1 for a, b in zip(dims, dims[1:]))
+    return ChainShape(dims, consecutive, ms[-1] == Subspace.full(alg.dim), nesting)
+
+
+@dataclass(frozen=True)
+class FlagValidationReport(ChainShape):
+    """Tiered per-member checks: the subalgebra / ideal-in-next /
+    normal-in-algebra columns are reported but deliberately not folded into
+    chain_ok, so that chains copied from outside sources can still be
+    diagrammed while their structural defects stay visible."""
+
+    subalgebra: tuple[bool, ...]
+    ideal_in_next: tuple[bool, ...]
+    normal_in_algebra: tuple[bool, ...]
 
     @property
     def subalgebras_ok(self) -> bool:
@@ -122,24 +133,13 @@ def validate_flag(alg: LieAlgebra, flag: Flag) -> FlagValidationReport:
     ms = flag.members
     full = Subspace.full(alg.dim)
     normal = tuple(is_ideal_in(alg, m, full) for m in ms)
-    dims = tuple(m.dim for m in ms)
-    consecutive = all(b == a + 1 for a, b in zip(dims, dims[1:]))
-    ends = ms[-1].dim == alg.dim and ms[-1] == full
-    nesting = tuple(ms[i + 1].contains(ms[i]) for i in range(len(ms) - 1))
+    shape = chain_shape(alg, flag)
     subalg = tuple(ok or is_subalgebra(alg, m) for m, ok in zip(ms, normal))
     ideal_next = tuple(
         nested and (normal[i] or is_ideal_in(alg, ms[i], ms[i + 1]))
-        for i, nested in enumerate(nesting)
+        for i, nested in enumerate(shape.nesting)
     )
-    return FlagValidationReport(
-        dims=dims,
-        dims_consecutive=consecutive,
-        ends_at_full=ends,
-        nesting=nesting,
-        subalgebra=subalg,
-        ideal_in_next=ideal_next,
-        normal_in_algebra=normal,
-    )
+    return FlagValidationReport(*astuple(shape), subalg, ideal_next, normal)
 
 
 class NormalFlagStatus(Enum):
@@ -183,7 +183,7 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
     """
     w = low.sum(alg.derived_span(high))
     if w.dim < high.dim:
-        return _hyperplane_in(high, w)
+        return Subspace(alg.dim, _hyperplane_in(high.int_rows, w.int_rows, w.pivots)[0])
 
     # fallback: covector search inside `high` as a standalone algebra
     sub = subalgebra_as_algebra(alg, high)

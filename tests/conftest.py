@@ -9,6 +9,11 @@ from solvdiag import load_corpus
 # the profile's budget when it is larger: CI runs them once more with
 #   python -m pytest tests/test_document_fuzz.py --hypothesis-profile=reader-fuzz
 settings.register_profile("reader-fuzz", max_examples=4000)
+# The descent's oracle tests (tests/test_algebra.py) draw 80-150 examples each
+# in tier-1, or the profile's budget when it is larger, about ten times theirs:
+#   python -m pytest tests/test_algebra.py --hypothesis-profile=descent-oracle \
+#     -k "fraction_descent or charpoly_oracle or act_nilpotently or nilpotent_route"
+settings.register_profile("descent-oracle", max_examples=1000)
 
 # registry for the acceptance suite: number -> (description, passed, seconds)
 ACCEPTANCE_RESULTS = {}

@@ -637,7 +637,6 @@ def oracle_common_eigenvector(alg, rep, space_dim):
     from solvdiag.algebra import (
         SolvdiagError,
         Subspace,
-        _hyperplane_in,
         _shifted,
         vector_sort_key,
     )
@@ -669,7 +668,7 @@ def oracle_common_eigenvector(alg, rep, space_dim):
         derived = alg.derived_span(sub)
         if derived.dim >= sub.dim:
             return None  # not solvable
-        hyper = _hyperplane_in(sub, derived)
+        hyper = Subspace(alg.dim, rank_test_hyperplane(sub.rows, derived.rows))
         w = recurse(hyper)
         if w is None:
             return None

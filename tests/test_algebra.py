@@ -4,6 +4,7 @@ import hashlib
 import time
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -404,7 +405,9 @@ def acting_algebra_and_rep(draw):
     return alg, rep
 
 
-@settings(max_examples=80, deadline=None)
+# The descent's oracle tests draw their own budget each, or the profile's when
+# it is larger: CI runs them once more with --hypothesis-profile=descent-oracle.
+@settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 @given(acting_algebra_and_rep())
 def test_common_eigenvector_matches_the_fraction_descent(case):
     alg, rep = case
@@ -446,7 +449,7 @@ def square_matrices(draw):
     return m
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(square_matrices())
 @example([[0, -1], [1, 0]])  # spectrum +-i
 @example([[0, 2], [1, 0]])  # spectrum +-sqrt(2)
@@ -468,10 +471,114 @@ def test_eigenspaces_match_the_charpoly_oracle(m):
         assert spans_equal(space, oracle_nullspace(shifted, dim), dim)
 
 
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(
+    st.sampled_from((random_completely_solvable, random_nilpotent)),
+    st.integers(min_value=3, max_value=8),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+    st.data(),
+)
+def test_directions_in_the_derived_algebra_act_nilpotently(make, dim, seed, rebase, data):
+    # the premise of the descent's [q, q] rule: the weights of a solvable
+    # algebra vanish on [g, g], so ad z has the charpoly t^n for z in it
+    rng = Random(seed)
+    alg = make(rng, dim)
+    if rebase:
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    derived = derived_subalgebra(alg)
+    assume(derived.dim)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=derived.dim, max_size=derived.dim))
+    z = [sum(c * r[j] for c, r in zip(coeffs, derived.int_rows)) for j in range(dim)]
+    assert faddeev_leverrier_charpoly(alg.ad_matrix(z)) == [0] * dim + [1]
+
+
+@st.composite
+def nilpotent_matrices(draw):
+    """A strictly upper triangular integer matrix of dimension 1-6, conjugated
+    by a unimodular one, so dense and nilpotent."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    m = [[draw(st.integers(-3, 3)) if j > i else 0 for j in range(dim)] for i in range(dim)]
+    p = random_unimodular(Random(draw(st.integers(min_value=0, max_value=10**6))), dim)
+    red, _ = fraction_rref([list(row) + list(linalg.unit_vec(dim, i)) for i, row in enumerate(p)])
+    return [[int(x) for x in row] for row in _matmul(_matmul(p, m), [row[dim:] for row in red])]
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(nilpotent_matrices())
+@example([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # triangular: the diagonal scan's route
+@example([[1, 1], [-1, -1]])  # dense: the charpoly's route
+def test_the_nilpotent_route_matches_the_charpoly_route(m):
+    dim = len(m)
+    assert trial_division_rational_roots(faddeev_leverrier_charpoly(m)) == [0]
+    spaces = algebra._eigenspaces(m, dim, nilpotent=True)
+    assert spaces == algebra._eigenspaces(m, dim)
+    assert spans_equal(spaces[0], oracle_nullspace(m, dim), dim)
+
+
+@settings(max_examples=max(80, settings.default.max_examples), deadline=None)
+@given(acting_algebra_and_rep())
+def test_the_descents_nilpotent_route_matches_the_charpoly_route(case):
+    # each matrix the descent takes as nilpotent, from a direction in
+    # [q, q], has the eigenspaces the charpoly route gives it
+    alg, rep = case
+    eigenspaces = algebra._eigenspaces
+
+    def checking(m, dim, nilpotent=False):
+        if nilpotent:
+            assert eigenspaces(m, dim, True) == eigenspaces(m, dim)
+        return eigenspaces(m, dim, nilpotent)
+
+    with mock.patch.object(algebra, "_eigenspaces", checking):
+        v = algebra.common_eigenvector(alg, rep, alg.dim)
+    assert v == oracle_common_eigenvector(alg, rep, alg.dim)
+
+
+def test_the_descent_builds_no_subspace(monkeypatch):
+    # every stage works on the (rows, pivots) of linalg.echelon
+    built = []
+    init = Subspace.__init__
+
+    def counting(self, n, rows):
+        built.append(n)
+        init(self, n, rows)
+
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    for seed in range(1, 5):
+        for make in (random_completely_solvable, random_nilpotent):
+            alg = change_basis(make(Random(seed), 6), random_unimodular(Random(seed), 6))
+            rep = [alg.ad_matrix(linalg.unit_vec(6, i)) for i in range(6)]
+            built.clear()
+            assert algebra.common_eigenvector(alg, rep, 6) is not None
+            assert built == []
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda ad: (ad[:1], 2),  # too few matrices: ad(b) is missing
+        lambda ad: (ad, 3),  # 2 x 2 matrices on Q^3
+        lambda ad: (ad, 0),  # no space to act on
+        lambda ad: ([ad[0], (ad[1][0], ad[1][1][:1])], 2),  # a short row
+    ],
+    ids=["missing-matrix", "wrong-size", "zero-space", "ragged"],
+)
+def test_common_eigenvector_refuses_a_malformed_action(cut):
+    # [a, b] = b: given ad(a) alone, the descent once answered (1, 0), which
+    # ad(b) does not fix; on Q^3 it answered (0, 1, 0), on Q^0 ()
+    alg = LieAlgebra.from_brackets(("a", "b"), {("a", "b"): {"b": 1}})
+    ad = [alg.ad_matrix(linalg.unit_vec(2, i)) for i in range(2)]
+    assert algebra.common_eigenvector(alg, ad, 2) == (0, 1)
+    rep, space_dim = cut(ad)
+    with pytest.raises(ValueError, match="matrices of size"):
+        algebra.common_eigenvector(alg, rep, space_dim)
+
+
 def test_forced_spectra_skip_the_charpoly(monkeypatch):
     # a 1x1 or triangular restriction has its spectrum read off its entries,
-    # so only 51 of the 219 restrictions of these 22 certificates need a
-    # charpoly and its rational roots; the count is deterministic
+    # and a direction in [q, q] acts nilpotently, so only 31 of the 219
+    # restrictions of these 22 certificates need a charpoly and its rational
+    # roots (51 before the [q, q] rule); the count is deterministic
     calls = []
     eigenvalues = linalg.rational_eigenvalues
 
@@ -484,7 +591,7 @@ def test_forced_spectra_skip_the_charpoly(monkeypatch):
     algs += [load_corpus(name).algebra for name in list_corpus()]
     for alg in algs:
         complete_solvability_certificate(alg)
-    assert len(calls) == 51
+    assert len(calls) == 31
 
 
 @pytest.mark.parametrize("make", [sl2, rot2d])
@@ -519,11 +626,13 @@ def test_hyperplane_in_matches_rank_test(case):
         for containing in (derived, extra):
             if containing.dim >= sub.dim:
                 continue
-            hyper = algebra._hyperplane_in(sub, containing)
+            rows, pivots = algebra._hyperplane_in(sub.int_rows, containing.int_rows, containing.pivots)
+            hyper = Subspace(alg.dim, rows)
+            assert (rows, pivots) == linalg.echelon(rows)  # already canonical
             expected = rank_test_hyperplane(sub.rows, containing.rows)
             assert hyper.dim == sub.dim - 1
             assert spans_equal(hyper.rows, expected, alg.dim)
-        sub = algebra._hyperplane_in(sub, derived)
+        sub = Subspace(alg.dim, algebra._hyperplane_in(sub.int_rows, derived.int_rows, derived.pivots)[0])
 
 
 class TestClosures:
@@ -857,7 +966,8 @@ def test_certificate_eliminations_stay_within_the_basis_pairs(monkeypatch):
     # no elimination of a dim-n certificate has more rows than the n(n-1)/2
     # brackets of the basis pairs: each descent stage reads its weight space
     # off the stage below instead of stacking a system over the hyperplane's
-    # actions (up to twice as many rows); the counts are deterministic
+    # actions (up to twice as many rows), and a 1-dimensional stage has no
+    # [sub, sub] to eliminate (780 calls before); the counts are deterministic
     algs = [random_completely_solvable(Random(s), n) for s in range(1, 5) for n in range(3, 7)]
     algs += [load_corpus(name).algebra for name in list_corpus()]
     algs.append(random_completely_solvable(Random(1), 12))
@@ -876,7 +986,7 @@ def test_certificate_eliminations_stay_within_the_basis_pairs(monkeypatch):
         assert max(sizes) <= alg.dim * (alg.dim - 1) // 2
         if alg.dim < 12:
             calls, rows = calls + len(sizes), rows + sum(sizes)
-    assert (calls, rows) == (780, 2100)
+    assert (calls, rows) == (722, 2100)
 
 
 class TestQuotient:

@@ -658,6 +658,27 @@ def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
                 assert len(calls) == expected, argv
 
 
+def test_audit_validates_each_flag_once(capsys, monkeypatch):
+    # X3 has four flags and two chain_ok entries; the entries read the
+    # chain's shape (flags.chain_shape), not a second validate_flag report
+    calls = []
+    original = solvdiag.flags.validate_flag
+
+    def counting(alg, flag):
+        calls.append(flag)
+        return original(alg, flag)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "solvdiag" or modname.startswith("solvdiag."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    code, _, err = run(capsys, "audit", corpus_path("X3"))
+    assert (code, err) == (0, "")
+    assert len(load_corpus("X3").flags) == 4
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("spelling", ["1/2\n", "\uff13"], ids=["newline", "fullwidth"])
 def test_a_rational_outside_the_format_exits_2(capsys, tmp_path, spelling):
     doc = dict(SL2_DOC, subspaces={"S": [{"e": spelling}]})

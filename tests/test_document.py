@@ -9,6 +9,7 @@ from solvdiag import (
     ParseError,
     RationalFormatError,
     SchemaError,
+    Subspace,
     corpus_text,
     evaluate_expected,
     list_corpus,
@@ -18,7 +19,7 @@ from solvdiag import (
     rational_repr,
     serialize_document,
 )
-from solvdiag.document import _parse_metadata
+from solvdiag.document import _parse_metadata, subspace_obj
 
 CORPUS = ("D1", "E1", "E2", "X1", "X2", "X3")
 
@@ -314,6 +315,19 @@ class TestSerialization:
             serialize_document(doc)
             assert doc.algebra._table is None
             assert all(form._entries is None for form in doc.two_forms.values())
+
+
+    def test_subspaces_written_as_their_reduced_rows(self):
+        # subspace_obj reads int_rows over each pivot entry; the reduced
+        # Fraction view gives the same text
+        names = ("a", "b", "c", "d")
+        spaces = [Subspace(4, [(2, 4, -6, 0), (0, 3, 1, 5)]), Subspace(4, [(0, 0, 7, -3)])]
+        spaces += [Subspace(4, [(Fraction(1, 3), 0, 2, 1)]), Subspace.zero(4), Subspace.full(4)]
+        for space in spaces:
+            expected = [
+                {names[i]: rational_repr(c) for i, c in enumerate(row) if c} for row in space.rows
+            ]
+            assert subspace_obj(names, space) == expected
 
 
 class TestCorpus:

@@ -115,6 +115,19 @@ class TestValidationOracle:
         flag = Flag([Subspace(alg.dim, rows) for rows in members])
         assert _columns(validate_flag(alg, flag)) == oracle_validate_flag(alg, members)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=algebras_with_chains())
+    def test_chain_shape_matches_the_oracle(self, case):
+        # the shape alone, as the corpus evaluator's chain_ok entries read it,
+        # also of the chain without its top member, which stops short of g
+        alg, members = case
+        for chain in (members, members[:-1] or members):
+            shape = flags.chain_shape(alg, Flag([Subspace(alg.dim, rows) for rows in chain]))
+            expected = oracle_validate_flag(alg, chain)[:4]
+            got = (shape.dims, shape.dims_consecutive, shape.ends_at_full, shape.nesting)
+            assert got == expected
+            assert shape.chain_ok == (expected[1] and expected[2] and all(expected[3]))
+
     def test_corpus_flags_match_the_oracle(self, e1, e2, x1, x2, x3, d1):
         for doc in (e1, e2, x1, x2, x3, d1):
             for f in doc.flags.values():
