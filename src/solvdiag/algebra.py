@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, frac
+from .linalg import Matrix, Vector
 
 
 class SolvdiagError(Exception):
@@ -55,11 +54,6 @@ def _init(obj, **attrs):
     for name, value in attrs.items():
         object.__setattr__(obj, name, value)
     return obj
-
-
-def _ratio(x) -> tuple[int, int]:
-    """(p, q) in lowest terms, q > 0, of an int, Fraction or str; else `frac`'s TypeError."""
-    return (x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio()
 
 
 def _reduce(w: Sequence[int], rows, pivots) -> list[int]:
@@ -112,10 +106,14 @@ class Subspace:
         return cls(n, [])
 
     @classmethod
+    def _of(cls, n: int, rows: Iterable[Sequence[int]], pivots: Iterable[int]) -> "Subspace":
+        """The subspace of Q^n with the rows and pivots of `linalg.echelon`, taken as they are."""
+        space, rows = object.__new__(cls), tuple(map(tuple, rows))
+        return _init(space, ambient_dim=n, int_rows=rows, pivots=tuple(pivots), _rows=None)
+
+    @classmethod
     def full(cls, n: int) -> "Subspace":
-        units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))  # already echelon
-        full = object.__new__(cls)
-        return _init(full, ambient_dim=n, int_rows=units, pivots=tuple(range(n)), _rows=None)
+        return cls._of(n, ([int(i == j) for j in range(n)] for i in range(n)), range(n))
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
@@ -323,7 +321,7 @@ class LieAlgebra(VectorTable):
             i, j = idx[a], idx[b]
             if i == j:
                 raise ValueError(f"bracket [{a},{a}] must be zero, not given")
-            v = {idx[k]: r for k, c in val.items() if (r := _ratio(c))[0]}
+            v = {idx[k]: r for k, c in val.items() if (r := linalg._ratio(c))[0]}
             if given.setdefault((i, j), v) != v:
                 raise ValueError(f"brackets [{a},{b}] and [{b},{a}] are not antisymmetric")
             given[(j, i)] = {k: (-p, q) for k, (p, q) in v.items()}
@@ -516,28 +514,22 @@ def is_nilpotent_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
 def quotient(alg: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """Quotient algebra by an ideal, plus the projection matrix.
 
-    Quotient coordinates are the ambient coordinates away from the ideal's
-    pivot columns; names are inherited from those coordinates.  With the
-    ideal's rows scaled to their common pivot L, L*v - sum over its pivots p
-    of v[p] row_p is L times the remainder of v: `alg.consts` reduced so are
-    the constants over denom * L, and e_j projects to e_j or -row_j / L.
+    `change_basis` to the unit vectors off the ideal's pivots followed by
+    the ideal's echelon rows: the ideal is the span of the last basis
+    vectors, so the first block of the constants is the quotient's, and the
+    first coordinates of each e_j on that basis (one `linalg.int_solve`)
+    are its projection.  Names are inherited from the kept coordinates.
     """
-    if not is_ideal_in(alg, ideal, Subspace.full(alg.dim)):
+    full = Subspace.full(alg.dim)
+    if not is_ideal_in(alg, ideal, full):
         raise NotAnIdealError("quotient requires an ideal of the full algebra")
-    n = alg.dim
-    keep = [i for i in range(n) if i not in ideal.pivots]
-    lcm, rows = ideal._common_pivot_rows()
-    at = dict(zip(ideal.pivots, rows))
-    # L times the projection, m x n, rows = quotient coordinates
-    proj = [[-at[j][k] if j in at else lcm * (j == k) for j in range(n)] for k in keep]
-
-    def image(cs) -> list[tuple[int, int]]:  # of the vector with nonzero entries cs
-        return [(i, x) for i, r in enumerate(proj) if (x := sum(r[k] * c for k, c in cs))]
-
-    consts = [[image(alg.consts[a][b]) for b in keep] for a in keep]
-    names = tuple(alg.names[i] for i in keep)
-    matrix = tuple(linalg.divided(r, lcm) for r in proj)
-    return LieAlgebra._of(consts, alg.denom * lcm, names=names), matrix
+    keep = [i for i in range(alg.dim) if i not in ideal.pivots]
+    basis = [full.int_rows[i] for i in keep] + list(ideal.int_rows)
+    m, moved = len(keep), change_basis(alg, basis)
+    consts = [[[(k, c) for k, c in cs if k < m] for cs in row[:m]] for row in moved.consts[:m]]
+    ys, d = linalg.int_solve(list(zip(*basis)), full.int_rows)
+    matrix = tuple(linalg.divided([y[k] for y in ys], d) for k in range(m))
+    return LieAlgebra._of(consts, moved.denom, names=tuple(alg.names[i] for i in keep)), matrix
 
 
 def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
@@ -630,10 +622,8 @@ def _eigenspaces(m: Matrix, dim: int, nilpotent: bool = False) -> list[list[list
     """For each rational eigenvalue num/den of m, in increasing order, the
     integer kernel basis of den*m - num*I (`linalg.int_nullspace`).
 
-    A forced spectrum is read off m: a 1x1 matrix has the one eigenspace
-    [[1]], one the caller knows nilpotent its kernel, a triangular one its diagonal."""
-    if dim == 1:
-        return [[[1]]]
+    A forced spectrum is read off m: one the caller knows nilpotent has its
+    kernel, a triangular one (1x1 included) its diagonal."""
     if nilpotent:
         return [linalg.int_nullspace(m, dim)]
     if _triangular(m):

@@ -23,7 +23,6 @@ from dataclasses import asdict
 from .algebra import (
     InputError,
     SolvdiagError,
-    Subspace,
     is_subalgebra,
     solvability_verdict,
     validate_algebra,
@@ -77,8 +76,8 @@ def _vec_str(vec: dict) -> str:
     return out
 
 
-def _space_str(names, s: Subspace) -> str:
-    return ", ".join(map(_vec_str, subspace_obj(names, s))) or "(zero)"
+def _space_str(rows: list) -> str:
+    return ", ".join(map(_vec_str, rows)) or "(zero)"
 
 
 def _bool(value: bool) -> str:
@@ -108,51 +107,46 @@ def _vertex_obj(names, v) -> dict:
 
 def cmd_validate(doc: Document, args):
     alg = doc.algebra
-    names = alg.names
-    report = validate_algebra(alg)
-    verdict = solvability_verdict(alg)
     head, obj = _asked(doc, args)
-    lines = [
-        head,
-        f"dim: {alg.dim}",
-        f"algebra: ok={_bool(report.ok)} solvability={verdict.value}",
-    ]
     obj.update(
         dim=alg.dim,
-        algebra_ok=report.ok,
-        solvability=verdict.value,
+        algebra_ok=validate_algebra(alg).ok,
+        solvability=solvability_verdict(alg).value,
         forms={},
         flags={},
         subspaces={},
     )
+    lines = [
+        head,
+        f"dim: {obj['dim']}",
+        f"algebra: ok={_bool(obj['algebra_ok'])} solvability={obj['solvability']}",
+    ]
     for fname in sorted(doc.two_forms):
         form = doc.two_forms[fname]
-        closed = is_closed(alg, form)
         ker = kernel(form)
-        lines.append(f"form {fname}: closed={_bool(closed)} kernel_dim={ker.dim}")
-        obj["forms"][fname] = {
-            "closed": closed,
+        rec = obj["forms"][fname] = {
+            "closed": is_closed(alg, form),
             "kernel_dim": ker.dim,
-            "kernel": subspace_obj(names, ker),
+            "kernel": subspace_obj(alg.names, ker),
         }
+        lines.append(f"form {fname}: closed={_bool(rec['closed'])} kernel_dim={rec['kernel_dim']}")
     for gname in sorted(doc.flags):
         rep = validate_flag(alg, doc.flags[gname])
-        lines.append(
-            f"flag {gname}: dims={list(rep.dims)} chain_ok={_bool(rep.chain_ok)}"
-            f" subalgebras={_bool(rep.subalgebras_ok)}"
-            f" composition={_bool(rep.composition_ok)}"
-        )
-        obj["flags"][gname] = {
+        rec = obj["flags"][gname] = {
             "dims": list(rep.dims),
             "chain_ok": rep.chain_ok,
             "subalgebras_ok": rep.subalgebras_ok,
             "composition_ok": rep.composition_ok,
             "normal_in_algebra": list(rep.normal_in_algebra),
         }
+        lines.append(
+            f"flag {gname}: dims={rec['dims']} chain_ok={_bool(rec['chain_ok'])}"
+            f" subalgebras={_bool(rec['subalgebras_ok'])}"
+            f" composition={_bool(rec['composition_ok'])}"
+        )
     for sname in sorted(doc.subspaces):
-        s = doc.subspaces[sname]
-        lines.append(f"subspace {sname}: dim={s.dim}")
-        obj["subspaces"][sname] = subspace_obj(names, s)
+        rows = obj["subspaces"][sname] = subspace_obj(alg.names, doc.subspaces[sname])
+        lines.append(f"subspace {sname}: dim={len(rows)}")
     return lines, obj
 
 
@@ -189,39 +183,33 @@ def cmd_diagram(doc: Document, args):
 
 
 def cmd_deform(doc: Document, args):
-    names = doc.algebra.names
     form = named(doc.two_forms, args.form, "form")
     flag = named(doc.flags, args.flag, "flag")
     out = deform_to_simple(doc.algebra, form, flag)
-    lines = ["deformed chain:"]
-    for m in out.members:
-        lines.append(f"  dim {m.dim}: {_space_str(names, m)}")
-    lines.append("simple: true")
     _, obj = _asked(doc, args)
     obj.update(
-        members=[subspace_obj(names, m) for m in out.members],
+        members=[subspace_obj(doc.algebra.names, m) for m in out.members],
         member_dims=list(out.dims),
         simple=True,
     )
+    lines = ["deformed chain:"]
+    for dim, member in zip(obj["member_dims"], obj["members"]):
+        lines.append(f"  dim {dim}: {_space_str(member)}")
+    lines.append("simple: true")
     return lines, obj
 
 
 def cmd_lagrangians(doc: Document, args):
-    names = doc.algebra.names
     form = named(doc.two_forms, args.form, "form")
     verdict = find_lagrangians(doc.algebra, form, mode=args.mode.replace("-", "_"))
     head, obj = _asked(doc, args)
-    lines = [
-        head,
-        f"completeness: {verdict.completeness.value}",
-        f"found: {len(verdict.found)}",
-    ]
-    for i, s in enumerate(verdict.found):
-        lines.append(f"  L{i}: dim {s.dim}: {_space_str(names, s)}")
     obj.update(
         completeness=verdict.completeness.value,
-        found=[subspace_obj(names, s) for s in verdict.found],
+        found=[subspace_obj(doc.algebra.names, s) for s in verdict.found],
     )
+    lines = [head, f"completeness: {obj['completeness']}", f"found: {len(obj['found'])}"]
+    for i, rows in enumerate(obj["found"]):
+        lines.append(f"  L{i}: dim {len(rows)}: {_space_str(rows)}")
     return lines, obj
 
 
@@ -267,8 +255,8 @@ def cmd_primitivity(doc: Document, args):
         obj[key] = verdict.status.value
         obj[witness_key] = None
         if verdict.witness is not None:
-            lines.append(f"  witness: {_space_str(names, verdict.witness)}")
             obj[witness_key] = subspace_obj(names, verdict.witness)
+            lines.append(f"  witness: {_space_str(obj[witness_key])}")
     lines.append(f"searched: {', '.join(quasi.searched)}")
     obj["searched"] = list(quasi.searched)
     for key, q in (

@@ -32,7 +32,7 @@ from .diagram import (
     predicates,
 )
 from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_flag
-from .forms import TwoForm, is_isotropic, radical, symplectic_orthogonal
+from .forms import TwoForm, is_isotropic, kernel, radical, symplectic_orthogonal
 
 
 class NoRepulsiveVertexError(SolvdiagError):
@@ -108,7 +108,7 @@ def split_at_repulsive(
     if attractive is None or attractive.vclass is not VertexClass.SINGULAR_ATTRACTIVE:
         raise SplitInvariantFailedError("adjacent attractive vertex")
     iso = attractive.member.intersect(comp)
-    if not iso.contains(radical(omega, Subspace.full(alg.dim))):
+    if not iso.contains(kernel(omega)):
         raise SplitInvariantFailedError("kernel inside isotropic part")
     if not is_isotropic(omega, iso):
         raise SplitInvariantFailedError("isotropic part")

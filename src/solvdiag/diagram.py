@@ -20,7 +20,7 @@ from .algebra import (
     is_ideal_in,
     is_nilpotent_subalgebra,
 )
-from .flags import ChainNotNestedError, Flag
+from .flags import ChainNotNestedError, Flag, chain_shape
 from .forms import NotClosedError, TwoForm, is_closed, radical
 
 
@@ -86,18 +86,16 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
     """
     if not is_closed(alg, omega):
         raise NotClosedError("the 2-form is not closed")
-    ms = flag.members
-    dims = [m.dim for m in ms]
-    if any(b != a + 1 for a, b in zip(dims, dims[1:])):
+    shape = chain_shape(alg, flag)
+    if not shape.dims_consecutive:
         raise ChainNotNestedError("chain dimensions are not consecutive")
-    if ms[-1] != Subspace.full(alg.dim):
+    if not shape.ends_at_full:
         raise ChainNotNestedError("chain does not end at the full algebra")
-    for a, b in zip(ms, ms[1:]):
-        if not b.contains(a):
-            raise ChainNotNestedError("chain members are not nested")
+    if not all(shape.nesting):
+        raise ChainNotNestedError("chain members are not nested")
 
     vertices = []
-    for m in ms:
+    for m in flag.members:
         vertices.append(Vertex(index=m.dim, member=m, kernel=radical(omega, m)))
     steps = []
     for a, b in zip(vertices, vertices[1:]):

@@ -52,6 +52,7 @@ _TOP_KEYS = {"name", "dim", "basis", "brackets", "two_forms", "flags", "subspace
 _META_KEYS = {"source", "notes", "expected"}
 _EXPECTED_KEYS = {"check", "args", "value", "tag", "agrees"}
 _TAGS = ("printed", "derived")
+_MAX_NESTING = 100  # levels of lists and dicts in a recorded value or args, later read recursively
 
 
 def _parse_ratio(value: object, where: str) -> tuple[int, int]:
@@ -198,6 +199,8 @@ def parse_document(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply to read") from exc
     _expect_fields(raw, _TOP_KEYS, ("name", "dim", "basis", "brackets"), "document")
 
     name = _expect(raw["name"], str, "name")
@@ -270,6 +273,15 @@ def parse_document(text: str) -> Document:
     )
 
 
+def _nesting(obj: object) -> int:
+    """How deep lists and dicts nest in obj (0 for a scalar): level by level, so no stack."""
+    depth, level = 0, [obj]
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        level = [y for x in level for y in (x.values() if isinstance(x, dict) else x)]
+    return depth
+
+
 def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata:
     _expect_fields(raw, _META_KEYS, (), "metadata")
     source = _expect(raw.get("source", ""), str, "metadata.source")
@@ -285,10 +297,10 @@ def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata
         args = _expect(item.get("args", {}), dict, "metadata.expected", i, ".args")
         for k in args:
             _expect(k, str, "metadata.expected", i, ".args key")
-        # the names an entry refers to: strings, and the form and flag defined
-        for key in ("form", "flag", "name"):
+        # names are strings, the form and flag defined; a member dimension is an int
+        for key, kind in (("form", str), ("flag", str), ("name", str), ("member_dim", int)):
             if key in args:
-                _expect(args[key], str, "metadata.expected", i, ".args.", key)
+                _expect(args[key], kind, "metadata.expected", i, ".args.", key)
         if "form" in args:
             named(two_forms, args["form"], "form")
         if "flag" in args:
@@ -299,6 +311,9 @@ def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata
         agrees = item.get("agrees", True)
         if not isinstance(agrees, bool):
             raise SchemaError(f"metadata.expected[{i}].agrees: expected bool")
+        for key in ("args", "value"):
+            if _nesting(item.get(key)) > _MAX_NESTING:
+                raise SchemaError(f"metadata.expected[{i}].{key}: over {_MAX_NESTING} levels deep")
         expected.append(
             ExpectedEntry(check=check, args=dict(args), value=item["value"], tag=tag, agrees=agrees)
         )

@@ -55,10 +55,6 @@ class Flag:
         raise AttributeError("Flag is immutable")
 
     @property
-    def ambient_dim(self) -> int:
-        return self.members[0].ambient_dim
-
-    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(m.dim for m in self.members)
 
@@ -71,9 +67,6 @@ class Flag:
 
     def __hash__(self) -> int:
         return hash(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def __repr__(self) -> str:
         return f"Flag(dims={self.dims})"
@@ -183,7 +176,7 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace 
     """
     w = low.sum(alg.derived_span(high))
     if w.dim < high.dim:
-        return Subspace(alg.dim, _hyperplane_in(high.int_rows, w.int_rows, w.pivots)[0])
+        return Subspace._of(alg.dim, *_hyperplane_in(high.int_rows, w.int_rows, w.pivots))
 
     # fallback: covector search inside `high` as a standalone algebra
     sub = subalgebra_as_algebra(alg, high)

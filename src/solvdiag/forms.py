@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import InputError, LieAlgebra, Subspace, _init, _ratio
-from .linalg import Vector, ZERO, ONE, frac
+from .algebra import InputError, LieAlgebra, Subspace, _init
+from .linalg import Vector, ZERO, ONE, _ratio, frac
 
 
 class NotClosedError(InputError):
@@ -46,10 +46,6 @@ class Covector:
     @classmethod
     def from_entries(cls, entries: Iterable) -> "Covector":
         return cls(linalg.vec(entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
 
     def apply(self, v: Sequence) -> Fraction:
         return sum((c * x for c, x in zip(self.coeffs, linalg.vec(v), strict=True)), ZERO)

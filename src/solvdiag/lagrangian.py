@@ -2,8 +2,8 @@
 
 A verified candidate is a bracket-closed subspace containing the form's
 kernel, isotropic, and of the maximal possible dimension for that
-(rank/2 plus the kernel).  Searches only ever report verified candidates
-and say how complete they were.
+((n + dim ker)/2, as rank = n - dim ker).  Searches only ever report
+verified candidates and say how complete they were.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .diagram import (
     predicates,
 )
 from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_flag
-from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, radical
+from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, kernel, radical
 
 
 class NotLagrangianError(InputError):
@@ -53,8 +53,8 @@ class LagrangianCandidate:
 
 
 def verify_lagrangian(alg: LieAlgebra, omega: TwoForm, s: Subspace) -> LagrangianCandidate:
-    ker = radical(omega, Subspace.full(alg.dim))
-    return _verify(alg, omega, s, ker, omega.rank() // 2 + ker.dim)
+    ker = kernel(omega)
+    return _verify(alg, omega, s, ker, (alg.dim + ker.dim) // 2)
 
 
 def _verify(alg, omega, s: Subspace, ker: Subspace, target: int) -> LagrangianCandidate:
@@ -120,8 +120,8 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
     ran_adapted = False
     if mode in ("flag_adapted", "both") and normal.status is NormalFlagStatus.FOUND:
         ran_adapted = True
-        ker = radical(omega, Subspace.full(n))
-        target = omega.rank() // 2 + ker.dim
+        ker = kernel(omega)
+        target = (n + ker.dim) // 2
         # the primitive integer echelon rows of the members, each once
         rows = (row for member in normal.flag.members for row in member.int_rows)
         gens = sorted(dict.fromkeys(rows), key=vector_sort_key)
@@ -176,7 +176,7 @@ def lagrangian_to_flag(alg: LieAlgebra, omega: TwoForm, lagr: Subspace) -> Flag:
         raise NotLagrangianError("; ".join(cand.reasons))
     if omega.is_zero():
         raise NotSimpleError("the zero form admits no singular vertex")
-    ker = radical(omega, Subspace.full(alg.dim))
+    ker = kernel(omega)
     chain = [s for s in (ker, lagr) if not s.is_zero()]
     flag = complete_flag_through(alg, chain)
     d = kernel_chain(alg, omega, flag)

@@ -48,6 +48,11 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, of an int, Fraction or str; else `frac`'s TypeError."""
+    return (x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio()
+
+
 def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:
     """(s * row as ints, s), s > 0 the lcm of the denominators; a row of ints as it is.
 
@@ -59,7 +64,7 @@ def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:
         raise ValueError(f"vector of length {len(row)} in Q^{n}")
     if all(type(x) is int for x in row):
         return row, 1
-    pairs = [(x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio() for x in row]
+    pairs = [_ratio(x) for x in row]
     scale = math.lcm(*[d for _, d in pairs])
     return [a * (scale // d) for a, d in pairs], scale
 

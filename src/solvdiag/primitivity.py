@@ -33,7 +33,7 @@ from .algebra import (
     subalgebra_as_algebra,
 )
 from .diagram import weight_zero_singulars
-from .forms import TwoForm, _check_budget, _wedge_table, hyperplane_subalgebras, radical
+from .forms import TwoForm, _check_budget, _wedge_table, hyperplane_subalgebras, kernel
 
 
 class NotSolvableError(InputError):
@@ -137,14 +137,12 @@ def _family_provably_empty(alg: LieAlgebra, w) -> bool:
     return any(c[0] and not any(c[1:]) for c in zip(*coeffs))
 
 
-def _pencil_witnesses(alg: LieAlgebra, h: Subspace, budget: int | None):
-    """Hyperplane subalgebras transitive over h: the kernels found over the
-    dual basis and its pencils that do not contain h.
-
-    Returns (witnesses, truncated).
-    """
+def _pencil_witness(alg: LieAlgebra, h: Subspace, budget: int | None):
+    """The least by sort key of the kernels found over the dual basis and its
+    pencils that do not contain h, or None, and whether the pencils were cut short."""
     kernels, truncated = hyperplane_subalgebras(alg, Subspace.full(alg.dim).int_rows, budget)
-    return [k for k in kernels if not k.contains(h)], truncated
+    witnesses = [k for k in kernels if not k.contains(h)]
+    return min(witnesses, key=lambda s: s.sort_key(), default=None), truncated
 
 
 def quasi_primitive_test(
@@ -182,9 +180,8 @@ def quasi_primitive_test(
         return PrimitivityVerdict(PrimitivityStatus.QUASI_PRIMITIVE, searched=tuple(searched))
 
     searched.append("hyperplane-pencils")
-    witnesses, truncated = _pencil_witnesses(alg, h, pencil_budget)
-    if witnesses:
-        best = min(witnesses, key=lambda s: s.sort_key())
+    best, truncated = _pencil_witness(alg, h, pencil_budget)
+    if best is not None:
         return PrimitivityVerdict(
             PrimitivityStatus.NOT_QUASI_PRIMITIVE, witness=best, searched=tuple(searched)
         )
@@ -228,8 +225,7 @@ def degrees(pair: PairPresentation, pencil_budget: int | None = None) -> Degrees
     while not cur_h.is_zero():
         wit = _ideal_hyperplane_witness(cur_alg, cur_h)
         if wit is None:
-            cands, _ = _pencil_witnesses(cur_alg, cur_h, pencil_budget)
-            wit = min(cands, key=lambda s: s.sort_key()) if cands else None
+            wit = _pencil_witness(cur_alg, cur_h, pencil_budget)[0]
         if wit is None:
             break
         chain.append(chain[-1].lift(wit) if chain else wit)
@@ -261,7 +257,7 @@ def ideal_closure_audit(pair: PairPresentation, omega: TwoForm) -> IdealClosureA
     expected to agree on every instance.
     """
     alg, h = pair.algebra, pair.isotropy
-    if radical(omega, Subspace.full(alg.dim)) != h:
+    if kernel(omega) != h:
         raise ValueError("isotropy must be the kernel of the form")
     if h.is_zero():
         raise ValueError("this audit needs a nonzero kernel")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from solvdiag import (
     LieAlgebra,
     NotAnIdealError,
+    NotSubalgebraError,
     SolvabilityVerdict,
     SolvdiagError,
     Subspace,
@@ -1013,12 +1014,48 @@ class TestQuotient:
         assert sub.dim == 2
         assert derived_subalgebra(sub).is_zero()
 
+    def test_subalgebra_as_algebra_refuses_a_subspace_not_bracket_closed(self, x3):
+        bad = x3.flags["F1"].members[2]
+        with pytest.raises(NotSubalgebraError, match="^subspace is not bracket-closed$"):
+            subalgebra_as_algebra(x3.algebra, bad)
+
     def test_is_nilpotent_subalgebra(self):
         a = LieAlgebra.from_brackets(
             ("x", "y", "t"), {("t", "x"): {"x": 1}, ("t", "y"): {"y": -1}}
         )
         assert is_nilpotent_subalgebra(a, Subspace.span([(1, 0, 0), (0, 1, 0)], 3))
         assert not is_nilpotent_subalgebra(a, Subspace.full(3))
+
+
+def _quotient_records():
+    """One line per (algebra, certificate member): the quotient's names,
+    constants and denominator, and the rows of its projection.  Both
+    generators, dims 2-7, ten seeds each, the odd seeds rebased."""
+    lines = []
+    for make in (random_completely_solvable, random_nilpotent):
+        for dim in range(2, 8):
+            for seed in range(10):
+                rng = Random(3000 * dim + seed)
+                alg = make(rng, dim)
+                if seed % 2:
+                    alg = change_basis(alg, random_unimodular(rng, dim))
+                for ideal in complete_solvability_certificate(alg).witness:
+                    q, proj = quotient(alg, ideal)
+                    rows = "; ".join(" ".join(map(str, r)) for r in proj)
+                    lines.append(f"{' '.join(q.names)} {q.consts} {q.denom} | {rows}")
+    return lines
+
+
+# SHA-256 of _quotient_records() as computed by the quotient that built its
+# projection by hand from the ideal's rows scaled to their common pivot
+GOLDEN_QUOTIENT_DIGEST = "2c253d81a5b6cc982a085d2e782517504de8745f2ba23bd01cd33a64cb945abc"
+
+
+def test_quotients_unchanged():
+    records = _quotient_records()
+    assert len(records) == 540
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == GOLDEN_QUOTIENT_DIGEST
 
 
 @st.composite

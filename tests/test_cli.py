@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -47,6 +48,18 @@ def run(capsys, *argv):
 def write_doc(tmp_path, obj, name="doc.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj), encoding="utf-8")
+    return str(p)
+
+
+def write_deep_doc(tmp_path, field, depth):
+    """E1 with its `name`, or its first recorded value, `depth` lists deep."""
+    obj = json.loads(corpus_text("E1"))
+    if field == "name":
+        obj["name"] = "@"
+    else:
+        obj["metadata"]["expected"][0]["value"] = "@"
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(obj).replace('"@"', "[" * depth + "1" + "]" * depth), encoding="utf-8")
     return str(p)
 
 
@@ -180,6 +193,59 @@ class TestExitCodes:
         assert code == 3
         assert any(line.startswith("FAIL recorded expectations") for line in out.splitlines())
         assert "audit result: FAIL" in out
+
+    @pytest.mark.parametrize("command", ["validate", "audit"])
+    @pytest.mark.parametrize("member_dim", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_a_member_dim_that_is_not_an_int(self, capsys, tmp_path, command, member_dim):
+        obj = json.loads(corpus_text("E1"))
+        i, entry = next(
+            (i, e) for i, e in enumerate(obj["metadata"]["expected"]) if "member_dim" in e["args"]
+        )
+        entry["args"]["member_dim"] = member_dim
+        kind = type(member_dim).__name__
+        says = f"metadata.expected[{i}].args.member_dim: expected int, got {kind}"
+        code, out, err = run(capsys, command, write_doc(tmp_path, obj))
+        assert (code, out, err) == (2, "", f"error[SCHEMA_ERROR]: {says}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "audit"])
+    @pytest.mark.parametrize(
+        "field, depth, code",
+        [("value", 101, "SCHEMA_ERROR"), ("name", 100_000, "PARSE_ERROR")],
+        ids=["value-101", "name-100000"],
+    )
+    def test_a_document_nested_too_deep(self, capsys, tmp_path, command, field, depth, code):
+        path = write_deep_doc(tmp_path, field, depth)
+        status, out, err = run(capsys, command, path)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error[{code}]: ")
+
+    @pytest.mark.parametrize("command", ["validate", "audit"])
+    def test_a_value_nested_985_deep_in_a_process(self, tmp_path, command):
+        # 985 levels are read by json.loads from the shallow stack of a fresh
+        # process, where audit used to overflow re-reading its own output
+        path = write_deep_doc(tmp_path, "value", 985)
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvdiag", command, path],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(solvdiag.__file__).parents[1])},
+        )
+        says = "metadata.expected[0].value: over 100 levels deep"
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error[SCHEMA_ERROR]: {says}\n"
+
+    def test_a_failed_step_audit_is_a_fail_line(self, capsys, monkeypatch):
+        from solvdiag import cli
+        from solvdiag.deformation import ReductionReport
+
+        def failing(*args):
+            return ReductionReport(direction=None, ok=False, failures=("kernel nesting",))
+
+        monkeypatch.setattr(cli, "audit_step", failing)
+        code, out, _ = run(capsys, "audit", corpus_path("E1"))
+        assert code == 3
+        assert "FAIL diagram omega/F step audit (step 1: kernel nesting)" in out.splitlines()
+        assert out.splitlines()[-1].startswith("audit result: FAIL")
 
     def test_audit_of_an_unknown_check_is_a_value_error(self, capsys, tmp_path):
         # validate reads no recorded expectation, so it passes the same file

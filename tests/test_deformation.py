@@ -273,3 +273,51 @@ class TestStepAudit:
         bad = audit_step(alg, w, low, Subspace.zero(5), high, Subspace.span([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], 5))
         assert bad.direction is None
         assert "kernel dimensions differ by one" in bad.failures
+
+    @pytest.mark.parametrize(
+        "low, high, claimed, direction, failures",
+        [
+            ("cb", "cav", None, "D", ("member nesting",)),
+            (
+                "c",
+                "cb",
+                "ba",
+                "U",
+                ("right kernel is the radical", "kernel nesting", "member recovered from kernel"),
+            ),
+            ("cba", "cbav", "cv", "D", ("right kernel is the radical", "kernel nesting")),
+            (
+                "c",
+                "cba",
+                "cb",
+                "U",
+                (
+                    "member nesting",
+                    "right kernel is the radical",
+                    "member recovered from kernel",
+                    "reduced dimension preserved",
+                ),
+            ),
+            (
+                "cba",
+                "cbavu",
+                "cb",
+                "D",
+                ("member nesting", "right kernel is the radical", "reduced dimension drops by two"),
+            ),
+        ],
+        ids=["member-nesting", "kernel-nesting-up", "kernel-nesting-down", "preserved", "drops"],
+    )
+    def test_each_clause_is_reported(self, e1, low, high, claimed, direction, failures):
+        # members and kernels by the E1 basis names they span; claimed None
+        # takes the true radical of the high member
+        alg = e1.algebra
+        w = e1.two_forms["omega"]
+
+        def span(names):
+            return Subspace.span([alg.basis_vector(n) for n in names], 5)
+
+        low, high = span(low), span(high)
+        high_kernel = radical(w, high) if claimed is None else span(claimed)
+        rep = audit_step(alg, w, low, radical(w, low), high, high_kernel)
+        assert (rep.direction, rep.ok, rep.failures) == (StepDirection(direction), False, failures)

@@ -19,7 +19,8 @@ from solvdiag import (
     rational_repr,
     serialize_document,
 )
-from solvdiag.document import _parse_metadata, subspace_obj
+from solvdiag.corpus import compute_check
+from solvdiag.document import _MAX_NESTING, _nesting, _parse_metadata, subspace_obj
 
 CORPUS = ("D1", "E1", "E2", "X1", "X2", "X3")
 
@@ -284,6 +285,62 @@ class TestPinnedRefusals:
             _parse_metadata({"expected": [entry]}, {}, {})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("member_dim", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_a_member_dim_that_is_not_an_int(self, member_dim):
+        # a bool would select the member of dimension 1, 2.0 would pass as 2,
+        # and "2" would be reported as a dimension the flag lacks
+        args = {"form": "w", "flag": "F", "member_dim": member_dim}
+        entry = {"check": "kernel_member", "args": args, "value": [], "tag": "derived"}
+        text = minimal(
+            two_forms={"w": []}, flags={"F": [[{"x": 1}]]}, metadata={"expected": [entry]}
+        )
+        kind = type(member_dim).__name__
+        assert refusal(text) == (
+            "SchemaError",
+            f"metadata.expected[0].args.member_dim: expected int, got {kind}",
+        )
+
+
+def nested(depth):
+    """A JSON text of `depth` nested lists around 1."""
+    return "[" * depth + "1" + "]" * depth
+
+
+class TestNesting:
+    """Recorded values and args nest at most _MAX_NESTING deep, and JSON too
+    deep for the reader is a ParseError, not a RecursionError."""
+
+    def test_the_depth_is_counted_without_recursion(self):
+        assert [_nesting(x) for x in (1, [], {"a": [1, [2]]}, [{}, 3])] == [0, 1, 3, 2]
+        assert _nesting(json.loads(nested(500))) == 500
+
+    # 985 levels, which json.loads reads only from a shallow stack, are
+    # refused the same way by the command line (tests/test_cli.py)
+    @pytest.mark.parametrize("depth", [101, 500])
+    def test_a_value_nested_too_deep(self, depth):
+        assert _MAX_NESTING == 100
+        text = expected_entry(value="@").replace('"@"', nested(depth))
+        message = "metadata.expected[0].value: over 100 levels deep"
+        assert schema_message(text) == message
+
+    def test_args_nested_too_deep(self):
+        # args is a dict, so its own level counts
+        text = expected_entry(args={"k": "@"}).replace('"@"', nested(100))
+        message = "metadata.expected[0].args: over 100 levels deep"
+        assert schema_message(text) == message
+
+    def test_values_and_args_at_the_limit_are_read(self):
+        text = expected_entry(value="@", args={"k": "#"})
+        text = text.replace('"@"', nested(100)).replace('"#"', nested(99))
+        entry = parse_document(text).metadata.expected[0]
+        assert _nesting(entry.value) == _nesting(entry.args) == 100
+
+    def test_json_too_deep_to_read(self):
+        text = minimal(name="@").replace('"@"', nested(100_000))
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == "invalid JSON: nested too deeply to read"
+
 
 class TestSerialization:
     def test_corpus_files_are_canonical(self):
@@ -371,6 +428,29 @@ class TestCorpus:
         ]
         results = evaluate_expected(parse_document(json.dumps(obj)))
         assert [(r.computed, r.matched) for r in results] == [(1, True), (1, False)]
+
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            ("form_closed", {}, "expected entry is missing argument 'form'"),
+            ("kernel_dims", {"form": "omega"}, "expected entry is missing argument 'flag'"),
+            (
+                "predicate",
+                {"form": "omega", "flag": "F", "name": "tidy"},
+                "unknown predicate 'tidy'",
+            ),
+            (
+                "kernel_member",
+                {"form": "omega", "flag": "F", "member_dim": 9},
+                "no flag member of dimension 9",
+            ),
+        ],
+        ids=["missing-form", "missing-flag", "unknown-predicate", "no-member"],
+    )
+    def test_a_check_it_cannot_compute(self, e1, check, args, message):
+        with pytest.raises(ValueError) as err:
+            compute_check(e1, check, args, {})
+        assert str(err.value) == message
 
     def test_every_document_names_a_source(self):
         for name in CORPUS:

@@ -20,7 +20,7 @@ from solvdiag import (
     is_subalgebra,
     validate_flag,
 )
-from solvdiag import flags
+from solvdiag import flags, linalg
 from solvdiag.generators import random_completely_solvable, random_full_chain
 from oracles import oracle_validate_flag
 
@@ -203,6 +203,30 @@ class TestCompletion:
         bad = x3.flags["F1"].members[2]  # not bracket-closed
         with pytest.raises(NotSubalgebraError):
             complete_flag_through(x3.algebra, [bad])
+
+    def test_rejects_a_member_of_another_ambient_space(self, d1):
+        with pytest.raises(ValueError, match="^chain member has the wrong ambient dimension$"):
+            complete_flag_through(d1.algebra, [Subspace.span([(1, 0, 0)], 3)])
+
+    def test_extended_hyperplanes_are_not_eliminated_again(self, monkeypatch):
+        # _hyperplane_in returns echelon rows and pivots, which the step
+        # takes as they are; wrapping them in Subspace(...) made 140 calls
+        algs = [random_completely_solvable(Random(s), 8) for s in range(1, 6)]
+        calls = 0
+        echelon = linalg.echelon
+
+        def counting(rows):
+            nonlocal calls
+            calls += 1
+            return echelon(rows)
+
+        monkeypatch.setattr(linalg, "echelon", counting)
+        built = [complete_flag_through(alg, []) for alg in algs]
+        assert calls == 105
+        monkeypatch.setattr(linalg, "echelon", echelon)
+        for alg, flag in zip(algs, built):
+            assert all(m == Subspace(8, m.int_rows) for m in flag.members)
+            assert validate_flag(alg, flag).composition_ok
 
     def test_all_corpus_algebras_complete(self, e1, e2, x1, x3, d1):
         for doc in (e1, e2, x1, x3, d1):

@@ -54,6 +54,11 @@ class TestPresentation:
         with pytest.raises(NotSubalgebraError):
             PairPresentation(alg, bad)
 
+    def test_transitive_test_refuses_a_candidate_not_bracket_closed(self, x3):
+        pair = PairPresentation(x3.algebra, Subspace.zero(x3.algebra.dim))
+        with pytest.raises(NotSubalgebraError, match="^candidate is not bracket-closed$"):
+            transitive_test(pair, x3.flags["F1"].members[2])
+
     def test_ambient_mismatch(self, e1):
         with pytest.raises(ValueError):
             PairPresentation(e1.algebra, Subspace.zero(3))
