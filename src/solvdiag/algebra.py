@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -115,10 +114,6 @@ class Subspace:
     def full(cls, n: int) -> "Subspace":
         return cls._of(n, ([int(i == j) for j in range(n)] for i in range(n)), range(n))
 
-    @classmethod
-    def span(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, vectors)
-
     @property
     def rows(self) -> Matrix:
         if self._rows is None:
@@ -205,18 +200,32 @@ def vector_sort_key(v: Vector):
     return (pivot, v)
 
 
-def _ibracket(alg, xs, ys) -> list[int]:
+def _ibracket(consts, xs, ys) -> list[int]:
     """denom * [x, y] on ints, x and y given by their nonzero entries
     (index, value): the sum of x_i y_j c over the constants (k, c) of
-    [e_i, e_j] in `alg.consts`."""
-    out = [0] * alg.dim
+    [e_i, e_j] in consts (a table's `consts`, of dimension len(consts))."""
+    out = [0] * len(consts)
     for i, x in xs:
-        row = alg.consts[i]
+        row = consts[i]
         for j, y in ys:
             if cs := row[j]:
                 f = x * y
                 for k, c in cs:
                     out[k] += f * c
+    return out
+
+
+def _ad(consts, x: Sequence[int]) -> list[list[int]]:
+    """denom * ad_x on ints, for the integer vector x: entry (k, j) is the
+    e_k coefficient of denom * [x, e_j], the sum of x_i c over the constants
+    (k, c) of [e_i, e_j] in consts (a table's `consts`)."""
+    n = len(consts)
+    out = [[0] * n for _ in range(n)]
+    for xi, row in zip(x, consts):
+        if xi:
+            for j, cs in enumerate(row):
+                for k, c in cs:
+                    out[k][j] += xi * c
     return out
 
 
@@ -286,7 +295,7 @@ class VectorTable:
         y and the nonzero constants of table[i][j], on ints, divided once.
         An entry that is not exact is a TypeError, a wrong length a ValueError."""
         (x, sx), (y, sy) = linalg.scaled_ints(x, self.dim), linalg.scaled_ints(y, self.dim)
-        return linalg.divided(_ibracket(self, *_sparse((x, y))), sx * sy * self.denom)
+        return linalg.divided(_ibracket(self.consts, *_sparse((x, y))), sx * sy * self.denom)
 
 
 class LieAlgebra(VectorTable):
@@ -344,23 +353,14 @@ class LieAlgebra(VectorTable):
         return self.apply(x, y)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of ad_x = [x, .] acting on coordinate columns (row-major).
-
-        Entry (k, j) is the e_k coefficient of [x, e_j], the sum of
-        x_i c[i][j][k] over the nonzero constants, on ints, divided once.
-        """
+        """Matrix of ad_x = [x, .] acting on coordinate columns (row-major): entry
+        (k, j) is the e_k coefficient of [x, e_j], `_ad` on ints, divided once."""
         x, sx = linalg.scaled_ints(x, self.dim)
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for xi, row in zip(x, self.consts):
-            if xi:
-                for j, cs in enumerate(row):
-                    for k, c in cs:
-                        out[k][j] += xi * c
-        return tuple(linalg.divided(r, sx * self.denom) for r in out)
+        return tuple(linalg.divided(r, sx * self.denom) for r in _ad(self.consts, x))
 
     def bracket_spans(self, s: Subspace, t: Subspace) -> Subspace:
-        ts = _sparse(t.int_rows)
-        return Subspace(self.dim, [_ibracket(self, a, b) for a in _sparse(s.int_rows) for b in ts])
+        cs, ts = self.consts, _sparse(t.int_rows)
+        return Subspace(self.dim, [_ibracket(cs, a, b) for a in _sparse(s.int_rows) for b in ts])
 
     def derived_span(self, s: Subspace) -> Subspace:
         """[s, s], from the brackets of the pairs a < b of s's echelon rows.
@@ -373,7 +373,7 @@ class LieAlgebra(VectorTable):
         """
         sup = _sparse(s.int_rows)
         pairs = [(a, b) for i, a in enumerate(sup) for b in sup[i + 1 :]]
-        return Subspace(self.dim, [_ibracket(self, a, b) for a, b in pairs])
+        return Subspace(self.dim, [_ibracket(self.consts, a, b) for a, b in pairs])
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, names={self.names!r})"
@@ -449,7 +449,7 @@ def subalgebra_closure(
         new, base = _sparse(new), _sparse(old.int_rows)
         old = cur
         pairs = [(a, b) for i, a in enumerate(new) for b in new[i + 1 :] + base]
-        cur, new = _grow(cur, [_ibracket(alg, a, b) for a, b in pairs])
+        cur, new = _grow(cur, [_ibracket(alg.consts, a, b) for a, b in pairs])
     return cur
 
 
@@ -457,18 +457,18 @@ def ideal_closure(alg: LieAlgebra, s: Subspace) -> Subspace:
     """Smallest ideal of the algebra containing s.
 
     Semi-naive: each round brackets the basis only with the directions
-    added in the last round.
+    added in the last round, y, through the columns [y, e_j] of ad_y, which
+    span the [e_j, y] as the table is antisymmetric.
     """
     cur, new = s, list(s.int_rows)
     while new:
-        units = [[(i, 1)] for i in range(alg.dim)]
-        cur, new = _grow(cur, [_ibracket(alg, e, y) for y in _sparse(new) for e in units])
+        cur, new = _grow(cur, [col for y in new for col in zip(*_ad(alg.consts, y))])
     return cur
 
 
 def is_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
     sup = _sparse(s.int_rows)
-    return all(s._has(_ibracket(alg, a, b)) for i, a in enumerate(sup) for b in sup[i + 1 :])
+    return all(s._has(_ibracket(alg.consts, a, b)) for i, a in enumerate(sup) for b in sup[i + 1 :])
 
 
 def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
@@ -476,7 +476,7 @@ def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
     if not t.contains(s):
         raise SubspaceNotNestedError("s is not contained in t")
     ss = _sparse(s.int_rows)
-    return all(s._has(_ibracket(alg, x, y)) for x in _sparse(t.int_rows) for y in ss)
+    return all(s._has(_ibracket(alg.consts, x, y)) for x in _sparse(t.int_rows) for y in ss)
 
 
 def _series_reaches_zero(start: Subspace, step) -> bool:
@@ -544,7 +544,7 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
     # their integer bracket is denom * L^2 times the bracket of the reduced rows
     lcm, rows = s._common_pivot_rows()
     sup = _sparse(rows)
-    brackets = [[_ibracket(alg, a, b) for b in sup] for a in sup]
+    brackets = [[_ibracket(alg.consts, a, b) for b in sup] for a in sup]
     if not all(s._has(brackets[a][b]) for a in range(s.dim) for b in range(a + 1, s.dim)):
         raise NotSubalgebraError("subspace is not bracket-closed")
     consts = [
@@ -566,8 +566,8 @@ def change_basis(table: VectorTable, m) -> VectorTable:
         raise ValueError("basis matrix is singular")
     flat, s = linalg.scaled_ints(x for r in m for x in r)
     m_int = [flat[a * n : a * n + n] for a in range(n)]
-    sup = _sparse(m_int)
-    solved = linalg.int_solve(list(zip(*m_int)), [_ibracket(table, x, y) for x in sup for y in sup])
+    sup, cs = _sparse(m_int), table.consts
+    solved = linalg.int_solve(list(zip(*m_int)), [_ibracket(cs, x, y) for x in sup for y in sup])
     if solved is None:
         raise ValueError("basis matrix is singular")
     ys, d = solved
@@ -636,15 +636,16 @@ def _eigenspaces(m: Matrix, dim: int, nilpotent: bool = False) -> list[list[list
     ]
 
 
-def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | None:
-    """A rational common eigenvector of the solvable action, or None.
+def common_eigenvector(consts) -> list[int] | None:
+    """A rational common eigenvector of the adjoint action, or None.
 
-    rep[i] is the matrix of the action of basis vector e_i on Q^space_dim;
-    the algebra is read through `alg.dim` and `alg.consts` only.  Returns
-    the canonical least normalized eigenvector, or None when the descent
-    needs an eigenvalue that is not rational (or the algebra turns out
-    non-solvable along the way).  A rep of other than alg.dim matrices, a
-    matrix not space_dim x space_dim, or space_dim < 1 is a ValueError.
+    consts are the integer structure constants of the acting algebra, laid
+    out as `VectorTable.consts` and taken as they are: e_i acts by ad(e_i)
+    (`_ad`), and any positive multiple of the true constants gives the same
+    answer.  Returns the canonical least eigenvector in vector_sort_key's
+    order as a primitive integer vector, positive at its pivot, or None when
+    the descent needs an eigenvalue that is not rational (or the algebra
+    turns out non-solvable along the way).  An empty table is a ValueError.
 
     The descent walks a chain of subalgebras sub = H + <z>, H a canonical
     hyperplane, down to one acting trivially.  [sub, sub] comes from the
@@ -663,50 +664,32 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
     succeed, so the image of q is solvable, its weights vanish on [q, q]
     by Lie's theorem (Humphreys, GTM 9, 4.1 Cor. C), and on the invariant
     weight space z has the one eigenspace ker z, all that the charpoly
-    route returns for the spectrum {0}.  The vector the descent returns is
-    checked once, against every matrix of rep as given.
-    The descent runs on ints: the nonzero entries of rep, read once, are
-    scaled to integers by one positive factor unless they are ints, and an
-    element acts through its primitive integer multiple, so each action
-    matrix is a positive multiple of the true one.  That scales weights
-    and moves no span, eigenspace or normalized eigenvector.
-    Vectors stay primitive integer ones up the recursion; the top divides
-    once.
+    route returns for the spectrum {0}.  The vector w the descent returns
+    is checked once: every column [w, e_i] of ad_w is a multiple of w.
+    The descent runs on ints: an element acts through its primitive
+    integer multiple, so each action matrix is a positive multiple of the
+    true one.  That scales weights and moves no span, eigenspace or
+    normalized eigenvector.  Vectors stay primitive integer ones up the
+    recursion, and the top returns its vector as it is.
     """
-    if space_dim < 1 or len(rep) != alg.dim or any({len(m), *map(len, m)} - {space_dim} for m in rep):
-        raise ValueError(f"rep must be {alg.dim} matrices of size {space_dim} x {space_dim} >= 1")
-    n = alg.dim
-    # the nonzero entries (i, j, x) of each action matrix, read once
-    entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in rep]
-    if any(type(x) is not int for nz in entries for _, _, x in nz):
-        flat = iter(linalg.scaled_ints([x for nz in entries for _, _, x in nz])[0])
-        entries = [[(i, j, next(flat)) for i, j, _ in nz] for nz in entries]
+    n = len(consts)
+    if not n:
+        raise ValueError("the acting algebra must have dimension >= 1")
 
-    def act(elem: Sequence[int]) -> list[list[int]]:
-        """The action of a primitive integer row (of `linalg.echelon`)."""
-        out = [[0] * space_dim for _ in range(space_dim)]
-        for c, nz in zip(elem, entries):
-            if c:
-                for i, j, x in nz:
-                    out[i][j] += c * x
-        return out
-
-    def fixes(a, w: list[int]) -> bool:
-        """Whether a maps w to a multiple of w, by cross-multiplying."""
-        ws = [(j, y) for j, y in enumerate(w) if y]
-        img = [sum(row[j] * y for j, y in ws) for row in a]
-        t, den = ws[0]
+    def parallel(img, w: list[int]) -> bool:
+        """Whether img is a multiple of w, by cross-multiplying over w's pivot entry."""
+        t, den = next((j, y) for j, y in enumerate(w) if y)
         return all(x * den == img[t] * y for x, y in zip(img, w))
 
     def least(eigenspaces, basis=None) -> tuple[list[int], list] | None:
         """The least eigenvector (coordinates on basis, if given) in
         vector_sort_key's order, primitive and positive at its pivot, and its
-        eigenspace, in Q^space_dim; cross-multiplied over the pivot entry."""
+        eigenspace, in Q^n; cross-multiplied over the pivot entry."""
         best, q, held = None, 0, None
         for eigenspace in eigenspaces:
             if basis is not None:
                 eigenspace = [
-                    [sum(c * b[j] for c, b in zip(v, basis) if c) for j in range(space_dim)]
+                    [sum(c * b[j] for c, b in zip(v, basis) if c) for j in range(n)]
                     for v in eigenspace
                 ]
             for v in eigenspace:
@@ -724,30 +707,31 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
         it.  qq is the echelon of [q, q], from the top stage."""
         sup = _sparse(rows)
         pairs = [(x, y) for a, x in enumerate(sup) for y in sup[a + 1 :]]
-        drows, dpiv = linalg.echelon([_ibracket(alg, *xy) for xy in pairs]) if pairs else ([], [])
+        drows, dpiv = linalg.echelon([_ibracket(consts, *xy) for xy in pairs]) if pairs else ([], [])
         if len(dpiv) >= len(pivots):
             return None  # not solvable
         qq = qq or (drows, dpiv)
         hrows, hpiv = _hyperplane_in(rows, drows, dpiv)
         # the action of a complement direction of hyper in sub
         z = next(r for r in rows if any(_reduce(r, hrows, hpiv)))
-        mz, nilpotent = act(z), not any(_reduce(z, *qq))
-        if not any(x for r in hrows for row in act(r) for x in row):
+        mz, nilpotent = _ad(consts, z), not any(_reduce(z, *qq))
+        if not any(x for r in hrows for row in _ad(consts, r) for x in row):
             # hyper acts by zero: its weight space is the whole space
-            return least(_eigenspaces(mz, space_dim, nilpotent))
+            return least(_eigenspaces(mz, n, nilpotent))
         found = recurse(hrows, hpiv, qq)
         if found is None:
             return None
         w, space = found  # space: hyper's weight space for w's weight
         if len(space) == 1:  # a line: mz fixes it, and w is its least vector
-            if not fixes(mz, w):  # pragma: no cover - invariance lemma
+            img = [sum(x * y for x, y in zip(row, w) if y) for row in mz]
+            if not parallel(img, w):  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
             return w, [w]
         # mz restricted to the weight space (invariant in char 0), on the
         # basis of its reduced echelon rows times the lcm of their pivots
         wrows, wpiv = linalg.echelon(space)
         lcm, basis = _at_common_pivot(wrows, wpiv)
-        free = [j for j in range(space_dim) if j not in wpiv]
+        free = [j for j in range(n) if j not in wpiv]
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
             img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
@@ -758,16 +742,16 @@ def common_eigenvector(alg, rep: Sequence[Matrix], space_dim: int) -> Vector | N
                 raise SolvdiagError("weight space not invariant")
         return least(_eigenspaces(list(zip(*restr)), len(wpiv), nilpotent), basis)
 
-    if not any(entries):  # every e_i acts by zero
-        return linalg.unit_vec(space_dim, 0)
+    if not any(cs for row in consts for cs in row):  # every e_i acts by zero
+        return [1] + [0] * (n - 1)
     full = Subspace.full(n)
     found = recurse(full.int_rows, full.pivots)
     if found is None:
         return None
     w = found[0]
-    if not all(fixes(a, w) for a in rep):  # pragma: no cover - theory guard
+    if not all(parallel(col, w) for col in zip(*_ad(consts, w))):  # pragma: no cover - theory guard
         raise SolvdiagError("descent produced a non-eigenvector")
-    return linalg.divided(w, next(x for x in w if x))
+    return w
 
 
 class SolvabilityVerdict(Enum):
@@ -799,7 +783,7 @@ def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
     which is exactly when the certificate succeeds.  Conversely, a flag of
     ideals over Q makes every ad(x) triangular over Q.
 
-    ad(e_i) is read off `alg.consts[i]` on ints, denom times the true
+    ad(e_i) is `_ad` of the unit vector, on ints, denom times the true
     matrix, which moves no eigenvalue off Q.  A triangular one splits
     (`_triangular`); for any other, the rational roots of its
     `linalg.charpoly` are divided out exactly, as often as each divides,
@@ -813,10 +797,7 @@ def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
     for i in range(n):
         if i in derived.pivots:
             continue
-        ad = [[0] * n for _ in range(n)]
-        for j, cs in enumerate(alg.consts[i]):
-            for k, c in cs:
-                ad[k][j] = c
+        ad = _ad(alg.consts, [int(j == i) for j in range(n)])
         if not _triangular(ad):
             poly = linalg.charpoly(ad)
             for r in linalg.rational_roots(poly):
@@ -836,11 +817,11 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     I_(k-1), which vanishes on the pivot columns of I_(k-1) and so is
     already in quotient coordinates.  The table is kept as ints, D > 0
     times the true one; the descent sees only ratios, so D never shows.
-    Each level reads its table's nonzero constants and its ad matrices
-    straight off those ints, with no dense table, and hands them to the
-    descent.  Then it reduces by the new member's primitive row q, with
-    pivot p and d = q[p] > 0 (r becomes d*r - r[p]*q), the live brackets
-    [e_i, e_j] only, i off the pivots of I_k and j off those of I_(k-1),
+    Each level reads its table's nonzero constants straight off those ints,
+    with no dense table, and hands them to the descent as they are; v comes
+    back as an integer row.  Then it reduces by the new member's primitive
+    row q, with pivot p and d = q[p] > 0 (r becomes d*r - r[p]*q), the live
+    brackets [e_i, e_j] only, i off the pivots of I_k and j off those of I_(k-1),
     and divides them by their content.  It checks [e_i, q] = 0 modulo I_k
     for each such i (NotAnIdealError otherwise).  That proves I_k an ideal:
     I_(k-1) is one, q is supported off its pivots, and e_p is
@@ -859,17 +840,13 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     while keep:
         rows, at = [red[a] for a in keep], list(enumerate(keep))  # the level's table
         consts = [[[(t, x) for t, k in at if (x := r[b][k])] for b in keep] for r in rows]
-        rep = [[[r[b][k] for b in keep] for k in keep] for r in rows]
-        v = common_eigenvector(SimpleNamespace(dim=len(keep), consts=consts), rep, len(keep))
+        v = common_eigenvector(consts)
         if v is None:
             verdict = solvability_verdict(alg)
             if verdict is SolvabilityVerdict.COMPLETELY_SOLVABLE:
                 raise SolvdiagError("descent found no rational eigenvector of a split spectrum")
             return SolvabilityCertificate(verdict, None)
-        lifted = [0] * n
-        for c, i in zip(linalg._primitive(v), keep):
-            lifted[i] = c
-        carried, (q,) = _grow(carried, [lifted])  # q: the new echelon row
+        carried, (q,) = _grow(carried, [_dense(zip(keep, v), n)])  # q: the new echelon row
         members.append(carried)
         support = [(j, c) for j, c in enumerate(q) if c]
         p, d = support[0]  # q's pivot and its entry there

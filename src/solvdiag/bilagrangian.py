@@ -17,6 +17,7 @@ from .algebra import (
     NotSubalgebraError,
     Subspace,
     VectorTable,
+    _ad,
     _dense,
     _ibracket,
     _sparse,
@@ -45,13 +46,13 @@ def _derivatives(alg: VectorTable, gram, pairs) -> tuple[list[list[int]], int]:
     """The D with omega(D, z) = -omega(y, [x, z]) for all z, for each pair (x, y)
     of integer vectors, over one denominator; gram is a positive multiple of
     omega's Gram matrix on alg's basis.  At z = e_k this reads gram^T D =
-    r / denom, r_k the pairing of denom * [x, e_k] with y through gram: one
-    `linalg.int_solve` for all pairs, and a DegenerateFormError if singular."""
+    r / denom, r_k the pairing of denom * [x, e_k], column k of `_ad`, with
+    y through gram: one `linalg.int_solve` for all pairs, and a
+    DegenerateFormError if singular."""
     rhs = []
     for x, y in pairs:
         gy = [sum(g * c for g, c in zip(row, y) if c) for row in gram]
-        brs = (_ibracket(alg, _sparse([x])[0], [(k, 1)]) for k in range(alg.dim))  # denom [x, e_k]
-        rhs.append([sum(b * g for b, g in zip(br, gy) if b) for br in brs])
+        rhs.append([sum(b * g for b, g in zip(br, gy) if b) for br in zip(*_ad(alg.consts, x))])
     solved = linalg.int_solve(list(zip(*gram)), rhs)
     if solved is None:
         raise DegenerateFormError("the form must be nondegenerate")
@@ -179,7 +180,7 @@ def audit_connection(
 
     def preserves(member: Subspace) -> bool:
         rows = _sparse(member.int_rows)
-        return all(member._has(_ibracket(table, [(i, 1)], v)) for i in range(n) for v in rows)
+        return all(member._has(_ibracket(table.consts, [(i, 1)], v)) for i in range(n) for v in rows)
 
     return ConnectionAudit(
         torsion_free=torsion,
@@ -198,7 +199,7 @@ def curvature(alg: LieAlgebra, table: ConnectionTable, x, y, z) -> Vector:
     (x, sx), (y, sy), (z, sz) = (linalg.scaled_ints(v, n) for v in (x, y, z))
 
     def times(tab, u, v):  # the integer product of integer vectors in tab
-        return _ibracket(tab, *_sparse((u, v)))
+        return _ibracket(tab.consts, *_sparse((u, v)))
 
     xy, yx = times(table, x, times(table, y, z)), times(table, y, times(table, x, z))
     out = [a * (p - q) - t * r for p, q, r in zip(xy, yx, times(table, times(alg, x, y), z))]

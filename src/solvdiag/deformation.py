@@ -178,7 +178,7 @@ def equivariant_descent(
         for z in _sparse(split.complement.int_rows):
             cols = []
             for r in rows:
-                v = _ibracket(alg, z, r)
+                v = _ibracket(alg.consts, z, r)
                 hits = [(v[p], row) for p, row in zip(forced.pivots, reducers) if v[p]]
                 img = [lcm * x - sum(c * row[k] for c, row in hits) for k, x in enumerate(v)]
                 if not quot._has(img):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import getitem
 from typing import Any, Mapping
 
+from . import linalg
 from .algebra import InputError, LieAlgebra, Subspace, validate_algebra
 from .flags import Flag
 from .forms import TwoForm
@@ -46,30 +47,39 @@ def named(table: Mapping, name: str, what: str):
     return table[name]
 
 
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # whole string, ASCII only
-
 _TOP_KEYS = {"name", "dim", "basis", "brackets", "two_forms", "flags", "subspaces", "metadata"}
 _META_KEYS = {"source", "notes", "expected"}
 _EXPECTED_KEYS = {"check", "args", "value", "tag", "agrees"}
 _TAGS = ("printed", "derived")
 _MAX_NESTING = 100  # levels of lists and dicts in a recorded value or args, later read recursively
+_QUOTE_CHARS = 40  # of a refused value's repr, quoted in its message
+
+
+def _quoted(value: object) -> str:
+    """repr(value), or its first _QUOTE_CHARS characters and '...' when longer."""
+    r = repr(value)
+    return r if len(r) <= _QUOTE_CHARS else r[:_QUOTE_CHARS] + "..."
 
 
 def _parse_ratio(value: object, where: str) -> tuple[int, int]:
-    """(p, q), q > 0, with value = p/q: a JSON int, or a string 'p/q' of ASCII digits."""
+    """(p, q), q > 0, with value = p/q: a JSON int, or a string 'p/q' of ASCII
+    digits (`linalg._RATIONAL_RE`).  A refusal quotes the value (`_quoted`)."""
     if isinstance(value, bool):
         raise RationalFormatError(f"{where}: boolean is not a rational")
     if isinstance(value, int):
         return value, 1
     if isinstance(value, str):
-        m = _RATIONAL_RE.fullmatch(value)
+        m = linalg._RATIONAL_RE.fullmatch(value)
         if m is None:
-            raise RationalFormatError(f"{where}: {value!r} is not an integer or 'p/q'")
-        p, q = int(m[1]), int(m[2] or 1)
+            raise RationalFormatError(f"{where}: {_quoted(value)} is not an integer or 'p/q'")
+        try:
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+            raise RationalFormatError(f"{where}: {_quoted(value)} has too many digits") from None
         if q == 0:
-            raise RationalFormatError(f"{where}: {value!r} has a zero denominator")
+            raise RationalFormatError(f"{where}: {_quoted(value)} has a zero denominator")
         return p, q
-    raise RationalFormatError(f"{where}: {value!r} is not an exact rational")
+    raise RationalFormatError(f"{where}: {_quoted(value)} is not an exact rational")
 
 
 def parse_rational(value: object, where: str) -> Fraction:
@@ -201,6 +211,9 @@ def parse_document(text: str) -> Document:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply to read") from exc
+    except ValueError as exc:  # an integer of more digits than int() reads
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: a number of more than {limit} digits") from exc
     _expect_fields(raw, _TOP_KEYS, ("name", "dim", "basis", "brackets"), "document")
 
     name = _expect(raw["name"], str, "name")

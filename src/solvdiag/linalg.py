@@ -13,6 +13,7 @@ and rational roots are exact as well.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,15 +23,20 @@ Matrix = tuple[Vector, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # whole string, ASCII only
+
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction (exact)."""
+    """Coerce ints, Fractions and 'p/q' strings (read whole by `_RATIONAL_RE`) to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        m = _RATIONAL_RE.fullmatch(x)
+        if m is None:
+            raise ValueError(f"not an integer or 'p/q': {x!r}")
+        return Fraction(int(m[1]), int(m[2] or 1))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -49,7 +55,7 @@ def unit_vec(n: int, i: int) -> Vector:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(p, q) in lowest terms, q > 0, of an int, Fraction or str; else `frac`'s TypeError."""
+    """(p, q) in lowest terms, q > 0, of an int, Fraction or str; else `frac`'s error."""
     return (x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio()
 
 

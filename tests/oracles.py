@@ -760,25 +760,19 @@ def oracle_audit_connection(alg, omega, pair, table):
 
 
 def oracle_subalgebra_as_algebra(alg, s):
-    """Reference for algebra.subalgebra_as_algebra: the construction that
-    divides each integer bracket back to Fraction and hands the Fraction
-    table to the LieAlgebra constructor."""
-    from solvdiag.algebra import LieAlgebra, NotSubalgebraError, _ibracket, _sparse, is_subalgebra
+    """Reference for algebra.subalgebra_as_algebra: the Fraction table of the
+    brackets of s's reduced echelon rows (`oracle_bracket`), read at the
+    pivots, handed to the LieAlgebra constructor."""
+    from solvdiag.algebra import LieAlgebra, NotSubalgebraError, is_subalgebra
 
     if not is_subalgebra(alg, s):
         raise NotSubalgebraError("subspace is not bracket-closed")
-    k = s.dim
-    names = tuple(f"b{i}" for i in range(k))
-    sup = _sparse(s.int_rows)
-    piv = [r[p] for r, p in zip(s.int_rows, s.pivots)]
-    # the reduced row i is int row i over its pivot, so [row_i, row_j] is the
-    # integer bracket over denom * piv_i * piv_j, read at the pivots
+    names = tuple(f"b{i}" for i in range(s.dim))
+    # a reduced row is 1 at its own pivot and 0 at the others, so the
+    # coordinates of a bracket inside s are its entries at the pivots
     table = [
-        [
-            tuple(Fraction(br[p], alg.denom * piv[i] * piv[j]) for p in s.pivots)
-            for j, br in enumerate(_ibracket(alg, a, b) for b in sup)
-        ]
-        for i, a in enumerate(sup)
+        [tuple(br[p] for p in s.pivots) for br in (oracle_bracket(alg, a, b) for b in s.rows)]
+        for a in s.rows
     ]
     return LieAlgebra(names, table)
 

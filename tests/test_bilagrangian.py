@@ -101,8 +101,8 @@ class TestConnection:
         alg = LieAlgebra.from_brackets(("p1", "p2", "q1", "q2"), {})
         w = TwoForm.from_pairs(4, [(0, 2, 1), (1, 3, 1)])
         pair = BilagrangianPair(
-            Subspace.span([(1, 0, 0, 0), (0, 1, 0, 0)], 4),
-            Subspace.span([(0, 0, 1, 0), (0, 0, 0, 1)], 4),
+            Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+            Subspace(4, [(0, 0, 1, 0), (0, 0, 0, 1)]),
         )
         table = connection(alg, w, pair)
         assert all(
@@ -116,7 +116,7 @@ class TestConnection:
             connection(d1.algebra, d1.two_forms["omega"], d1_pair(d1, "L1", "L3"))
 
     def test_non_subalgebra_member_rejected(self, d1):
-        left = Subspace.span([(1, 0, 1, 0), (0, 0, 0, 1)], 4)  # x+c, t: not closed
+        left = Subspace(4, [(1, 0, 1, 0), (0, 0, 0, 1)])  # x+c, t: not closed
         right = d1.subspaces["L3"]
         with pytest.raises(NotSubalgebraError):
             connection(d1.algebra, d1.two_forms["omega"], BilagrangianPair(left, right))
@@ -124,8 +124,8 @@ class TestConnection:
     def test_degenerate_form_rejected(self, e2):
         alg = e2.algebra
         pair = BilagrangianPair(
-            Subspace.span([alg.basis_vector("c"), alg.basis_vector("b")], 4),
-            Subspace.span([alg.basis_vector("a"), alg.basis_vector("u")], 4),
+            Subspace(4, [alg.basis_vector("c"), alg.basis_vector("b")]),
+            Subspace(4, [alg.basis_vector("a"), alg.basis_vector("u")]),
         )
         with pytest.raises(DegenerateFormError):
             connection(alg, e2.two_forms["omega"], pair)
@@ -231,7 +231,7 @@ DEGENERATE = "^the form must be nondegenerate$"
 def test_connection_errors_and_their_precedence(d1, left, right, degenerate, error, message):
     spaces = {
         **d1.subspaces,
-        "x+c,t": Subspace.span([(1, 0, 1, 0), (0, 0, 0, 1)], 4),
+        "x+c,t": Subspace(4, [(1, 0, 1, 0), (0, 0, 0, 1)]),
         "zero": Subspace.zero(4),
     }
     omega = TwoForm.from_pairs(4, []) if degenerate else d1.two_forms["omega"]

@@ -754,6 +754,30 @@ def test_a_rational_outside_the_format_exits_2(capsys, tmp_path, spelling):
     assert err == f"error[RATIONAL_FORMAT_ERROR]: subspaces['S'][0]['e']: {says}\n"
 
 
+def write_e1_with_form_value(tmp_path, value):
+    """E1 with the value of its first form entry spelled as the JSON text `value`."""
+    obj = json.loads(corpus_text("E1"))
+    obj["two_forms"]["omega"][0][2] = "@"
+    p = tmp_path / "value.json"
+    p.write_text(json.dumps(obj).replace('"@"', value), encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["validate", "audit"])
+def test_a_coefficient_too_long_to_read_exits_2(capsys, tmp_path, command):
+    # one digit past the interpreter's int-conversion limit, as a JSON number
+    # and as a "p/q" string: typed refusals, not error[VALUE]
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    code, out, err = run(capsys, command, write_e1_with_form_value(tmp_path, digits))
+    assert (code, out) == (2, "")
+    assert err == f"error[PARSE_ERROR]: invalid JSON: a number of more than {limit} digits\n"
+    code, out, err = run(capsys, command, write_e1_with_form_value(tmp_path, f'"{digits}/3"'))
+    assert (code, out) == (2, "")
+    says = "'" + "1" * 39 + "... has too many digits"
+    assert err == f"error[RATIONAL_FORMAT_ERROR]: two_forms['omega'][0][2]: {says}\n"
+
+
 # Every code a solvdiag error carries, by the exit status the CLI gives it:
 # 2 for an InputError (what was handed in is at fault), 3 for the rest (a
 # structural hypothesis failed while computing).  A new error class must be

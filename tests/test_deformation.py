@@ -53,7 +53,7 @@ def two_block_form():
 
 
 def span6(*idx):
-    return Subspace.span([tuple(1 if i == k else 0 for i in range(6)) for k in idx], 6)
+    return Subspace(6, [tuple(1 if i == k else 0 for i in range(6)) for k in idx])
 
 
 def two_block_flag():
@@ -82,9 +82,9 @@ class TestSplit:
         w = d1.two_forms["omega"]
         d = diagram_of(d1, "F2comp")
         split = split_at_repulsive(alg, w, d)
-        assert split.nil_ideal == Subspace.span([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
-        assert split.complement == Subspace.span([(0, 0, 1, 0), (0, 0, 0, 1)], 4)
-        assert split.iso_part == Subspace.span([(0, 0, 1, 0)], 4)
+        assert split.nil_ideal == Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        assert split.complement == Subspace(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+        assert split.iso_part == Subspace(4, [(0, 0, 1, 0)])
         assert split.attractive_member.dim == 3
 
     def test_no_repulsive_vertex(self, e1):
@@ -129,9 +129,9 @@ class TestDeform:
         out = deform_to_simple(alg, w, d1.flags["F2comp"])
         expected = [
             Subspace.zero(4),
-            Subspace.span([(0, 0, 1, 0)], 4),
-            Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], 4),
-            Subspace.span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 4),
+            Subspace(4, [(0, 0, 1, 0)]),
+            Subspace(4, [(1, 0, 0, 0), (0, 0, 1, 0)]),
+            Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
             Subspace.full(4),
         ]
         assert list(out.members) == expected
@@ -243,7 +243,7 @@ class TestStepAudit:
         f = e1.flags["F"]
         low, high = f.members[0], f.members[1]
         c, a = alg.basis_vector("c"), alg.basis_vector("a")
-        claimed = Subspace.span([c, a], 5)
+        claimed = Subspace(5, [c, a])
         rep = audit_step(alg, w, low, radical(w, low), high, claimed)
         assert not rep.ok
         assert rep.direction is StepDirection.UP
@@ -256,7 +256,7 @@ class TestStepAudit:
         f = e1.flags["F"]
         low, high = f.members[2], f.members[3]
         b, a = alg.basis_vector("b"), alg.basis_vector("a")
-        claimed = Subspace.span([b, a], 5)  # not an ideal in the dim-3 kernel
+        claimed = Subspace(5, [b, a])  # not an ideal in the dim-3 kernel
         rep = audit_step(alg, w, low, radical(w, low), high, claimed)
         assert not rep.ok
         assert rep.direction is StepDirection.DOWN
@@ -270,7 +270,7 @@ class TestStepAudit:
         low, high = f.members[0], f.members[1]
         rep = audit_step(alg, w, low, Subspace.zero(5), high, radical(w, high))
         assert rep.direction is StepDirection.UP or rep.direction is None
-        bad = audit_step(alg, w, low, Subspace.zero(5), high, Subspace.span([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], 5))
+        bad = audit_step(alg, w, low, Subspace.zero(5), high, Subspace(5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
         assert bad.direction is None
         assert "kernel dimensions differ by one" in bad.failures
 
@@ -315,7 +315,7 @@ class TestStepAudit:
         w = e1.two_forms["omega"]
 
         def span(names):
-            return Subspace.span([alg.basis_vector(n) for n in names], 5)
+            return Subspace(5, [alg.basis_vector(n) for n in names])
 
         low, high = span(low), span(high)
         high_kernel = radical(w, high) if claimed is None else span(claimed)

@@ -59,8 +59,8 @@ class TestKernelChain:
     def test_kernels_are_recorded_subspaces(self, e1):
         d = diagram_of(e1)
         alg = e1.algebra
-        assert d.vertices[3].kernel == Subspace.span(
-            [alg.basis_vector("c"), alg.basis_vector("b")], 5
+        assert d.vertices[3].kernel == Subspace(
+            5, [alg.basis_vector("c"), alg.basis_vector("b")]
         )
 
     def test_requires_closed_form(self, d1):
@@ -99,8 +99,8 @@ class TestKernelChain:
 
         def broken_radical(omega, s):
             if s.dim == 2:
-                return Subspace.span([(0, 0, 0, 1)], 4)
-            return Subspace.zero(4) if s.dim % 2 == 0 else Subspace.span([(1, 0, 0, 0)], 4)
+                return Subspace(4, [(0, 0, 0, 1)])
+            return Subspace.zero(4) if s.dim % 2 == 0 else Subspace(4, [(1, 0, 0, 0)])
 
         monkeypatch.setattr(diagram_mod, "radical", broken_radical)
         with pytest.raises(NestingViolationError) as err:
@@ -201,7 +201,7 @@ class TestTemplates:
         alg = LieAlgebra.from_brackets(("x", "y"), {})
         w = TwoForm.zero(2)
         flag = Flag(
-            [Subspace.zero(2), Subspace.span([(1, 0)], 2), Subspace.full(2)]
+            [Subspace.zero(2), Subspace(2, [(1, 0)]), Subspace.full(2)]
         )
         d = classify_vertices(kernel_chain(alg, w, flag))
         assert match_template(d) is Template.OTHER
@@ -214,8 +214,8 @@ class TestEquivalence:
         w = x1.two_forms["omega"]
         f1 = x1.flags["F"]
         # replace the dim-3 member: another subalgebra over the same dim-2 member
-        alt3 = Subspace.span(
-            [alg.basis_vector("ev"), alg.basis_vector("ew"), alg.basis_vector("t")], 4
+        alt3 = Subspace(
+            4, [alg.basis_vector("ev"), alg.basis_vector("ew"), alg.basis_vector("t")]
         )
         f2 = Flag([f1.members[0], f1.members[1], alt3, f1.members[3]])
         d1_ = classify_vertices(kernel_chain(alg, w, f1))

@@ -1,6 +1,7 @@
 """The JSON document format: parsing, canonical output, recorded values."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,14 @@ from solvdiag import (
     serialize_document,
 )
 from solvdiag.corpus import compute_check
-from solvdiag.document import _MAX_NESTING, _nesting, _parse_metadata, subspace_obj
+from solvdiag.document import (
+    _MAX_NESTING,
+    _QUOTE_CHARS,
+    _nesting,
+    _parse_metadata,
+    _quoted,
+    subspace_obj,
+)
 
 CORPUS = ("D1", "E1", "E2", "X1", "X2", "X3")
 
@@ -69,6 +77,19 @@ class TestRationals:
             parse_rational(spelling, "here")
         assert str(err.value) == f"here: {spelling!r} is not an integer or 'p/q'"
 
+    @pytest.mark.parametrize(
+        "template", ["{}", "-{}/3", "3/{}"], ids=["int", "numerator", "denominator"]
+    )
+    def test_a_ratio_too_long_to_read_is_refused(self, template):
+        # one digit past the interpreter's int-conversion limit, which stays as it is
+        limit = sys.get_int_max_str_digits()
+        spelling = template.format("1" * (limit + 1))
+        with pytest.raises(RationalFormatError) as err:
+            parse_rational(spelling, "here")
+        quoted = repr(spelling)[:_QUOTE_CHARS] + "..."
+        assert str(err.value) == f"here: {quoted} has too many digits"
+        assert sys.get_int_max_str_digits() == limit
+
     def test_a_sign_and_an_unreduced_ratio_are_read(self):
         assert parse_rational("+3", "here") == 3
         assert parse_rational("-0/5", "here") == 0
@@ -84,6 +105,14 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_document("{\n  broken")
         assert "line" in str(err.value) and "column" in str(err.value)
+
+    def test_a_number_too_long_to_read_is_a_parse_error(self):
+        limit = sys.get_int_max_str_digits()
+        text = minimal(two_forms={"w": [["x", "y", "@"]]}).replace('"@"', "1" * (limit + 1))
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == f"invalid JSON: a number of more than {limit} digits"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_unknown_top_field(self):
         with pytest.raises(SchemaError):
@@ -225,6 +254,16 @@ class TestPinnedRefusals:
         assert refusal(flag) == ("RationalFormatError", f"flags['F'][1][1]['x']: {says}")
         sub = minimal(subspaces={"S": [{"y": 1}, {"x": bad}]})
         assert refusal(sub) == ("RationalFormatError", f"subspaces['S'][1]['x']: {says}")
+
+    def test_a_refused_value_is_quoted_to_a_bounded_length(self):
+        # the whole repr of a 300-element list was once a 4 KB message
+        assert _quoted("x" * (_QUOTE_CHARS - 2)) == repr("x" * (_QUOTE_CHARS - 2))
+        assert _quoted("x" * (_QUOTE_CHARS - 1)) == "'" + "x" * (_QUOTE_CHARS - 1) + "..."
+        name, message = refusal(minimal(two_forms={"w": [["x", "y", list(range(300))]]}))
+        assert name == "RationalFormatError"
+        quoted = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1..."
+        assert message == f"two_forms['w'][0][2]: {quoted} is not an exact rational"
+        assert len(message) < 2 * _QUOTE_CHARS + 30
 
     def test_a_vector_reports_its_first_bad_key_in_order(self):
         # an unknown symbol before a bad value wins, and a bad value before one

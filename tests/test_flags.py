@@ -186,7 +186,7 @@ class TestCompletion:
 
     def test_prescribed_members_kept(self, d1):
         alg = d1.algebra
-        mid = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], 4)  # x, c
+        mid = Subspace(4, [(1, 0, 0, 0), (0, 0, 1, 0)])  # x, c
         assert is_subalgebra(alg, mid)
         f = complete_flag_through(alg, [mid])
         assert mid in f.members
@@ -194,8 +194,8 @@ class TestCompletion:
         assert validate_flag(alg, f).subalgebras_ok
 
     def test_rejects_non_nested(self, d1):
-        a = Subspace.span([(1, 0, 0, 0)], 4)
-        b = Subspace.span([(0, 1, 0, 0), (0, 0, 1, 0)], 4)
+        a = Subspace(4, [(1, 0, 0, 0)])
+        b = Subspace(4, [(0, 1, 0, 0), (0, 0, 1, 0)])
         with pytest.raises(ChainNotNestedError):
             complete_flag_through(d1.algebra, [a, b])
 
@@ -206,7 +206,7 @@ class TestCompletion:
 
     def test_rejects_a_member_of_another_ambient_space(self, d1):
         with pytest.raises(ValueError, match="^chain member has the wrong ambient dimension$"):
-            complete_flag_through(d1.algebra, [Subspace.span([(1, 0, 0)], 3)])
+            complete_flag_through(d1.algebra, [Subspace(3, [(1, 0, 0)])])
 
     def test_extended_hyperplanes_are_not_eliminated_again(self, monkeypatch):
         # _hyperplane_in returns echelon rows and pivots, which the step

@@ -33,7 +33,7 @@ from oracles import oracle_find_lagrangians
 
 
 def named_span(alg, *names):
-    return Subspace.span([alg.basis_vector(n) for n in names], alg.dim)
+    return Subspace(alg.dim, [alg.basis_vector(n) for n in names])
 
 
 class TestVerify:
@@ -61,8 +61,8 @@ class TestVerify:
         v = [0] * 5
         v[alg.index_of("e3")] = 1
         v[alg.index_of("e1")] = -1
-        s = Subspace.span(
-            [alg.basis_vector("e5"), alg.basis_vector("e4"), tuple(v)], 5
+        s = Subspace(
+            5, [alg.basis_vector("e5"), alg.basis_vector("e4"), tuple(v)]
         )
         assert verify_lagrangian(alg, x3.two_forms["omega"], s).verified
 

@@ -55,6 +55,36 @@ def test_frac_accepts_ints_and_strings():
     assert linalg.frac(3) == Fraction(3)
     assert linalg.frac("2/4") == Fraction(1, 2)
     assert linalg.frac(Fraction(-7, 3)) == Fraction(-7, 3)
+    assert [linalg.frac(s) for s in ("+3", "-0/5", "006/4")] == [3, 0, Fraction(3, 2)]
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    ["1.5", " 3 ", "1e2", "\u0663", "3\n", "1_000", "", "1/2/3", "0x10"],
+    ids=[
+        "decimal",
+        "spaces",
+        "exponent",
+        "arabic-indic-digit",
+        "newline",
+        "underscore",
+        "empty",
+        "two-slashes",
+        "hex",
+    ],
+)
+def test_a_string_outside_the_rational_format_is_refused(spelling):
+    # the library reads a string by the rule the document reader applies:
+    # ASCII digits, an optional sign, an optional '/' and ASCII digits
+    from solvdiag import LieAlgebra, TwoForm
+
+    says = "not an integer or 'p/q'"
+    with pytest.raises(ValueError, match=says):
+        linalg.frac(spelling)
+    with pytest.raises(ValueError, match=says):
+        LieAlgebra.from_brackets(("a", "b"), {("a", "b"): {"b": spelling}})
+    with pytest.raises(ValueError, match=says):
+        TwoForm.from_pairs(2, [(0, 1, spelling)])
 
 
 def test_rref_known_matrix():

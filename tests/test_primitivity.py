@@ -37,7 +37,7 @@ from oracles import oracle_family_provably_empty
 
 def kernel_pair(doc, *names):
     alg = doc.algebra
-    h = Subspace.span([alg.basis_vector(n) for n in names], alg.dim)
+    h = Subspace(alg.dim, [alg.basis_vector(n) for n in names])
     return PairPresentation(alg, h)
 
 
@@ -80,8 +80,8 @@ class TestPrimitive:
         v = primitive_test(pair)
         assert v.status is PrimitivityStatus.NOT_PRIMITIVE
         alg = e2.algebra
-        assert v.witness == Subspace.span(
-            [alg.basis_vector("c"), alg.basis_vector("b"), alg.basis_vector("a")], 4
+        assert v.witness == Subspace(
+            4, [alg.basis_vector("c"), alg.basis_vector("b"), alg.basis_vector("a")]
         )
         assert transitive_test(pair, v.witness)
 
@@ -90,7 +90,7 @@ class TestPrimitive:
             ("e", "f", "h"),
             {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
         )
-        pair = PairPresentation(sl2, Subspace.span([(1, 0, 0)], 3))
+        pair = PairPresentation(sl2, Subspace(3, [(1, 0, 0)]))
         with pytest.raises(NotSolvableError):
             primitive_test(pair)
 
@@ -120,16 +120,16 @@ class TestQuasiPrimitive:
     def test_pencil_witness(self):
         # kernel of x* + t* is a transitive non-ideal hyperplane subalgebra
         alg = two_weight_algebra()
-        pair = PairPresentation(alg, Subspace.span([(1, 0, 0)], 3))
+        pair = PairPresentation(alg, Subspace(3, [(1, 0, 0)]))
         v = quasi_primitive_test(pair)
         assert v.status is PrimitivityStatus.NOT_QUASI_PRIMITIVE
         assert "hyperplane-pencils" in v.searched
-        assert v.witness == Subspace.span([(1, 0, -1), (0, 1, 0)], 3)
+        assert v.witness == Subspace(3, [(1, 0, -1), (0, 1, 0)])
         assert transitive_test(pair, v.witness)
 
     def test_nilpotent_shortcut(self):
         heis = LieAlgebra.from_brackets(("p", "q", "z"), {("p", "q"): {"z": 1}})
-        pair = PairPresentation(heis, Subspace.span([(0, 0, 1)], 3))
+        pair = PairPresentation(heis, Subspace(3, [(0, 0, 1)]))
         v = quasi_primitive_test(pair)
         assert v.status is PrimitivityStatus.QUASI_PRIMITIVE
         assert v.searched == ("ideal-hyperplanes",)
@@ -145,7 +145,7 @@ class TestQuasiPrimitive:
         rot = LieAlgebra.from_brackets(
             ("r", "x", "y"), {("r", "x"): {"y": 1}, ("r", "y"): {"x": -1}}
         )
-        pair = PairPresentation(rot, Subspace.span([(0, 1, 0), (0, 0, 1)], 3))
+        pair = PairPresentation(rot, Subspace(3, [(0, 1, 0), (0, 0, 1)]))
         with pytest.raises(UndecidedSpectrumError):
             quasi_primitive_test(pair)
 
@@ -154,7 +154,7 @@ class TestQuasiPrimitive:
         alg = LieAlgebra.from_brackets(
             ("t", "x", "y"), {("t", "x"): {"y": 1}, ("t", "y"): {"x": 2}}
         )
-        pair = PairPresentation(alg, Subspace.span([(0, 1, 0)], 3))
+        pair = PairPresentation(alg, Subspace(3, [(0, 1, 0)]))
         with pytest.raises(UndecidedSpectrumError) as info:
             quasi_primitive_test(pair)
         assert info.value.code == "UNDECIDED_IRRATIONAL_SPECTRUM"
@@ -165,7 +165,7 @@ class TestQuasiPrimitive:
             ("e", "f", "h"),
             {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
         )
-        pair = PairPresentation(sl2, Subspace.span([(1, 0, 0)], 3))
+        pair = PairPresentation(sl2, Subspace(3, [(1, 0, 0)]))
         with pytest.raises(NotSolvableError) as info:
             quasi_primitive_test(pair)
         assert info.value.code == "NOT_SOLVABLE"
@@ -201,7 +201,7 @@ def test_a_negative_pencil_budget_is_refused_before_any_verdict(run):
     # the isotropy span(e_3) has an ideal hyperplane witness, so neither
     # function reaches the pencil search: the budget is checked at entry
     alg = random_completely_solvable(Random(3), 4)
-    pair = PairPresentation(alg, Subspace.span([alg.basis_vector("e3")], 4))
+    pair = PairPresentation(alg, Subspace(4, [alg.basis_vector("e3")]))
     run(pair, pencil_budget=0)
     with pytest.raises(ValueError, match="negative pencil budget -1"):
         run(pair, pencil_budget=-1)
@@ -301,7 +301,7 @@ class TestSingularCountAudit:
     def test_non_quasi_primitive_bound_not_applied(self, x3):
         # kernel is not a subalgebra claim-holder here; use a zero-kernel pair
         alg = x3.algebra
-        pair = PairPresentation(alg, Subspace.span([alg.basis_vector("e5")], 5))
+        pair = PairPresentation(alg, Subspace(5, [alg.basis_vector("e5")]))
         d = classify_vertices(
             kernel_chain(alg, x3.two_forms["omega"], x3.flags["F3"])
         )
