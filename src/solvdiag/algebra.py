@@ -242,6 +242,13 @@ def _dense(cs, n: int) -> list[int]:
     return v
 
 
+def _check_dims(alg: VectorTable, *spaces: Subspace) -> None:
+    """A ValueError naming both dimensions for a subspace outside Q^n of the algebra."""
+    for s in spaces:
+        if s.ambient_dim != alg.dim:
+            raise ValueError(f"a subspace of Q^{s.ambient_dim} for an algebra on Q^{alg.dim}")
+
+
 class VectorTable:
     """An n x n table of vectors of Q^n, and the bilinear product it defines.
 
@@ -359,6 +366,7 @@ class LieAlgebra(VectorTable):
         return tuple(linalg.divided(r, sx * self.denom) for r in _ad(self.consts, x))
 
     def bracket_spans(self, s: Subspace, t: Subspace) -> Subspace:
+        _check_dims(self, s, t)
         cs, ts = self.consts, _sparse(t.int_rows)
         return Subspace(self.dim, [_ibracket(cs, a, b) for a in _sparse(s.int_rows) for b in ts])
 
@@ -371,6 +379,7 @@ class LieAlgebra(VectorTable):
         certificate's reduction build is: [a, a] = 0 and [b, a] = -[a, b]
         add nothing to the span.
         """
+        _check_dims(self, s)
         sup = _sparse(s.int_rows)
         pairs = [(a, b) for i, a in enumerate(sup) for b in sup[i + 1 :]]
         return Subspace(self.dim, [_ibracket(self.consts, a, b) for a, b in pairs])
@@ -444,6 +453,7 @@ def subalgebra_closure(
     no bracket of its own.
     """
     old = closed if closed is not None else Subspace.zero(alg.dim)
+    _check_dims(alg, old)
     cur, new = _grow(old, Subspace(alg.dim, vectors).int_rows)
     while new:
         new, base = _sparse(new), _sparse(old.int_rows)
@@ -460,6 +470,7 @@ def ideal_closure(alg: LieAlgebra, s: Subspace) -> Subspace:
     added in the last round, y, through the columns [y, e_j] of ad_y, which
     span the [e_j, y] as the table is antisymmetric.
     """
+    _check_dims(alg, s)
     cur, new = s, list(s.int_rows)
     while new:
         cur, new = _grow(cur, [col for y in new for col in zip(*_ad(alg.consts, y))])
@@ -467,12 +478,14 @@ def ideal_closure(alg: LieAlgebra, s: Subspace) -> Subspace:
 
 
 def is_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
+    _check_dims(alg, s)
     sup = _sparse(s.int_rows)
     return all(s._has(_ibracket(alg.consts, a, b)) for i, a in enumerate(sup) for b in sup[i + 1 :])
 
 
 def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
     """Whether [t, s] is contained in s.  Requires s within t."""
+    _check_dims(alg, s, t)
     if not t.contains(s):
         raise SubspaceNotNestedError("s is not contained in t")
     ss = _sparse(s.int_rows)
@@ -540,6 +553,7 @@ def subalgebra_as_algebra(alg: LieAlgebra, s: Subspace) -> LieAlgebra:
     is bracket-closed, the coordinates of a bracket are its entries at s's
     pivots.
     """
+    _check_dims(alg, s)
     # the rows scaled to their common pivot L are L times the reduced rows, so
     # their integer bracket is denom * L^2 times the bracket of the reduced rows
     lcm, rows = s._common_pivot_rows()

@@ -17,7 +17,6 @@ from .algebra import (
     NotSubalgebraError,
     Subspace,
     VectorTable,
-    _ad,
     _dense,
     _ibracket,
     _sparse,
@@ -44,15 +43,15 @@ class BilagrangianPair:
 
 def _derivatives(alg: VectorTable, gram, pairs) -> tuple[list[list[int]], int]:
     """The D with omega(D, z) = -omega(y, [x, z]) for all z, for each pair (x, y)
-    of integer vectors, over one denominator; gram is a positive multiple of
-    omega's Gram matrix on alg's basis.  At z = e_k this reads gram^T D =
-    r / denom, r_k the pairing of denom * [x, e_k], column k of `_ad`, with
-    y through gram: one `linalg.int_solve` for all pairs, and a
-    DegenerateFormError if singular."""
-    rhs = []
+    of integer vectors, over one denominator (gram: a positive multiple of
+    omega's Gram matrix on alg's basis).  At z = e_k, gram^T D = r / denom with
+    r_k = gram(denom * [x, e_k], y), read off the rows alg.consts[i][k] times x_i:
+    one `linalg.int_solve` for all pairs, and a DegenerateFormError if singular."""
+    rhs, n = [], alg.dim
     for x, y in pairs:
         gy = [sum(g * c for g, c in zip(row, y) if c) for row in gram]
-        rhs.append([sum(b * g for b, g in zip(br, gy) if b) for br in zip(*_ad(alg.consts, x))])
+        rows = [(xi, row) for xi, row in zip(x, alg.consts) if xi]
+        rhs.append([sum(xi * c * gy[l] for xi, row in rows for l, c in row[k]) for k in range(n)])
     solved = linalg.int_solve(list(zip(*gram)), rhs)
     if solved is None:
         raise DegenerateFormError("the form must be nondegenerate")
@@ -107,6 +106,8 @@ def connection(alg: LieAlgebra, omega: TwoForm, pair: BilagrangianPair) -> Conne
     n = alg.dim
     if pair.left.ambient_dim != n:
         raise ValueError("pair does not match the algebra")
+    if omega.dim != n:
+        raise ValueError(f"a form on Q^{omega.dim} for an algebra on Q^{n}")
     if not (is_subalgebra(alg, pair.left) and is_subalgebra(alg, pair.right)):
         raise NotSubalgebraError("pair members must be bracket-closed")
     not_transverse = NotTransverseError("pair members do not decompose the algebra")

@@ -39,7 +39,7 @@ from .diagram import (
 )
 from .document import (
     Document,
-    _vector_obj,
+    _entry_obj,
     named,
     parse_document,
     rational_repr,
@@ -80,10 +80,6 @@ def _space_str(rows: list) -> str:
     return ", ".join(map(_vec_str, rows)) or "(zero)"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _asked(doc: Document, args) -> tuple[str, dict]:
     """The human header line and the JSON keys: the document and each name asked for."""
     obj = {"document": doc.name}
@@ -119,7 +115,7 @@ def cmd_validate(doc: Document, args):
     lines = [
         head,
         f"dim: {obj['dim']}",
-        f"algebra: ok={_bool(obj['algebra_ok'])} solvability={obj['solvability']}",
+        f"algebra: ok={json.dumps(obj['algebra_ok'])} solvability={obj['solvability']}",
     ]
     for fname in sorted(doc.two_forms):
         form = doc.two_forms[fname]
@@ -129,7 +125,9 @@ def cmd_validate(doc: Document, args):
             "kernel_dim": ker.dim,
             "kernel": subspace_obj(alg.names, ker),
         }
-        lines.append(f"form {fname}: closed={_bool(rec['closed'])} kernel_dim={rec['kernel_dim']}")
+        lines.append(
+            f"form {fname}: closed={json.dumps(rec['closed'])} kernel_dim={rec['kernel_dim']}"
+        )
     for gname in sorted(doc.flags):
         rep = validate_flag(alg, doc.flags[gname])
         rec = obj["flags"][gname] = {
@@ -140,9 +138,9 @@ def cmd_validate(doc: Document, args):
             "normal_in_algebra": list(rep.normal_in_algebra),
         }
         lines.append(
-            f"flag {gname}: dims={rec['dims']} chain_ok={_bool(rec['chain_ok'])}"
-            f" subalgebras={_bool(rec['subalgebras_ok'])}"
-            f" composition={_bool(rec['composition_ok'])}"
+            f"flag {gname}: dims={rec['dims']} chain_ok={json.dumps(rec['chain_ok'])}"
+            f" subalgebras={json.dumps(rec['subalgebras_ok'])}"
+            f" composition={json.dumps(rec['composition_ok'])}"
         )
     for sname in sorted(doc.subspaces):
         rows = obj["subspaces"][sname] = subspace_obj(alg.names, doc.subspaces[sname])
@@ -170,7 +168,7 @@ def cmd_diagram(doc: Document, args):
         )
     lines.append("steps: " + " ".join(obj["steps"]))
     lines.append(f"template: {obj['template']}")
-    lines.append("predicates:" + "".join(f" {k}={_bool(v)}" for k, v in preds.items()))
+    lines.append("predicates:" + "".join(f" {k}={json.dumps(v)}" for k, v in preds.items()))
     if args.contract:
         lines.append(f"contracted: {contracted_text(d)}")
         obj["contracted"] = [[s.value, n] for s, n in contract(d)]
@@ -229,10 +227,10 @@ def cmd_bilagrangian(doc: Document, args):
     entries = []
     for i, ni in enumerate(names):
         for j, nj in enumerate(names):
-            if vec := _vector_obj(names, table.entries[i][j]):
+            if vec := _entry_obj(names, table.consts[i][j], table.denom):
                 lines.append(f"  D[{ni}, {nj}] = {_vec_str(vec)}")
                 entries.append({"x": ni, "y": nj, "value": vec})
-    lines += [f"{key}: {_bool(value)}" for key, value in verdicts.items()]
+    lines += [f"{key}: {json.dumps(value)}" for key, value in verdicts.items()]
     obj.update(connection=entries, **verdicts)
     return lines, obj
 
@@ -288,7 +286,7 @@ def _audit_checks(doc: Document):
     for fname in sorted(doc.two_forms):
         form = doc.two_forms[fname]
         closed = is_closed(alg, form)
-        yield (f"form {fname} closedness recorded", True, f"closed={_bool(closed)}")
+        yield (f"form {fname} closedness recorded", True, f"closed={json.dumps(closed)}")
         if not closed:
             continue
         ker = kernel(form)
@@ -302,7 +300,7 @@ def _audit_checks(doc: Document):
         yield (
             f"flag {gname} validated",
             True,
-            f"chain_ok={_bool(rep.chain_ok)} subalgebras={_bool(rep.subalgebras_ok)}",
+            f"chain_ok={json.dumps(rep.chain_ok)} subalgebras={json.dumps(rep.subalgebras_ok)}",
         )
         if not rep.chain_ok:
             continue

@@ -52,34 +52,19 @@ _META_KEYS = {"source", "notes", "expected"}
 _EXPECTED_KEYS = {"check", "args", "value", "tag", "agrees"}
 _TAGS = ("printed", "derived")
 _MAX_NESTING = 100  # levels of lists and dicts in a recorded value or args, later read recursively
-_QUOTE_CHARS = 40  # of a refused value's repr, quoted in its message
-
-
-def _quoted(value: object) -> str:
-    """repr(value), or its first _QUOTE_CHARS characters and '...' when longer."""
-    r = repr(value)
-    return r if len(r) <= _QUOTE_CHARS else r[:_QUOTE_CHARS] + "..."
 
 
 def _parse_ratio(value: object, where: str) -> tuple[int, int]:
-    """(p, q), q > 0, with value = p/q: a JSON int, or a string 'p/q' of ASCII
-    digits (`linalg._RATIONAL_RE`).  A refusal quotes the value (`_quoted`)."""
+    """(p, q), q > 0, with value = p/q: a JSON int or string, read by
+    `linalg._ratio`, whose refusal follows where.  A refusal quotes the value."""
     if isinstance(value, bool):
         raise RationalFormatError(f"{where}: boolean is not a rational")
-    if isinstance(value, int):
-        return value, 1
-    if isinstance(value, str):
-        m = linalg._RATIONAL_RE.fullmatch(value)
-        if m is None:
-            raise RationalFormatError(f"{where}: {_quoted(value)} is not an integer or 'p/q'")
+    if isinstance(value, (int, str)):
         try:
-            p, q = int(m[1]), int(m[2] or 1)
-        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
-            raise RationalFormatError(f"{where}: {_quoted(value)} has too many digits") from None
-        if q == 0:
-            raise RationalFormatError(f"{where}: {_quoted(value)} has a zero denominator")
-        return p, q
-    raise RationalFormatError(f"{where}: {_quoted(value)} is not an exact rational")
+            return linalg._ratio(value)
+        except ValueError as exc:
+            raise RationalFormatError(f"{where}: {exc}") from None
+    raise RationalFormatError(f"{where}: {linalg._quoted(value)} is not an exact rational")
 
 
 def parse_rational(value: object, where: str) -> Fraction:
@@ -333,8 +318,9 @@ def _parse_metadata(raw: object, two_forms: Mapping, flags: Mapping) -> Metadata
     return Metadata(source=source, notes=notes, expected=tuple(expected))
 
 
-def _vector_obj(names: tuple[str, ...], row) -> dict[str, object]:
-    return {names[i]: rational_repr(c) for i, c in enumerate(row) if c != 0}
+def _entry_obj(names: tuple[str, ...], cs, denom: int) -> dict[str, object]:
+    """Canonical JSON encoding of a table entry: its nonzero (k, c), over denom."""
+    return {names[k]: c if denom == 1 else rational_repr(Fraction(c, denom)) for k, c in cs}
 
 
 def subspace_obj(names: tuple[str, ...], space: Subspace) -> list[dict[str, object]]:
@@ -354,8 +340,7 @@ def document_obj(doc: Document) -> dict[str, object]:
     for i in range(n):
         for j in range(i + 1, n):
             if cs := alg.consts[i][j]:
-                row = {names[k]: rational_repr(Fraction(c, alg.denom)) for k, c in cs}
-                brackets.append([names[i], names[j], row])
+                brackets.append([names[i], names[j], _entry_obj(names, cs, alg.denom)])
     two_forms = {}
     for fname, form in doc.two_forms.items():
         m = form.numer

@@ -147,7 +147,7 @@ class TwoForm:
         return linalg.rank(self.numer)
 
     def scaled(self, c) -> "TwoForm":
-        num, den = frac(c).as_integer_ratio()
+        num, den = _ratio(c)
         return TwoForm._of([[num * v for v in r] for r in self.numer], den * self.denom)
 
     def plus(self, other: "TwoForm") -> "TwoForm":
@@ -330,6 +330,12 @@ def hyperplane_subalgebras(
     return kernels, budget is not None and len(pairs) > budget
 
 
+def _check_dims(omega: TwoForm, s: Subspace) -> None:
+    """A ValueError naming both dimensions for a subspace outside Q^n of the form."""
+    if s.ambient_dim != omega.dim:
+        raise ValueError(f"a subspace of Q^{s.ambient_dim} for a form on Q^{omega.dim}")
+
+
 def _gram(omega: TwoForm, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """omega.denom * omega(r_i, r_j) on integer rows r, one pairing per row."""
     m = [[0] * len(rows) for _ in rows]
@@ -343,12 +349,14 @@ def _gram(omega: TwoForm, rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def is_isotropic(omega: TwoForm, s: Subspace) -> bool:
     """Whether omega vanishes on s x s."""
+    _check_dims(omega, s)
     return not any(map(any, _gram(omega, s.int_rows)))
 
 
 def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
     """Matrix of omega on s, in its reduced echelon basis: the integer rows
     scaled to the lcm L of their pivots, paired, and divided by L^2 once."""
+    _check_dims(omega, s)
     lcm, rows = s._common_pivot_rows()
     return TwoForm._of(_gram(omega, rows), omega.denom * lcm * lcm)
 
@@ -357,6 +365,7 @@ def radical(omega: TwoForm, s: Subspace) -> Subspace:
     """{x in s : omega(x, y) = 0 for all y in s}, as an ambient subspace:
     the combinations sum y_j r_j of s's integer rows r with y in the
     kernel of their integer Gram matrix."""
+    _check_dims(omega, s)
     if s.is_zero():
         return s
     rows, n = s.int_rows, s.ambient_dim
@@ -372,6 +381,7 @@ def kernel(omega: TwoForm) -> Subspace:
 
 def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:
     """{x : omega(x, y) = 0 for all y in s} inside the whole space."""
+    _check_dims(omega, s)
     rows = [omega.pair_ints(r) for r in s.int_rows]
     return Subspace(omega.dim, linalg.int_nullspace(rows, omega.dim))
 

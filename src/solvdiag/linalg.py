@@ -24,20 +24,39 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # whole string, ASCII only
+_QUOTE_CHARS = 40  # of a refused value's repr, quoted in its message
+
+
+def _quoted(value: object) -> str:
+    """repr(value), or its first _QUOTE_CHARS characters and '...' when longer."""
+    r = repr(value)
+    return r if len(r) <= _QUOTE_CHARS else r[:_QUOTE_CHARS] + "..."
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, of an int, Fraction or str (read whole by
+    `_RATIONAL_RE`): the one reader of a rational.  Another type is a TypeError; a
+    string off the format, of more digits than int() reads or with q = 0 a quoted ValueError."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    if not isinstance(x, str):
+        raise TypeError(f"not an exact rational: {x!r}")
+    m = _RATIONAL_RE.fullmatch(x)
+    if m is None:
+        raise ValueError(f"{_quoted(x)} is not an integer or 'p/q'")
+    try:
+        p, q = int(m[1]), int(m[2] or 1)
+    except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+        raise ValueError(f"{_quoted(x)} has too many digits") from None
+    if q == 0:
+        raise ValueError(f"{_quoted(x)} has a zero denominator")
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings (read whole by `_RATIONAL_RE`) to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        m = _RATIONAL_RE.fullmatch(x)
-        if m is None:
-            raise ValueError(f"not an integer or 'p/q': {x!r}")
-        return Fraction(int(m[1]), int(m[2] or 1))
-    raise TypeError(f"not an exact rational: {x!r}")
+    """Coerce ints, Fractions and 'p/q' strings to Fraction, by `_ratio`."""
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 def vec(entries: Iterable) -> Vector:
@@ -52,11 +71,6 @@ def divided(ints: Iterable[int], den: int) -> Vector:
 
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def _ratio(x) -> tuple[int, int]:
-    """(p, q) in lowest terms, q > 0, of an int, Fraction or str; else `frac`'s error."""
-    return (x if isinstance(x, (int, Fraction)) else frac(x)).as_integer_ratio()
 
 
 def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:

@@ -87,19 +87,16 @@ def _ideal_hyperplane_witness(alg: LieAlgebra, h: Subspace) -> Subspace | None:
     Every codimension-1 ideal contains the derived subalgebra, so such a
     witness exists iff h is not inside the derived subalgebra.  With c the
     first pivot of h reduced modulo the derived subalgebra, the witness is
-    the kernel of x -> (x reduced the same way)[c] = x[c] - sum of
-    row[c] x[p] over the derived echelon rows, p each row's pivot.
+    {x : x reduced the same way is zero at c}: the span of the derived
+    echelon rows and of the unit vectors e_j off their pivots, j != c.
     """
     derived = derived_subalgebra(alg)
     if derived.contains(h):
         return None
     c = Subspace(alg.dim, [derived._remainder(r) for r in h.int_rows]).pivots[0]
-    # the same covector times L, on the derived rows scaled to pivot L
-    lcm, rows = derived._common_pivot_rows()
-    phi = [lcm * (i == c) for i in range(alg.dim)]
-    for row, p in zip(rows, derived.pivots):
-        phi[p] -= row[c]
-    return Subspace(alg.dim, [phi]).annihilator()
+    off = (j for j in range(alg.dim) if j != c and j not in derived.pivots)
+    units = [[int(i == j) for i in range(alg.dim)] for j in off]
+    return Subspace(alg.dim, derived.int_rows + tuple(units))
 
 
 def primitive_test(pair: PairPresentation) -> PrimitivityVerdict:

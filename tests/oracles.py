@@ -431,6 +431,32 @@ def oracle_derived_rows(alg, rows):
     return [oracle_bracket(alg, a, b) for a in rows for b in rows]
 
 
+def oracle_ideal_hyperplane_witness(alg, h_rows):
+    """Reference for the ideal-hyperplane witness, as the kernel of a covector.
+
+    With D the reduced rows of [g, g] (`oracle_derived_rows` of the unit
+    vectors, `fraction_rref`) and c the first pivot of the rows of h reduced
+    modulo D, the covector phi(x) = x[c] - sum of row[c] x[p] over the rows
+    of D (p each row's pivot) is x reduced modulo D, read at c; returns the
+    reduced rows of its kernel (`oracle_nullspace`), or None when h lies in
+    [g, g]."""
+    n = alg.dim
+    derived, pivots = fraction_rref(oracle_derived_rows(alg, [_unit(n, i) for i in range(n)]))
+    rests = []
+    for v in _frac_rows(h_rows):
+        for row, p in zip(derived, pivots):
+            v = [x - v[p] * y for x, y in zip(v, row)]
+        rests.append(v)
+    rest_pivots = fraction_rref(rests)[1] if rests else ()
+    if not rest_pivots:
+        return None
+    c = rest_pivots[0]
+    phi = [Fraction(int(i == c)) for i in range(n)]
+    for row, p in zip(derived, pivots):
+        phi[p] -= row[c]
+    return fraction_rref(oracle_nullspace([phi], n))[0]
+
+
 def oracle_is_solvable(alg):
     """Reference for is_solvable: the derived series by ordered-pair
     brackets (`oracle_derived_rows`) and Bareiss ranks, solvable when it

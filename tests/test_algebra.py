@@ -391,8 +391,10 @@ def acting_algebra_and_rep(draw):
     return alg, rep
 
 
-# The descent's oracle tests draw their own budget each, or the profile's when
-# it is larger: CI runs them once more with --hypothesis-profile=descent-oracle.
+# The descent's oracle tests (marked descent_oracle) draw their own budget each,
+# or the profile's when it is larger: CI runs them once more with
+# -m descent_oracle --hypothesis-profile=descent-oracle.
+@pytest.mark.descent_oracle
 @settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 @given(acting_algebra_and_rep())
 def test_common_eigenvector_matches_the_fraction_descent(case):
@@ -436,6 +438,7 @@ def square_matrices(draw):
     return m
 
 
+@pytest.mark.descent_oracle
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(square_matrices())
 @example([[0, -1], [1, 0]])  # spectrum +-i
@@ -458,6 +461,7 @@ def test_eigenspaces_match_the_charpoly_oracle(m):
         assert spans_equal(space, oracle_nullspace(shifted, dim), dim)
 
 
+@pytest.mark.descent_oracle
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(
     st.sampled_from((random_completely_solvable, random_nilpotent)),
@@ -491,6 +495,7 @@ def nilpotent_matrices(draw):
     return [[int(x) for x in row] for row in _matmul(_matmul(p, m), [row[dim:] for row in red])]
 
 
+@pytest.mark.descent_oracle
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(nilpotent_matrices())
 @example([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # triangular: the diagonal scan's route
@@ -503,6 +508,7 @@ def test_the_nilpotent_route_matches_the_charpoly_route(m):
     assert spans_equal(spaces[0], oracle_nullspace(m, dim), dim)
 
 
+@pytest.mark.descent_oracle
 @settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 @given(acting_algebra_and_rep())
 def test_the_descents_nilpotent_route_matches_the_charpoly_route(case):
@@ -1119,3 +1125,38 @@ def test_bracket_refuses_a_vector_of_the_wrong_length(x, y):
 def test_ad_matrix_refuses_a_vector_of_the_wrong_length(x):
     with pytest.raises(ValueError, match="length"):
         heisenberg().ad_matrix(x)
+
+
+def _entries_on_a_subspace():
+    """Each entry that takes a subspace of the algebra's or the form's space,
+    as (what the subspace is checked against, a call on (alg, w, s))."""
+    from solvdiag.forms import is_isotropic, radical, restrict, symplectic_orthogonal
+    from solvdiag.lagrangian import verify_lagrangian
+
+    return {
+        "is_subalgebra": ("algebra", lambda alg, w, s: is_subalgebra(alg, s)),
+        "is_ideal_in": ("algebra", lambda alg, w, s: is_ideal_in(alg, s, s)),
+        "is_nilpotent_subalgebra": ("algebra", lambda alg, w, s: is_nilpotent_subalgebra(alg, s)),
+        "ideal_closure": ("algebra", lambda alg, w, s: ideal_closure(alg, s)),
+        "subalgebra_as_algebra": ("algebra", lambda alg, w, s: subalgebra_as_algebra(alg, s)),
+        "bracket_spans": ("algebra", lambda alg, w, s: alg.bracket_spans(s, s)),
+        "derived_span": ("algebra", lambda alg, w, s: alg.derived_span(s)),
+        "subalgebra_closure": ("algebra", lambda alg, w, s: subalgebra_closure(alg, [], closed=s)),
+        "verify_lagrangian": ("algebra", lambda alg, w, s: verify_lagrangian(alg, w, s)),
+        "radical": ("form", lambda alg, w, s: radical(w, s)),
+        "restrict": ("form", lambda alg, w, s: restrict(w, s)),
+        "symplectic_orthogonal": ("form", lambda alg, w, s: symplectic_orthogonal(w, s)),
+        "is_isotropic": ("form", lambda alg, w, s: is_isotropic(w, s)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entries_on_a_subspace()))
+@pytest.mark.parametrize("offset", [-1, 1], ids=["n-1", "n+1"])
+def test_a_subspace_of_another_dimension_is_refused(e1, entry, offset):
+    # each of these once answered for a subspace of Q^4 or Q^6 on E1 (Q^5):
+    # a wrong verdict, a subspace of the wrong space, or an IndexError
+    against, call = _entries_on_a_subspace()[entry]
+    m = e1.algebra.dim + offset
+    says = f"^a subspace of Q\\^{m} for an? {against} on Q\\^5$"
+    with pytest.raises(ValueError, match=says):
+        call(e1.algebra, e1.two_forms["omega"], Subspace.full(m))

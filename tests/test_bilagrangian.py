@@ -23,6 +23,7 @@ from solvdiag import (
     d_zero,
     linalg,
 )
+from solvdiag import algebra, bilagrangian
 from solvdiag.algebra import change_basis
 from solvdiag.generators import (
     random_completely_solvable,
@@ -202,6 +203,31 @@ def test_connection_eliminations_do_not_grow_with_the_dimension(d1, monkeypatch)
         connection(*case)
         counts.append(len(calls))
     assert counts == [4] * len(cases)
+
+
+def test_connection_and_d_zero_build_no_ad_matrix(d1, monkeypatch):
+    # the leafwise right-hand sides are read off the structure constants,
+    # not off an n x n ad matrix built (and transposed) for every pair
+    calls = []
+    ad = algebra._ad
+    for module in (algebra, bilagrangian):  # wherever the name may be bound
+        monkeypatch.setattr(module, "_ad", lambda *a: calls.append(1) or ad(*a), raising=False)
+    alg, w, pair = d1.algebra, d1.two_forms["omega"], d1_pair(d1)
+    table = connection(alg, w, pair)
+    x, y = pair.left.rows
+    assert pair.left.contains_vector(d_zero(alg, w, x, y))
+    assert calls == []
+    assert table == oracle_connection(alg, w, pair)
+
+
+@pytest.mark.parametrize("offset", [-1, 1], ids=["n-1", "n+1"])
+def test_connection_refuses_a_form_of_another_dimension(d1, offset):
+    # a form on Q^5 for D1 (Q^4) once gave a table, and one on Q^3 a
+    # DegenerateFormError
+    m = d1.algebra.dim + offset
+    form = TwoForm.from_pairs(m, [(i, i + 1, 1) for i in range(0, m - 1, 2)])
+    with pytest.raises(ValueError, match=f"^a form on Q\\^{m} for an algebra on Q\\^4$"):
+        connection(d1.algebra, form, d1_pair(d1))
 
 
 NOT_CLOSED = "^pair members must be bracket-closed$"

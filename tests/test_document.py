@@ -23,12 +23,11 @@ from solvdiag import (
 from solvdiag.corpus import compute_check
 from solvdiag.document import (
     _MAX_NESTING,
-    _QUOTE_CHARS,
     _nesting,
     _parse_metadata,
-    _quoted,
     subspace_obj,
 )
+from solvdiag.linalg import _QUOTE_CHARS, _quoted
 
 CORPUS = ("D1", "E1", "E2", "X1", "X2", "X3")
 

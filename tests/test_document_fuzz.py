@@ -8,13 +8,17 @@ four typed errors; a bare ValueError or any other exception would reach
 `cli.main` as `error[VALUE]`.  The messages of the pair lists are pinned
 too.  Each fuzzer draws 400 examples; a hypothesis profile with a larger
 budget raises that (`--hypothesis-profile=reader-fuzz`, see conftest.py).
+
+A last fuzzer reads strings both ways, by the document reader and by the
+library, which share one rule (`linalg._ratio`).
 """
 
 import copy
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solvdiag import (
@@ -23,8 +27,10 @@ from solvdiag import (
     RationalFormatError,
     SchemaError,
     corpus_text,
+    linalg,
     list_corpus,
     parse_document,
+    parse_rational,
 )
 from solvdiag.document import UnknownNameError
 
@@ -229,3 +235,26 @@ def test_two_form_messages(items, error, message):
     with pytest.raises(error) as err:
         parse_document(_minimal(two_forms={"w": items}))
     assert str(err.value) == message
+
+
+SPELLINGS = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="+-/0123456789 \n\u0663", max_size=10),
+    st.from_regex(r"[+-]?[0-9]{1,5}(/[0-9]{1,4})?", fullmatch=True),
+)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(spelling=SPELLINGS)
+@example("1/0")
+@example("1" * (sys.get_int_max_str_digits() + 1))
+def test_the_reader_and_the_library_read_a_string_alike(spelling):
+    # the same value, or the library's ValueError behind the reader's location
+    try:
+        value = linalg.frac(spelling)
+    except ValueError as exc:
+        with pytest.raises(RationalFormatError) as err:
+            parse_rational(spelling, "x")
+        assert str(err.value) == f"x: {exc}"
+    else:
+        assert parse_rational(spelling, "x") == value

@@ -9,26 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvdiag import (
+    LagrangianCandidate,
     LieAlgebra,
     NotClosedError,
     NotLagrangianError,
     NotSimpleError,
     SearchCompleteness,
+    SolvdiagError,
     Subspace,
     TwoForm,
     change_basis,
     classify_vertices,
     diagram_to_lagrangian,
     find_lagrangians,
+    find_normal_flag,
+    kernel,
     kernel_chain,
     lagrangian_to_flag,
     predicates,
     random_closed_form,
     random_completely_solvable,
+    random_nilpotent,
     random_unimodular,
     vergne_candidate,
     verify_lagrangian,
 )
+from solvdiag import lagrangian
 from oracles import oracle_find_lagrangians
 
 
@@ -272,3 +278,32 @@ def test_search_matches_the_visited_set_search(dim, seed, rebased):
         alg = change_basis(alg, random_unimodular(rng, dim))
     omega = random_closed_form(rng, alg)
     assert find_lagrangians(alg, omega) == oracle_find_lagrangians(alg, omega)
+
+
+@pytest.mark.parametrize("dim", range(3, 10))
+@pytest.mark.parametrize("make", [random_completely_solvable, random_nilpotent])
+def test_vergnes_candidate_on_a_normal_flag_is_a_lagrangian(make, dim):
+    # Vergne's theorem: on a full flag of ideals, any closed form's candidate
+    # is a Lagrangian, of dimension (n + dim ker)/2; seeds 0-4, fixed in
+    # advance and not chosen to pass, odd seeds in a unimodular basis
+    for seed in range(5):
+        rng = Random(seed * 100 + dim)
+        alg = make(rng, dim)
+        if seed % 2:
+            alg = change_basis(alg, random_unimodular(rng, dim))
+        w = random_closed_form(rng, alg)
+        cand = vergne_candidate(alg, w, find_normal_flag(alg).flag)
+        assert cand.verified, (seed, cand.reasons)
+        assert cand.subspace.dim == (dim + kernel(w).dim) // 2
+
+
+def test_a_rejected_vergne_candidate_on_a_normal_flag_raises(d1, monkeypatch):
+    # by Vergne's theorem a rejection there is a fault, not a miss to drop
+    alg, w = d1.algebra, d1.two_forms["omega"]
+    rejected = LagrangianCandidate(Subspace.zero(alg.dim), ("not isotropic",))
+    monkeypatch.setattr(lagrangian, "vergne_candidate", lambda *args: rejected)
+    says = "^Vergne candidate on a normal flag: not isotropic$"
+    for mode in ("vergne", "both"):
+        with pytest.raises(SolvdiagError, match=says):
+            find_lagrangians(alg, w, mode=mode)
+    assert find_lagrangians(alg, w, mode="flag_adapted").found

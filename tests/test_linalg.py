@@ -1,6 +1,7 @@
 """Exact linear algebra over Fractions."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -85,6 +86,45 @@ def test_a_string_outside_the_rational_format_is_refused(spelling):
         LieAlgebra.from_brackets(("a", "b"), {("a", "b"): {"b": spelling}})
     with pytest.raises(ValueError, match=says):
         TwoForm.from_pairs(2, [(0, 1, spelling)])
+
+
+OVERLONG = "1" * (sys.get_int_max_str_digits() + 1)  # one digit past int()'s limit
+
+
+@pytest.mark.parametrize(
+    "spelling, says",
+    [
+        ("1/0", "'1/0' has a zero denominator"),
+        ("-0/0", "'-0/0' has a zero denominator"),
+        (OVERLONG, repr(OVERLONG)[: linalg._QUOTE_CHARS] + "... has too many digits"),
+    ],
+    ids=["zero-denominator", "zero-over-zero", "too-many-digits"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    ["frac", "scaled_ints", "from_brackets", "from_pairs", "Subspace", "change_basis"],
+)
+def test_a_string_that_names_no_rational_is_a_quoted_value_error(entry, spelling, says):
+    # every entry reads a string by `linalg._ratio`: a ValueError that quotes
+    # the string, never a ZeroDivisionError or the interpreter's own advice
+    from solvdiag import LieAlgebra, TwoForm
+    from solvdiag.algebra import change_basis
+
+    names = ("a", "b")
+    alg = LieAlgebra.from_brackets(names, {("a", "b"): {"b": 1}})
+    call = {
+        "frac": lambda: linalg.frac(spelling),
+        "scaled_ints": lambda: linalg.scaled_ints([1, spelling]),
+        "from_brackets": lambda: LieAlgebra.from_brackets(names, {("a", "b"): {"b": spelling}}),
+        "from_pairs": lambda: TwoForm.from_pairs(2, [(0, 1, spelling)]),
+        "Subspace": lambda: Subspace(2, [[spelling, 1]]),
+        "change_basis": lambda: change_basis(alg, [[1, 0], [spelling, 1]]),
+    }[entry]
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == says
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_rref_known_matrix():

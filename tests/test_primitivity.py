@@ -31,8 +31,8 @@ from solvdiag import (
     singular_count_audit,
     transitive_test,
 )
-from solvdiag.primitivity import _family_provably_empty
-from oracles import oracle_family_provably_empty
+from solvdiag.primitivity import _family_provably_empty, _ideal_hyperplane_witness
+from oracles import oracle_family_provably_empty, oracle_ideal_hyperplane_witness
 
 
 def kernel_pair(doc, *names):
@@ -312,3 +312,26 @@ class TestSingularCountAudit:
         assert entry.within_connected_bound
         if verdict.status is not PrimitivityStatus.QUASI_PRIMITIVE:
             assert entry.within_quasi_primitive_bound is None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_the_ideal_hyperplane_witness_is_the_kernel_of_the_reduction_at_c(seed):
+    # the witness as a span (the derived rows and the unit vectors off their
+    # pivots but c) against its definition as the kernel of a covector; dims
+    # 2-8, both generators, a third of the algebras in a unimodular basis,
+    # and h spanned by one to three small integer vectors, or by rows of
+    # [g, g] for a quarter of the seeds
+    rng = Random(seed)
+    n = rng.randint(2, 8)
+    make = random_completely_solvable if seed % 2 else random_nilpotent
+    alg = make(rng, n)
+    if seed % 3 == 0:
+        alg = change_basis(alg, random_unimodular(rng, n))
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    if seed % 4 == 0:  # inside [g, g]: no witness
+        rows = [list(r) for r in derived_subalgebra(alg).int_rows][:2]
+    witness = _ideal_hyperplane_witness(alg, Subspace(n, rows))
+    expected = oracle_ideal_hyperplane_witness(alg, rows)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert witness.rows == expected
