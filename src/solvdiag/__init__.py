@@ -7,10 +7,12 @@ result of an exact computation, never a floating-point approximation.
 
 from .algebra import (
     AlgebraValidationReport,
+    Flag,
     InputError,
     LieAlgebra,
     NotAnIdealError,
     NotSubalgebraError,
+    SolvabilityCertificate,
     SolvabilityVerdict,
     SolvdiagError,
     Subspace,
@@ -95,11 +97,8 @@ from .document import (
 )
 from .flags import (
     ChainNotNestedError,
-    Flag,
     FlagValidationReport,
     IncompleteError,
-    NormalFlagResult,
-    NormalFlagStatus,
     complete_flag_through,
     find_normal_flag,
     validate_flag,

@@ -194,6 +194,42 @@ class Subspace:
         return f"Subspace(dim={self.dim}/{self.ambient_dim}, rows={self.rows!r})"
 
 
+class Flag:
+    """A chain of subspaces, kept exactly as given (validation is separate)."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: Iterable[Subspace]) -> None:
+        ms = tuple(members)
+        if not ms:
+            raise ValueError("a flag needs at least one member")
+        ambient = ms[0].ambient_dim
+        for m in ms:
+            if m.ambient_dim != ambient:
+                raise ValueError("flag members live in different ambient spaces")
+        object.__setattr__(self, "members", ms)
+
+    def __setattr__(self, *a):  # pragma: no cover - guard
+        raise AttributeError("Flag is immutable")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(m.dim for m in self.members)
+
+    @property
+    def nonzero_members(self) -> tuple[Subspace, ...]:
+        return tuple(m for m in self.members if not m.is_zero())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Flag) and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+    def __repr__(self) -> str:
+        return f"Flag(dims={self.dims})"
+
+
 def vector_sort_key(v: Vector):
     """Canonical order on normalized vectors: earliest leading entry wins."""
     pivot = next((i for i, x in enumerate(v) if x != 0), len(v))
@@ -778,6 +814,13 @@ class SolvabilityVerdict(Enum):
 class SolvabilityCertificate:
     verdict: SolvabilityVerdict
     witness: tuple[Subspace, ...] | None  # ascending chain of ideals of g, dims 1..n
+
+    @property
+    def flag(self) -> Flag | None:
+        """Zero, then the witness (n members, dims 1..n); None without a witness."""
+        if self.witness is None:
+            return None
+        return Flag((Subspace.zero(len(self.witness)),) + self.witness)
 
 
 def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 from .algebra import (
     LieAlgebra,
+    SolvabilityVerdict,
     SolvdiagError,
     Subspace,
     _eigenspaces,
     _ibracket,
     _sparse,
+    complete_solvability_certificate,
     is_ideal_in,
     is_nilpotent_subalgebra,
     is_subalgebra,
@@ -31,7 +33,7 @@ from .diagram import (
     kernel_chain,
     predicates,
 )
-from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_flag
+from .flags import Flag, complete_flag_through
 from .forms import TwoForm, is_isotropic, kernel, radical, symplectic_orthogonal
 
 
@@ -222,12 +224,12 @@ def _assemble_flag(
     members: list[Subspace] = []
 
     if a.dim:
-        res = find_normal_flag(subalgebra_as_algebra(alg, a))
-        if res.status is NormalFlagStatus.UNDECIDED:
+        cert = complete_solvability_certificate(subalgebra_as_algebra(alg, a))
+        if cert.verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
             raise IrrationalSpectrumError("isotropic part has irrational spectrum")
-        if res.status is NormalFlagStatus.NONE:
+        if cert.verdict is SolvabilityVerdict.NOT_SOLVABLE:
             raise SolvdiagError("isotropic part is not solvable")
-        members.extend(a.lift(mem) for mem in res.flag.nonzero_members)
+        members.extend(a.lift(mem) for mem in cert.witness)
 
     for h_j in descent.kernels:
         members.append(h_j.sum(a))

@@ -18,8 +18,7 @@ from operator import getitem
 from typing import Any, Mapping
 
 from . import linalg
-from .algebra import InputError, LieAlgebra, Subspace, validate_algebra
-from .flags import Flag
+from .algebra import Flag, InputError, LieAlgebra, Subspace, validate_algebra
 from .forms import TwoForm
 
 

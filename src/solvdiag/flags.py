@@ -9,14 +9,14 @@ member they declare, and every consumer honors that.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import (
+    Flag,
     InputError,
     LieAlgebra,
     NotSubalgebraError,
-    SolvabilityVerdict,
+    SolvabilityCertificate,
     SolvdiagError,
     Subspace,
     _hyperplane_in,
@@ -34,42 +34,6 @@ class ChainNotNestedError(InputError):
 
 class IncompleteError(SolvdiagError):
     code = "INCOMPLETE"
-
-
-class Flag:
-    """A chain of subspaces, kept exactly as given (validation is separate)."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Iterable[Subspace]) -> None:
-        ms = tuple(members)
-        if not ms:
-            raise ValueError("a flag needs at least one member")
-        ambient = ms[0].ambient_dim
-        for m in ms:
-            if m.ambient_dim != ambient:
-                raise ValueError("flag members live in different ambient spaces")
-        object.__setattr__(self, "members", ms)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("Flag is immutable")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(m.dim for m in self.members)
-
-    @property
-    def nonzero_members(self) -> tuple[Subspace, ...]:
-        return tuple(m for m in self.members if not m.is_zero())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Flag) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def __repr__(self) -> str:
-        return f"Flag(dims={self.dims})"
 
 
 @dataclass(frozen=True)
@@ -135,34 +99,13 @@ def validate_flag(alg: LieAlgebra, flag: Flag) -> FlagValidationReport:
     return FlagValidationReport(*astuple(shape), subalg, ideal_next, normal)
 
 
-class NormalFlagStatus(Enum):
-    FOUND = "FOUND"
-    NONE = "NONE"
-    UNDECIDED = "UNDECIDED"
-
-
-@dataclass(frozen=True)
-class NormalFlagResult:
-    status: NormalFlagStatus
-    flag: Flag | None
-
-
-def find_normal_flag(alg: LieAlgebra) -> NormalFlagResult:
-    """A full chain all of whose members are ideals of the algebra.
-
-    Construction: the members of `complete_solvability_certificate`, found
-    by rational common-eigenvector descent on g/I for each member I so far,
-    with the structure constants of g/I read from the table of g reduced
-    modulo I.  NONE when the algebra is not solvable (no such chain can
-    exist); UNDECIDED when the descent hits an irrational spectrum.
-    """
-    cert = complete_solvability_certificate(alg)
-    if cert.verdict is SolvabilityVerdict.NOT_SOLVABLE:
-        return NormalFlagResult(NormalFlagStatus.NONE, None)
-    if cert.verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
-        return NormalFlagResult(NormalFlagStatus.UNDECIDED, None)
-    members = (Subspace.zero(alg.dim),) + tuple(cert.witness)
-    return NormalFlagResult(NormalFlagStatus.FOUND, Flag(members))
+def find_normal_flag(alg: LieAlgebra) -> SolvabilityCertificate:
+    """A full chain all of whose members are ideals of the algebra: the
+    `flag` of `complete_solvability_certificate`, found by rational
+    common-eigenvector descent on g/I for each member I so far.  The flag is
+    None when the algebra is not solvable (no such chain can exist) or when
+    the descent hits an irrational spectrum."""
+    return complete_solvability_certificate(alg)
 
 
 def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace | None:

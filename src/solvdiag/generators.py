@@ -14,8 +14,7 @@ import math
 from random import Random
 
 from . import linalg
-from .algebra import LieAlgebra, Subspace
-from .flags import Flag
+from .algebra import Flag, LieAlgebra, Subspace
 from .forms import TwoForm, closed_two_form_basis
 
 _COEFFS = (-2, -1, 0, 0, 1, 2)

@@ -16,6 +16,7 @@ from .algebra import (
     LieAlgebra,
     SolvdiagError,
     Subspace,
+    complete_solvability_certificate,
     derived_subalgebra,
     is_subalgebra,
     subalgebra_closure,
@@ -26,7 +27,7 @@ from .diagram import (
     kernel_chain,
     predicates,
 )
-from .flags import Flag, NormalFlagStatus, complete_flag_through, find_normal_flag
+from .flags import Flag, complete_flag_through
 from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, kernel, radical
 
 
@@ -124,21 +125,21 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
         raise NotClosedError("the 2-form is not closed")
     n = alg.dim
     found: set[Subspace] = set()
-    normal = find_normal_flag(alg)
+    normal = complete_solvability_certificate(alg).flag
 
-    if mode in ("vergne", "both") and normal.status is NormalFlagStatus.FOUND:
-        cand = vergne_candidate(alg, omega, normal.flag)
+    if mode in ("vergne", "both") and normal is not None:
+        cand = vergne_candidate(alg, omega, normal)
         if not cand.verified:  # pragma: no cover - Vergne's theorem
             raise SolvdiagError("Vergne candidate on a normal flag: " + "; ".join(cand.reasons))
         found.add(cand.subspace)
 
     ran_adapted = False
-    if mode in ("flag_adapted", "both") and normal.status is NormalFlagStatus.FOUND:
+    if mode in ("flag_adapted", "both") and normal is not None:
         ran_adapted = True
         ker = kernel(omega)
         target = (n + ker.dim) // 2
         # the primitive integer echelon rows of the members, each once
-        rows = (row for member in normal.flag.members for row in member.int_rows)
+        rows = (row for member in normal.members for row in member.int_rows)
         gens = sorted(dict.fromkeys(rows), key=vector_sort_key)
         paired = [omega.pair_ints(g) for g in gens]  # denom * omega(g, .)
 

@@ -254,6 +254,8 @@ def ideal_closure_audit(pair: PairPresentation, omega: TwoForm) -> IdealClosureA
     expected to agree on every instance.
     """
     alg, h = pair.algebra, pair.isotropy
+    if omega.dim != alg.dim:
+        raise ValueError(f"a form on Q^{omega.dim} for an algebra on Q^{alg.dim}")
     if kernel(omega) != h:
         raise ValueError("isotropy must be the kernel of the form")
     if h.is_zero():
@@ -275,16 +277,14 @@ class SingularCountEntry:
 
 
 def singular_count_audit(
-    pair: PairPresentation, diagrams, quasi_verdict: PrimitivityVerdict | None = None
+    pair: PairPresentation, diagrams, quasi_verdict: PrimitivityVerdict
 ) -> tuple[SingularCountEntry, ...]:
     """Bound the number of singular vertices per diagram.
 
     Connected diagrams allow at most 4 singular vertices; when the pair is
-    quasi-primitive, at most 3.  Disconnected diagrams are skipped (both
-    bounds None).
+    quasi-primitive (`quasi_verdict`, the pair's `quasi_primitive_test`), at
+    most 3.  Disconnected diagrams are skipped (both bounds None).
     """
-    if quasi_verdict is None:
-        quasi_verdict = quasi_primitive_test(pair)
     quasi = quasi_verdict.status is PrimitivityStatus.QUASI_PRIMITIVE
     out = []
     for d in diagrams:

@@ -10,10 +10,14 @@ from solvdiag import load_corpus
 #   python -m pytest tests/test_document_fuzz.py --hypothesis-profile=reader-fuzz
 settings.register_profile("reader-fuzz", max_examples=4000)
 # The descent's oracle tests (tests/test_algebra.py, marked descent_oracle in
-# pyproject.toml) draw 80-150 examples each in tier-1, or the profile's budget
+# pyproject.toml) draw 100-150 examples each in tier-1, or the profile's budget
 # when it is larger, about ten times theirs:
 #   python -m pytest tests/test_algebra.py -m descent_oracle --hypothesis-profile=descent-oracle
 settings.register_profile("descent-oracle", max_examples=1000)
+# The search's oracle test (tests/test_lagrangian.py, marked search_oracle)
+# draws 100 examples in tier-1, or the profile's budget when it is larger:
+#   python -m pytest tests/test_lagrangian.py -m search_oracle --hypothesis-profile=search-oracle
+settings.register_profile("search-oracle", max_examples=1500)
 
 # registry for the acceptance suite: number -> (description, passed, seconds)
 ACCEPTANCE_RESULTS = {}

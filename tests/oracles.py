@@ -583,7 +583,7 @@ def oracle_find_lagrangians(alg, omega, mode="both"):
         subalgebra_closure,
         vector_sort_key,
     )
-    from solvdiag.flags import NormalFlagStatus, find_normal_flag
+    from solvdiag.flags import find_normal_flag
     from solvdiag.forms import NotClosedError, is_closed, radical, restrict
     from solvdiag.lagrangian import (
         SearchCompleteness,
@@ -598,13 +598,13 @@ def oracle_find_lagrangians(alg, omega, mode="both"):
     found = set()
     normal = find_normal_flag(alg)
 
-    if mode in ("vergne", "both") and normal.status is NormalFlagStatus.FOUND:
+    if mode in ("vergne", "both") and normal.flag is not None:
         cand = vergne_candidate(alg, omega, normal.flag)
         if cand.verified:
             found.add(cand.subspace)
 
     ran_adapted = False
-    if mode in ("flag_adapted", "both") and normal.status is NormalFlagStatus.FOUND:
+    if mode in ("flag_adapted", "both") and normal.flag is not None:
         ran_adapted = True
         ker = radical(omega, Subspace.full(n))
         target = omega.rank() // 2 + ker.dim

@@ -11,17 +11,24 @@ from solvdiag import (
     Flag,
     IncompleteError,
     LieAlgebra,
-    NormalFlagStatus,
     NotSubalgebraError,
+    SolvabilityVerdict,
     Subspace,
+    change_basis,
     complete_flag_through,
+    complete_solvability_certificate,
     find_normal_flag,
     is_ideal_in,
     is_subalgebra,
     validate_flag,
 )
 from solvdiag import flags, linalg
-from solvdiag.generators import random_completely_solvable, random_full_chain
+from solvdiag.generators import (
+    random_completely_solvable,
+    random_full_chain,
+    random_nilpotent,
+    random_unimodular,
+)
 from oracles import oracle_validate_flag
 
 
@@ -154,7 +161,7 @@ class TestValidationOracle:
 class TestNormalFlag:
     def test_e1_normal_chain(self, e1):
         res = find_normal_flag(e1.algebra)
-        assert res.status is NormalFlagStatus.FOUND
+        assert res.verdict is SolvabilityVerdict.COMPLETELY_SOLVABLE
         f = res.flag
         assert f.dims == (0, 1, 2, 3, 4, 5)
         full = Subspace.full(5)
@@ -167,14 +174,35 @@ class TestNormalFlag:
             {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
         )
         res = find_normal_flag(sl2)
-        assert res.status is NormalFlagStatus.NONE
+        assert res.verdict is SolvabilityVerdict.NOT_SOLVABLE
         assert res.flag is None
 
     def test_irrational_spectrum_undecided(self):
         rot = LieAlgebra.from_brackets(
             ("r", "x", "y"), {("r", "x"): {"y": 1}, ("r", "y"): {"x": -1}}
         )
-        assert find_normal_flag(rot).status is NormalFlagStatus.UNDECIDED
+        res = find_normal_flag(rot)
+        assert res.verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM
+        assert res.flag is None
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("make", [random_completely_solvable, random_nilpotent])
+    def test_the_normal_flag_is_the_certificate(self, make, dim):
+        # seeds 0-4, odd seeds in a unimodular basis
+        for seed in range(5):
+            rng = Random(seed * 100 + dim)
+            alg = make(rng, dim)
+            if seed % 2:
+                alg = change_basis(alg, random_unimodular(rng, dim))
+            cert = complete_solvability_certificate(alg)
+            assert find_normal_flag(alg) == cert
+            assert cert.flag.members == (Subspace.zero(dim),) + cert.witness
+
+    def test_the_zero_algebra_has_the_one_member_flag(self):
+        cert = find_normal_flag(LieAlgebra([], []))
+        assert cert.verdict is SolvabilityVerdict.COMPLETELY_SOLVABLE
+        assert cert.witness == ()
+        assert cert.flag == Flag([Subspace.zero(0)])
 
 
 class TestCompletion:

@@ -265,7 +265,12 @@ def test_the_n12_seed1_search_stays_fast():
     assert hashlib.sha256(record.encode()).hexdigest() == N12_SEED1_DIGEST
 
 
-@settings(max_examples=60, deadline=None)
+# The search's oracle test (marked search_oracle) draws Hypothesis's default
+# budget, 100 examples, and never fewer than 60, or the profile's budget when
+# it is larger: CI runs it once more with
+# -m search_oracle --hypothesis-profile=search-oracle.
+@pytest.mark.search_oracle
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(
     dim=st.integers(min_value=3, max_value=6),
     seed=st.integers(min_value=0, max_value=10**6),
@@ -280,7 +285,7 @@ def test_search_matches_the_visited_set_search(dim, seed, rebased):
     assert find_lagrangians(alg, omega) == oracle_find_lagrangians(alg, omega)
 
 
-@pytest.mark.parametrize("dim", range(3, 10))
+@pytest.mark.parametrize("dim", range(3, 13))
 @pytest.mark.parametrize("make", [random_completely_solvable, random_nilpotent])
 def test_vergnes_candidate_on_a_normal_flag_is_a_lagrangian(make, dim):
     # Vergne's theorem: on a full flag of ideals, any closed form's candidate

@@ -269,6 +269,13 @@ class TestIdealClosureAudit:
         with pytest.raises(ValueError):
             ideal_closure_audit(kernel_pair(e1, "b"), e1.two_forms["omega"])
 
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_a_form_of_another_dimension_is_refused(self, e1, dim):
+        # refused as a form on the wrong space, not as a kernel mismatch
+        form = TwoForm.from_pairs(dim, [(0, 1, 1)])
+        with pytest.raises(ValueError, match=rf"^a form on Q\^{dim} for an algebra on Q\^5$"):
+            ideal_closure_audit(kernel_pair(e1, "c"), form)
+
     def test_zero_kernel_rejected(self, d1):
         pair = PairPresentation(d1.algebra, Subspace.zero(4))
         with pytest.raises(ValueError):
@@ -281,7 +288,7 @@ class TestSingularCountAudit:
         d = classify_vertices(
             kernel_chain(e1.algebra, e1.two_forms["omega"], e1.flags["F"])
         )
-        (entry,) = singular_count_audit(pair, [d])
+        (entry,) = singular_count_audit(pair, [d], quasi_primitive_test(pair))
         assert entry.connected
         assert entry.singular_count == 1
         assert entry.within_connected_bound
