@@ -216,10 +216,6 @@ class Flag:
     def dims(self) -> tuple[int, ...]:
         return tuple(m.dim for m in self.members)
 
-    @property
-    def nonzero_members(self) -> tuple[Subspace, ...]:
-        return tuple(m for m in self.members if not m.is_zero())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Flag) and self.members == other.members
 

@@ -339,7 +339,7 @@ def _audit_checks(doc: Document):
         first = sorted(closed_forms)[0]
         pair = PairPresentation(algebra=alg, isotropy=closed_forms[first][1])
         quasi = quasi_primitive_test(pair)
-        entries = singular_count_audit(pair, diagrams.values(), quasi_verdict=quasi)
+        entries = singular_count_audit(diagrams.values(), quasi_verdict=quasi)
         ok_counts = all(
             e.within_connected_bound is not False
             and e.within_quasi_primitive_bound is not False

@@ -1,4 +1,5 @@
-"""Full chains of nested subalgebras: validation, search, completion.
+"""Full chains of nested subalgebras: validation, the normal flag, and
+completion of a chain through the flag of ideals.
 
 A chain is a strictly increasing list of subspaces, one per dimension,
 ending at the full algebra.  Chains constructed here always include the
@@ -9,6 +10,7 @@ member they declare, and every consumer honors that.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -23,9 +25,7 @@ from .algebra import (
     complete_solvability_certificate,
     is_ideal_in,
     is_subalgebra,
-    subalgebra_as_algebra,
 )
-from .forms import hyperplane_subalgebras
 
 
 class ChainNotNestedError(InputError):
@@ -108,23 +108,28 @@ def find_normal_flag(alg: LieAlgebra) -> SolvabilityCertificate:
     return complete_solvability_certificate(alg)
 
 
-def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace | None:
-    """A codimension-1 subalgebra of `high` containing `low`, or None.
+def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace, certificate) -> Subspace:
+    """A codimension-1 subalgebra of `high` containing the subalgebra `low`.
 
     Preference: hyperplanes containing low + [high, high] (these are ideals
-    of high, canonical choice by greedy echelon extension).  Fallback: the
-    hyperplane subalgebras that `forms.hyperplane_subalgebras` finds over
-    the annihilator basis of low in high and its rational pencils; the
-    smallest by sort key wins.
+    of high, canonical choice by greedy echelon extension).  Otherwise the
+    flag of ideals I_0 < ... < I_n of the algebra, `certificate().flag`,
+    gives one with no search (IncompleteError without a flag).  J_k = I_k
+    meet high is an ideal of high: [high, J_k] lies in I_k, an ideal, and in
+    high, a subalgebra.  So S_k = low + J_k is a subalgebra: [low + J_k,
+    low + J_k] lies in [low, low] + [high, J_k], in low + J_k.  J_k / J_(k-1)
+    embeds in I_k / I_(k-1), a line, so dim S_k grows by at most 1 per k,
+    from S_0 = low to S_n = high.  The last S_k short of high is therefore a
+    hyperplane of high.
     """
     w = low.sum(alg.derived_span(high))
     if w.dim < high.dim:
         return Subspace._of(alg.dim, *_hyperplane_in(high.int_rows, w.int_rows, w.pivots))
-
-    # fallback: covector search inside `high` as a standalone algebra
-    sub = subalgebra_as_algebra(alg, high)
-    kernels, _ = hyperplane_subalgebras(sub, high.coordinates(low).annihilator().int_rows)
-    return min((high.lift(k) for k in kernels), key=lambda s: s.sort_key(), default=None)
+    cert = certificate()
+    if cert.flag is None:
+        raise IncompleteError(f"no flag of ideals to complete the chain: {cert.verdict.value}")
+    sums = (low.sum(ideal.intersect(high)) for ideal in reversed(cert.flag.members))
+    return next(s for s in sums if s.dim < high.dim)
 
 
 def complete_flag_through(alg: LieAlgebra, chain: Sequence[Subspace]) -> Flag:
@@ -132,8 +137,9 @@ def complete_flag_through(alg: LieAlgebra, chain: Sequence[Subspace]) -> Flag:
 
     The zero subspace and the full algebra are added, every dimension gap
     is filled by repeated codimension-1 steps, and the result always
-    contains the given members.  Raises IncompleteError when the bounded
-    covector search cannot supply a step.
+    contains the given members.  A step that no ideal hyperplane supplies
+    comes from the flag of ideals, computed at most once per call; without
+    one (a verdict other than COMPLETELY_SOLVABLE) it is an IncompleteError.
     """
     n = alg.dim
     members: list[Subspace] = []
@@ -156,18 +162,14 @@ def complete_flag_through(alg: LieAlgebra, chain: Sequence[Subspace]) -> Flag:
     if members[-1] != full:
         members.append(full)
 
+    certificate = cache(lambda: complete_solvability_certificate(alg))
     out: list[Subspace] = [members[0]]
     for low, high in zip(members, members[1:]):
         fill: list[Subspace] = []
         top = high
         while top.dim - low.dim >= 2:
-            step = _codim_one_step(alg, low, top)
-            if step is None:
-                raise IncompleteError(
-                    f"no codimension-1 subalgebra between dims {low.dim} and {top.dim}"
-                )
-            fill.append(step)
-            top = step
+            top = _codim_one_step(alg, low, top, certificate)
+            fill.append(top)
         out.extend(reversed(fill))
         out.append(high)
     return Flag(out)

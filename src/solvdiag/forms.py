@@ -300,21 +300,21 @@ def _check_budget(budget: int | None) -> None:
 
 
 def hyperplane_subalgebras(
-    alg: LieAlgebra, covectors: Sequence[Sequence], budget: int | None = None
+    alg: LieAlgebra, budget: int | None = None
 ) -> tuple[list[Subspace], bool]:
     """Hyperplane subalgebras: the kernels of covectors phi with
     d(phi) ^ phi = 0.
 
-    Searched: each given covector pa, closed when w[a][a] = 0 in the wedge
-    table w, then the pencils pa + s pb over pairs of them (in combinations
-    order, the first `budget` pairs only; a negative budget is a
-    ValueError).  A pencil's wedge is w[a][a] + s (w[a][b] + w[b][a]) +
+    Searched: each dual basis covector pa, closed when w[a][a] = 0 in the
+    wedge table w, then the pencils pa + s pb over pairs of them (in
+    combinations order, the first `budget` pairs only; a negative budget is
+    a ValueError).  A pencil's wedge is w[a][a] + s (w[a][b] + w[b][a]) +
     s^2 w[b][b] on each triple; each common rational root s = p/q != 0
     gives q pa + p pb, and a pencil closed for every s gives pa + pb.
     Returns (kernels, truncated).
     """
     _check_budget(budget)
-    rows, w = _wedge_table(alg, covectors)
+    rows, w = _wedge_table(alg, Subspace.full(alg.dim).int_rows)
     diag = [w(a, a) for a in range(len(rows))]
     found = [p for p, wa in zip(rows, diag) if not any(wa)]
     pairs = list(itertools.combinations(range(len(rows)), 2))

@@ -137,7 +137,7 @@ def _family_provably_empty(alg: LieAlgebra, w) -> bool:
 def _pencil_witness(alg: LieAlgebra, h: Subspace, budget: int | None):
     """The least by sort key of the kernels found over the dual basis and its
     pencils that do not contain h, or None, and whether the pencils were cut short."""
-    kernels, truncated = hyperplane_subalgebras(alg, Subspace.full(alg.dim).int_rows, budget)
+    kernels, truncated = hyperplane_subalgebras(alg, budget)
     witnesses = [k for k in kernels if not k.contains(h)]
     return min(witnesses, key=lambda s: s.sort_key(), default=None), truncated
 
@@ -277,7 +277,7 @@ class SingularCountEntry:
 
 
 def singular_count_audit(
-    pair: PairPresentation, diagrams, quasi_verdict: PrimitivityVerdict
+    diagrams, quasi_verdict: PrimitivityVerdict
 ) -> tuple[SingularCountEntry, ...]:
     """Bound the number of singular vertices per diagram.
 

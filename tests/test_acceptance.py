@@ -342,7 +342,7 @@ def test_criterion_8_primitivity(e1, e2, d1, x1):
                 continue
             pair = PairPresentation(algebra=alg, isotropy=kernel(omega))
             quasi = quasi_primitive_test(pair)
-            for entry in singular_count_audit(pair, diagrams, quasi_verdict=quasi):
+            for entry in singular_count_audit(diagrams, quasi_verdict=quasi):
                 assert entry.within_connected_bound is not False
                 assert entry.within_quasi_primitive_bound is not False
 

@@ -288,7 +288,7 @@ class TestSingularCountAudit:
         d = classify_vertices(
             kernel_chain(e1.algebra, e1.two_forms["omega"], e1.flags["F"])
         )
-        (entry,) = singular_count_audit(pair, [d], quasi_primitive_test(pair))
+        (entry,) = singular_count_audit([d], quasi_primitive_test(pair))
         assert entry.connected
         assert entry.singular_count == 1
         assert entry.within_connected_bound
@@ -300,7 +300,7 @@ class TestSingularCountAudit:
             kernel_chain(e2.algebra, e2.two_forms["omega"], e2.flags["F"])
         )
         verdict = quasi_primitive_test(pair)
-        (entry,) = singular_count_audit(pair, [d], quasi_verdict=verdict)
+        (entry,) = singular_count_audit([d], quasi_verdict=verdict)
         assert not entry.connected
         assert entry.within_connected_bound is None
         assert entry.within_quasi_primitive_bound is None
@@ -313,7 +313,7 @@ class TestSingularCountAudit:
             kernel_chain(alg, x3.two_forms["omega"], x3.flags["F3"])
         )
         verdict = quasi_primitive_test(pair)
-        (entry,) = singular_count_audit(pair, [d], quasi_verdict=verdict)
+        (entry,) = singular_count_audit([d], quasi_verdict=verdict)
         assert entry.connected
         assert entry.singular_count == 3
         assert entry.within_connected_bound
