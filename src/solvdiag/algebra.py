@@ -808,8 +808,15 @@ class SolvabilityVerdict(Enum):
 
 @dataclass(frozen=True)
 class SolvabilityCertificate:
+    """The verdict, and with a witness its weights: g acts on I_k / I_(k-1),
+    spanned by the new row q of I_k, by [x, q] = lambda_k(x) q mod I_(k-1),
+    and `weights[k - 1][i]` is lambda_k(e_i) times `weight_denom` > 0, in
+    lowest terms.  None, and 1, without a witness."""
+
     verdict: SolvabilityVerdict
     witness: tuple[Subspace, ...] | None  # ascending chain of ideals of g, dims 1..n
+    weights: tuple[tuple[int, ...], ...] | None = None
+    weight_denom: int = 1
 
     @property
     def flag(self) -> Flag | None:
@@ -878,16 +885,23 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     and divides them by their content.  It checks [e_i, q] = 0 modulo I_k
     for each such i (NotAnIdealError otherwise).  That proves I_k an ideal:
     I_(k-1) is one, q is supported off its pivots, and e_p is
-    (q - sum of q_j e_j) / d.  Besides the descent, a level costs O(n^3)
+    (q - sum of q_j e_j) / d.  Before that reduction, the same brackets
+    give the level's weight with no new elimination: reduced modulo
+    I_(k-1), sum of q_j [e_i, e_j] is lambda_k(e_i) q, read at p for each
+    such i; lambda_k vanishes on the ideal I_k, so the echelon row r of I_k
+    with pivot t gives r_t lambda_k(e_t) = -sum of r_j lambda_k(e_j) over
+    the j off I_k's pivots.  Besides the descent, a level costs O(n^3)
     integer operations.  When the descent finds no rational eigenvector,
     `solvability_verdict` tells NOT_SOLVABLE from
     UNDECIDED_IRRATIONAL_SPECTRUM; if it says COMPLETELY_SOLVABLE there,
     the descent is at fault and a SolvdiagError is raised.
     """
     n = alg.dim
-    # D [e_i, e_j] mod carried
+    # scale_num / scale_den times [e_i, e_j] mod carried
     red = [[_dense(cs, n) for cs in row] for row in alg.consts]
+    scale_num, scale_den = alg.denom, 1
     members: list[Subspace] = []
+    weights: list[tuple[list[int], int]] = []  # per member, ints over an int denominator
     carried = Subspace.zero(n)
     keep = list(range(n))  # quotient coordinates: non-pivot columns of carried
     while keep:
@@ -904,14 +918,39 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
         support = [(j, c) for j, c in enumerate(q) if c]
         p, d = support[0]  # q's pivot and its entry there
         live, keep = keep, [k for k in keep if k != p]
+        # lam is d * scale_num / scale_den times lambda_k off I_k's pivots;
+        # with L the lcm of I_k's pivot entries, it becomes L * d * scale_num
+        # times lambda_k everywhere, in ints
+        lam = [0] * n
+        for i in keep:
+            lam[i] = sum(c * red[i][j][p] for j, c in support)
+        if any(lam):
+            lcm = math.lcm(*(r[t] for r, t in zip(carried.int_rows, carried.pivots)))
+            for r, t in zip(carried.int_rows, carried.pivots):
+                lam[t] = -sum(r[j] * lam[j] for j in keep) * (lcm // r[t]) * scale_den
+            for i in keep:
+                lam[i] *= lcm * scale_den
+            weights.append((lam, lcm * d * scale_num))
+        else:
+            weights.append((lam, 1))
         cells = [(i, j) for i in keep for j in live]  # all that is read from here on
         for i, j in cells:
             if (r := red[i][j])[p] or d != 1:
                 red[i][j] = [d * x - r[p] * y for x, y in zip(r, q)]
+        scale_num *= d
         if d != 1 and (g := math.gcd(*(x for i, j in cells for x in red[i][j]))) > 1:
             for i, j in cells:
                 red[i][j] = [x // g for x in red[i][j]]
+            scale_den *= g
         # [e_i, q] reduced modulo the new carried must vanish
         if any(sum(c * red[i][j][k] for j, c in support) for i in keep for k in keep):
             raise NotAnIdealError("certificate member is not an ideal")
-    return SolvabilityCertificate(SolvabilityVerdict.COMPLETELY_SOLVABLE, tuple(members))
+    den = math.lcm(*(level for _, level in weights))
+    rows = [[x * (den // level) for x in lam] for lam, level in weights]
+    g = math.gcd(den, *(x for r in rows for x in r))
+    return SolvabilityCertificate(
+        SolvabilityVerdict.COMPLETELY_SOLVABLE,
+        tuple(members),
+        tuple(tuple(x // g for x in r) for r in rows),
+        den // g,
+    )

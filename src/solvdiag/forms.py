@@ -13,7 +13,10 @@ integer matrix, built once per call by `_d_rows` from the algebra's integer
 constants `alg.consts`: `ce_differential` evaluates it on the form's integer
 matrix and divides once, and `closed_two_form_basis` is its integer nullspace.
 Pairings, restrictions, radicals, isotropy tests and symplectic orthogonals
-run on the integer rows of a Subspace and the form's integer matrix.
+run on the integer rows of a Subspace and the form's integer matrix.  A
+covector's d(phi) and d(phi) ^ phi are evaluated, not searched: the
+codimension-1 subalgebras, kernels of the phi with d(phi) ^ phi = 0, are
+found in `primitivity` from the solvability certificate's weights.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .algebra import InputError, LieAlgebra, Subspace, _init
-from .linalg import Vector, ZERO, ONE, _ratio, frac
+from .linalg import Vector, ZERO, _ratio, frac
 
 
 class NotClosedError(InputError):
@@ -228,20 +231,6 @@ def _wedge(m: Sequence[Sequence[int]], c: Sequence[int]) -> list[int]:
     ]
 
 
-def _wedge_table(alg: LieAlgebra, covectors: Sequence[Sequence]):
-    """(p, w): the covectors as integer rows p, scaled by one common factor
-    s > 0, and w(a, b) = D * (d(p_a) ^ p_b) on the triples in combinations
-    order, D = alg.denom * s^2.  Each d(p_a) is computed once, and w(a, b)
-    is one wedge per call, so only the entries read are built."""
-    n = alg.dim
-    if any(len(v) != n for v in covectors):
-        raise ValueError(f"covector of the wrong length for Q^{n}")
-    flat, _ = linalg.scaled_ints([x for v in covectors for x in v])
-    rows = [flat[a * n : (a + 1) * n] for a in range(len(covectors))]
-    diffs = [_d_covector(alg, p) for p in rows]
-    return rows, lambda a, b: _wedge(diffs[a], rows[b])
-
-
 def ce_differential_covector(alg: LieAlgebra, phi: Covector) -> TwoForm:
     """d(phi)(x, y) = -phi([x, y]) on basis pairs."""
     coeffs, scale = linalg.scaled_ints(phi.coeffs, alg.dim)
@@ -292,42 +281,6 @@ def wedge_with_covector(dphi: TwoForm, phi: Covector) -> ThreeForm:
     den = dphi.denom * scale
     triples = itertools.combinations(range(n), 3)
     return ThreeForm(n, {t: Fraction(v, den) for t, v in zip(triples, _wedge(dphi.numer, c)) if v})
-
-
-def _check_budget(budget: int | None) -> None:
-    if budget is not None and budget < 0:
-        raise ValueError(f"negative pencil budget {budget}")
-
-
-def hyperplane_subalgebras(
-    alg: LieAlgebra, budget: int | None = None
-) -> tuple[list[Subspace], bool]:
-    """Hyperplane subalgebras: the kernels of covectors phi with
-    d(phi) ^ phi = 0.
-
-    Searched: each dual basis covector pa, closed when w[a][a] = 0 in the
-    wedge table w, then the pencils pa + s pb over pairs of them (in
-    combinations order, the first `budget` pairs only; a negative budget is
-    a ValueError).  A pencil's wedge is w[a][a] + s (w[a][b] + w[b][a]) +
-    s^2 w[b][b] on each triple; each common rational root s = p/q != 0
-    gives q pa + p pb, and a pencil closed for every s gives pa + pb.
-    Returns (kernels, truncated).
-    """
-    _check_budget(budget)
-    rows, w = _wedge_table(alg, Subspace.full(alg.dim).int_rows)
-    diag = [w(a, a) for a in range(len(rows))]
-    found = [p for p, wa in zip(rows, diag) if not any(wa)]
-    pairs = list(itertools.combinations(range(len(rows)), 2))
-    for a, b in pairs[:budget]:
-        cross = [x + y for x, y in zip(w(a, b), w(b, a))]
-        quads = [q for q in zip(diag[a], cross, diag[b]) if any(q)]
-        # with no nonzero quadratic every s is a root; s = 1 stands for them
-        for s in linalg.rational_roots(quads[0]) if quads else [ONE]:
-            p, q = s.as_integer_ratio()
-            if p and all(q0 * q * q + q1 * p * q + q2 * p * p == 0 for q0, q1, q2 in quads):
-                found.append([q * x + p * y for x, y in zip(rows[a], rows[b])])
-    kernels = [Subspace(alg.dim, [p]).annihilator() for p in found]
-    return kernels, budget is not None and len(pairs) > budget
 
 
 def _check_dims(omega: TwoForm, s: Subspace) -> None:

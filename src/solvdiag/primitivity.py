@@ -1,13 +1,11 @@
 """Primitivity of a pair (algebra, isotropy subalgebra).
 
 All reductions go through hyperplanes: in a solvable algebra a proper
-transitive subalgebra is always contained in one of codimension 1, so the
-searches enumerate hyperplane subalgebras.  Ideal hyperplanes (those
-containing the derived subalgebra) are decided exactly; the remaining
-hyperplane subalgebras are kernels of covectors phi with d(phi) ^ phi = 0,
-found by `forms.hyperplane_subalgebras` over the dual basis and its
-rational pencils, with an exact emptiness certificate where a wedge
-coefficient is a nonzero constant.
+transitive subalgebra is always contained in one of codimension 1.  Ideal
+hyperplanes (those containing the derived subalgebra) are read off [g, g];
+every other codimension-1 subalgebra is the kernel of a cocycle of a nonzero
+weight of the solvability certificate's flag, and those are one integer
+nullspace per weight (`_cocycle_witness`).  Every verdict is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 
+from . import linalg
 from .algebra import (
     InputError,
     LieAlgebra,
@@ -24,6 +23,8 @@ from .algebra import (
     SolvabilityVerdict,
     SolvdiagError,
     Subspace,
+    _dense,
+    complete_solvability_certificate,
     derived_subalgebra,
     ideal_closure,
     is_nilpotent,
@@ -33,7 +34,7 @@ from .algebra import (
     subalgebra_as_algebra,
 )
 from .diagram import weight_zero_singulars
-from .forms import TwoForm, _check_budget, _wedge_table, hyperplane_subalgebras, kernel
+from .forms import TwoForm, kernel
 
 
 class NotSolvableError(InputError):
@@ -64,7 +65,6 @@ class PrimitivityStatus(Enum):
     NOT_PRIMITIVE = "NOT_PRIMITIVE"
     QUASI_PRIMITIVE = "QUASI_PRIMITIVE"
     NOT_QUASI_PRIMITIVE = "NOT_QUASI_PRIMITIVE"
-    UNKNOWN = "UNKNOWN"
 
 
 @dataclass(frozen=True)
@@ -112,48 +112,68 @@ def primitive_test(pair: PairPresentation) -> PrimitivityVerdict:
     )
 
 
-def _family_provably_empty(alg: LieAlgebra, w) -> bool:
-    """Is {phi : phi(w) = 1, d(phi) ^ phi = 0} provably empty?
+def _cocycle_witness(alg: LieAlgebra, h: Subspace, cert) -> Subspace | None:
+    """The least by sort key of the kernels of the basis vectors beta of each
+    Z_alpha that do not vanish on h, or None; h must lie in [g, g].
 
-    Sufficient condition: some wedge coefficient is a nonzero constant on
-    the affine family p_0 + sum x_a p_a, p_0 the unit covector at w's pivot
-    and p_a the annihilator rows of w: on the wedge table of these
-    covectors, some triple has w[0][0] != 0 and every other
-    w[a][b] + w[b][a] (a <= b) zero.
+    Z_alpha, for a nonzero weight alpha = a/s of the certificate `cert` (a
+    row of `weights` over `weight_denom`), holds the cocycles of weight
+    alpha, beta([x, y]) = alpha(x) beta(y) - alpha(y) beta(x): the integer
+    nullspace of the rows s * sum_k c_ij^k beta_k - D (a_i beta_j - a_j beta_i),
+    i < j, for the constants c over D of `alg`.  The answer is exact.
+
+    *Lemma.*  Let M be a codimension-1 subalgebra of the solvable g, and K
+    its core, the largest ideal of g inside M.  Then g/K is 1-dimensional
+    or aff(1) = <X, Y>, [X, Y] = Y (compare K. H. Hofmann, "Hyperplane
+    subalgebras of real Lie algebras", Geom. Dedicata 36, 1990).  Proof:
+    pass to g/K, so that M holds no nonzero ideal.  A minimal ideal A is
+    abelian and not inside M, so g = M + A.  M ∩ A is normalized by M and
+    centralized by A, so it is an ideal inside M, hence 0, and A = <a>.  M
+    acts on <a> by a character mu; ker mu is normalized by M (mu vanishes
+    on [M, M]) and centralized by a, so it is 0 too: M is 0, or a line on
+    which mu is nonzero, and g/K is <a> or aff(1).
+
+    *Criterion.*  If M is not an ideal, g -> aff(1) is x -> alpha(x) X +
+    beta(x) Y, onto, so alpha != 0 is a character and beta a cocycle of
+    weight alpha.  M/K is a line other than the ideal <Y>, so <X + tY>, and
+    M = ker(beta - t alpha), with beta - t alpha in Z_alpha (alpha is, as it
+    vanishes on [g, g]).  alpha is a weight of the certificate: [g, g] maps
+    onto <Y>, where x acts by alpha(x), so alpha is the character of a
+    composition factor of the g-module g, hence, by Jordan-Hoelder, of one
+    of the flag's quotients I_k/I_(k-1).  Conversely, ker(beta) is a
+    codimension-1 subalgebra for every beta != 0 in any Z_alpha.  As h lies
+    in [g, g], inside ker(alpha), h lies in ker(beta - t alpha) exactly when
+    beta vanishes on h, and if some beta in Z_alpha does not, some basis
+    vector of Z_alpha does not either.
     """
-    n = alg.dim
-    pivot = next(i for i, c in enumerate(w) if c != 0)
-    # this family, phi(w) = w[pivot] > 0 on integer parameters, is a positive
-    # rescaling of phi(w) = 1; d(phi) ^ phi is quadratic in phi, so the two
-    # have the same constant coefficients up to a positive factor
-    psis = Subspace(n, [w]).annihilator().int_rows
-    _, wedge = _wedge_table(alg, [[int(i == pivot) for i in range(n)], *psis])
-    pairs = itertools.combinations_with_replacement(range(1 + len(psis)), 2)
-    coeffs = [[x + y for x, y in zip(wedge(a, b), wedge(b, a))] for a, b in pairs]
-    # per triple, the first coefficient is (a, b) = (0, 0), twice the constant
-    return any(c[0] and not any(c[1:]) for c in zip(*coeffs))
+    n, s = alg.dim, cert.weight_denom
+    found = []
+    for a in set(cert.weights) - {(0,) * n}:
+        rows = []
+        for i, j in itertools.combinations(range(n), 2):
+            rows.append([s * c for c in _dense(alg.consts[i][j], n)])
+            rows[-1][j] -= alg.denom * a[i]
+            rows[-1][i] += alg.denom * a[j]
+        for beta in linalg.int_nullspace(rows, n):
+            if any(sum(x * y for x, y in zip(beta, r) if x) for r in h.int_rows):
+                found.append(Subspace(n, [beta]).annihilator())
+    return min(found, key=lambda w: w.sort_key(), default=None)
 
 
-def _pencil_witness(alg: LieAlgebra, h: Subspace, budget: int | None):
-    """The least by sort key of the kernels found over the dual basis and its
-    pencils that do not contain h, or None, and whether the pencils were cut short."""
-    kernels, truncated = hyperplane_subalgebras(alg, budget)
-    witnesses = [k for k in kernels if not k.contains(h)]
-    return min(witnesses, key=lambda s: s.sort_key(), default=None), truncated
+def quasi_primitive_test(pair: PairPresentation) -> PrimitivityVerdict:
+    """No proper subalgebra at all is transitive over the isotropy (exact).
 
-
-def quasi_primitive_test(
-    pair: PairPresentation, pencil_budget: int | None = None
-) -> PrimitivityVerdict:
-    """No proper subalgebra at all is transitive over the isotropy.
-
-    Tri-state: ideal hyperplanes are decided exactly; non-ideal hyperplane
-    subalgebras are searched over dual covectors and rational pencils, and
-    ruled out entirely only by the constant-coefficient certificate (or
-    because the algebra is nilpotent, where every maximal subalgebra is an
-    ideal).  Anything short of that is reported UNKNOWN, never guessed.
+    A transitive proper subalgebra lies in a transitive hyperplane
+    subalgebra.  The stages, in `searched`: "ideal-hyperplanes", where a
+    witness exists exactly when h is not in [g, g]; with none, a nilpotent g
+    is QUASI_PRIMITIVE, as its maximal subalgebras are ideals.  Otherwise
+    "hyperplane-pencils": every other hyperplane subalgebra is the kernel of
+    a member of a pencil, a line through a weight alpha of the certificate's
+    flag in the cocycle space Z_alpha, and the witness is read from those
+    (`_cocycle_witness`).  "emptiness-certificate": none misses h, and by
+    the lemma there the pair is QUASI_PRIMITIVE.  The algebra must be
+    completely solvable.
     """
-    _check_budget(pencil_budget)
     alg, h = pair.algebra, pair.isotropy
     verdict = solvability_verdict(alg)
     if verdict is SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM:
@@ -165,27 +185,17 @@ def quasi_primitive_test(
         raise NotSolvableError(
             f"the test needs a completely solvable algebra ({verdict.value})"
         )
-    searched = ["ideal-hyperplanes"]
-    if h.is_zero():
-        return PrimitivityVerdict(PrimitivityStatus.QUASI_PRIMITIVE, searched=tuple(searched))
-    witness = _ideal_hyperplane_witness(alg, h)
-    if witness is not None:
-        return PrimitivityVerdict(
-            PrimitivityStatus.NOT_QUASI_PRIMITIVE, witness=witness, searched=tuple(searched)
-        )
-    if is_nilpotent(alg):
-        return PrimitivityVerdict(PrimitivityStatus.QUASI_PRIMITIVE, searched=tuple(searched))
-
-    searched.append("hyperplane-pencils")
-    best, truncated = _pencil_witness(alg, h, pencil_budget)
-    if best is not None:
-        return PrimitivityVerdict(
-            PrimitivityStatus.NOT_QUASI_PRIMITIVE, witness=best, searched=tuple(searched)
-        )
-    if not truncated and all(_family_provably_empty(alg, w) for w in h.int_rows):
-        searched.append("emptiness-certificate")
-        return PrimitivityVerdict(PrimitivityStatus.QUASI_PRIMITIVE, searched=tuple(searched))
-    return PrimitivityVerdict(PrimitivityStatus.UNKNOWN, searched=tuple(searched))
+    searched, witness = ["ideal-hyperplanes"], None
+    if not h.is_zero():
+        witness = _ideal_hyperplane_witness(alg, h)
+        if witness is None and not is_nilpotent(alg):
+            searched.append("hyperplane-pencils")
+            witness = _cocycle_witness(alg, h, complete_solvability_certificate(alg))
+            if witness is None:
+                searched.append("emptiness-certificate")
+    quasi = witness is None
+    status = PrimitivityStatus.QUASI_PRIMITIVE if quasi else PrimitivityStatus.NOT_QUASI_PRIMITIVE
+    return PrimitivityVerdict(status, witness=witness, searched=tuple(searched))
 
 
 @dataclass(frozen=True)
@@ -196,33 +206,30 @@ class Degrees:
     witness_chain: tuple[Subspace, ...]
 
 
-def degrees(pair: PairPresentation, pencil_budget: int | None = None) -> Degrees:
+def degrees(pair: PairPresentation) -> Degrees:
     """Degree bounds from a greedy descent through transitive hyperplanes.
 
-    ratio is dim h / (n - dim h + 1).  Each hyperplane found transitive
-    over h lowers the reachable value by 1/(n - dim h + 1); d_within_search
-    is the smallest value among the subalgebras actually found, and d_lower
-    is 0 exactly when the descent reached a presentation with zero
-    isotropy (otherwise no better lower bound than ratio is certified).
+    ratio is dim h / (n - dim h + 1).  Each step takes the witness of
+    `quasi_primitive_test` on the current pair, a codimension-1 subalgebra
+    transitive over the isotropy, and passes to it and the isotropy's
+    intersection with it; each lowers the reachable value by
+    1/(n - dim h + 1).  d_within_search is the value where the descent
+    stops, and d_lower is 0 exactly when it reached zero isotropy
+    (otherwise no better lower bound than ratio is certified).  It refuses
+    what `quasi_primitive_test` refuses: only the algebra given can be
+    refused, as every subalgebra of a completely solvable one is one.
     """
-    _check_budget(pencil_budget)
     n = pair.algebra.dim
     h = pair.isotropy
     denom = n - h.dim + 1
     r = Fraction(h.dim, denom)
-    if h.is_zero():
-        return Degrees(ratio=r, d_lower=r, d_within_search=r, witness_chain=())
-
     # each witness is in the coordinates of the member before it (the basis
     # of cur_alg); a lift maps reduced echelon rows to reduced echelon rows,
     # so lifting through that member alone reaches the original coordinates
     chain: list[Subspace] = []
-    cur_alg = pair.algebra
-    cur_h = h
-    while not cur_h.is_zero():
-        wit = _ideal_hyperplane_witness(cur_alg, cur_h)
-        if wit is None:
-            wit = _pencil_witness(cur_alg, cur_h, pencil_budget)[0]
+    cur_alg, cur_h = pair.algebra, h
+    while not (chain and cur_h.is_zero()):  # once at least: h = 0 is refused as quasi does
+        wit = quasi_primitive_test(PairPresentation(cur_alg, cur_h)).witness
         if wit is None:
             break
         chain.append(chain[-1].lift(wit) if chain else wit)

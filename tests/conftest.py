@@ -18,6 +18,11 @@ settings.register_profile("descent-oracle", max_examples=1000)
 # draws 100 examples in tier-1, or the profile's budget when it is larger:
 #   python -m pytest tests/test_lagrangian.py -m search_oracle --hypothesis-profile=search-oracle
 settings.register_profile("search-oracle", max_examples=1500)
+# The primitivity oracle test (tests/test_primitivity.py, marked
+# primitivity_oracle) draws 100 examples in tier-1, or the profile's budget
+# when it is larger:
+#   python -m pytest tests/test_primitivity.py -m primitivity_oracle --hypothesis-profile=primitivity-oracle
+settings.register_profile("primitivity-oracle", max_examples=1000)
 
 # registry for the acceptance suite: number -> (description, passed, seconds)
 ACCEPTANCE_RESULTS = {}

@@ -8,7 +8,7 @@ evidence rather than tautology.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _frac_rows(rows):
@@ -368,32 +368,38 @@ def oracle_d_covector(alg, phi):
     return d
 
 
-def oracle_family_provably_empty(alg, w):
-    """Whether some (d(phi) ^ phi)(e_i, e_j, e_k) is a nonzero constant on
-    the affine family {phi : phi(w) = 1}, written phi_0 + sum x_a psi_a with
-    the psi_a from `oracle_nullspace`.  A quadratic in x is constant exactly
-    when its values at every e_a, -e_a and e_a + e_b equal its value at 0;
-    d is linear, so d(phi) combines the d of phi_0 and of each psi_a."""
+def _integral(v):
+    """The Fraction vector v times the lcm of its denominators, as ints."""
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    return [int(x * scale) for x in v]
+
+
+def oracle_transitive_hyperplanes(alg, h_rows):
+    """Brute force for small dimensions: every integer covector phi with
+    entries in -2..2 (one of each pair phi, -phi) whose kernel is a
+    subalgebra that does not contain h.  The kernel is closed exactly when
+    phi([x, y]) = sum of x_i y_j phi([e_i, e_j]) vanishes for each pair x, y
+    of its `oracle_nullspace` basis vectors, with the basis brackets from
+    `oracle_bracket`; it misses h exactly when phi is nonzero on a row of h."""
     n = alg.dim
-    pivot = next(i for i, c in enumerate(w) if c)
-    parts = [[Fraction(int(i == pivot)) / w[pivot] for i in range(n)], *oracle_nullspace([w], n)]
-    diffs = [oracle_d_covector(alg, p) for p in parts]
-    k = len(parts) - 1
-
-    def wedge(x):
-        cs = [1, *x]
-        phi = [sum(c * p[i] for c, p in zip(cs, parts)) for i in range(n)]
-        d = [[sum(c * m[i][j] for c, m in zip(cs, diffs)) for j in range(n)] for i in range(n)]
-        return [
-            d[i][j] * phi[k] - d[i][k] * phi[j] + d[j][k] * phi[i]
-            for i, j, k in itertools.combinations(range(n), 3)
-        ]
-
-    points = [[0] * k]
-    points += [[s * (b == a) for b in range(k)] for a in range(k) for s in (1, -1)]
-    points += [[int(b in ab) for b in range(k)] for ab in itertools.combinations(range(k), 2)]
-    values = [wedge(x) for x in points]
-    return any(v0 and all(v[t] == v0 for v in values) for t, v0 in enumerate(values[0]))
+    unit = [_unit(n, i) for i in range(n)]
+    # all scaled by one factor to integers, which moves no zero of phi([x, y])
+    flat = _integral([z for x in unit for y in unit for z in oracle_bracket(alg, x, y)])
+    basis_brackets = [[flat[(i * n + j) * n :][:n] for j in range(n)] for i in range(n)]
+    hits = []
+    for phi in itertools.product(range(-2, 3), repeat=n):
+        if not any(phi) or next(c for c in phi if c) < 0:
+            continue
+        if not any(sum(c * x for c, x in zip(phi, r)) for r in h_rows):
+            continue
+        p = [[sum(c * z for c, z in zip(phi, b)) for b in row] for row in basis_brackets]
+        ker = [_integral(v) for v in oracle_nullspace([phi], n)]
+        if all(
+            sum(x[i] * y[j] * p[i][j] for i in range(n) for j in range(n)) == 0
+            for x, y in itertools.combinations(ker, 2)
+        ):
+            hits.append(phi)
+    return hits
 
 
 def oracle_validation(alg):

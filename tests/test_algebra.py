@@ -757,6 +757,54 @@ def test_large_certificate_witnesses_unchanged():
     assert digest == GOLDEN_LARGE_WITNESS_DIGEST
 
 
+def _divides_out(poly, roots) -> bool:
+    """Whether poly (lowest degree first) divided exactly by t - r, once for
+    each r in roots, leaves 1; synthetic division from the top."""
+    for r in roots:
+        quo, carry = [], Fraction(0)
+        for c in reversed(poly):
+            carry = carry * r + c
+            quo.append(carry)
+        if quo.pop() != 0:
+            return False
+        poly = quo[::-1]
+    return poly == [1]
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_the_certificate_weights(seed):
+    # dims 1-8 on both generators, odd seeds rebased: lambda_k vanishes on
+    # [g, g] and on I_k, the multiset of weights moves with the dual map
+    # under a change of basis, and the lambda_k(e_i) are the eigenvalues of
+    # ad(e_i) with multiplicity
+    rng = Random(9100 + seed)
+    n = 1 + (seed // 2) % 8
+    alg = (random_completely_solvable if seed < 16 else random_nilpotent)(rng, n)
+    if seed % 2:
+        alg = change_basis(alg, random_unimodular(rng, n))
+    cert = complete_solvability_certificate(alg)
+    assert len(cert.weights) == n and cert.weight_denom > 0
+    assert all(type(x) is int for row in cert.weights for x in row)
+    assert math.gcd(cert.weight_denom, *(x for row in cert.weights for x in row)) == 1
+    lam = [[Fraction(x, cert.weight_denom) for x in row] for row in cert.weights]
+    derived = derived_subalgebra(alg).int_rows
+    for weight, member in zip(lam, cert.witness):
+        assert not any(matvec([*derived, *member.int_rows], weight))
+    for i in range(n):
+        ad = alg.ad_matrix([int(j == i) for j in range(n)])
+        assert _divides_out(faddeev_leverrier_charpoly(ad), [w[i] for w in lam]), i
+    m = random_unimodular(rng, n)
+    moved = complete_solvability_certificate(change_basis(alg, m))
+    dual = sorted(tuple(x * moved.weight_denom for x in matvec(m, w)) for w in lam)
+    assert dual == sorted(moved.weights)
+
+
+def test_a_certificate_without_witness_has_no_weights():
+    for alg in (sl2(), rot2d()):
+        cert = complete_solvability_certificate(alg)
+        assert (cert.witness, cert.weights, cert.weight_denom) == (None, None, 1)
+
+
 def test_certificate_checks_each_member_is_an_ideal(monkeypatch):
     # a descent that returned a non-eigenvector would make a non-ideal
     # member; the certificate must refuse rather than report it

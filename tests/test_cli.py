@@ -692,9 +692,14 @@ def test_every_command_output_unchanged(capsys, monkeypatch, tmp_path):
 
 
 def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
-    # validate, primitivity and audit read only the solvability verdict,
-    # which solvability_verdict gives from the spectra of the ad(e_i);
-    # lagrangians builds its normal flag from exactly one certificate
+    # validate, primitivity and audit read the solvability verdict, which
+    # solvability_verdict gives from the spectra of the ad(e_i), and build a
+    # certificate only where quasi_primitive_test reads its weights: past
+    # the ideal stage, which in the corpus only E1's kernel pair reaches,
+    # once for quasi and once for the first step of degrees under
+    # primitivity, and once under audit; lagrangians builds its normal flag
+    # from exactly one certificate
+    built = {"E1": (1, 2)}  # (audit, primitivity)
     calls = []
     original = algebra.complete_solvability_certificate
 
@@ -712,9 +717,10 @@ def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
     assert bound >= 2  # the algebra module and flags, at least
     for name in list_corpus():
         path = corpus_path(name)
-        argvs = [(["validate", path], 0), (["audit", path], 0)]
+        audit, prim = built.get(name, (0, 0))
+        argvs = [(["validate", path], 0), (["audit", path], audit)]
         for form in sorted(load_corpus(name).two_forms):
-            argvs += [(["primitivity", path, "--form", form], 0)]
+            argvs += [(["primitivity", path, "--form", form], prim)]
             argvs += [(["lagrangians", path, "--form", form], 1)]
         for argv, expected in argvs:
             for json_flag in ([], ["--json"]):
