@@ -339,9 +339,13 @@ class VectorTable:
 
 class LieAlgebra(VectorTable):
     """Finite-dimensional Lie algebra over Q given by structure constants:
-    the VectorTable of the brackets [e_i, e_j] of the named basis."""
+    the VectorTable of the brackets [e_i, e_j] of the named basis.
 
-    __slots__ = ("names",)
+    `_certificate` holds the `complete_solvability_certificate` of this
+    object once it is built; until then the slot is unset, on every
+    construction path, and is read with a default."""
+
+    __slots__ = ("names", "_certificate")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
         names = tuple(names)
@@ -871,6 +875,13 @@ def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
 def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     """Certify complete solvability by a flag of ideals, over Q.
 
+    The certificate is built once per algebra object, kept in its
+    `_certificate` slot and freed with it; every later call on the same
+    object returns that same certificate.  A `change_basis`, `quotient` or
+    `subalgebra_as_algebra` result is a new object and builds its own.  A
+    refusal (NotAnIdealError, SolvdiagError) keeps nothing, so the next call
+    builds afresh.
+
     Level k finds a rational common eigenvector v of g acting on
     g/I_(k-1) (`common_eigenvector`) and sets I_k = I_(k-1) + <v>.  The
     structure constants of g/I_(k-1) are the table of g reduced modulo
@@ -896,6 +907,15 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     UNDECIDED_IRRATIONAL_SPECTRUM; if it says COMPLETELY_SOLVABLE there,
     the descent is at fault and a SolvdiagError is raised.
     """
+    cert = getattr(alg, "_certificate", None)
+    if cert is None:
+        cert = _build_certificate(alg)
+        _init(alg, _certificate=cert)
+    return cert
+
+
+def _build_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
+    """`complete_solvability_certificate` of an object that has none yet."""
     n = alg.dim
     # scale_num / scale_den times [e_i, e_j] mod carried
     red = [[_dense(cs, n) for cs in row] for row in alg.consts]

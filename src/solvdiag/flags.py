@@ -10,7 +10,6 @@ member they declare, and every consumer honors that.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -104,16 +103,18 @@ def find_normal_flag(alg: LieAlgebra) -> SolvabilityCertificate:
     `flag` of `complete_solvability_certificate`, found by rational
     common-eigenvector descent on g/I for each member I so far.  The flag is
     None when the algebra is not solvable (no such chain can exist) or when
-    the descent hits an irrational spectrum."""
+    the descent hits an irrational spectrum.  This is the algebra object's
+    own certificate, built on the first call that asks for it and shared by
+    every later one."""
     return complete_solvability_certificate(alg)
 
 
-def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace, certificate) -> Subspace:
+def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace) -> Subspace:
     """A codimension-1 subalgebra of `high` containing the subalgebra `low`.
 
     Preference: hyperplanes containing low + [high, high] (these are ideals
     of high, canonical choice by greedy echelon extension).  Otherwise the
-    flag of ideals I_0 < ... < I_n of the algebra, `certificate().flag`,
+    flag of ideals I_0 < ... < I_n of the algebra, its certificate's `flag`,
     gives one with no search (IncompleteError without a flag).  J_k = I_k
     meet high is an ideal of high: [high, J_k] lies in I_k, an ideal, and in
     high, a subalgebra.  So S_k = low + J_k is a subalgebra: [low + J_k,
@@ -125,7 +126,7 @@ def _codim_one_step(alg: LieAlgebra, low: Subspace, high: Subspace, certificate)
     w = low.sum(alg.derived_span(high))
     if w.dim < high.dim:
         return Subspace._of(alg.dim, *_hyperplane_in(high.int_rows, w.int_rows, w.pivots))
-    cert = certificate()
+    cert = complete_solvability_certificate(alg)
     if cert.flag is None:
         raise IncompleteError(f"no flag of ideals to complete the chain: {cert.verdict.value}")
     sums = (low.sum(ideal.intersect(high)) for ideal in reversed(cert.flag.members))
@@ -138,8 +139,9 @@ def complete_flag_through(alg: LieAlgebra, chain: Sequence[Subspace]) -> Flag:
     The zero subspace and the full algebra are added, every dimension gap
     is filled by repeated codimension-1 steps, and the result always
     contains the given members.  A step that no ideal hyperplane supplies
-    comes from the flag of ideals, computed at most once per call; without
-    one (a verdict other than COMPLETELY_SOLVABLE) it is an IncompleteError.
+    comes from the flag of ideals, computed at most once per algebra object;
+    without one (a verdict other than COMPLETELY_SOLVABLE) it is an
+    IncompleteError.
     """
     n = alg.dim
     members: list[Subspace] = []
@@ -162,13 +164,12 @@ def complete_flag_through(alg: LieAlgebra, chain: Sequence[Subspace]) -> Flag:
     if members[-1] != full:
         members.append(full)
 
-    certificate = cache(lambda: complete_solvability_certificate(alg))
     out: list[Subspace] = [members[0]]
     for low, high in zip(members, members[1:]):
         fill: list[Subspace] = []
         top = high
         while top.dim - low.dim >= 2:
-            top = _codim_one_step(alg, low, top, certificate)
+            top = _codim_one_step(alg, low, top)
             fill.append(top)
         out.extend(reversed(fill))
         out.append(high)

@@ -856,10 +856,15 @@ def test_a_non_eigenvector_at_any_level_is_refused(data):
     # make the certificate refuse
     make = data.draw(st.sampled_from((random_completely_solvable, random_nilpotent)))
     dim = data.draw(st.integers(min_value=3, max_value=7))
-    rng = Random(data.draw(st.integers(min_value=0, max_value=10**6)))
-    alg = make(rng, dim)
-    if data.draw(st.booleans()):
-        alg = change_basis(alg, random_unimodular(rng, dim))
+    seed = data.draw(st.integers(min_value=0, max_value=10**6))
+    rebase = data.draw(st.booleans())
+
+    def build():  # a new object per run: each keeps the certificate it built
+        rng = Random(seed)
+        alg = make(rng, dim)
+        return change_basis(alg, random_unimodular(rng, dim)) if rebase else alg
+
+    alg = build()
     descent = algebra.common_eigenvector
     wrong = []  # per level, a vector the action does not fix, or None
 
@@ -885,7 +890,7 @@ def test_a_non_eigenvector_at_any_level_is_refused(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "common_eigenvector", patched)
         with pytest.raises(NotAnIdealError):
-            complete_solvability_certificate(alg)
+            complete_solvability_certificate(build())
     assert len(calls) == level + 1
 
 

@@ -730,6 +730,30 @@ def test_verdict_only_commands_build_no_certificate(capsys, monkeypatch):
                 assert len(calls) == expected, argv
 
 
+def test_each_command_builds_at_most_one_certificate(capsys, monkeypatch):
+    # a command reads one algebra object, which keeps the certificate it
+    # built: primitivity on E1's kernel pair asks twice (quasi and the first
+    # step of degrees) and builds once, audit and lagrangians build once,
+    # validate never
+    built = {"E1": (1, 1)}  # (audit, primitivity)
+    builds = []
+    build = algebra._build_certificate
+    monkeypatch.setattr(algebra, "_build_certificate", lambda alg: builds.append(alg) or build(alg))
+    for name in list_corpus():
+        path = corpus_path(name)
+        audit, prim = built.get(name, (0, 0))
+        argvs = [(["validate", path], 0), (["audit", path], audit)]
+        for form in sorted(load_corpus(name).two_forms):
+            argvs += [(["primitivity", path, "--form", form], prim)]
+            argvs += [(["lagrangians", path, "--form", form], 1)]
+        for argv, expected in argvs:
+            for json_flag in ([], ["--json"]):
+                builds.clear()
+                code, _, err = run(capsys, *argv, *json_flag)
+                assert (code, err) == (0, ""), argv
+                assert len(builds) == expected, argv
+
+
 def test_audit_validates_each_flag_once(capsys, monkeypatch):
     # X3 has four flags and two chain_ok entries; the entries read the
     # chain's shape (flags.chain_shape), not a second validate_flag report

@@ -12,19 +12,27 @@ from solvdiag import (
     IncompleteError,
     LieAlgebra,
     NotSubalgebraError,
+    PairPresentation,
     SolvabilityVerdict,
+    SolvdiagError,
     Subspace,
     change_basis,
     complete_flag_through,
     complete_solvability_certificate,
+    deform_to_simple,
+    derived_subalgebra,
+    find_lagrangians,
     find_normal_flag,
     is_ideal_in,
+    is_nilpotent,
     is_subalgebra,
+    quasi_primitive_test,
     subalgebra_closure,
     validate_flag,
 )
-from solvdiag import flags, linalg
+from solvdiag import algebra, flags, linalg
 from solvdiag.generators import (
+    random_closed_form,
     random_completely_solvable,
     random_full_chain,
     random_nilpotent,
@@ -317,3 +325,64 @@ def test_every_generated_chain_completes_through_the_flag_of_ideals(monkeypatch)
                     assert all(b.contains(a) for a, b in zip(ms, ms[1:]))
         if dim >= 5:
             assert dim in built
+
+
+def test_each_algebra_object_builds_one_certificate(monkeypatch):
+    # the certificate is kept on the algebra object, so every pipeline that
+    # reads its flag or its weights gets the same one, whose descent ran once
+    # per level; a rebased copy is a new object and builds its own, and a
+    # refused build keeps nothing; seeds fixed in advance, odd ones rebased
+    build, descent = algebra._build_certificate, algebra.common_eigenvector
+    builds = []  # per build: the algebra object and the descent's calls
+
+    def building(alg):
+        builds.append([alg, 0])
+        return build(alg)
+
+    def descending(consts):
+        builds[-1][1] += 1
+        return descent(consts)
+
+    monkeypatch.setattr(algebra, "_build_certificate", building)
+    monkeypatch.setattr(algebra, "common_eigenvector", descending)
+    pencils = 0
+    for dim in range(3, 9):
+        for make in (random_completely_solvable, random_nilpotent):
+            for seed in range(4):
+                rng = Random(1000 * dim + seed)
+                alg = make(rng, dim)
+                if seed % 2:
+                    alg = change_basis(alg, random_unimodular(rng, dim))
+                omega = random_closed_form(rng, alg)
+                builds.clear()
+                cert = complete_solvability_certificate(alg)
+                assert find_normal_flag(alg) is cert
+                find_lagrangians(alg, omega, mode="both")
+                s = subalgebra_closure(alg, [[rng.choice((-1, 0, 1)) for _ in range(dim)]])
+                complete_flag_through(alg, [s])
+                try:
+                    deform_to_simple(alg, omega, cert.flag)
+                except SolvdiagError:
+                    pass
+                if not is_nilpotent(alg):  # so [g, g] is not zero
+                    h = Subspace(dim, derived_subalgebra(alg).int_rows[-1:])
+                    quasi = quasi_primitive_test(PairPresentation(alg, h))
+                    assert "hyperplane-pencils" in quasi.searched
+                    pencils += 1
+                assert complete_solvability_certificate(alg) is cert
+                assert [k for a, k in builds if a is alg] == [dim]
+
+                moved = change_basis(alg, random_unimodular(rng, dim))
+                own = complete_solvability_certificate(moved)
+                assert own is not cert and builds[-1] == [moved, dim]
+                assert complete_solvability_certificate(alg) is cert
+
+                fresh = change_basis(alg, random_unimodular(rng, dim))
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(algebra, "common_eigenvector", lambda consts: None)
+                    with pytest.raises(SolvdiagError, match="no rational eigenvector"):
+                        complete_solvability_certificate(fresh)
+                again = complete_solvability_certificate(fresh)
+                assert again.witness is not None and builds[-1] == [fresh, dim]
+                assert complete_solvability_certificate(fresh) is again
+    assert pencils == 24
