@@ -34,7 +34,7 @@ from .diagram import (
     predicates,
 )
 from .flags import Flag, complete_flag_through
-from .forms import TwoForm, is_isotropic, kernel, radical, symplectic_orthogonal
+from .forms import TwoForm, is_isotropic, kernel, radical, radicals, symplectic_orthogonal
 
 
 class NoRepulsiveVertexError(SolvdiagError):
@@ -300,9 +300,10 @@ def audit_step(
     failures: list[str] = []
     if not (high_member.contains(low_member) and high_member.dim == low_member.dim + 1):
         failures.append("member nesting")
-    if radical(omega, low_member) != low_kernel:
+    low_radical, high_radical = radicals(omega, [low_member, high_member])
+    if low_radical != low_kernel:
         failures.append("left kernel is the radical")
-    if radical(omega, high_member) != high_kernel:
+    if high_radical != high_kernel:
         failures.append("right kernel is the radical")
 
     direction: StepDirection | None = None

@@ -9,7 +9,7 @@ weight and class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -21,7 +21,7 @@ from .algebra import (
     is_nilpotent_subalgebra,
 )
 from .flags import ChainNotNestedError, Flag, chain_shape
-from .forms import NotClosedError, TwoForm, is_closed, radical
+from .forms import NotClosedError, TwoForm, is_closed, radicals
 
 
 class NestingViolationError(SolvdiagError):
@@ -82,7 +82,8 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
     full algebra; members need not be bracket-closed (the radicals are
     still well defined).  Adjacent radicals must nest one way or the other;
     anything else is reported as NESTING_VIOLATION rather than guessed.
-    The diagram comes back classified, by `classify_vertices`.
+    The radicals come from one `radicals` pass along the chain, each
+    member adding one row, and the diagram comes back classified.
     """
     if not is_closed(alg, omega):
         raise NotClosedError("the 2-form is not closed")
@@ -94,21 +95,20 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
     if not all(shape.nesting):
         raise ChainNotNestedError("chain members are not nested")
 
-    vertices = []
-    for m in flag.members:
-        vertices.append(Vertex(index=m.dim, member=m, kernel=radical(omega, m)))
+    members = flag.members
+    kernels = radicals(omega, members)
     steps = []
-    for a, b in zip(vertices, vertices[1:]):
-        ha, hb = a.kernel, b.kernel
+    for a, b, ha, hb in zip(members, members[1:], kernels, kernels[1:]):
         if hb.dim == ha.dim + 1 and hb.contains(ha):
             steps.append(StepDirection.UP)
         elif hb.dim == ha.dim - 1 and ha.contains(hb):
             steps.append(StepDirection.DOWN)
         else:
             raise NestingViolationError(
-                f"radicals at dims {a.index} and {b.index} do not nest by one"
+                f"radicals at dims {a.dim} and {b.dim} do not nest by one"
             )
-    return classify_vertices(WeightedDiagram(vertices=tuple(vertices), steps=tuple(steps)))
+    vertices = [(m.dim, m, h) for m, h in zip(members, kernels)]
+    return _classified(vertices, tuple(steps))
 
 
 def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
@@ -117,14 +117,21 @@ def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
     weight = dim kernel / (dim member - dim kernel + 1).  Interior classes
     by adjacent step pair: (U,D) attractive, (D,U) repulsive, (U,U)
     reducible regular, (D,D) non-reducible regular.  Endpoints are a class
-    of their own and never singular.  A classified diagram comes back equal.
+    of their own and never singular.  A diagram whose every vertex carries
+    a weight and a class, as `kernel_chain` returns it, comes back as it is.
     """
     vs = diagram.vertices
-    steps = diagram.steps
+    if all(v.weight is not None and v.vclass is not None for v in vs):
+        return diagram
+    return _classified([(v.index, v.member, v.kernel) for v in vs], diagram.steps)
+
+
+def _classified(vertices, steps: tuple[StepDirection, ...]) -> WeightedDiagram:
+    """The classified diagram of (index, member, kernel) triples and steps."""
     out = []
-    last = len(vs) - 1
-    for i, v in enumerate(vs):
-        weight = Fraction(v.kernel.dim, v.member.dim - v.kernel.dim + 1)
+    last = len(vertices) - 1
+    for i, (index, member, ker) in enumerate(vertices):
+        weight = Fraction(ker.dim, member.dim - ker.dim + 1)
         if i == 0:
             cls = VertexClass.ENDPOINT_LEFT
         elif i == last:
@@ -139,7 +146,7 @@ def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
                 cls = VertexClass.REGULAR_REDUCIBLE
             else:
                 cls = VertexClass.REGULAR_NON_REDUCIBLE
-        out.append(replace(v, weight=weight, vclass=cls))
+        out.append(Vertex(index, member, ker, weight, cls))
     return WeightedDiagram(vertices=tuple(out), steps=steps)
 
 

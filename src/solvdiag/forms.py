@@ -13,7 +13,11 @@ integer matrix, built once per call by `_d_rows` from the algebra's integer
 constants `alg.consts`: `ce_differential` evaluates it on the form's integer
 matrix and divides once, and `closed_two_form_basis` is its integer nullspace.
 Pairings, restrictions, radicals, isotropy tests and symplectic orthogonals
-run on the integer rows of a Subspace and the form's integer matrix.  A
+run on the integer rows of a Subspace and the form's integer matrix.  The
+radicals along a sequence of subspaces come from one symplectic
+Gram-Schmidt pass, `radicals`, that adds one row at a time and eliminates
+nothing; `radical` is that pass over one subspace, and `kernel` is built
+once per form object and kept on it.  A
 covector's d(phi) and d(phi) ^ phi are evaluated, not searched: the
 codimension-1 subalgebras, kernels of the phi with d(phi) ^ phi = 0, are
 found in `primitivity` from the solvability certificate's weights.
@@ -21,6 +25,7 @@ found in `primitivity` from the solvability certificate's weights.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import InputError, LieAlgebra, Subspace, _init
+from .algebra import InputError, LieAlgebra, Subspace, _init, _reduce
 from .linalg import Vector, ZERO, _ratio, frac
 
 
@@ -59,9 +64,11 @@ class TwoForm:
     integer matrix `numer` over one positive denominator `denom`, in lowest
     terms (the gcd of `denom` and all of `numer` is 1), so equal forms
     store equal numbers.  `entries`, the Fraction matrix, is a view built on
-    first read."""
+    first read.  `_kernel` holds `kernel(self)` once it is built; until then
+    the slot is unset, on every construction path, and is read with a
+    default."""
 
-    __slots__ = ("dim", "numer", "denom", "_entries")
+    __slots__ = ("dim", "numer", "denom", "_entries", "_kernel")
 
     def __init__(self, entries: Sequence[Sequence]) -> None:
         rows = [tuple(r) for r in entries]
@@ -314,22 +321,117 @@ def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
     return TwoForm._of(_gram(omega, rows), omega.denom * lcm * lcm)
 
 
+def _canonical(row: Sequence[int], pivot: int) -> tuple[int, ...]:
+    """row over its content, signed so that its entry at pivot is positive:
+    the form of `linalg.echelon`'s rows."""
+    g = math.gcd(*row)
+    g = g if row[pivot] > 0 else -g
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b) if x)
+
+
+def _add_row(omega: TwoForm, rad: list, piv: list, pairs: list, u: Sequence[int]) -> None:
+    """One step of `radicals`: rad(omega|V) for V + <u>, u outside V."""
+    pu = omega.pair_ints(u)  # denom * omega(u, .)
+    for p, q, pp, pq, w in pairs:
+        a, b = _dot(pp, u), _dot(pq, u)  # denom * omega(p, u), denom * omega(q, u)
+        if a or b:
+            g = math.gcd(w, a, b)
+            c, a, b = w // g, a // g, b // g
+            u = [c * x + b * y - a * z for x, y, z in zip(u, p, q)]
+            pu = [c * x + b * y - a * z for x, y, z in zip(pu, pp, pq)]
+    g = math.gcd(*u)
+    if g > 1:
+        u, pu = [x // g for x in u], [x // g for x in pu]
+    t = [_dot(pu, r) for r in rad]  # denom * omega(u, r)
+    hit = [i for i, x in enumerate(t) if x]
+    if hit:  # D step: rad(omega|V + <u>) = R meet u-perp, and (r0, u) is a pair
+        i0 = hit[-1]
+        r0, s0 = rad[i0], t[i0]
+        for i in hit[:-1]:
+            g = math.gcd(s0, t[i])
+            a, b = s0 // g, t[i] // g
+            rad[i] = _canonical([a * x - b * y for x, y in zip(rad[i], r0)], piv[i])
+        del rad[i0], piv[i0]
+        pairs.append((r0, u, omega.pair_ints(r0), pu, -s0))
+        return
+    # U step: u joins the radical
+    u = _reduce(u, rad, piv)
+    c = next(j for j, x in enumerate(u) if x)
+    u = _canonical(u, c)
+    for i, r in enumerate(rad):
+        if r[c]:
+            g = math.gcd(u[c], r[c])
+            a, b = u[c] // g, r[c] // g
+            rad[i] = _canonical([a * x - b * y for x, y in zip(r, u)], piv[i])
+    at = bisect.bisect(piv, c)
+    rad.insert(at, u)
+    piv.insert(at, c)
+
+
+def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
+    """rad(omega|m) for each member m in order, by one fraction-free
+    symplectic Gram-Schmidt pass on integer rows; it calls no `echelon`.
+
+    The pass keeps V, the span of the rows added so far, as R + S: R =
+    rad(omega|V) as canonical echelon rows (`linalg.echelon`'s form), S
+    spanned by pairs (p, q) with omega(p, q) = w != 0, any two pairs
+    omega-orthogonal.  R is orthogonal to V, and omega is nondegenerate on
+    S.  A row u outside V is added in two moves.  First u becomes
+    w u + omega(q, u) p - omega(p, u) q for each pair in turn (made
+    primitive): orthogonal to p and q, and to the earlier pairs, which are
+    orthogonal to p and q; it still spans V + <u> modulo V.  Then:
+    - D step, omega(u, r) != 0 for some row r of R.  Let r0 be the one
+      with the largest pivot and s0 = omega(u, r0).  Each s0 r -
+      omega(u, r) r0 with r != r0 is orthogonal to u, and these rows span
+      R' = R meet u-perp.  Each is zero at the pivots of R other than
+      r0's, and keeps r's pivot, because r0 is zero up to its own larger
+      pivot.  So, made primitive, they are the canonical rows of R'.
+      (r0, u) becomes a pair: omega(r0, u) != 0, and both are orthogonal
+      to S and to R'.
+    - U step, u orthogonal to R.  It is orthogonal to S and to itself too,
+      so R' = R + <u>: u is reduced along R, made primitive, cleared from
+      the other rows at its pivot and inserted in pivot order.
+    In both steps V + <u> = R' + S' with omega nondegenerate on S' and R'
+    orthogonal to V + <u>, so R' = rad(omega|V + <u>), and dim R' =
+    dim R - 1 or dim R + 1: the D and U steps of `kernel_chain`.  A member
+    that contains its predecessor has the predecessor's pivots among its
+    own, and its echelon rows at the other pivots span it modulo the
+    predecessor, so only those rows are added.  Any other member starts a
+    new pass.
+    """
+    n, out, prev = omega.dim, [], None
+    for m in members:
+        _check_dims(omega, m)
+        if prev is not None and m.contains(prev):
+            old = set(prev.pivots)
+            new = [r for r, p in zip(m.int_rows, m.pivots) if p not in old]
+        else:
+            rad, piv, pairs, new = [], [], [], m.int_rows
+        for u in new:
+            _add_row(omega, rad, piv, pairs, u)
+        out.append(Subspace._of(n, rad, piv))
+        prev = m
+    return out
+
+
 def radical(omega: TwoForm, s: Subspace) -> Subspace:
     """{x in s : omega(x, y) = 0 for all y in s}, as an ambient subspace:
-    the combinations sum y_j r_j of s's integer rows r with y in the
-    kernel of their integer Gram matrix."""
-    _check_dims(omega, s)
-    if s.is_zero():
-        return s
-    rows, n = s.int_rows, s.ambient_dim
-    ker = linalg.int_nullspace(_gram(omega, s.int_rows), s.dim)
-    combos = [[sum(c * r[t] for c, r in zip(y, rows) if c) for t in range(n)] for y in ker]
-    return Subspace(n, combos)
+    the pass of `radicals` over s's rows."""
+    return radicals(omega, [s])[0]
 
 
 def kernel(omega: TwoForm) -> Subspace:
-    """Radical of omega on the whole space."""
-    return radical(omega, Subspace.full(omega.dim))
+    """Radical of omega on the whole space, built once per form object and
+    kept in its `_kernel` slot."""
+    ker = getattr(omega, "_kernel", None)
+    if ker is None:
+        ker = radical(omega, Subspace.full(omega.dim))
+        _init(omega, _kernel=ker)
+    return ker
 
 
 def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:

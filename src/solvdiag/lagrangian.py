@@ -28,7 +28,7 @@ from .diagram import (
     predicates,
 )
 from .flags import Flag, complete_flag_through
-from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, kernel, radical
+from .forms import NotClosedError, TwoForm, is_closed, is_isotropic, kernel, radicals
 
 
 class NotLagrangianError(InputError):
@@ -86,9 +86,12 @@ def vergne_candidate(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> LagrangianC
     omega([z,x],y) = 0.  [y,z] is in g_i, an ideal, so omega([y,z],x) = 0;
     [z,x] is in g_i, inside g_j, so omega([z,x],y) = 0.  So [x, y] is in
     rad(omega|g_i), inside V.  The proof needs closedness only, so on a
-    flag of ideals a rejected candidate is a fault, not a miss.
+    flag of ideals a rejected candidate is a fault, not a miss.  The
+    radicals come from one `radicals` pass along the flag; any sequence of
+    subspaces is accepted, a member that does not contain its predecessor
+    starting the pass afresh.
     """
-    rows = [r for m in flag.members for r in radical(omega, m).int_rows]
+    rows = [r for rad in radicals(omega, flag.members) for r in rad.int_rows]
     return verify_lagrangian(alg, omega, Subspace(alg.dim, rows))
 
 

@@ -23,6 +23,10 @@ settings.register_profile("search-oracle", max_examples=1500)
 # when it is larger:
 #   python -m pytest tests/test_primitivity.py -m primitivity_oracle --hypothesis-profile=primitivity-oracle
 settings.register_profile("primitivity-oracle", max_examples=1000)
+# The radicals' oracle test (tests/test_forms.py, marked radical_oracle) draws
+# 100 examples in tier-1, or the profile's budget when it is larger:
+#   python -m pytest tests/test_forms.py -m radical_oracle --hypothesis-profile=radical-oracle
+settings.register_profile("radical-oracle", max_examples=1000)
 
 # registry for the acceptance suite: number -> (description, passed, seconds)
 ACCEPTANCE_RESULTS = {}

@@ -13,7 +13,9 @@ from solvdiag import (
     Subspace,
     Template,
     TwoForm,
+    Vertex,
     VertexClass,
+    WeightedDiagram,
     classify_vertices,
     components,
     contract,
@@ -97,12 +99,15 @@ class TestKernelChain:
         # computation; simulate one to pin the error code
         import solvdiag.diagram as diagram_mod
 
-        def broken_radical(omega, s):
+        def broken_radical(s):
             if s.dim == 2:
                 return Subspace(4, [(0, 0, 0, 1)])
             return Subspace.zero(4) if s.dim % 2 == 0 else Subspace(4, [(1, 0, 0, 0)])
 
-        monkeypatch.setattr(diagram_mod, "radical", broken_radical)
+        def broken_radicals(omega, members):
+            return [broken_radical(s) for s in members]
+
+        monkeypatch.setattr(diagram_mod, "radicals", broken_radicals)
         with pytest.raises(NestingViolationError) as err:
             kernel_chain(d1.algebra, d1.two_forms["omega"], d1.flags["F2comp"])
         assert err.value.code == "NESTING_VIOLATION"
@@ -121,6 +126,39 @@ class TestClassification:
         ]
         assert [v.weight for v in d.vertices] == [1, 2, 3, Fraction(2, 3), Fraction(1, 5)]
         assert [v.index for v in d.singular_vertices()] == [3]
+
+    def test_a_classified_diagram_comes_back_as_it_is(self, e1, x3):
+        for doc, name in ((e1, "F"), (x3, "F3")):
+            d = kernel_chain(doc.algebra, doc.two_forms["omega"], doc.flags[name])
+            assert classify_vertices(d) is d
+
+    @pytest.mark.parametrize(
+        "name, classes, weights",
+        [
+            (
+                "F",
+                ["endpoint-left", "regular-reducible", "singular-attractive",
+                 "regular-non-reducible", "endpoint-right"],
+                [1, 2, 3, Fraction(2, 3), Fraction(1, 5)],
+            ),
+            (
+                "F3",
+                ["endpoint-left", "singular-attractive", "singular-repulsive",
+                 "singular-attractive", "endpoint-right"],
+                [1, 2, Fraction(1, 3), Fraction(2, 3), Fraction(1, 5)],
+            ),
+        ],
+    )
+    def test_an_unclassified_diagram_is_classified(self, e1, x3, name, classes, weights):
+        # the vertices stripped of weight and class, one of them or all
+        doc = e1 if name == "F" else x3
+        d = kernel_chain(doc.algebra, doc.two_forms["omega"], doc.flags[name])
+        bare = [Vertex(v.index, v.member, v.kernel) for v in d.vertices]
+        for vertices in (bare, [*d.vertices[:2], bare[2], *d.vertices[3:]]):
+            out = classify_vertices(WeightedDiagram(tuple(vertices), d.steps))
+            assert [v.vclass.value for v in out.vertices] == classes
+            assert [v.weight for v in out.vertices] == weights
+            assert out == d
 
     def test_x3_f3_weights(self, x3):
         d = diagram_of(x3, "F3")

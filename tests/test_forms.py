@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -38,10 +39,12 @@ from solvdiag import (
     wedge_with_covector,
 )
 from solvdiag import linalg
+from solvdiag.forms import radicals
 from oracles import (
     oracle_d_covector,
     oracle_d_two_form,
     oracle_is_closed,
+    oracle_radical_dim,
     oracle_radical_rows,
     spans_equal,
 )
@@ -284,6 +287,112 @@ class TestRadicals:
         assert perp == Subspace(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
         # on a nondegenerate form the orthogonal complements dimensions
         assert perp.dim == 4 - xy.dim
+
+
+class TestKeptKernel:
+    """`kernel` builds the form's kernel once per form object and keeps it."""
+
+    def test_a_second_call_returns_the_same_object(self):
+        w = TwoForm.from_pairs(4, [(0, 1, 1), (1, 2, 3)])
+        k = kernel(w)
+        assert kernel(w) is k
+        assert k == Subspace(4, [(3, 0, 1, 0), (0, 0, 0, 1)])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TwoForm([[0, 1], [-1, 0]]),
+            lambda: TwoForm._of([[0, 2], [-2, 0]], 4),
+            lambda: TwoForm.from_pairs(3, [(0, 2, "1/2")]),
+            lambda: TwoForm.zero(3),
+            lambda: TwoForm.from_pairs(3, [(0, 2, 1)]).scaled(2),
+            lambda: TwoForm.zero(2).plus(TwoForm([[0, 1], [-1, 0]])),
+        ],
+        ids=["init", "_of", "from_pairs", "zero", "scaled", "plus"],
+    )
+    def test_a_new_form_has_no_kernel_yet(self, make):
+        assert getattr(make(), "_kernel", None) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lagrangians", "--form", "omega"], ["primitivity", "--form", "omega"], ["audit"]],
+        ids=["lagrangians", "primitivity", "audit"],
+    )
+    def test_one_full_space_radical_per_form(self, argv, monkeypatch, capsys):
+        # a build is a pass of `radicals` that starts at the full space, as
+        # `kernel`'s does; a chain's pass reaches it from the member before
+        from importlib import resources
+
+        from solvdiag import forms
+        from solvdiag.cli import main
+
+        builds = Counter()
+
+        def counting_radicals(omega, members, _radicals=forms.radicals):
+            if members and members[0] == Subspace.full(omega.dim):
+                builds[id(omega)] += 1
+            return _radicals(omega, members)
+
+        monkeypatch.setattr(forms, "radicals", counting_radicals)
+        path = str(resources.files("solvdiag") / "corpus_data" / "E1.json")
+        assert main([argv[0], path, *argv[1:]]) == 0
+        capsys.readouterr()
+        assert builds and max(builds.values()) == 1
+
+
+@st.composite
+def radical_cases(draw):
+    """A skew form on Q^n, n = 1..10, closed or not, and, when drawn,
+    rescaled as `bits-ladder` does (one basis vector times N of 41-44
+    bits); with a sequence of subspaces for `radicals`: a nested chain with
+    gaps that may start above zero, subspaces drawn one by one, or a chain
+    with one member swapped for a drawn subspace."""
+    n = draw(st.integers(1, 10))
+    rng = Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        omega = random_closed_form(rng, random_completely_solvable(rng, n))
+    else:
+        upper = draw(st.lists(st.integers(-3, 3), min_size=comb(n, 2), max_size=comb(n, 2)))
+        pairs = itertools.combinations(range(n), 2)
+        omega = TwoForm.from_pairs(n, [(i, j, c) for (i, j), c in zip(pairs, upper)])
+    if draw(st.booleans()):
+        k, big = rng.randrange(n), rng.getrandbits(44) | 1 << 40
+        s = [big if i == k else 1 for i in range(n)]
+        omega = TwoForm._of(
+            [[x * s[i] * s[j] for j, x in enumerate(r)] for i, r in enumerate(omega.numer)],
+            omega.denom,
+        )
+    basis = random_unimodular(rng, n)
+    sizes = sorted(draw(st.sets(st.integers(0, n), min_size=1, max_size=n + 1)))
+    chain = [Subspace(n, basis[:k]) for k in sizes]
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    drawn = st.lists(row, max_size=n).map(lambda rows: Subspace(n, rows))
+    kind = draw(st.sampled_from(("chain", "drawn", "swapped")))
+    if kind == "drawn":
+        return omega, draw(st.lists(drawn, min_size=1, max_size=4))
+    if kind == "swapped":
+        chain[draw(st.integers(0, len(chain) - 1))] = draw(drawn)
+    return omega, chain
+
+
+# The radical's oracle test (marked radical_oracle) draws 100 examples, or the
+# profile's budget when it is larger: CI runs it once more with
+# -m radical_oracle --hypothesis-profile=radical-oracle.
+@pytest.mark.radical_oracle
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(radical_cases())
+def test_radicals_match_the_fraction_oracle(case):
+    # the pass along the whole sequence and `radical` on each member alone
+    # give the canonical rows of the oracle's span, of the oracle's dimension
+    omega, members = case
+    n = omega.dim
+    for m, rad in zip(members, radicals(omega, members), strict=True):
+        ref_rows = oracle_radical_rows(omega, m.int_rows, n)
+        ref = Subspace(n, ref_rows)
+        assert spans_equal(rad.rows, ref_rows, n)
+        assert rad.dim == oracle_radical_dim(omega, m.int_rows, n)
+        for got in (rad, radical(omega, m)):
+            assert (got.int_rows, got.pivots) == (ref.int_rows, ref.pivots)
 
 
 class TestClosedBasis:
