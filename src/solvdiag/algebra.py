@@ -55,6 +55,16 @@ def _init(obj, **attrs):
     return obj
 
 
+def _kept(obj, slot: str, build):
+    """The value kept in obj's `slot`, made by build(obj) and kept there on
+    the first call; an exception from build keeps nothing."""
+    value = getattr(obj, slot, None)
+    if value is None:
+        value = build(obj)
+        _init(obj, **{slot: value})
+    return value
+
+
 def _reduce(w: Sequence[int], rows, pivots) -> list[int]:
     """A nonzero multiple of the remainder of w along integer rows each zero
     at the pivots before its own: fraction-free, each step a*w - b*row with
@@ -341,11 +351,13 @@ class LieAlgebra(VectorTable):
     """Finite-dimensional Lie algebra over Q given by structure constants:
     the VectorTable of the brackets [e_i, e_j] of the named basis.
 
-    `_certificate` holds the `complete_solvability_certificate` of this
-    object once it is built; until then the slot is unset, on every
-    construction path, and is read with a default."""
+    Four facts about this object are kept once built, each in its slot:
+    `_certificate` (`complete_solvability_certificate`), `_derived`
+    (`derived_subalgebra`), `_verdict` (`solvability_verdict`) and
+    `_report` (`validate_algebra`).  Until then a slot is unset, on every
+    construction path, and is read with a default; see `_kept`."""
 
-    __slots__ = ("names", "_certificate")
+    __slots__ = ("names", "_certificate", "_derived", "_verdict", "_report")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
         names = tuple(names)
@@ -437,11 +449,18 @@ class AlgebraValidationReport:
 def validate_algebra(alg: LieAlgebra) -> AlgebraValidationReport:
     """Check antisymmetry of the table and the Jacobi identity on all triples.
 
+    The report is built once per algebra object and kept in its `_report`
+    slot: the document reader's check is the one every later call reads.
     The Jacobi sum of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
     [[e_k,e_i],e_j], each bracket read from the table as given (so a table
     that is not antisymmetric is checked as it stands): the sum over the
     nonzero c[a][b][m] and c[m][z][l] of their product, into coordinate l.
     """
+    return _kept(alg, "_report", _build_report)
+
+
+def _build_report(alg: LieAlgebra) -> AlgebraValidationReport:
+    """`validate_algebra` of an object that has none yet."""
     nz = alg.consts
     n = alg.dim
     anti = []
@@ -540,11 +559,13 @@ def _series_reaches_zero(start: Subspace, step) -> bool:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    return alg.derived_span(Subspace.full(alg.dim))
+    """[g, g], built once per algebra object and kept in its `_derived` slot."""
+    return _kept(alg, "_derived", lambda g: g.derived_span(Subspace.full(g.dim)))
 
 
 def is_solvable(alg: LieAlgebra) -> bool:
-    return _series_reaches_zero(Subspace.full(alg.dim), alg.derived_span)
+    """Whether the derived series, from the kept [g, g] on, reaches zero."""
+    return _series_reaches_zero(derived_subalgebra(alg), alg.derived_span)
 
 
 def is_nilpotent(alg: LieAlgebra) -> bool:
@@ -851,9 +872,18 @@ def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
     matrix, which moves no eigenvalue off Q.  A triangular one splits
     (`_triangular`); for any other, the rational roots of its
     `linalg.charpoly` are divided out exactly, as often as each divides,
-    and it splits when nothing is left.  [g, g] is built once: it starts
-    the derived series and its pivots pick the unit vectors.
+    and it splits when nothing is left.  [g, g] is the kept
+    `derived_subalgebra`: it starts the derived series and its pivots pick
+    the unit vectors.  The verdict is built once per algebra object and
+    kept in its `_verdict` slot.  It is never read off the certificate,
+    nor the certificate off it: the certificate asks for it only as the
+    cross-check of a descent that finds nothing.
     """
+    return _kept(alg, "_verdict", _build_verdict)
+
+
+def _build_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
+    """`solvability_verdict` of an object that has none yet."""
     n = alg.dim
     derived = derived_subalgebra(alg)
     if not _series_reaches_zero(derived, alg.derived_span):
@@ -907,11 +937,7 @@ def complete_solvability_certificate(alg: LieAlgebra) -> SolvabilityCertificate:
     UNDECIDED_IRRATIONAL_SPECTRUM; if it says COMPLETELY_SOLVABLE there,
     the descent is at fault and a SolvdiagError is raised.
     """
-    cert = getattr(alg, "_certificate", None)
-    if cert is None:
-        cert = _build_certificate(alg)
-        _init(alg, _certificate=cert)
-    return cert
+    return _kept(alg, "_certificate", _build_certificate)
 
 
 def _build_certificate(alg: LieAlgebra) -> SolvabilityCertificate:

@@ -401,7 +401,8 @@ def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
     that contains its predecessor has the predecessor's pivots among its
     own, and its echelon rows at the other pivots span it modulo the
     predecessor, so only those rows are added.  Any other member starts a
-    new pass.
+    new pass.  A member that is the full space gives the form's kernel,
+    which is kept in `omega._kernel` when the form has none yet.
     """
     n, out, prev = omega.dim, [], None
     for m in members:
@@ -414,6 +415,8 @@ def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
         for u in new:
             _add_row(omega, rad, piv, pairs, u)
         out.append(Subspace._of(n, rad, piv))
+        if m.dim == n and getattr(omega, "_kernel", None) is None:
+            _init(omega, _kernel=out[-1])
         prev = m
     return out
 
@@ -426,12 +429,10 @@ def radical(omega: TwoForm, s: Subspace) -> Subspace:
 
 def kernel(omega: TwoForm) -> Subspace:
     """Radical of omega on the whole space, built once per form object and
-    kept in its `_kernel` slot."""
+    kept in its `_kernel` slot by the first `radicals` pass that reaches
+    the full space, this one's or a chain's."""
     ker = getattr(omega, "_kernel", None)
-    if ker is None:
-        ker = radical(omega, Subspace.full(omega.dim))
-        _init(omega, _kernel=ker)
-    return ker
+    return ker if ker is not None else radical(omega, Subspace.full(omega.dim))
 
 
 def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:

@@ -1022,6 +1022,47 @@ def test_a_descent_that_finds_nothing_on_a_split_spectrum_is_refused(monkeypatch
     assert (cert.verdict, cert.witness) == (SolvabilityVerdict.UNDECIDED_IRRATIONAL_SPECTRUM, None)
 
 
+# each fact an algebra object keeps, by its slot
+KEPT_FACTS = {
+    "_certificate": complete_solvability_certificate,
+    "_derived": derived_subalgebra,
+    "_verdict": solvability_verdict,
+    "_report": validate_algebra,
+}
+
+
+def _analysed(alg):
+    """alg, with every fact it keeps built."""
+    for fact in KEPT_FACTS.values():
+        fact(alg)
+    return alg
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LieAlgebra(("p", "q", "z"), heisenberg().table),
+        lambda: LieAlgebra._of(heisenberg().consts, 1, names=("p", "q", "z")),
+        heisenberg,
+        lambda: change_basis(_analysed(heisenberg()), [(1, 1, 0), (0, 1, 0), (0, 0, 1)]),
+        lambda: quotient(_analysed(heisenberg()), Subspace(3, [(0, 0, 1)]))[0],
+        lambda: subalgebra_as_algebra(_analysed(heisenberg()), Subspace(3, [(1, 0, 0), (0, 0, 1)])),
+        lambda: random_completely_solvable(Random(3), 5),
+        lambda: random_nilpotent(Random(3), 5),
+    ],
+    ids=["init", "_of", "from_brackets", "change_basis", "quotient", "subalgebra",
+         "completely_solvable", "nilpotent"],
+)
+def test_a_new_algebra_keeps_no_fact_yet(make):
+    # no construction path sets a kept fact, nor hands on its source's; the
+    # first call keeps it and every later call returns that same object
+    alg = make()
+    assert [getattr(alg, slot, None) for slot in KEPT_FACTS] == [None] * len(KEPT_FACTS)
+    for slot, fact in KEPT_FACTS.items():
+        value = fact(alg)
+        assert getattr(alg, slot) is value and fact(alg) is value
+
+
 def test_certificate_eliminations_stay_within_the_basis_pairs(monkeypatch):
     # no elimination of a dim-n certificate has more rows than the n(n-1)/2
     # brackets of the basis pairs: each descent stage reads its weight space

@@ -754,6 +754,91 @@ def test_each_command_builds_at_most_one_certificate(capsys, monkeypatch):
                 assert len(builds) == expected, argv
 
 
+def test_each_command_analyses_each_algebra_once(capsys, monkeypatch):
+    # an algebra object keeps [g, g], its verdict and its validation report
+    # in slots, as it keeps its certificate: per command, [g, g] of the full
+    # space, the verdict's derived series and spectra and the Jacobi loop
+    # each run at most once per algebra object, and nothing pretty-prints a
+    # document
+    runs = {"gg": {}, "verdict": {}, "jacobi": {}, "serialize": {}}
+
+    def counted(key, fn):
+        def wrapper(obj):
+            runs[key][obj] = runs[key].get(obj, 0) + 1  # keyed by object, kept alive
+            return fn(obj)
+        return wrapper
+
+    span = algebra.LieAlgebra.derived_span
+
+    def spanning(alg, s):
+        if s.dim == alg.dim:
+            runs["gg"][alg] = runs["gg"].get(alg, 0) + 1
+        return span(alg, s)
+
+    monkeypatch.setattr(algebra.LieAlgebra, "derived_span", spanning)
+    monkeypatch.setattr(algebra, "_build_verdict", counted("verdict", algebra._build_verdict))
+    monkeypatch.setattr(algebra, "_build_report", counted("jacobi", algebra._build_report))
+    serialize = solvdiag.document.serialize_document
+    for modname, mod in list(sys.modules.items()):
+        if modname == "solvdiag" or modname.startswith("solvdiag."):
+            for attr, value in list(vars(mod).items()):
+                if value is serialize:
+                    monkeypatch.setattr(mod, attr, counted("serialize", serialize))
+    for name in list_corpus():
+        doc, path = load_corpus(name), corpus_path(name)
+        argvs = [["validate", path], ["audit", path]]
+        for form in sorted(doc.two_forms):
+            f = ["--form", form]
+            argvs += [["lagrangians", path, *f], ["primitivity", path, *f]]
+            argvs += [
+                [command, path, *f, "--flag", flag]
+                for flag in sorted(doc.flags)
+                for command in ("diagram", "deform")
+            ]
+            argvs += [
+                ["bilagrangian", path, *f, "--left", left, "--right", right]
+                for left, right in itertools.permutations(sorted(doc.subspaces), 2)
+            ]
+        for argv in argvs:
+            for counts in runs.values():
+                counts.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code in (0, 2, 3), argv
+            assert all(n == 1 for counts in runs.values() for n in counts.values()), (argv, runs)
+            assert not runs["serialize"], argv
+            if argv[0] == "audit":  # the document's algebra and its round trip's
+                assert code == 0 and len(runs["jacobi"]) == 2, argv
+                assert len(runs["gg"]) == len(runs["verdict"]) == 1, argv
+
+
+def test_a_lossy_reader_fails_the_round_trip(capsys, monkeypatch):
+    # a reader that gives `agrees: true` back as 1 leaves the document's
+    # plain object equal (True == 1) but not its text, which audit compares
+    from dataclasses import replace
+
+    import solvdiag.cli as cli
+    from solvdiag.document import document_obj, parse_document
+
+    reads = []
+
+    def lossy(text):
+        doc = parse_document(text)
+        reads.append(doc)
+        if len(reads) == 1:  # the command's own read of the file
+            return doc
+        expected = tuple(replace(e, agrees=1) for e in doc.metadata.expected)
+        out = replace(doc, metadata=replace(doc.metadata, expected=expected))
+        assert document_obj(out) == document_obj(doc)
+        return out
+
+    monkeypatch.setattr(cli, "parse_document", lossy)
+    code, out, err = run(capsys, "audit", corpus_path("D1"))
+    assert (code, err) == (3, "") and len(reads) == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL serialize/parse round trip"
+    ]
+
+
 def test_audit_validates_each_flag_once(capsys, monkeypatch):
     # X3 has four flags and two chain_ok entries; the entries read the
     # chain's shape (flags.chain_shape), not a second validate_flag report

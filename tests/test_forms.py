@@ -314,30 +314,46 @@ class TestKeptKernel:
         assert getattr(make(), "_kernel", None) is None
 
     @pytest.mark.parametrize(
-        "argv",
-        [["lagrangians", "--form", "omega"], ["primitivity", "--form", "omega"], ["audit"]],
-        ids=["lagrangians", "primitivity", "audit"],
+        "argv, built",
+        [
+            (["lagrangians", "--form", "omega"], 0),
+            (["primitivity", "--form", "omega"], 1),
+            (["audit"], 1),
+            (["diagram", "--form", "omega", "--flag", "{flag}"], 0),
+            (["deform", "--form", "omega", "--flag", "{flag}"], 0),
+        ],
+        ids=["lagrangians", "primitivity", "audit", "diagram", "deform"],
     )
-    def test_one_full_space_radical_per_form(self, argv, monkeypatch, capsys):
+    def test_one_full_space_radical_per_form(self, argv, built, monkeypatch, capsys):
         # a build is a pass of `radicals` that starts at the full space, as
         # `kernel`'s does; a chain's pass reaches it from the member before
+        # and keeps it, so a `kernel` after a chain (Vergne's candidate, the
+        # split of D1's repulsive vertex) builds nothing; primitivity and
+        # audit ask for the kernel before any chain
+        import sys
         from importlib import resources
 
         from solvdiag import forms
         from solvdiag.cli import main
 
-        builds = Counter()
+        builds, original = Counter(), forms.radicals
 
-        def counting_radicals(omega, members, _radicals=forms.radicals):
+        def counting_radicals(omega, members):
             if members and members[0] == Subspace.full(omega.dim):
                 builds[id(omega)] += 1
-            return _radicals(omega, members)
+            return original(omega, members)
 
-        monkeypatch.setattr(forms, "radicals", counting_radicals)
-        path = str(resources.files("solvdiag") / "corpus_data" / "E1.json")
-        assert main([argv[0], path, *argv[1:]]) == 0
-        capsys.readouterr()
-        assert builds and max(builds.values()) == 1
+        for modname, mod in list(sys.modules.items()):
+            if modname == "solvdiag" or modname.startswith("solvdiag."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting_radicals)
+        for doc, flag in (("E1", "F"), ("D1", "F2comp")):
+            path = str(resources.files("solvdiag") / "corpus_data" / f"{doc}.json")
+            builds.clear()
+            assert main([argv[0], path, *(a.format(flag=flag) for a in argv[1:])]) == 0
+            capsys.readouterr()
+            assert sorted(builds.values()) == [1] * built, doc
 
 
 @st.composite
