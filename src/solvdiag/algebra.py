@@ -55,9 +55,20 @@ def _init(obj, **attrs):
     return obj
 
 
+class _Frozen:
+    """An immutable value: its slots are set by `_init` (a derived fact by
+    `_kept`), and assigning an attribute is an AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _kept(obj, slot: str, build):
     """The value kept in obj's `slot`, made by build(obj) and kept there on
-    the first call; an exception from build keeps nothing."""
+    the first call; an exception from build keeps nothing.  No construction
+    path sets such a slot: it stays unset until the first call."""
     value = getattr(obj, slot, None)
     if value is None:
         value = build(obj)
@@ -86,7 +97,7 @@ def _at_common_pivot(rows, pivots) -> tuple[int, list[list[int]]]:
     return lcm, [[x * (lcm // r[p]) for x in r] for r, p in zip(rows, pivots)]
 
 
-class Subspace:
+class Subspace(_Frozen):
     """A subspace of Q^n in canonical echelon form (immutable).
 
     Stored as its primitive integer echelon rows `int_rows` (`linalg.echelon`:
@@ -105,10 +116,7 @@ class Subspace:
             raise ValueError("row length does not match ambient dimension")
         ech, pivots = linalg.echelon(rows)  # coerces each entry once
         ech = tuple(map(tuple, ech))
-        _init(self, ambient_dim=ambient_dim, int_rows=ech, pivots=tuple(pivots), _rows=None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("Subspace is immutable")
+        _init(self, ambient_dim=ambient_dim, int_rows=ech, pivots=tuple(pivots))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -118,7 +126,7 @@ class Subspace:
     def _of(cls, n: int, rows: Iterable[Sequence[int]], pivots: Iterable[int]) -> "Subspace":
         """The subspace of Q^n with the rows and pivots of `linalg.echelon`, taken as they are."""
         space, rows = object.__new__(cls), tuple(map(tuple, rows))
-        return _init(space, ambient_dim=n, int_rows=rows, pivots=tuple(pivots), _rows=None)
+        return _init(space, ambient_dim=n, int_rows=rows, pivots=tuple(pivots))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -126,9 +134,7 @@ class Subspace:
 
     @property
     def rows(self) -> Matrix:
-        if self._rows is None:
-            _init(self, _rows=linalg.reduced(self.int_rows, self.pivots))
-        return self._rows
+        return _kept(self, "_rows", lambda s: linalg.reduced(s.int_rows, s.pivots))
 
     @property
     def dim(self) -> int:
@@ -204,7 +210,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}/{self.ambient_dim}, rows={self.rows!r})"
 
 
-class Flag:
+class Flag(_Frozen):
     """A chain of subspaces, kept exactly as given (validation is separate)."""
 
     __slots__ = ("members",)
@@ -217,10 +223,7 @@ class Flag:
         for m in ms:
             if m.ambient_dim != ambient:
                 raise ValueError("flag members live in different ambient spaces")
-        object.__setattr__(self, "members", ms)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("Flag is immutable")
+        _init(self, members=ms)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -291,7 +294,7 @@ def _check_dims(alg: VectorTable, *spaces: Subspace) -> None:
             raise ValueError(f"a subspace of Q^{s.ambient_dim} for an algebra on Q^{alg.dim}")
 
 
-class VectorTable:
+class VectorTable(_Frozen):
     """An n x n table of vectors of Q^n, and the bilinear product it defines.
 
     Stored once, as integers over one positive denominator `denom` (the lcm
@@ -313,10 +316,7 @@ class VectorTable:
         ints, denom = linalg.scaled_ints(x for v in vecs for x in v)
         sparse = iter(_sparse(ints[t : t + n] for t in range(0, n * n * n, n or 1)))
         consts = tuple(tuple(tuple(next(sparse)) for _ in range(n)) for _ in range(n))
-        _init(self, dim=n, consts=consts, denom=denom, _table=None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        _init(self, dim=n, consts=consts, denom=denom)
 
     @classmethod
     def _of(cls, consts, denom: int, **attrs):
@@ -327,17 +327,13 @@ class VectorTable:
         g = math.gcd(denom, *(c for row in consts for cs in row for _, c in cs))
         consts = tuple(tuple(tuple((k, c // g) for k, c in cs) for cs in row) for row in consts)
         table = object.__new__(cls)
-        return _init(table, dim=len(consts), consts=consts, denom=denom // g, _table=None, **attrs)
+        return _init(table, dim=len(consts), consts=consts, denom=denom // g, **attrs)
 
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
-        if self._table is None:
-            n, d = self.dim, self.denom
-            view = tuple(
-                tuple(linalg.divided(_dense(cs, n), d) for cs in row) for row in self.consts
-            )
-            _init(self, _table=view)
-        return self._table
+        return _kept(self, "_table", lambda t: tuple(
+            tuple(linalg.divided(_dense(cs, t.dim), t.denom) for cs in row) for row in t.consts
+        ))
 
     def apply(self, x: Sequence, y: Sequence) -> Vector:
         """The sum of x_i y_j table[i][j] over the nonzero coordinates of x and
@@ -765,9 +761,7 @@ def common_eigenvector(consts) -> list[int] | None:
                 ]
             for v in eigenspace:
                 p = next(i for i, x in enumerate(v) if x)
-                g = math.gcd(*v) if v[p] > 0 else -math.gcd(*v)
-                if g != 1:
-                    v = [x // g for x in v]
+                v = linalg.primitive_at(v, p)
                 if best is None or (p, [x * best[q] for x in v]) < (q, [y * v[p] for y in best]):
                     best, q, held = v, p, eigenspace
         return None if best is None else (best, held)
@@ -884,9 +878,8 @@ def solvability_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
 
 def _build_verdict(alg: LieAlgebra) -> SolvabilityVerdict:
     """`solvability_verdict` of an object that has none yet."""
-    n = alg.dim
-    derived = derived_subalgebra(alg)
-    if not _series_reaches_zero(derived, alg.derived_span):
+    n, derived = alg.dim, derived_subalgebra(alg)
+    if not is_solvable(alg):
         return SolvabilityVerdict.NOT_SOLVABLE
     for i in range(n):
         if i in derived.pivots:

@@ -4,7 +4,7 @@ Each chain member carries the radical of the restricted form.  Adjacent
 radicals always differ by exactly one dimension and one contains the
 other; the direction of that step is the whole combinatorial content.
 `kernel_chain` returns the diagram classified: every vertex carries its
-weight and class.
+class, and derives its index and weight from its member and kernel.
 """
 
 from __future__ import annotations
@@ -44,14 +44,33 @@ class VertexClass(Enum):
 
 SINGULAR_CLASSES = (VertexClass.SINGULAR_ATTRACTIVE, VertexClass.SINGULAR_REPULSIVE)
 
+# the class of an interior vertex, by the steps into and out of it;
+# endpoints are a class of their own and never singular
+_INTERIOR_CLASSES = {
+    (StepDirection.UP, StepDirection.DOWN): VertexClass.SINGULAR_ATTRACTIVE,
+    (StepDirection.DOWN, StepDirection.UP): VertexClass.SINGULAR_REPULSIVE,
+    (StepDirection.UP, StepDirection.UP): VertexClass.REGULAR_REDUCIBLE,
+    (StepDirection.DOWN, StepDirection.DOWN): VertexClass.REGULAR_NON_REDUCIBLE,
+}
+
 
 @dataclass(frozen=True)
 class Vertex:
-    index: int  # dimension of the member
+    """A chain member, the radical of the form on it, and the vertex's class."""
+
     member: Subspace
     kernel: Subspace
-    weight: Fraction | None = None
-    vclass: VertexClass | None = None
+    vclass: VertexClass
+
+    @property
+    def index(self) -> int:
+        """The dimension of the member."""
+        return self.member.dim
+
+    @property
+    def weight(self) -> Fraction:
+        """dim kernel / (dim member - dim kernel + 1)."""
+        return Fraction(self.kernel.dim, self.member.dim - self.kernel.dim + 1)
 
     @property
     def is_singular(self) -> bool:
@@ -83,7 +102,7 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
     still well defined).  Adjacent radicals must nest one way or the other;
     anything else is reported as NESTING_VIOLATION rather than guessed.
     The radicals come from one `radicals` pass along the chain, each
-    member adding one row, and the diagram comes back classified.
+    member adding one row, and each vertex is classified as it is built.
     """
     if not is_closed(alg, omega):
         raise NotClosedError("the 2-form is not closed")
@@ -107,47 +126,16 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
             raise NestingViolationError(
                 f"radicals at dims {a.dim} and {b.dim} do not nest by one"
             )
-    vertices = [(m.dim, m, h) for m, h in zip(members, kernels)]
-    return _classified(vertices, tuple(steps))
+    classes = [VertexClass.ENDPOINT_LEFT] + [_INTERIOR_CLASSES[p] for p in zip(steps, steps[1:])]
+    if len(members) > 1:  # a one-member chain is its left endpoint only
+        classes.append(VertexClass.ENDPOINT_RIGHT)
+    return WeightedDiagram(tuple(map(Vertex, members, kernels, classes)), tuple(steps))
 
 
 def classify_vertices(diagram: WeightedDiagram) -> WeightedDiagram:
-    """Attach weights and vertex classes.
-
-    weight = dim kernel / (dim member - dim kernel + 1).  Interior classes
-    by adjacent step pair: (U,D) attractive, (D,U) repulsive, (U,U)
-    reducible regular, (D,D) non-reducible regular.  Endpoints are a class
-    of their own and never singular.  A diagram whose every vertex carries
-    a weight and a class, as `kernel_chain` returns it, comes back as it is.
-    """
-    vs = diagram.vertices
-    if all(v.weight is not None and v.vclass is not None for v in vs):
-        return diagram
-    return _classified([(v.index, v.member, v.kernel) for v in vs], diagram.steps)
-
-
-def _classified(vertices, steps: tuple[StepDirection, ...]) -> WeightedDiagram:
-    """The classified diagram of (index, member, kernel) triples and steps."""
-    out = []
-    last = len(vertices) - 1
-    for i, (index, member, ker) in enumerate(vertices):
-        weight = Fraction(ker.dim, member.dim - ker.dim + 1)
-        if i == 0:
-            cls = VertexClass.ENDPOINT_LEFT
-        elif i == last:
-            cls = VertexClass.ENDPOINT_RIGHT
-        else:
-            pair = (steps[i - 1], steps[i])
-            if pair == (StepDirection.UP, StepDirection.DOWN):
-                cls = VertexClass.SINGULAR_ATTRACTIVE
-            elif pair == (StepDirection.DOWN, StepDirection.UP):
-                cls = VertexClass.SINGULAR_REPULSIVE
-            elif pair == (StepDirection.UP, StepDirection.UP):
-                cls = VertexClass.REGULAR_REDUCIBLE
-            else:
-                cls = VertexClass.REGULAR_NON_REDUCIBLE
-        out.append(Vertex(index, member, ker, weight, cls))
-    return WeightedDiagram(vertices=tuple(out), steps=steps)
+    """The diagram as it is: `kernel_chain` classifies every vertex as it
+    builds it, and a Vertex is not built without its class."""
+    return diagram
 
 
 def contract(diagram: WeightedDiagram) -> tuple[tuple[StepDirection, int], ...]:

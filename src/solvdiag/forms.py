@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import InputError, LieAlgebra, Subspace, _init, _reduce
+from .algebra import InputError, LieAlgebra, Subspace, _Frozen, _init, _kept, _reduce
 from .linalg import Vector, ZERO, _ratio, frac
 
 
@@ -59,14 +59,13 @@ class Covector:
         return sum((c * x for c, x in zip(self.coeffs, linalg.vec(v), strict=True)), ZERO)
 
 
-class TwoForm:
+class TwoForm(_Frozen):
     """A skew bilinear form (rows/cols in basis order), stored once as an
     integer matrix `numer` over one positive denominator `denom`, in lowest
     terms (the gcd of `denom` and all of `numer` is 1), so equal forms
-    store equal numbers.  `entries`, the Fraction matrix, is a view built on
-    first read.  `_kernel` holds `kernel(self)` once it is built; until then
-    the slot is unset, on every construction path, and is read with a
-    default."""
+    store equal numbers.  Two facts are kept once built (`_kept`), each in
+    its slot, unset until then on every construction path: `_entries`, the
+    Fraction matrix `entries`, and `_kernel`, `kernel(self)`."""
 
     __slots__ = ("dim", "numer", "denom", "_entries", "_kernel")
 
@@ -83,23 +82,18 @@ class TwoForm:
             for j in range(i + 1, n):
                 if m[i][j] != -m[j][i]:
                     raise ValueError("two-form matrix must be antisymmetric")
-        _init(self, dim=n, numer=m, denom=denom, _entries=None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("TwoForm is immutable")
+        _init(self, dim=n, numer=m, denom=denom)
 
     @classmethod
     def _of(cls, numer: Sequence[Sequence[int]], denom: int) -> "TwoForm":
         """The form numer / denom (denom > 0, numer skew), put in lowest terms."""
         g = math.gcd(denom, *(x for r in numer for x in r))
         m = tuple(tuple(x // g for x in r) for r in numer)
-        return _init(object.__new__(cls), dim=len(m), numer=m, denom=denom // g, _entries=None)
+        return _init(object.__new__(cls), dim=len(m), numer=m, denom=denom // g)
 
     @property
     def entries(self) -> tuple[Vector, ...]:
-        if self._entries is None:
-            _init(self, _entries=tuple(linalg.divided(r, self.denom) for r in self.numer))
-        return self._entries
+        return _kept(self, "_entries", lambda w: tuple(linalg.divided(r, w.denom) for r in w.numer))
 
     @classmethod
     def zero(cls, n: int) -> "TwoForm":
@@ -177,7 +171,7 @@ class TwoForm:
         return f"TwoForm(dim={self.dim})"
 
 
-class ThreeForm:
+class ThreeForm(_Frozen):
     """An alternating trilinear form; stored sparsely on ordered triples."""
 
     __slots__ = ("dim", "entries")
@@ -192,9 +186,6 @@ class ThreeForm:
             if v != 0:
                 clean[(i, j, k)] = frac(v)
         _init(self, dim=dim, entries=clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("ThreeForm is immutable")
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -321,14 +312,6 @@ def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
     return TwoForm._of(_gram(omega, rows), omega.denom * lcm * lcm)
 
 
-def _canonical(row: Sequence[int], pivot: int) -> tuple[int, ...]:
-    """row over its content, signed so that its entry at pivot is positive:
-    the form of `linalg.echelon`'s rows."""
-    g = math.gcd(*row)
-    g = g if row[pivot] > 0 else -g
-    return tuple(row) if g == 1 else tuple(x // g for x in row)
-
-
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b) if x)
 
@@ -354,19 +337,19 @@ def _add_row(omega: TwoForm, rad: list, piv: list, pairs: list, u: Sequence[int]
         for i in hit[:-1]:
             g = math.gcd(s0, t[i])
             a, b = s0 // g, t[i] // g
-            rad[i] = _canonical([a * x - b * y for x, y in zip(rad[i], r0)], piv[i])
+            rad[i] = linalg.primitive_at([a * x - b * y for x, y in zip(rad[i], r0)], piv[i])
         del rad[i0], piv[i0]
         pairs.append((r0, u, omega.pair_ints(r0), pu, -s0))
         return
     # U step: u joins the radical
     u = _reduce(u, rad, piv)
     c = next(j for j, x in enumerate(u) if x)
-    u = _canonical(u, c)
+    u = linalg.primitive_at(u, c)
     for i, r in enumerate(rad):
         if r[c]:
             g = math.gcd(u[c], r[c])
             a, b = u[c] // g, r[c] // g
-            rad[i] = _canonical([a * x - b * y for x, y in zip(r, u)], piv[i])
+            rad[i] = linalg.primitive_at([a * x - b * y for x, y in zip(r, u)], piv[i])
     at = bisect.bisect(piv, c)
     rad.insert(at, u)
     piv.insert(at, c)
@@ -415,8 +398,8 @@ def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
         for u in new:
             _add_row(omega, rad, piv, pairs, u)
         out.append(Subspace._of(n, rad, piv))
-        if m.dim == n and getattr(omega, "_kernel", None) is None:
-            _init(omega, _kernel=out[-1])
+        if m.dim == n:
+            _kept(omega, "_kernel", lambda _: out[-1])
         prev = m
     return out
 
@@ -431,8 +414,7 @@ def kernel(omega: TwoForm) -> Subspace:
     """Radical of omega on the whole space, built once per form object and
     kept in its `_kernel` slot by the first `radicals` pass that reaches
     the full space, this one's or a chain's."""
-    ker = getattr(omega, "_kernel", None)
-    return ker if ker is not None else radical(omega, Subspace.full(omega.dim))
+    return _kept(omega, "_kernel", lambda w: radical(w, Subspace.full(w.dim)))
 
 
 def symplectic_orthogonal(omega: TwoForm, s: Subspace) -> Subspace:

@@ -89,6 +89,13 @@ def scaled_ints(row: Iterable, n: int | None = None) -> tuple[list[int], int]:
     return [a * (scale // d) for a, d in pairs], scale
 
 
+def primitive_at(row: Sequence[int], pivot: int) -> Sequence[int]:
+    """row over its content, signed so that its entry at pivot (nonzero) is
+    positive: the form of `echelon`'s rows; row itself when it has that form."""
+    g = math.gcd(*row) if row[pivot] > 0 else -math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
 def echelon(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
     """The primitive integer echelon form of the row space; returns (rows, pivots).
 
@@ -109,7 +116,8 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
     changes.  Every row stays primitive, and a primitive row is fixed up to
     sign by the input and the columns cleared so far, so its entries are
     bounded by minors of the scaled input, as in Bareiss (*Math. Comp.* 22,
-    1968).  At the end each row is made primitive with a positive pivot.
+    1968).  At the end `primitive_at` makes each row primitive with a
+    positive pivot.
     Cost: O(r n min(r, n)) integer multiply-adds and gcds on an r x n
     input, where elimination over Fraction pays a gcd on every multiply
     and subtract; no Fraction is built.
@@ -132,12 +140,9 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
     if nrows < 2:
         if not work:
             return [], []
-        row = work[0]  # the one nonzero row: made primitive, positive at its pivot
-        for c, x in enumerate(row):
-            if x:
-                break
-        g = math.gcd(*row) if x > 0 else -math.gcd(*row)
-        return [row if g == 1 else [x // g for x in row]], [c]
+        row = work[0]  # the one nonzero row
+        c = next(c for c, x in enumerate(row) if x)
+        return [primitive_at(row, c)], [c]
     r = 0
     for c in range(ncols):
         for k in range(r, nrows):
@@ -167,12 +172,7 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
         r += 1
         if r == nrows:
             break
-    del work[r:]
-    for i, (row, c) in enumerate(zip(work, pivots)):
-        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
-        if g != 1:
-            work[i] = [x // g for x in row]
-    return work, pivots
+    return [primitive_at(row, c) for row, c in zip(work, pivots)], pivots
 
 
 def reduced(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Matrix:

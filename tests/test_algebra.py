@@ -12,6 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solvdiag import (
+    ConnectionTable,
+    Flag,
     LieAlgebra,
     NotAnIdealError,
     NotSubalgebraError,
@@ -19,6 +21,8 @@ from solvdiag import (
     SolvdiagError,
     Subspace,
     SubspaceNotNestedError,
+    ThreeForm,
+    TwoForm,
     complete_solvability_certificate,
     derived_subalgebra,
     ideal_closure,
@@ -34,7 +38,7 @@ from solvdiag import (
 )
 from solvdiag import algebra, linalg
 from solvdiag.corpus import list_corpus, load_corpus
-from solvdiag.algebra import change_basis, is_nilpotent_subalgebra
+from solvdiag.algebra import VectorTable, change_basis, is_nilpotent_subalgebra
 from solvdiag.generators import (
     random_completely_solvable,
     random_nilpotent,
@@ -1028,6 +1032,7 @@ KEPT_FACTS = {
     "_derived": derived_subalgebra,
     "_verdict": solvability_verdict,
     "_report": validate_algebra,
+    "_table": lambda alg: alg.table,
 }
 
 
@@ -1061,6 +1066,76 @@ def test_a_new_algebra_keeps_no_fact_yet(make):
     for slot, fact in KEPT_FACTS.items():
         value = fact(alg)
         assert getattr(alg, slot) is value and fact(alg) is value
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Subspace(3, [(2, 4, 0), (0, 0, -3)]),
+        lambda: Subspace._of(3, [(1, 2, 0), (0, 0, 1)], (0, 2)),
+        lambda: Subspace.full(3),
+        lambda: Subspace.zero(3),
+    ],
+    ids=["init", "_of", "full", "zero"],
+)
+def test_a_new_subspace_keeps_no_rows_yet(make):
+    # the reduced Fraction rows are kept on the first read of `rows`
+    s = make()
+    assert getattr(s, "_rows", None) is None
+    rows = s.rows
+    assert s._rows is rows and s.rows is rows
+
+
+def test_a_new_connection_table_keeps_no_table_yet():
+    for table in (ConnectionTable([[[1, 0], [0, 0]], [[0, 0], [0, 2]]]),
+                  ConnectionTable._of([[[(0, 1)], []], [[], [(1, 2)]]], 3)):
+        assert getattr(table, "_table", None) is None
+        view = table.table
+        assert table._table is view and table.entries is view
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [
+        (Subspace.full(2), "pivots"),
+        (Subspace.full(2), "_rows"),
+        (Flag([Subspace.full(2)]), "members"),
+        (VectorTable([[[1]]]), "denom"),
+        (heisenberg(), "names"),
+        (heisenberg(), "_certificate"),
+        (ConnectionTable([[[1]]]), "consts"),
+        (TwoForm.zero(2), "numer"),
+        (TwoForm.zero(2), "_kernel"),
+        (ThreeForm(3, {}), "entries"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_a_value_is_immutable(value, attr):
+    # every value type shares the one guard of algebra._Frozen; a slot is set
+    # only by the constructors and by `_kept`
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        setattr(value, attr, None)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Subspace.full(2).contains(Subspace.full(3)),
+            "subspaces of different ambient spaces",
+        ),
+        (lambda: LieAlgebra(("a", "a"), [[[0, 0]] * 2] * 2), "basis names must be distinct"),
+        (
+            lambda: LieAlgebra(("a", "b", "c"), [[[0, 0]] * 2] * 2),
+            "a bracket table of size 2 for 3 basis names",
+        ),
+    ],
+    ids=["contains", "duplicate-names", "table-size"],
+)
+def test_a_refused_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_certificate_eliminations_stay_within_the_basis_pairs(monkeypatch):

@@ -51,6 +51,39 @@ class TestPair:
             BilagrangianPair(Subspace.zero(2), Subspace.zero(3))
 
 
+ABELIAN3 = LieAlgebra.from_brackets("abc", {})
+TABLE2 = ConnectionTable([[[0, 0]] * 2] * 2)
+FORM_ON_Q2 = "a form on Q^2 for an algebra on Q^3"
+TABLE_ON_Q2 = "a connection on Q^2 for an algebra on Q^3"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: d_zero(ABELIAN3, TwoForm.zero(2), [1, 0, 0], [0, 1, 0]), FORM_ON_Q2),
+        (
+            lambda: connection(
+                ABELIAN3, TwoForm.zero(3), BilagrangianPair(Subspace.zero(2), Subspace.full(2))
+            ),
+            "pair does not match the algebra",
+        ),
+        (
+            lambda: connection(
+                ABELIAN3, TwoForm.zero(2), BilagrangianPair(Subspace.zero(3), Subspace.full(3))
+            ),
+            FORM_ON_Q2,
+        ),
+        (lambda: curvature(ABELIAN3, TABLE2, [1, 0], [0, 1], [1, 1]), TABLE_ON_Q2),
+        (lambda: curvature_flatness(ABELIAN3, TABLE2), TABLE_ON_Q2),
+    ],
+    ids=["d_zero", "connection-pair", "connection-form", "curvature", "curvature_flatness"],
+)
+def test_a_dimension_mismatch_is_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestConnection:
     def test_d1_values(self, d1):
         alg = d1.algebra

@@ -575,6 +575,19 @@ class TestAudit:
         assert "singular-count bounds" in names
 
 
+    def test_a_flag_that_is_not_a_chain_is_reported_and_skipped(self, capsys, tmp_path):
+        # E1 with a flag G whose first member is not in its second: its flag
+        # check is reported, and no diagram is built along it
+        obj = json.loads(corpus_text("E1"))
+        obj["flags"]["G"] = [[{"a": 1}], *obj["flags"]["F"][1:]]
+        code, out, _ = run(capsys, "audit", write_doc(tmp_path, obj))
+        lines = out.splitlines()
+        assert code == 0
+        assert "ok   flag G validated (chain_ok=false subalgebras=true)" in lines
+        assert not any("/G" in line for line in lines)
+        assert lines[-1] == "audit result: ok (12 checks)"
+
+
 class TestDeterminism:
     COMMANDS = [
         ("validate", []),

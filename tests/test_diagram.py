@@ -15,7 +15,6 @@ from solvdiag import (
     TwoForm,
     Vertex,
     VertexClass,
-    WeightedDiagram,
     classify_vertices,
     components,
     contract,
@@ -128,37 +127,39 @@ class TestClassification:
         assert [v.index for v in d.singular_vertices()] == [3]
 
     def test_a_classified_diagram_comes_back_as_it_is(self, e1, x3):
-        for doc, name in ((e1, "F"), (x3, "F3")):
-            d = kernel_chain(doc.algebra, doc.two_forms["omega"], doc.flags[name])
-            assert classify_vertices(d) is d
-
-    @pytest.mark.parametrize(
-        "name, classes, weights",
-        [
+        # kernel_chain classifies each vertex as it builds it, and a vertex
+        # derives its index and weight from its member and kernel
+        cases = (
             (
+                e1,
                 "F",
                 ["endpoint-left", "regular-reducible", "singular-attractive",
                  "regular-non-reducible", "endpoint-right"],
                 [1, 2, 3, Fraction(2, 3), Fraction(1, 5)],
             ),
             (
+                x3,
                 "F3",
                 ["endpoint-left", "singular-attractive", "singular-repulsive",
                  "singular-attractive", "endpoint-right"],
                 [1, 2, Fraction(1, 3), Fraction(2, 3), Fraction(1, 5)],
             ),
-        ],
-    )
-    def test_an_unclassified_diagram_is_classified(self, e1, x3, name, classes, weights):
-        # the vertices stripped of weight and class, one of them or all
-        doc = e1 if name == "F" else x3
-        d = kernel_chain(doc.algebra, doc.two_forms["omega"], doc.flags[name])
-        bare = [Vertex(v.index, v.member, v.kernel) for v in d.vertices]
-        for vertices in (bare, [*d.vertices[:2], bare[2], *d.vertices[3:]]):
-            out = classify_vertices(WeightedDiagram(tuple(vertices), d.steps))
-            assert [v.vclass.value for v in out.vertices] == classes
-            assert [v.weight for v in out.vertices] == weights
-            assert out == d
+        )
+        for doc, name, classes, weights in cases:
+            d = kernel_chain(doc.algebra, doc.two_forms["omega"], doc.flags[name])
+            assert [v.vclass.value for v in d.vertices] == classes
+            assert [v.weight for v in d.vertices] == weights
+            assert [v.index for v in d.vertices] == [v.member.dim for v in d.vertices]
+            assert classify_vertices(d) is d
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_a_one_member_chain_is_its_left_endpoint(self, n):
+        alg = LieAlgebra(tuple("ab"[:n]), [[[0] * n for _ in range(n)] for _ in range(n)])
+        d = kernel_chain(alg, TwoForm.zero(n), Flag([Subspace.full(n)]))
+        assert d.steps == ()
+        full = Subspace.full(n)
+        assert d.vertices == (Vertex(full, full, VertexClass.ENDPOINT_LEFT),)
+        assert d.vertices[0].weight == n
 
     def test_x3_f3_weights(self, x3):
         d = diagram_of(x3, "F3")

@@ -408,8 +408,8 @@ class TestSerialization:
         for name in CORPUS:
             doc = parse_document(corpus_text(name))
             serialize_document(doc)
-            assert doc.algebra._table is None
-            assert all(form._entries is None for form in doc.two_forms.values())
+            assert getattr(doc.algebra, "_table", None) is None
+            assert all(getattr(form, "_entries", None) is None for form in doc.two_forms.values())
 
 
     def test_subspaces_written_as_their_reduced_rows(self):

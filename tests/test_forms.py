@@ -289,6 +289,24 @@ class TestRadicals:
         assert perp.dim == 4 - xy.dim
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TwoForm([[0, 1]]), "two-form matrix must be square"),
+        (lambda: ThreeForm(3, {(1, 0, 2): 1}), "three-form keys must be strictly ordered"),
+        (
+            lambda: ce_differential(LieAlgebra.from_brackets("abc", {}), TwoForm.zero(2)),
+            "form dimension does not match the algebra",
+        ),
+    ],
+    ids=["two-form-not-square", "three-form-unordered", "ce-differential-dims"],
+)
+def test_a_refused_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestKeptKernel:
     """`kernel` builds the form's kernel once per form object and keeps it."""
 
@@ -311,7 +329,14 @@ class TestKeptKernel:
         ids=["init", "_of", "from_pairs", "zero", "scaled", "plus"],
     )
     def test_a_new_form_has_no_kernel_yet(self, make):
-        assert getattr(make(), "_kernel", None) is None
+        # nor its Fraction entries: each kept fact's slot is unset until the
+        # first read, which keeps it; a second read returns the same object
+        w = make()
+        facts = {"_entries": lambda w: w.entries, "_kernel": kernel}
+        assert [getattr(w, slot, None) for slot in facts] == [None, None]
+        for slot, fact in facts.items():
+            value = fact(w)
+            assert getattr(w, slot) is value and fact(w) is value
 
     @pytest.mark.parametrize(
         "argv, built",

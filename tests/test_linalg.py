@@ -157,6 +157,32 @@ def test_nullspace_rejects_a_wrong_ncols():
     assert linalg.nullspace([[1, 2]], 2) == [(-2, 1)]
 
 
+def test_int_nullspace_and_int_solve_refuse_a_wrong_shape():
+    with pytest.raises(ValueError) as err:
+        linalg.int_nullspace([])
+    assert str(err.value) == "nullspace of empty matrix needs ncols"
+    with pytest.raises(ValueError) as err:
+        linalg.int_solve([[1, 2]], [[1]])
+    assert str(err.value) == "int_solve needs a square matrix"
+
+
+def test_solve_with_no_equations():
+    # no rows: x = () solves 0 = b exactly when b is zero
+    assert linalg.solve([], []) == ()
+    assert linalg.solve([], [1]) is None
+
+
+def test_primitive_at():
+    # a row in the form of echelon's rows is returned as the object given
+    row = [0, 3, -6]
+    assert linalg.primitive_at(row, 1) == [0, 1, -2]
+    assert linalg.primitive_at([0, -3, 6], 1) == [0, 1, -2]
+    assert linalg.primitive_at([0, -1, 2], 2) == [0, -1, 2]
+    kept = (0, 2, -3)
+    assert linalg.primitive_at(kept, 1) is kept
+    assert linalg.primitive_at([4, -2], 1) == [-2, 1]
+
+
 def test_solve_unique():
     a = [[1, 2], [3, 5]]
     x = linalg.solve(a, (5, 13))
