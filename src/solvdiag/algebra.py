@@ -16,6 +16,7 @@ ideal, nilpotent, ...) are decided exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,12 +58,14 @@ def _init(obj, **attrs):
 
 class _Frozen:
     """An immutable value: its slots are set by `_init` (a derived fact by
-    `_kept`), and assigning an attribute is an AttributeError."""
+    `_kept`), and assigning or deleting an attribute is an AttributeError."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _kept(obj, slot: str, build):
@@ -90,6 +93,27 @@ def _reduce(w: Sequence[int], rows, pivots) -> list[int]:
     return w
 
 
+def _insert_row(rows: list, pivots: list, v: Sequence[int]) -> bool:
+    """Grow the canonical echelon rows and pivots (`linalg.echelon`'s form)
+    in place by the integer vector v; False when v is in their span.  The
+    remainder of v (`_reduce`) is made primitive at its pivot c, cleared
+    from the rows with a pivot below c and inserted in pivot order."""
+    v = _reduce(v, rows, pivots)
+    c = next((j for j, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    v = linalg.primitive_at(v, c)
+    for i, r in enumerate(rows):
+        if r[c]:
+            g = math.gcd(v[c], r[c])
+            a, b = v[c] // g, r[c] // g
+            rows[i] = linalg.primitive_at([a * x - b * y for x, y in zip(r, v)], pivots[i])
+    at = bisect.bisect(pivots, c)
+    rows.insert(at, v)
+    pivots.insert(at, c)
+    return True
+
+
 def _at_common_pivot(rows, pivots) -> tuple[int, list[list[int]]]:
     """(L, rows): L the lcm of the pivots of the integer echelon rows, and each
     row scaled to pivot L, so that it is L times its reduced echelon row."""
@@ -103,9 +127,10 @@ class Subspace(_Frozen):
     Stored as its primitive integer echelon rows `int_rows` (`linalg.echelon`:
     coprime entries, positive pivot), as canonical as the reduced row
     echelon form, so equality and hashing compare them.  Membership, sums
-    and intersections eliminate on them fraction-free.  `rows`, the reduced
-    row echelon form over Fraction, is a view built on first read.  The
-    rows given go to `linalg.echelon` as they are, with no copy.
+    and intersections eliminate on them fraction-free; a sum inserts the
+    rows of one into the other (`_grow`), with no echelon.  `rows`,
+    the reduced row echelon form over Fraction, is a view built on first
+    read.  The rows given go to `linalg.echelon` as they are, with no copy.
     """
 
     __slots__ = ("ambient_dim", "int_rows", "pivots", "_rows")
@@ -182,7 +207,9 @@ class Subspace(_Frozen):
         return Subspace(self.ambient_dim, combos)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient_dim, self.int_rows + other.int_rows)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("row length does not match ambient dimension")
+        return _grow(self, other.int_rows)[0]
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on this subspace (coordinates in the dual basis)."""
@@ -347,13 +374,14 @@ class LieAlgebra(VectorTable):
     """Finite-dimensional Lie algebra over Q given by structure constants:
     the VectorTable of the brackets [e_i, e_j] of the named basis.
 
-    Four facts about this object are kept once built, each in its slot:
+    Five facts about this object are kept once built, each in its slot:
     `_certificate` (`complete_solvability_certificate`), `_derived`
-    (`derived_subalgebra`), `_verdict` (`solvability_verdict`) and
-    `_report` (`validate_algebra`).  Until then a slot is unset, on every
-    construction path, and is read with a default; see `_kept`."""
+    (`derived_subalgebra`), `_verdict` (`solvability_verdict`), `_report`
+    (`validate_algebra`) and `_d`, the matrix of d on 2-forms
+    (`forms._d_rows`).  Until then a slot is unset, on every construction
+    path, and is read with a default; see `_kept`."""
 
-    __slots__ = ("names", "_certificate", "_derived", "_verdict", "_report")
+    __slots__ = ("names", "_certificate", "_derived", "_verdict", "_report", "_d")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[Sequence]]) -> None:
         names = tuple(names)
@@ -482,14 +510,17 @@ def _build_report(alg: LieAlgebra) -> AlgebraValidationReport:
 
 def _grow(cur: Subspace, vectors) -> tuple[Subspace, list]:
     """cur + span(vectors), and a basis of it modulo cur: the echelon rows of
-    the sum at the pivots cur lacks.  Each vector is first reduced along
-    cur, and cur is returned as it is when nothing is left."""
-    rest = [r for r in (cur._remainder(v) for v in vectors) if any(r)]
-    if not rest:
+    the sum at the pivots cur lacks.  Each vector is inserted into cur's
+    rows (`_insert_row`), and cur is returned as it is when none grows them."""
+    rows, pivots = list(cur.int_rows), list(cur.pivots)
+    for v in vectors:
+        _insert_row(rows, pivots, v)
+    if len(rows) == cur.dim:
         return cur, []
-    nxt = Subspace(cur.ambient_dim, cur.int_rows + tuple(rest))
     old = set(cur.pivots)
-    return nxt, [r for r, p in zip(nxt.int_rows, nxt.pivots) if p not in old]
+    return Subspace._of(cur.ambient_dim, rows, pivots), [
+        r for r, p in zip(rows, pivots) if p not in old
+    ]
 
 
 def subalgebra_closure(
@@ -654,19 +685,16 @@ def _hyperplane_in(inside, rows, pivots) -> tuple[list, list[int]]:
 
     Extends by the earliest rows of `inside`; the result has the
     lexicographically least pivot set among such hyperplanes.  A row is kept
-    when `_reduce` along those kept so far leaves a remainder: one echelon.
+    when `_insert_row` grows the rows kept so far; no `echelon` is taken.
     """
-    given, rows, pivots = len(rows), list(rows), list(pivots)
+    rows, pivots = list(rows), list(pivots)
     for row in inside:
         if len(rows) == len(inside) - 1:
             break
-        r = _reduce(row, rows, pivots)
-        if any(r):
-            rows.append(r)
-            pivots.append(next(j for j, x in enumerate(r) if x))
+        _insert_row(rows, pivots, row)
     if len(rows) != len(inside) - 1:  # pragma: no cover - containing must fit
         raise ValueError("cannot extend to a hyperplane")
-    return linalg.echelon(rows) if len(rows) > given else (rows, pivots)
+    return rows, pivots
 
 
 def _shifted(m: Matrix, c, den=1) -> list[list]:

@@ -9,15 +9,17 @@ so closedness of a 2-form is the cocycle identity
 omega([x,y],z) + omega([y,z],x) + omega([z,x],y) = 0.  A TwoForm is stored
 once, as an integer matrix over one positive denominator; `entries`, its
 Fraction matrix, is a view built on first read.  d on 2-forms is one sparse
-integer matrix, built once per call by `_d_rows` from the algebra's integer
-constants `alg.consts`: `ce_differential` evaluates it on the form's integer
-matrix and divides once, and `closed_two_form_basis` is its integer nullspace.
-Pairings, restrictions, radicals, isotropy tests and symplectic orthogonals
-run on the integer rows of a Subspace and the form's integer matrix.  The
-radicals along a sequence of subspaces come from one symplectic
-Gram-Schmidt pass, `radicals`, that adds one row at a time and eliminates
-nothing; `radical` is that pass over one subspace, and `kernel` is built
-once per form object and kept on it.  A
+integer matrix, `_d_rows`, built from the algebra's integer constants
+`alg.consts` once per algebra object and kept in its `_d` slot:
+`ce_differential` evaluates it on the form's integer matrix and divides
+once, `is_closed` evaluates it up to the first nonzero row on ints, and
+`closed_two_form_basis` is its integer nullspace.  Pairings, restrictions,
+radicals, isotropy tests and symplectic orthogonals run on the integer rows
+of a Subspace and the form's integer matrix.  The radicals along a sequence
+of subspaces come from one symplectic Gram-Schmidt pass, `radicals`, that
+adds one row at a time and eliminates nothing: a row that joins the radical
+is inserted by `algebra._insert_row`.  `radical` is that pass over one
+subspace, and `kernel` is built once per form object and kept on it.  A
 covector's d(phi) and d(phi) ^ phi are evaluated, not searched: the
 codimension-1 subalgebras, kernels of the phi with d(phi) ^ phi = 0, are
 found in `primitivity` from the solvability certificate's weights.
@@ -25,7 +27,6 @@ found in `primitivity` from the solvability certificate's weights.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import InputError, LieAlgebra, Subspace, _Frozen, _init, _kept, _reduce
+from .algebra import InputError, LieAlgebra, Subspace, _Frozen, _init, _insert_row, _kept
 from .linalg import Vector, ZERO, _ratio, frac
 
 
@@ -240,7 +241,7 @@ def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int],
     triple i < j < k with a nonempty row {(a, b): c} (a < b),
     denom * d(omega)(e_i, e_j, e_k) = sum of c * omega[a][b].  Read off the
     integer structure constants of [e_i,e_j], [e_i,e_k], [e_j,e_k] in
-    `alg.consts`.
+    `alg.consts`, once per object: its readers keep it in `_d`, unchanged.
     """
     nz = alg.consts
     rows = {}
@@ -256,19 +257,27 @@ def _d_rows(alg: LieAlgebra) -> dict[tuple[int, int, int], dict[tuple[int, int],
     return rows
 
 
+def _d_values(alg: LieAlgebra, omega: TwoForm):
+    """(t, v) for each row t of the kept matrix of d: v is alg.denom *
+    omega.denom * d(omega)(e_t), an int; a form of another dimension is a
+    ValueError, raised at the call."""
+    if omega.dim != alg.dim:
+        raise ValueError("form dimension does not match the algebra")
+    e, rows = omega.numer, _kept(alg, "_d", _d_rows)
+    return ((t, sum(c * e[a][b] for (a, b), c in row.items())) for t, row in rows.items())
+
+
 def ce_differential(alg: LieAlgebra, omega: TwoForm) -> ThreeForm:
     """d(omega) on basis triples, with the fixed sign convention: the
     integer matrix of d applied to omega's integer matrix, divided once."""
-    if omega.dim != alg.dim:
-        raise ValueError("form dimension does not match the algebra")
-    e = omega.numer
     den = alg.denom * omega.denom
-    values = {t: sum(c * e[a][b] for (a, b), c in row.items()) for t, row in _d_rows(alg).items()}
-    return ThreeForm(alg.dim, {t: Fraction(v, den) for t, v in values.items() if v})
+    return ThreeForm(alg.dim, {t: Fraction(v, den) for t, v in _d_values(alg, omega) if v})
 
 
 def is_closed(alg: LieAlgebra, omega: TwoForm) -> bool:
-    return ce_differential(alg, omega).is_zero()
+    """Whether d(omega) = 0: the integer rows of d on omega's integer
+    matrix, up to the first that is not zero; no ThreeForm is built."""
+    return not any(v for _, v in _d_values(alg, omega))
 
 
 def wedge_with_covector(dphi: TwoForm, phi: Covector) -> ThreeForm:
@@ -341,18 +350,7 @@ def _add_row(omega: TwoForm, rad: list, piv: list, pairs: list, u: Sequence[int]
         del rad[i0], piv[i0]
         pairs.append((r0, u, omega.pair_ints(r0), pu, -s0))
         return
-    # U step: u joins the radical
-    u = _reduce(u, rad, piv)
-    c = next(j for j, x in enumerate(u) if x)
-    u = linalg.primitive_at(u, c)
-    for i, r in enumerate(rad):
-        if r[c]:
-            g = math.gcd(u[c], r[c])
-            a, b = u[c] // g, r[c] // g
-            rad[i] = linalg.primitive_at([a * x - b * y for x, y in zip(r, u)], piv[i])
-    at = bisect.bisect(piv, c)
-    rad.insert(at, u)
-    piv.insert(at, c)
+    _insert_row(rad, piv, u)  # U step: u, orthogonal to R, joins it
 
 
 def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
@@ -376,8 +374,9 @@ def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
       (r0, u) becomes a pair: omega(r0, u) != 0, and both are orthogonal
       to S and to R'.
     - U step, u orthogonal to R.  It is orthogonal to S and to itself too,
-      so R' = R + <u>: u is reduced along R, made primitive, cleared from
-      the other rows at its pivot and inserted in pivot order.
+      so R' = R + <u>: `algebra._insert_row` reduces u along R, makes it
+      primitive, clears it from the other rows at its pivot and inserts it
+      in pivot order.
     In both steps V + <u> = R' + S' with omega nondegenerate on S' and R'
     orthogonal to V + <u>, so R' = rad(omega|V + <u>), and dim R' =
     dim R - 1 or dim R + 1: the D and U steps of `kernel_chain`.  A member
@@ -429,7 +428,7 @@ def closed_two_form_basis(alg: LieAlgebra) -> list[TwoForm]:
     of the matrix of d on 2-forms, each vector over its last nonzero entry."""
     n = alg.dim
     pairs = list(itertools.combinations(range(n), 2))
-    rows = [[row.get(p, 0) for p in pairs] for row in _d_rows(alg).values()]
+    rows = [[row.get(p, 0) for p in pairs] for row in _kept(alg, "_d", _d_rows).values()]
     basis = []
     for sol in linalg.int_nullspace(rows, len(pairs)):
         numer = [[0] * n for _ in range(n)]

@@ -31,7 +31,7 @@ from solvdiag import (
     load_corpus,
     render_dot,
 )
-from solvdiag import algebra
+from solvdiag import algebra, forms
 from solvdiag.cli import main
 
 
@@ -822,6 +822,42 @@ def test_each_command_analyses_each_algebra_once(capsys, monkeypatch):
             if argv[0] == "audit":  # the document's algebra and its round trip's
                 assert code == 0 and len(runs["jacobi"]) == 2, argv
                 assert len(runs["gg"]) == len(runs["verdict"]) == 1, argv
+
+
+def test_each_command_builds_d_at_most_once_per_algebra(capsys, monkeypatch):
+    # the matrix of d on 2-forms is kept on its algebra object (`_d`):
+    # closedness checks, closed-form bases and differentials of one command
+    # on one algebra object share one build
+    builds = {}
+
+    def counting(alg):
+        builds[alg] = builds.get(alg, 0) + 1  # keyed by object, kept alive
+        return d_rows(alg)
+
+    d_rows = forms._d_rows
+    monkeypatch.setattr(forms, "_d_rows", counting)
+    for name in list_corpus():
+        doc, path = load_corpus(name), corpus_path(name)
+        argvs = [["validate", path], ["audit", path]]
+        for form in sorted(doc.two_forms):
+            f = ["--form", form]
+            argvs += [["lagrangians", path, *f], ["primitivity", path, *f]]
+            argvs += [
+                [command, path, *f, "--flag", flag]
+                for flag in sorted(doc.flags)
+                for command in ("diagram", "deform")
+            ]
+            argvs += [
+                ["bilagrangian", path, *f, "--left", left, "--right", right]
+                for left, right in itertools.permutations(sorted(doc.subspaces), 2)
+            ]
+        for argv in argvs:
+            builds.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code in (0, 2, 3), argv
+            assert all(n == 1 for n in builds.values()), (argv, builds)
+            if argv[0] in ("audit", "lagrangians"):  # both test closedness
+                assert builds, argv
 
 
 def test_a_lossy_reader_fails_the_round_trip(capsys, monkeypatch):

@@ -298,8 +298,12 @@ class TestRadicals:
             lambda: ce_differential(LieAlgebra.from_brackets("abc", {}), TwoForm.zero(2)),
             "form dimension does not match the algebra",
         ),
+        (
+            lambda: is_closed(LieAlgebra.from_brackets("abc", {}), TwoForm.zero(4)),
+            "form dimension does not match the algebra",
+        ),
     ],
-    ids=["two-form-not-square", "three-form-unordered", "ce-differential-dims"],
+    ids=["two-form-not-square", "three-form-unordered", "ce-differential-dims", "is-closed-dims"],
 )
 def test_a_refused_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as err:
@@ -570,6 +574,29 @@ def test_differential_matches_the_definition(case):
     ref = oracle_d_two_form(alg, w)
     assert ce_differential(alg, w).entries == {t: v for t, v in ref.items() if v != 0}
     assert is_closed(alg, w) == oracle_is_closed(alg, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((random_completely_solvable, random_nilpotent)),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_is_closed_agrees_with_the_differential(make, dim, seed):
+    # is_closed stops at the first nonzero row of the kept matrix of d; on
+    # a closed form, and on it moved by one basis 2-form (closed or not),
+    # it says what ce_differential's ThreeForm says, and neither builds d again
+    rng = Random(seed)
+    alg = make(rng, dim)
+    if seed % 2:
+        alg = change_basis(alg, random_unimodular(rng, dim))
+    w = random_closed_form(rng, alg)
+    d = alg._d
+    assert is_closed(alg, w) and ce_differential(alg, w).is_zero()
+    for i, j in itertools.combinations(range(dim), 2):
+        moved = w.plus(TwoForm.from_pairs(dim, [(i, j, rng.choice((-2, -1, 1, 3)))]))
+        assert is_closed(alg, moved) == ce_differential(alg, moved).is_zero()
+    assert alg._d is d
 
 
 @settings(max_examples=40, deadline=None)
