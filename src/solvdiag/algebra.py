@@ -9,7 +9,9 @@ over one positive denominator, read once when the algebra is built; values
 are coerced at that boundary.  Brackets of integer rows are integer rows, a
 positive multiple of the true bracket, and spans, closures, membership and
 the Lie-theorem descent never see the factor; the public `bracket` and
-`ad_matrix` divide once.  The Fraction views `Subspace.rows` and
+`ad_matrix` divide once.  A dense integer dot product is written
+sum(map(mul, a, b)), which loops in C (math.sumprod needs Python 3.12).
+The Fraction views `Subspace.rows` and
 `LieAlgebra.table` are built on first read.  All predicates (subalgebra,
 ideal, nilpotent, ...) are decided exactly.
 """
@@ -20,6 +22,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -203,7 +206,7 @@ class Subspace(_Frozen):
         if u.ambient_dim != self.dim:
             raise ValueError(f"coordinates in Q^{u.ambient_dim}, not in Q^{self.dim}")
         columns = list(zip(*self._common_pivot_rows()[1]))
-        combos = [[sum(c * x for c, x in zip(y, col) if c) for col in columns] for y in u.int_rows]
+        combos = [[sum(map(mul, y, col)) for col in columns] for y in u.int_rows]
         return Subspace(self.ambient_dim, combos)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -566,9 +569,10 @@ def is_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_ideal_in(alg: LieAlgebra, s: Subspace, t: Subspace) -> bool:
-    """Whether [t, s] is contained in s.  Requires s within t."""
+    """Whether [t, s] is contained in s.  Requires s within t, tested only
+    for a proper t: the whole space contains every s that `_check_dims` passes."""
     _check_dims(alg, s, t)
-    if not t.contains(s):
+    if t.dim < alg.dim and not t.contains(s):
         raise SubspaceNotNestedError("s is not contained in t")
     ss = _sparse(s.int_rows)
     return all(s._has(_ibracket(alg.consts, x, y)) for x in _sparse(t.int_rows) for y in ss)
@@ -776,17 +780,15 @@ def common_eigenvector(consts) -> list[int] | None:
         t, den = next((j, y) for j, y in enumerate(w) if y)
         return all(x * den == img[t] * y for x, y in zip(img, w))
 
-    def least(eigenspaces, basis=None) -> tuple[list[int], list] | None:
-        """The least eigenvector (coordinates on basis, if given) in
-        vector_sort_key's order, primitive and positive at its pivot, and its
-        eigenspace, in Q^n; cross-multiplied over the pivot entry."""
+    def least(eigenspaces, columns=None) -> tuple[list[int], list] | None:
+        """The least eigenvector (coordinates on the basis with these
+        columns, if given) in vector_sort_key's order, primitive and positive
+        at its pivot, and its eigenspace, in Q^n; cross-multiplied over the
+        pivot entry."""
         best, q, held = None, 0, None
         for eigenspace in eigenspaces:
-            if basis is not None:
-                eigenspace = [
-                    [sum(c * b[j] for c, b in zip(v, basis) if c) for j in range(n)]
-                    for v in eigenspace
-                ]
+            if columns is not None:
+                eigenspace = [[sum(map(mul, v, col)) for col in columns] for v in eigenspace]
             for v in eigenspace:
                 p = next(i for i, x in enumerate(v) if x)
                 v = linalg.primitive_at(v, p)
@@ -816,7 +818,7 @@ def common_eigenvector(consts) -> list[int] | None:
             return None
         w, space = found  # space: hyper's weight space for w's weight
         if len(space) == 1:  # a line: mz fixes it, and w is its least vector
-            img = [sum(x * y for x, y in zip(row, w) if y) for row in mz]
+            img = [sum(map(mul, row, w)) for row in mz]
             if not parallel(img, w):  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
             return w, [w]
@@ -824,16 +826,17 @@ def common_eigenvector(consts) -> list[int] | None:
         # basis of its reduced echelon rows times the lcm of their pivots
         wrows, wpiv = linalg.echelon(space)
         lcm, basis = _at_common_pivot(wrows, wpiv)
+        columns = list(zip(*basis))
         free = [j for j in range(n) if j not in wpiv]
         restr = []  # columns: lcm times the coordinates of mz b, read at the pivots
         for b in basis:
-            img = [sum(x * y for x, y in zip(row, b) if y) for row in mz]
+            img = [sum(map(mul, row, b)) for row in mz]
             restr.append([img[p] for p in wpiv])
             # at the pivots the combination is lcm * img by construction
-            back = [sum(c * v[j] for c, v in zip(restr[-1], basis)) for j in free]
+            back = [sum(map(mul, restr[-1], columns[j])) for j in free]
             if back != [lcm * img[j] for j in free]:  # pragma: no cover - invariance lemma
                 raise SolvdiagError("weight space not invariant")
-        return least(_eigenspaces(list(zip(*restr)), len(wpiv), nilpotent), basis)
+        return least(_eigenspaces(list(zip(*restr)), len(wpiv), nilpotent), columns)
 
     if not any(cs for row in consts for cs in row):  # every e_i acts by zero
         return [1] + [0] * (n - 1)

@@ -9,6 +9,7 @@ Scope: nondegenerate closed 2-forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -49,7 +50,7 @@ def _derivatives(alg: VectorTable, gram, pairs) -> tuple[list[list[int]], int]:
     one `linalg.int_solve` for all pairs, and a DegenerateFormError if singular."""
     rhs, n = [], alg.dim
     for x, y in pairs:
-        gy = [sum(g * c for g, c in zip(row, y) if c) for row in gram]
+        gy = [sum(map(mul, row, y)) for row in gram]
         rows = [(xi, row) for xi, row in zip(x, alg.consts) if xi]
         rhs.append([sum(xi * c * gy[l] for xi, row in rows for l, c in row[k]) for k in range(n)])
     solved = linalg.int_solve(list(zip(*gram)), rhs)

@@ -21,7 +21,7 @@ from .algebra import (
     is_nilpotent_subalgebra,
 )
 from .flags import ChainNotNestedError, Flag, chain_shape
-from .forms import NotClosedError, TwoForm, is_closed, radicals
+from .forms import NotClosedError, TwoForm, _chain_radicals, is_closed
 
 
 class NestingViolationError(SolvdiagError):
@@ -101,7 +101,8 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
     full algebra; members need not be bracket-closed (the radicals are
     still well defined).  Adjacent radicals must nest one way or the other;
     anything else is reported as NESTING_VIOLATION rather than guessed.
-    The radicals come from one `radicals` pass along the chain, each
+    The radicals come from one pass along the chain (`_chain_radicals`,
+    which does not test again the nesting `chain_shape` has tested), each
     member adding one row, and each vertex is classified as it is built.
     """
     if not is_closed(alg, omega):
@@ -115,7 +116,7 @@ def kernel_chain(alg: LieAlgebra, omega: TwoForm, flag: Flag) -> WeightedDiagram
         raise ChainNotNestedError("chain members are not nested")
 
     members = flag.members
-    kernels = radicals(omega, members)
+    kernels = _chain_radicals(omega, members)
     steps = []
     for a, b, ha, hb in zip(members, members[1:], kernels, kernels[1:]):
         if hb.dim == ha.dim + 1 and hb.contains(ha):

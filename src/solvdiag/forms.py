@@ -15,7 +15,10 @@ integer matrix, `_d_rows`, built from the algebra's integer constants
 once, `is_closed` evaluates it up to the first nonzero row on ints, and
 `closed_two_form_basis` is its integer nullspace.  Pairings, restrictions,
 radicals, isotropy tests and symplectic orthogonals run on the integer rows
-of a Subspace and the form's integer matrix.  The radicals along a sequence
+of a Subspace and the form's integer matrix; a dense integer dot product
+is written sum(map(mul, a, b)), which loops in C (math.sumprod needs
+Python 3.12), and `pair_ints` keeps its loop that skips zeros, faster on
+the mostly-zero rows it is given.  The radicals along a sequence
 of subspaces come from one symplectic Gram-Schmidt pass, `radicals`, that
 adds one row at a time and eliminates nothing: a row that joins the radical
 is inserted by `algebra._insert_row`.  `radical` is that pass over one
@@ -31,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -142,7 +146,7 @@ class TwoForm(_Frozen):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError(f"vectors of lengths {len(x)}, {len(y)} for a form on Q^{self.dim}")
         (x, sx), (y, sy) = linalg.scaled_ints(x), linalg.scaled_ints(y)
-        value = sum(a * b for a, b in zip(self.pair_ints(x), y) if b)
+        value = sum(map(mul, self.pair_ints(x), y))
         return Fraction(value, sx * sy * self.denom)
 
     def is_zero(self) -> bool:
@@ -302,7 +306,7 @@ def _gram(omega: TwoForm, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     for i in range(len(rows) - 1):
         p = omega.pair_ints(rows[i])
         for j in range(i + 1, len(rows)):
-            v = sum(x * y for x, y in zip(rows[j], p) if x)
+            v = sum(map(mul, rows[j], p))
             m[i][j], m[j][i] = v, -v
     return m
 
@@ -321,15 +325,12 @@ def restrict(omega: TwoForm, s: Subspace) -> TwoForm:
     return TwoForm._of(_gram(omega, rows), omega.denom * lcm * lcm)
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b) if x)
-
-
 def _add_row(omega: TwoForm, rad: list, piv: list, pairs: list, u: Sequence[int]) -> None:
     """One step of `radicals`: rad(omega|V) for V + <u>, u outside V."""
     pu = omega.pair_ints(u)  # denom * omega(u, .)
     for p, q, pp, pq, w in pairs:
-        a, b = _dot(pp, u), _dot(pq, u)  # denom * omega(p, u), denom * omega(q, u)
+        a = sum(map(mul, pp, u))  # denom * omega(p, u)
+        b = sum(map(mul, pq, u))  # denom * omega(q, u)
         if a or b:
             g = math.gcd(w, a, b)
             c, a, b = w // g, a // g, b // g
@@ -338,7 +339,7 @@ def _add_row(omega: TwoForm, rad: list, piv: list, pairs: list, u: Sequence[int]
     g = math.gcd(*u)
     if g > 1:
         u, pu = [x // g for x in u], [x // g for x in pu]
-    t = [_dot(pu, r) for r in rad]  # denom * omega(u, r)
+    t = [sum(map(mul, pu, r)) for r in rad]  # denom * omega(u, r)
     hit = [i for i, x in enumerate(t) if x]
     if hit:  # D step: rad(omega|V + <u>) = R meet u-perp, and (r0, u) is a pair
         i0 = hit[-1]
@@ -382,24 +383,36 @@ def radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
     dim R - 1 or dim R + 1: the D and U steps of `kernel_chain`.  A member
     that contains its predecessor has the predecessor's pivots among its
     own, and its echelon rows at the other pivots span it modulo the
-    predecessor, so only those rows are added.  Any other member starts a
-    new pass.  A member that is the full space gives the form's kernel,
-    which is kept in `omega._kernel` when the form has none yet.
+    predecessor, so only those rows are added.  The members are cut into
+    runs in which each contains the one before, tested here once per
+    adjacent pair, and each run is one pass of `_chain_radicals`.
+    `kernel_chain` calls `_chain_radicals` itself, as `chain_shape` has
+    already tested its chain's nesting.  A member that is the full space
+    gives the form's kernel, which is kept in `omega._kernel` when the form
+    has none yet.
     """
-    n, out, prev = omega.dim, [], None
+    out, run = [], []
     for m in members:
         _check_dims(omega, m)
-        if prev is not None and m.contains(prev):
-            old = set(prev.pivots)
-            new = [r for r, p in zip(m.int_rows, m.pivots) if p not in old]
-        else:
-            rad, piv, pairs, new = [], [], [], m.int_rows
-        for u in new:
-            _add_row(omega, rad, piv, pairs, u)
+        if run and not m.contains(run[-1]):
+            out += _chain_radicals(omega, run)
+            run = []
+        run.append(m)
+    return out + _chain_radicals(omega, run)
+
+
+def _chain_radicals(omega: TwoForm, members: Sequence[Subspace]) -> list[Subspace]:
+    """The pass of `radicals` along members of the form's space that each
+    contain the one before; neither is tested here."""
+    n, out, rad, piv, pairs, old = omega.dim, [], [], [], [], ()
+    for m in members:
+        for u, p in zip(m.int_rows, m.pivots):
+            if p not in old:
+                _add_row(omega, rad, piv, pairs, u)
         out.append(Subspace._of(n, rad, piv))
         if m.dim == n:
             _kept(omega, "_kernel", lambda _: out[-1])
-        prev = m
+        old = set(m.pivots)
     return out
 
 

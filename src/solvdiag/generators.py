@@ -11,6 +11,7 @@ built on the integer constants `consts`.
 from __future__ import annotations
 
 import math
+from operator import mul
 from random import Random
 
 from . import linalg
@@ -56,7 +57,7 @@ def _grow(rng: Random, dim: int, strict: bool) -> LieAlgebra:
         lasts = [next(x for x in reversed(v) if x) for v in basis]
         lcm = math.lcm(alg.denom, *lasts)
         weights = [rng.choice(_COEFFS) * (lcm // last) for last in lasts]
-        coeffs = [sum(w * x for w, x in zip(weights, col)) for col in zip(*basis)]  # lcm * D
+        coeffs = [sum(map(mul, weights, col)) for col in zip(*basis)]  # lcm * D
         cols = [[(a, x) for x, (a, b) in zip(coeffs, slots) if x and b == k] for k in range(n)]
         up = lcm // alg.denom
         old = [[[(k, up * c) for k, c in cs] for cs in row] for row in alg.consts]

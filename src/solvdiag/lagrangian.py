@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 from .algebra import (
     InputError,
@@ -155,7 +156,7 @@ def find_lagrangians(alg: LieAlgebra, omega: TwoForm, mode: str = "both") -> Sea
                 v = gens[i]
                 if cur._has(v):
                     continue
-                if any(sum(x * y for x, y in zip(r, paired[i]) if x) for r in cur.int_rows):
+                if any(sum(map(mul, r, paired[i])) for r in cur.int_rows):
                     continue
                 grown = subalgebra_closure(alg, [v], closed=cur)
                 if grown.dim > target:

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -155,7 +156,7 @@ def _cocycle_witness(alg: LieAlgebra, h: Subspace, cert) -> Subspace | None:
             rows[-1][j] -= alg.denom * a[i]
             rows[-1][i] += alg.denom * a[j]
         for beta in linalg.int_nullspace(rows, n):
-            if any(sum(x * y for x, y in zip(beta, r) if x) for r in h.int_rows):
+            if any(sum(map(mul, beta, r)) for r in h.int_rows):
                 found.append(Subspace(n, [beta]).annihilator())
     return min(found, key=lambda w: w.sort_key(), default=None)
 

@@ -28,6 +28,23 @@ def matvec(m, v):
     return tuple(sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in m)
 
 
+def above_2_64_basis(rng, n):
+    """A basis of Q^n for the checks on big integers: the rows of a random
+    unimodular matrix, each times its own integer above 2^64, so a table,
+    form or subspace moved to it has entries above 2^64."""
+    from solvdiag.generators import random_unimodular
+
+    scales = [(1 << 64) + rng.randrange(1, 1 << 16) for _ in range(n)]
+    return [[c * x for x in row] for c, row in zip(scales, random_unimodular(rng, n))]
+
+
+def rebased_form_entries(omega, m):
+    """The matrix m W m^T over Fraction, W the form's Fraction matrix: the
+    form on the basis given by the rows of m."""
+    wm = [matvec(omega.entries, y) for y in m]  # W y for each row y
+    return [[sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0)) for v in wm] for x in m]
+
+
 def lincomb(coeffs, rows):
     """The sum of coeffs[i] * rows[i] over Fraction; rows must be nonempty."""
     out = [Fraction(0)] * len(rows[0])

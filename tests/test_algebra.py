@@ -45,6 +45,7 @@ from solvdiag.generators import (
     random_unimodular,
 )
 from oracles import (
+    above_2_64_basis,
     coordinates_of,
     faddeev_leverrier_charpoly,
     fraction_rref,
@@ -411,6 +412,21 @@ def test_common_eigenvector_matches_the_fraction_descent(case):
     assert is_common_eigenvector(v, rep)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
+def test_common_eigenvector_matches_the_fraction_descent_above_2_64(dim, seed):
+    # a nilpotent algebra on a basis with entries above 2^64: the descent's
+    # line check, restricted action, invariance back-check and change of
+    # coordinates multiply big integers, and every weight is zero, so the
+    # oracle's trial division stays cheap
+    rng = Random(seed)
+    alg = change_basis(random_nilpotent(rng, dim), above_2_64_basis(rng, dim))
+    rep = [alg.ad_matrix(linalg.unit_vec(dim, i)) for i in range(dim)]
+    v = algebra.common_eigenvector(alg.consts)
+    assert _normalized(v) == oracle_common_eigenvector(alg, rep, dim)
+    assert is_common_eigenvector(v, rep)
+
+
 @st.composite
 def square_matrices(draw):
     """A matrix of dimension 1-6 with int or Fraction entries: upper or
@@ -640,6 +656,24 @@ class TestClosures:
         t = Subspace(3, [(0, 1, 0)])
         with pytest.raises(SubspaceNotNestedError):
             is_ideal_in(h, s, t)
+
+    def test_only_a_proper_t_is_tested_for_nesting(self, monkeypatch):
+        # the whole space contains every subspace of its dimension, so only
+        # a proper t costs a containment test; a proper t that does not
+        # contain s is still refused
+        h, calls = heisenberg(), []
+        contains = Subspace.contains
+
+        def counting(self, other):
+            calls.append(self.dim)
+            return contains(self, other)
+
+        monkeypatch.setattr(Subspace, "contains", counting)
+        s, t = Subspace(3, [(0, 0, 1)]), Subspace(3, [(1, 0, 0), (0, 0, 1)])
+        assert is_ideal_in(h, s, Subspace.full(3)) and calls == []
+        assert is_ideal_in(h, s, t) and calls == [2]
+        with pytest.raises(SubspaceNotNestedError):
+            is_ideal_in(h, Subspace(3, [(0, 1, 0)]), t)
 
 
 @st.composite

@@ -106,10 +106,27 @@ class TestKernelChain:
         def broken_radicals(omega, members):
             return [broken_radical(s) for s in members]
 
-        monkeypatch.setattr(diagram_mod, "radicals", broken_radicals)
+        monkeypatch.setattr(diagram_mod, "_chain_radicals", broken_radicals)
         with pytest.raises(NestingViolationError) as err:
             kernel_chain(d1.algebra, d1.two_forms["omega"], d1.flags["F2comp"])
         assert err.value.code == "NESTING_VIOLATION"
+
+
+@pytest.mark.parametrize("doc, flag", [("e1", "F"), ("d1", "F2comp")])
+def test_each_link_of_the_chain_is_tested_for_containment_once(doc, flag, request, monkeypatch):
+    # chain_shape tests each adjacent pair of members, and the step check
+    # each adjacent pair of radicals; the radicals' pass runs on the nesting
+    # chain_shape has tested and tests it no more
+    d = request.getfixturevalue(doc)
+    calls, contains = [], Subspace.contains
+
+    def counting(self, other):
+        calls.append((self.dim, other.dim))
+        return contains(self, other)
+
+    monkeypatch.setattr(Subspace, "contains", counting)
+    kernel_chain(d.algebra, d.two_forms["omega"], d.flags[flag])
+    assert len(calls) == 2 * (len(d.flags[flag].members) - 1)
 
 
 class TestClassification:

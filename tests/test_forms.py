@@ -26,6 +26,7 @@ from solvdiag import (
     complete_flag_through,
     degrees,
     is_closed,
+    is_isotropic,
     kernel,
     quasi_primitive_test,
     radical,
@@ -438,6 +439,31 @@ def test_radicals_match_the_fraction_oracle(case):
         assert rad.dim == oracle_radical_dim(omega, m.int_rows, n)
         for got in (rad, radical(omega, m)):
             assert (got.int_rows, got.pivots) == (ref.int_rows, ref.pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radical_cases(), st.data())
+def test_radicals_and_restrictions_match_the_fraction_oracle_above_2_64(case, data):
+    # the pairings of the radicals' pass and the Gram rows of restrict and
+    # is_isotropic on big integers: the form's entry (i, j) and column j of
+    # every member row times integers t_i t_j and t_j above 2^64, which
+    # keeps chains nested
+    omega, members = case
+    n = omega.dim
+    t = data.draw(st.lists(st.integers(1 << 64, 1 << 70), min_size=n, max_size=n))
+    omega = TwoForm._of(
+        [[x * t[i] * t[j] for j, x in enumerate(r)] for i, r in enumerate(omega.numer)], omega.denom
+    )
+    members = [Subspace(n, [[x * c for x, c in zip(r, t)] for r in m.int_rows]) for m in members]
+    w = omega.entries
+    for m, rad in zip(members, radicals(omega, members), strict=True):
+        assert rad == Subspace(n, oracle_radical_rows(omega, m.int_rows, n)) == radical(omega, m)
+        gram = tuple(
+            tuple(sum(x[a] * w[a][b] * y[b] for a in range(n) for b in range(n)) for y in m.rows)
+            for x in m.rows
+        )
+        assert restrict(omega, m).entries == gram
+        assert is_isotropic(omega, m) == (not any(map(any, gram)))
 
 
 class TestClosedBasis:

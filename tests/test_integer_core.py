@@ -7,6 +7,7 @@ those.  Each is held here to an oracle in tests/oracles.py that computes
 over Fraction, on algebras whose constants are not integers.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -24,23 +25,31 @@ from solvdiag import (
     TwoForm,
     ce_differential,
     ce_differential_covector,
+    complete_solvability_certificate,
+    d_zero,
+    derived_subalgebra,
+    find_lagrangians,
     ideal_closure,
     is_isotropic,
     is_nilpotent,
     is_subalgebra,
     radical,
+    random_closed_form,
     restrict,
     subalgebra_as_algebra,
     subalgebra_closure,
 )
 from solvdiag.algebra import change_basis, is_nilpotent_subalgebra
-from solvdiag import linalg
+from solvdiag import generators, linalg
+from solvdiag.primitivity import _cocycle_witness
 from solvdiag.generators import (
     random_completely_solvable,
     random_nilpotent,
     random_unimodular,
 )
 from oracles import (
+    _unit,
+    above_2_64_basis,
     bareiss_rank,
     coordinates_of,
     fraction_rref,
@@ -48,10 +57,13 @@ from oracles import (
     matvec,
     oracle_bracket,
     oracle_d_two_form,
+    oracle_find_lagrangians,
     oracle_ideal_closure,
+    oracle_nullspace,
     oracle_radical_rows,
     oracle_subalgebra_as_algebra,
     oracle_subalgebra_closure,
+    rebased_form_entries,
     reduce_vector,
     spans_equal,
 )
@@ -335,3 +347,148 @@ def test_a_bracket_table_of_another_size_than_the_names_is_refused(rows):
     table = [[[0, 0], [0, 0]] for _ in range(rows)]
     with pytest.raises(ValueError):
         LieAlgebra(("a", "b"), table)
+
+
+# Dense integer dot products are written sum(map(mul, a, b)).  Each site is
+# held here to a Fraction computation on entries above 2^64, so that the
+# products run on big integers; the descent's sites are held to the Fraction
+# descent in tests/test_algebra.py, the radicals' and restrictions' in
+# tests/test_forms.py.
+
+BIG = 1 << 64
+# an integer above 2^64 in absolute value, of either sign
+big_int = st.integers(-(1 << 70), 1 << 70).map(lambda x: x + BIG if x >= 0 else x - BIG)
+big_frac = st.builds(Fraction, big_int, big_int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_lift_matches_the_fraction_combination_above_2_64(n, data):
+    # each row of u combines the reduced echelon rows of s
+    rows = st.lists(st.lists(big_int, min_size=n, max_size=n), min_size=1, max_size=n)
+    s = Subspace(n, data.draw(rows))
+    row = st.lists(big_int, min_size=s.dim, max_size=s.dim)
+    u = Subspace(s.dim, data.draw(st.lists(row, max_size=s.dim)))
+    assert s.lift(u) == Subspace(n, [lincomb(r, s.rows) for r in u.rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_apply_matches_the_fraction_sum_above_2_64(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    values = data.draw(st.lists(big_frac, min_size=len(pairs), max_size=len(pairs)))
+    upper = dict(zip(pairs, values))
+    w = TwoForm.from_pairs(n, [(i, j, c) for (i, j), c in upper.items()])
+    x, y = (data.draw(st.lists(big_frac, min_size=n, max_size=n)) for _ in range(2))
+    entry = {**upper, **{(j, i): -c for (i, j), c in upper.items()}}
+    expected = sum(x[i] * entry.get((i, j), 0) * y[j] for i in range(n) for j in range(n))
+    assert w.apply(x, y) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(big_frac, min_size=4, max_size=4),
+    st.lists(big_frac, min_size=4, max_size=4),
+)
+def test_d_zero_matches_the_fraction_identity_above_2_64(d1, seed, x, y):
+    # omega(D, z) = -omega(y, [x, z]) for z = e_k, on D1 moved to a basis
+    # with entries above 2^64: the Gram step of bilagrangian._derivatives
+    m = above_2_64_basis(Random(seed), 4)
+    alg, w = change_basis(d1.algebra, m), rebased_form_entries(d1.two_forms["omega"], m)
+    out = d_zero(alg, TwoForm(w), x, y)
+    for k in range(4):
+        b = oracle_bracket(alg, x, _unit(4, k))
+        lhs = sum(out[i] * w[i][k] for i in range(4))
+        assert lhs == -sum(y[i] * w[i][j] * b[j] for i in range(4) for j in range(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((random_completely_solvable, random_nilpotent)),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+    st.data(),
+)
+def test_cocycle_witness_matches_the_fraction_cocycles_above_2_64(make, dim, seed, data):
+    # a witness exactly when some cocycle of a nonzero weight, over Fraction,
+    # does not vanish on h (h in [g, g]); the witness is a hyperplane
+    # subalgebra that misses h
+    rng = Random(seed)
+    alg = change_basis(make(rng, dim), above_2_64_basis(rng, dim))
+    derived = derived_subalgebra(alg)
+    coeffs = st.lists(st.integers(-2, 2), min_size=derived.dim, max_size=derived.dim)
+    drawn = data.draw(st.lists(coeffs, max_size=2)) if derived.dim else []
+    h = subalgebra_closure(alg, [lincomb(c, derived.rows) for c in drawn])
+    cert = complete_solvability_certificate(alg)
+    missing = []
+    for a in set(cert.weights) - {(0,) * dim}:
+        alpha = [Fraction(x, cert.weight_denom) for x in a]
+        rows = []
+        for i, j in itertools.combinations(range(dim), 2):
+            rows.append(list(alg.table[i][j]))
+            rows[-1][j] -= alpha[i]
+            rows[-1][i] += alpha[j]
+        for beta in oracle_nullspace(rows, dim):
+            if any(sum(p * q for p, q in zip(beta, r)) for r in h.rows):
+                missing.append(beta)
+    witness = _cocycle_witness(alg, h, cert)
+    assert (witness is None) == (not missing)
+    if witness is not None:
+        (phi,) = witness.annihilator().rows
+        assert witness.dim == dim - 1
+        assert any(sum(p * q for p, q in zip(phi, r)) for r in h.rows)
+        for u, v in itertools.combinations(witness.rows, 2):
+            assert sum(p * q for p, q in zip(phi, oracle_bracket(alg, u, v))) == 0
+
+
+class _BigChoices(Random):
+    """A Random whose `choice` is an integer above 2^64 of either sign,
+    recorded in `drawn`."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def choice(self, seq):
+        self.drawn.append((BIG + self.randrange(1, 1 << 16)) * (-1) ** self.randrange(2))
+        return self.drawn[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_a_generated_extension_matches_the_fraction_combination_above_2_64(strict, dim, seed):
+    # the new basis vector e_n acts by sum_i c_i D_i / last_i, for the
+    # triangular derivations D_i of the algebra before it, each over its
+    # last nonzero entry, and coefficients c_i above 2^64
+    before, after = _BigChoices(seed), _BigChoices(seed)
+    small = generators._grow(before, dim - 1, strict)
+    alg = generators._grow(after, dim, strict)
+    n = dim - 1
+    slots = [(a, b) for b in range(n) for a in range(b + (0 if strict else 1))]
+    basis = generators._triangular_derivations(small, slots)
+    cs = after.drawn[len(before.drawn) :]
+    assert len(cs) == len(basis)
+    d = {
+        slot: sum(Fraction(c * v[k], next(x for x in reversed(v) if x)) for c, v in zip(cs, basis))
+        for k, slot in enumerate(slots)
+    }
+    for b in range(n):
+        assert alg.table[n][b] == tuple(d.get((a, b), 0) for a in range(dim))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=3, max_value=5), st.integers(min_value=0, max_value=10**6))
+def test_search_matches_the_visited_set_search_above_2_64(dim, seed):
+    # the search's isotropy test of a generator against the current
+    # subspace, on an algebra and form moved to a basis with entries above 2^64
+    rng = Random(seed)
+    alg = random_completely_solvable(rng, dim)
+    omega = random_closed_form(rng, alg)
+    m = above_2_64_basis(rng, dim)
+    alg, omega = change_basis(alg, m), TwoForm(rebased_form_entries(omega, m))
+    assert find_lagrangians(alg, omega) == oracle_find_lagrangians(alg, omega)
